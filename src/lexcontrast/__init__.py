@@ -54,5 +54,4 @@ from .weighting import (  # noqa: F401
     build_feature_index,
     compute_lmi,
     compute_weight_sa,
-    cosine,
 )

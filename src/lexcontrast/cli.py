@@ -95,6 +95,8 @@ _BOOL_KEYS = {
     "average_contexts",
     "track_objective",
 }
+# keys naming input files or the pipeline's output directory; they have no default
+_PATH_KEYS = {"corpus", "counts", "lexicon", "lmi", "pairs", "simpairs", "vectors", "vocab", "weights", "workdir"}
 _INT_KEYS = {"min_count", "window", "dim", "svd_dim", "negatives", "epochs", "threads", "max_contrast_neighbors", "seed"}
 _FLOAT_KEYS = {"learning_rate", "subsample", "noise_exponent", "beta", "sigma_exponent"}
 
@@ -126,6 +128,8 @@ def read_config_file(path) -> dict[str, object]:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, raw = text.partition("=")
             key = key.strip()
+            if key not in DEFAULTS and key not in _PATH_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             out[key] = _parse_config_value(key, raw.strip())
     return out
 

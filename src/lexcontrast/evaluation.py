@@ -5,6 +5,10 @@ pairs from antonym pairs; Spearman's rho grades agreement with graded
 similarity ratings; the median report summarizes the score distribution per
 relation label. Pairs with an unrepresented word are excluded from every
 metric but counted against coverage.
+
+Scoring maps each pair's words to rows once and takes all the cosines of a
+pair list in one vectorised call, for dense embeddings and sparse weighted
+rows alike; tied scores share their average rank.
 """
 
 from __future__ import annotations
@@ -14,12 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import tsvio
 from .corpus import Vocabulary
-from .vectors import DenseEmbeddings
-from .weighting import WeightedMatrix, cosine
+from .weighting import WeightedMatrix, pair_cosines
 
 LABELS = ("SYN", "ANT")
 WORD_CLASSES = ("ADJ", "NOUN", "VERB")
@@ -81,7 +83,7 @@ class SimilarityPairSet:
 
 
 class SparseRowTable:
-    """Adapter giving a WeightedMatrix the word -> vector lookup the scorers use."""
+    """A WeightedMatrix with the word -> row map the scorers use."""
 
     def __init__(self, weights: WeightedMatrix, vocab: Vocabulary):
         if weights.shape[0] != len(vocab):
@@ -89,26 +91,29 @@ class SparseRowTable:
         self.weights = weights
         self.vocab = vocab
 
-    def get(self, word: str):
-        wid = self.vocab.word_ids.get(word)
-        return None if wid is None else self.weights.row(wid)
+    @property
+    def word_ids(self) -> dict[str, int]:
+        return self.vocab.word_ids
+
+    @property
+    def matrix(self):
+        return self.weights.matrix
 
 
 def score_pairs(vectors, pairs: Iterable) -> list[tuple]:
     """Cosine per pair; None marks a pair with an unrepresented word.
 
-    `vectors` is anything with .get(word) -> vector-or-None, i.e. dense
-    embeddings or a SparseRowTable over a weighted matrix.
+    `vectors` is dense embeddings or a SparseRowTable over a weighted matrix:
+    anything with a `word_ids` map onto the rows of its `matrix`. A word with
+    an all-zero row is represented and scores 0.
     """
-    scored = []
-    for pair in pairs:
-        v1 = vectors.get(pair.word1)
-        v2 = vectors.get(pair.word2)
-        if v1 is None or v2 is None:
-            scored.append((pair, None))
-        else:
-            scored.append((pair, cosine(v1, v2)))
-    return scored
+    pairs = list(pairs)
+    ids = vectors.word_ids
+    known = [i for i, p in enumerate(pairs) if p.word1 in ids and p.word2 in ids]
+    left = [ids[pairs[i].word1] for i in known]
+    right = [ids[pairs[i].word2] for i in known]
+    scores = dict(zip(known, pair_cosines(vectors.matrix, left, right).tolist()))
+    return [(p, scores.get(i)) for i, p in enumerate(pairs)]
 
 
 def average_precision(ranked: Sequence[str], relevant: str) -> float:
@@ -130,17 +135,9 @@ def average_precision(ranked: Sequence[str], relevant: str) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based position of each tie group's last member
+    return (last - (counts - 1) / 2.0)[inverse]
 
 
 def auc(scores: Sequence[float], positive: Sequence[bool]) -> float:
@@ -174,27 +171,6 @@ def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
     if denom == 0.0:
         raise EvalError("rank correlation undefined: constant ranking")
     return float((dp @ dg) / denom)
-
-
-def chi_square_independence(table) -> tuple[float, float]:
-    """Plain chi-square test (no continuity correction) on a 2x2 count table.
-
-    Helper for judging whether two evaluation outcomes differ beyond chance;
-    returns (statistic, p_value).
-    """
-    obs = np.asarray(table, dtype=np.float64)
-    if obs.shape != (2, 2):
-        raise EvalError("expected a 2x2 table")
-    if (obs < 0).any():
-        raise EvalError("counts must be non-negative")
-    total = obs.sum()
-    if total == 0:
-        raise EvalError("empty table")
-    expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / total
-    if (expected == 0).any():
-        raise EvalError("degenerate margins")
-    statistic = float(((obs - expected) ** 2 / expected).sum())
-    return statistic, float(stats.chi2.sf(statistic, df=1))
 
 
 # --- report assembly

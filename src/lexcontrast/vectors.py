@@ -88,7 +88,7 @@ def read_embeddings(path, source: str = "") -> DenseEmbeddings:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            fields = line.rstrip("\n").split(" ")
+            fields = line.rstrip().split(" ")  # word2vec.c ends each row with a space
             if len(fields) != n_cols + 1:
                 raise VectorsError(
                     f"{path}:{lineno}: expected a word and {n_cols} values, got {len(fields)} fields"

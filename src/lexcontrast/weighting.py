@@ -6,11 +6,19 @@ average cosine on the antonym side (each antonym paired with its own
 feature-sharing synonyms). Salient same-side features keep high positive
 weights, opposite-side features go negative, and features shared by both
 sides land near zero.
+
+The transform is whole-matrix sparse algebra over the lexicon rows. With L
+the LMI matrix, S and A the 0/1 synonym and enriched-antonym matrices, S_cos
+the row cosines of L on S's pattern and B the 0/1 feature-holder matrix,
+each stored cell of L takes (S_cos B)/(S B) minus either the pooled antonym
+term (A S_cos B)/(A S B) or the per-antonym term (A m)/(A [S B > 0]) with
+m = (S_cos B)/(S B). `pair_cosines`, which gives S_cos, also scores
+evaluation pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -103,21 +111,54 @@ def compute_lmi(counts: CooccurrenceCounts, vocab: Vocabulary | None = None) -> 
     return WeightedMatrix(SCHEME_LMI, matrix)
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity for dense arrays or sparse rows; 0 if a norm is 0."""
-    if sparse.issparse(u) or sparse.issparse(v):
-        dot = (u @ v.T).todense()[0, 0] if sparse.issparse(v) else float(u @ v)
-        nu = np.sqrt(u.multiply(u).sum())
-        nv = np.sqrt(v.multiply(v).sum()) if sparse.issparse(v) else np.linalg.norm(v)
-    else:
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        dot = float(u @ v)
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(dot / (nu * nv))
+def pair_cosines(matrix, a, b) -> np.ndarray:
+    """Cosine between rows a[i] and b[i] of a dense array or a sparse matrix.
+
+    Only the rows the pairs name are read. They are scaled to unit norm
+    once, so a row of norm 0 scores 0 against any row, and all the pair dot
+    products are taken in one call.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if len(a) == 0:
+        return np.zeros(0)
+    rows, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    left, right = inverse[: len(a)], inverse[len(a) :]
+    sub = matrix[rows]
+    if sparse.issparse(sub):
+        norms = np.sqrt(np.asarray(sub.multiply(sub).sum(axis=1)).ravel())
+        unit = sparse.diags(_ratio(1.0, norms)) @ sub
+        return np.asarray(unit[left].multiply(unit[right]).sum(axis=1)).ravel()
+    sub = np.asarray(sub, dtype=np.float64)
+    unit = sub * _ratio(1.0, np.linalg.norm(sub, axis=1))[:, None]
+    return np.einsum("ij,ij->i", unit[left], unit[right])
+
+
+def _ratio(num, den: np.ndarray) -> np.ndarray:
+    """num / den, with 0 where the denominator is 0."""
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
+
+
+def _cells(matrix: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every stored cell, in CSR order."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices
+
+
+def _values_at(matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries of a sparse matrix at the given cells, 0 where none is stored."""
+    if len(rows) == 0:
+        return np.zeros(0)
+    return np.asarray(matrix[rows, cols], dtype=np.float64).ravel()
+
+
+def _with_data(pattern: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matrix:
+    """A matrix with the stored cells of `pattern`, holding `data`."""
+    return sparse.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
+
+
+def _zero_one(cells: list[tuple[int, int]], shape: tuple[int, int]) -> sparse.csr_matrix:
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -125,6 +166,7 @@ class FeatureOccurrenceIndex:
     """Inverse map: feature id -> set of word ids with a positive stored weight."""
 
     index: dict[int, frozenset[int]]
+    _holders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def words_for(self, feature_id: int) -> frozenset[int]:
         return self.index.get(feature_id, frozenset())
@@ -132,77 +174,48 @@ class FeatureOccurrenceIndex:
     def __len__(self) -> int:
         return len(self.index)
 
+    def holders(self, shape: tuple[int, int]) -> sparse.csr_matrix:
+        """0/1 word-by-feature matrix of the index, built once per shape.
+
+        Ids outside `shape` are left out: no cell of that shape can hold them.
+        """
+        if shape not in self._holders:
+            cells = [(w, f) for f, words in self.index.items() if 0 <= f < shape[1]
+                     for w in words if 0 <= w < shape[0]]
+            self._holders[shape] = _zero_one(cells, shape)
+        return self._holders[shape]
+
 
 def build_feature_index(lmi: WeightedMatrix) -> FeatureOccurrenceIndex:
     """Invert a positively-weighted matrix by column."""
     if lmi.scheme != SCHEME_LMI:
         raise WeightingError(f"feature index expects an LMI matrix, got {lmi.scheme}")
-    coo = lmi.matrix.tocoo()
-    buckets: dict[int, set[int]] = {}
-    for w, f in zip(coo.row, coo.col):
-        buckets.setdefault(int(f), set()).add(int(w))
-    return FeatureOccurrenceIndex({f: frozenset(ws) for f, ws in buckets.items()})
+    csc = lmi.matrix.tocsc()
+    bounds = zip(csc.indptr[:-1].tolist(), csc.indptr[1:].tolist())
+    idx = FeatureOccurrenceIndex(
+        {f: frozenset(csc.indices[s:e].tolist()) for f, (s, e) in enumerate(bounds) if e > s}
+    )
+    idx._holders[lmi.shape] = _with_data(lmi.matrix, np.ones(len(lmi)))
+    return idx
 
 
-class RowCosineCache:
-    """Memoized cosine between sparse matrix rows, keyed per unordered pair.
+def _lexicon_matrices(lex: ContrastLexicon, vocab: Vocabulary):
+    """(rows, S, A) over the lexicon words in the vocabulary.
 
-    Filling is idempotent, so concurrent per-row workers sharing one cache
-    would at worst recompute a value, never corrupt it.
+    `rows` holds their sorted ids; S[i, u] = 1 when u is a synonym of
+    rows[i], A[i, j] = 1 when rows[j] is an enriched antonym of rows[i]. An
+    antonym that is no lexicon word has no synonyms and so no column.
     """
-
-    def __init__(self, matrix: sparse.csr_matrix):
-        matrix.sort_indices()
-        self._indptr = matrix.indptr
-        self._indices = matrix.indices
-        self._data = matrix.data
-        sq = matrix.multiply(matrix)
-        self._norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
-        self._cache: dict[tuple[int, int], float] = {}
-
-    def _row_dot(self, a: int, b: int) -> float:
-        sa, ea = self._indptr[a], self._indptr[a + 1]
-        sb, eb = self._indptr[b], self._indptr[b + 1]
-        _, ia, ib = np.intersect1d(
-            self._indices[sa:ea], self._indices[sb:eb],
-            assume_unique=True, return_indices=True,
-        )
-        if len(ia) == 0:
-            return 0.0
-        return float(self._data[sa:ea][ia] @ self._data[sb:eb][ib])
-
-    def __call__(self, a: int, b: int) -> float:
-        key = (a, b) if a <= b else (b, a)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        na, nb = self._norms[a], self._norms[b]
-        value = 0.0 if na == 0.0 or nb == 0.0 else self._row_dot(a, b) / (na * nb)
-        self._cache[key] = value
-        return value
-
-
-def _lexicon_ids(lex: ContrastLexicon, vocab: Vocabulary):
-    """Resolve lexicon words to vocabulary ids, dropping out-of-vocabulary ones."""
-    syn: dict[int, list[int]] = {}
-    ant_pairs: dict[int, list[tuple[int, int]]] = {}
     ids = vocab.word_ids
-    for word in lex.words():
-        wid = ids.get(word)
-        if wid is None:
-            continue
-        syn[wid] = sorted(ids[u] for u in lex.synonyms(word) if u in ids)
-        pairs: list[tuple[int, int]] = []
-        for opp in sorted(lex.enriched_antonyms(word)):
-            oid = ids.get(opp)
-            if oid is None:
-                continue
-            for v in sorted(lex.synonyms(opp)):
-                vid = ids.get(v)
-                if vid is not None:
-                    pairs.append((oid, vid))
-        ant_pairs[wid] = pairs
-    return syn, ant_pairs
+    entries = sorted((ids[w], w) for w in lex.words() if w in ids)
+    rows = np.array([wid for wid, _ in entries], dtype=np.int64)
+    position = {wid: i for i, (wid, _) in enumerate(entries)}
+    syn_cells: list[tuple[int, int]] = []
+    ant_cells: list[tuple[int, int]] = []
+    for i, (_, word) in enumerate(entries):
+        syn_cells += [(i, ids[u]) for u in lex.synonyms(word) if u in ids]
+        ant_cells += [(i, position[ids[a]]) for a in lex.enriched_antonyms(word) if ids.get(a) in position]
+    return rows, _zero_one(syn_cells, (len(rows), len(vocab))), _zero_one(ant_cells, (len(rows), len(rows)))
 
 
 def compute_weight_sa(
@@ -219,9 +232,10 @@ def compute_weight_sa(
     synonyms u of w that hold feature f; the antonym term averages
     cosine(w', v) over enriched antonyms w' of w paired with their own
     feature-holding synonyms v. The cell weight is synonym term minus antonym
-    term; an empty side contributes 0. Words with no lexicon entries yield no
-    row (or keep their LMI row when fallback_lmi is set). All cosines are
-    taken between original LMI rows, so the transform is order-independent.
+    term; an empty side contributes 0, and weights equal to 0 are not
+    stored. Words with no lexicon entries yield no row (or keep their LMI row
+    when fallback_lmi is set). All cosines are taken between original LMI
+    rows, so the transform is order-independent.
 
     ant_mean selects the antonym-term normalizer: "pooled" divides the double
     sum by the total pair count; "per-antonym" averages per-antonym means over
@@ -234,54 +248,32 @@ def compute_weight_sa(
     if lex.ant and not lex.ant_enriched:
         raise WeightingError("lexicon has antonyms but no enriched sets; run enrich_antonyms first")
 
-    n_words, n_features = lmi.shape
     matrix = lmi.matrix
-    matrix.sort_indices()
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    row_cos = RowCosineCache(matrix)
-    syn_ids, ant_pair_ids = _lexicon_ids(lex, vocab)
+    rows, syn, ant = _lexicon_matrices(lex, vocab)
+    s_rows, s_cols = _cells(syn)
+    syn_cos = _with_data(syn, pair_cosines(matrix, rows[s_rows], s_cols))
+    holders = idx.holders(matrix.shape)
+    syn_num, syn_den = syn_cos @ holders, syn @ holders
 
-    out_rows: list[int] = []
-    out_cols: list[int] = []
-    out_vals: list[float] = []
-    for w in range(n_words):
-        start, end = indptr[w], indptr[w + 1]
-        if start == end:
-            continue
-        if w not in syn_ids:  # word carries no lexicon entry at all
-            if fallback_lmi:
-                out_rows.extend([w] * (end - start))
-                out_cols.extend(int(f) for f in indices[start:end])
-                out_vals.extend(float(x) for x in data[start:end])
-            continue
-        synonyms = syn_ids.get(w, [])
-        ant_pairs = ant_pair_ids.get(w, [])
-        for f in indices[start:end]:
-            holders = idx.words_for(int(f))
-            syn_cos = [row_cos(w, u) for u in synonyms if u in holders]
-            term_syn = sum(syn_cos) / len(syn_cos) if syn_cos else 0.0
-            if ant_mean == "pooled":
-                ant_cos = [row_cos(a, v) for a, v in ant_pairs if v in holders]
-                term_ant = sum(ant_cos) / len(ant_cos) if ant_cos else 0.0
-            else:
-                per_ant: dict[int, list[float]] = {}
-                for a, v in ant_pairs:
-                    if v in holders:
-                        per_ant.setdefault(a, []).append(row_cos(a, v))
-                if per_ant:
-                    means = [sum(vals) / len(vals) for vals in per_ant.values()]
-                    term_ant = sum(means) / len(means)
-                else:
-                    term_ant = 0.0
-            value = term_syn - term_ant
-            if value != 0.0:
-                out_rows.append(w)
-                out_cols.append(int(f))
-                out_vals.append(value)
+    cell_rows, cell_cols = _cells(matrix[rows])
+    term_syn = _ratio(_values_at(syn_num, cell_rows, cell_cols), _values_at(syn_den, cell_rows, cell_cols))
+    if ant_mean == "pooled":
+        ant_num, ant_den = ant @ syn_num, ant @ syn_den
+    else:
+        means = _ratio(_values_at(syn_num, *_cells(syn_den)), syn_den.data)
+        ant_num = ant @ _with_data(syn_den, means)
+        ant_den = ant @ _with_data(syn_den, np.ones(syn_den.nnz))
+    term_ant = _ratio(_values_at(ant_num, cell_rows, cell_cols), _values_at(ant_den, cell_rows, cell_cols))
 
+    values = term_syn - term_ant
+    keep = values != 0.0
     result = sparse.coo_matrix(
-        (out_vals, (out_rows, out_cols)), shape=(n_words, n_features)
+        (values[keep], (rows[cell_rows[keep]], cell_cols[keep])), shape=matrix.shape
     ).tocsr()
+    if fallback_lmi:
+        uncovered = np.ones(matrix.shape[0])
+        uncovered[rows] = 0.0
+        result = result + sparse.diags(uncovered) @ matrix
     return WeightedMatrix(SCHEME_SA, result)
 
 

@@ -117,6 +117,17 @@ class TestOptionResolution:
         with pytest.raises(ValueError, match="key=value"):
             read_config_file(cfg)
 
+    def test_unknown_config_key_is_1(self, workspace, capsys):
+        (workspace / "typo.cfg").write_text("min_count=1\ndimm=7\n")
+        code = main(["vocab", "--corpus", "corpus.txt", "--out", "v3.tsv", "--config", "typo.cfg"])
+        assert code == 1
+        assert "dimm" in capsys.readouterr().err
+        assert not (workspace / "v3.tsv").exists()
+
+    def test_config_may_name_input_paths(self, workspace):
+        (workspace / "paths.cfg").write_text("corpus=corpus.txt\nmin_count=1\n")
+        assert main(["vocab", "--out", "v4.tsv", "--config", "paths.cfg"]) == 0
+
     def test_header_records_resolved_config(self, workspace):
         main(["vocab", "--corpus", "corpus.txt", "--out", "v3.tsv", "--min-count", "2"])
         head = (workspace / "v3.tsv").read_text().splitlines()[:5]

@@ -19,7 +19,6 @@ from lexcontrast.evaluation import (
     SparseRowTable,
     auc,
     average_precision,
-    chi_square_independence,
     eval_ap,
     eval_auc,
     eval_spearman,
@@ -195,25 +194,6 @@ class TestSpearman:
             spearman([1.0], [1.0])
         with pytest.raises(EvalError, match="length"):
             spearman([1.0, 2.0], [1.0])
-
-
-class TestChiSquare:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            table = rng.integers(1, 80, size=(2, 2))
-            stat, p = chi_square_independence(table)
-            ref = stats.chi2_contingency(table, correction=False)
-            assert stat == pytest.approx(ref.statistic, abs=1e-10)
-            assert p == pytest.approx(ref.pvalue, abs=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(EvalError, match="2x2"):
-            chi_square_independence([[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(EvalError, match="non-negative"):
-            chi_square_independence([[1, -1], [2, 3]])
-        with pytest.raises(EvalError, match="margins"):
-            chi_square_independence([[0, 0], [1, 2]])
 
 
 def _embeddings():

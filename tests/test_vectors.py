@@ -77,6 +77,21 @@ class TestSerialization:
         with pytest.raises(VectorsError, match=":2"):
             read_embeddings(path)
 
+    def test_word2vec_trailing_space_accepted(self, tmp_path):
+        # word2vec.c ends every row with a space before the newline
+        path = tmp_path / "vec.txt"
+        path.write_text("2 3\nhot 0.1 0.2 0.3 \ncold -0.1 0.0 0.5 \n")
+        emb = read_embeddings(path)
+        assert emb.words == ["hot", "cold"]
+        np.testing.assert_array_equal(emb.matrix, [[0.1, 0.2, 0.3], [-0.1, 0.0, 0.5]])
+
+    def test_row_width_checked_with_trailing_space(self, tmp_path):
+        for body in ("a 1.0 2.0 \n", "a 1.0 2.0 3.0 4.0 \n", "a 1.0 2.0 3.0 4.0\n"):
+            path = tmp_path / "vec.txt"
+            path.write_text("1 3\n" + body)
+            with pytest.raises(VectorsError, match="expected a word and 3 values"):
+                read_embeddings(path)
+
     def test_row_count_checked(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("3 2\na 1.0 2.0\n")

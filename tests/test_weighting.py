@@ -13,13 +13,12 @@ from lexcontrast.weighting import (
     SCHEME_LMI,
     SCHEME_SA,
     FeatureOccurrenceIndex,
-    RowCosineCache,
     WeightedMatrix,
     WeightingError,
     build_feature_index,
     compute_lmi,
     compute_weight_sa,
-    cosine,
+    pair_cosines,
     read_weighted,
     write_weighted,
 )
@@ -100,19 +99,11 @@ class TestLmi:
 class TestCosine:
     def test_identities(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert cosine(v, v) == pytest.approx(1.0)
-        assert cosine(v, -v) == pytest.approx(-1.0)
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-        assert cosine(np.zeros(3), v) == 0.0
-
-    def test_sparse_matches_dense(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.random(8) * (rng.random(8) > 0.5)
-            b = rng.random(8) * (rng.random(8) > 0.5)
-            sa = sparse.csr_matrix(a)
-            sb = sparse.csr_matrix(b)
-            assert cosine(sa, sb) == pytest.approx(cosine(a, b), abs=1e-12)
+        rows = np.array([v, -v, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], np.zeros(3)])
+        for matrix in (rows, sparse.csr_matrix(rows)):
+            got = pair_cosines(matrix, [0, 0, 2, 4], [0, 1, 3, 0])
+            np.testing.assert_allclose(got, [1.0, -1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+        assert len(pair_cosines(rows, [], [])) == 0
 
 
 class TestFeatureIndex:
@@ -135,27 +126,6 @@ class TestFeatureIndex:
     def test_absent_feature_is_empty(self):
         idx = FeatureOccurrenceIndex({})
         assert idx.words_for(3) == frozenset()
-
-
-class TestRowCosineCache:
-    def test_matches_direct_cosine(self):
-        rng = np.random.default_rng(3)
-        dense = rng.random((6, 9)) * (rng.random((6, 9)) > 0.5)
-        dense[4] = 0.0  # a zero row
-        matrix = sparse.csr_matrix(dense)
-        cache = RowCosineCache(matrix)
-        for a in range(6):
-            for b in range(6):
-                expected = cosine(dense[a], dense[b])
-                assert cache(a, b) == pytest.approx(expected, abs=1e-12)
-
-    def test_symmetric_and_memoized(self):
-        rng = np.random.default_rng(4)
-        matrix = sparse.csr_matrix(rng.random((4, 5)))
-        cache = RowCosineCache(matrix)
-        first = cache(1, 3)
-        assert cache(3, 1) == first
-        assert cache(1, 3) == first
 
 
 def _sa_oracle(lmi_dense, lex, vocab, ant_mean):
