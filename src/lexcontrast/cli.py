@@ -284,7 +284,7 @@ def stage_svd(weights_path, vocab_path, out_path, dim, svd_mode, sigma_exponent,
 
 
 def write_embeddings_with_meta(path, emb: DenseEmbeddings, meta: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with tsvio.atomic_writer(path) as fh:
         for key, value in meta.items():
             fh.write(f"#{key}={value}\n")
         fh.write(f"{len(emb)} {emb.dim}\n")
@@ -405,7 +405,7 @@ def _emit(out_path, lines) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with tsvio.atomic_writer(out_path) as fh:
             fh.write(text)
 
 
@@ -423,9 +423,8 @@ def _json_report(meta: dict[str, str], report: MetricReport, extra: dict | None 
     return [json.dumps(payload, indent=2, sort_keys=True)]
 
 
-def stage_eval_ap(vectors_path, vocab_path, pairs_path, out_path, as_json, seed) -> None:
+def stage_eval_ap(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
     _require_files(pairs_path)
-    vectors = load_vectors(vectors_path, vocab_path)
     pair_set = load_relation_pairs(pairs_path)
     report = eval_ap(vectors, pair_set)
     meta = _header("eval-ap", {"vectors": vectors_path, "pairs": pairs_path}, seed)
@@ -439,9 +438,8 @@ def stage_eval_ap(vectors_path, vocab_path, pairs_path, out_path, as_json, seed)
     _emit(out_path, _report_lines(meta, ["class", "n_total", "n_scored", "coverage", "ap_syn", "ap_ant"], rows))
 
 
-def stage_eval_auc(vectors_path, vocab_path, pairs_path, out_path, as_json, seed) -> None:
+def stage_eval_auc(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
     _require_files(pairs_path)
-    vectors = load_vectors(vectors_path, vocab_path)
     pair_set = load_relation_pairs(pairs_path)
     report = eval_auc(vectors, pair_set)
     meta = _header("eval-auc", {"vectors": vectors_path, "pairs": pairs_path}, seed)
@@ -456,9 +454,8 @@ def stage_eval_auc(vectors_path, vocab_path, pairs_path, out_path, as_json, seed
     _emit(out_path, _report_lines(meta, ["class", "n_total", "n_scored", "coverage", "auc"], rows))
 
 
-def stage_eval_spearman(vectors_path, vocab_path, pairs_path, out_path, as_json, seed) -> None:
+def stage_eval_spearman(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
     _require_files(pairs_path)
-    vectors = load_vectors(vectors_path, vocab_path)
     pair_set = load_similarity_pairs(pairs_path)
     report, n_scored, n_total = eval_spearman(vectors, pair_set)
     meta = _header("eval-spearman", {"vectors": vectors_path, "pairs": pairs_path}, seed)
@@ -469,9 +466,8 @@ def stage_eval_spearman(vectors_path, vocab_path, pairs_path, out_path, as_json,
     _emit(out_path, _report_lines(meta, ["spearman", "n_scored", "n_total", "coverage"], rows))
 
 
-def stage_report_medians(vectors_path, vocab_path, pairs_path, out_path, as_json, seed) -> None:
+def stage_report_medians(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
     _require_files(pairs_path)
-    vectors = load_vectors(vectors_path, vocab_path)
     pair_set = load_relation_pairs(pairs_path)
     report = median_report(vectors, pair_set)
     meta = _header("report-medians", {"vectors": vectors_path, "pairs": pairs_path}, seed)
@@ -576,10 +572,11 @@ def _cmd_train_dlce(args) -> int:
 
 
 def _eval_args(args, s: Settings):
+    vectors_path, pairs_path = s.require_path("vectors"), s.require_path("pairs")
     return (
-        s.require_path("vectors"),
-        s.path("vocab"),
-        s.require_path("pairs"),
+        load_vectors(vectors_path, s.path("vocab")),
+        vectors_path,
+        pairs_path,
         getattr(args, "out", None),
         bool(getattr(args, "json", False)),
         int(s.get("seed")),
@@ -647,14 +644,16 @@ def _cmd_pipeline(args) -> int:
     vector_sets["sgns"] = sgns_p
     vector_sets["dlce"] = dlce_p
 
-    if pairs is not None:
-        for name, path in vector_sets.items():
-            stage_eval_ap(path, vocab_p, pairs, str(workdir / f"eval_ap_{name}.tsv"), False, seed)
-            stage_eval_auc(path, vocab_p, pairs, str(workdir / f"eval_auc_{name}.tsv"), False, seed)
-            stage_report_medians(path, vocab_p, pairs, str(workdir / f"medians_{name}.tsv"), False, seed)
-    if simpairs is not None:
-        for name, path in vector_sets.items():
-            stage_eval_spearman(path, vocab_p, simpairs, str(workdir / f"spearman_{name}.tsv"), False, seed)
+    if pairs is None and simpairs is None:
+        return 0
+    for name, path in vector_sets.items():
+        vectors = load_vectors(path, vocab_p)  # read once, scored by every eval stage
+        if pairs is not None:
+            stage_eval_ap(vectors, path, pairs, str(workdir / f"eval_ap_{name}.tsv"), False, seed)
+            stage_eval_auc(vectors, path, pairs, str(workdir / f"eval_auc_{name}.tsv"), False, seed)
+            stage_report_medians(vectors, path, pairs, str(workdir / f"medians_{name}.tsv"), False, seed)
+        if simpairs is not None:
+            stage_eval_spearman(vectors, path, simpairs, str(workdir / f"spearman_{name}.tsv"), False, seed)
     return 0
 
 

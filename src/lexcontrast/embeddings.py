@@ -10,12 +10,20 @@ Within one positive pair the gradients for the positive context and its k
 sampled negatives are evaluated at the same parameter values and then
 applied, with duplicate context rows accumulated exactly. A sampled negative
 that collides with the true context is skipped.
+
+Training is sequential SGD. Each pair's rows, learning rate and contrast set
+are prepared a few thousand pairs at a time, so the per-pair loop runs only
+the arithmetic; W and C are checked for NaN and Inf every CHECK_EVERY updates
+and after each epoch. With threads > 1, threads run the same loop without
+locks on contiguous shards of the stream, which is neither reproducible nor,
+under the interpreter lock, faster.
 """
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -77,13 +85,15 @@ class TrainingConfig:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function; scalar in, scalar out."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Numerically stable logistic function; scalar in, scalar out.
+
+    With e = exp(-|x|), which never overflows, the numerator is 1 for x >= 0
+    and e otherwise, so both halves equal the textbook forms bit for bit.
+    max(e, sign(x)) picks it without masks, since e <= 1 and e == 1 at x == 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, np.sign(x)) / (e + 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -139,9 +149,10 @@ class EmbeddingModel:
         matrix = (self.W + self.C) / 2.0 if average_contexts else self.W.copy()
         return DenseEmbeddings(list(self.vocab.words), matrix, source=source)
 
-    def validate(self) -> None:
+    def validate(self, update: int | None = None) -> None:
         if not (np.isfinite(self.W).all() and np.isfinite(self.C).all()):
-            raise TrainingError("trained matrices contain NaN or Inf")
+            after = "" if update is None else f" after update {update}"
+            raise TrainingError(f"training diverged: W or C holds NaN or Inf{after}")
 
 
 # --- pure per-pair gradients (shared by the trainer and the finite-difference tests)
@@ -155,14 +166,22 @@ def sgns_pair_loss(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray) 
 
 def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray):
     """Ascent gradients of sgns_pair_loss wrt w and each context row."""
-    err = labels - sigmoid(ctx_rows @ w_vec)
-    return err @ ctx_rows, err[:, None] * w_vec
+    # np.dot runs the same BLAS gemv as `@`, with less dispatch overhead
+    err = labels - sigmoid(np.dot(ctx_rows, w_vec))
+    return np.dot(err, ctx_rows), err[:, None] * w_vec
 
 
 def _cosine_parts(w_vec: np.ndarray, rows: np.ndarray):
-    """cos(w, row) per row plus the pieces its gradient needs; zero-safe."""
-    nw = np.linalg.norm(w_vec)
-    nr = np.linalg.norm(rows, axis=1)
+    """cos(w, row) per row plus the pieces its gradient needs; zero-safe.
+
+    The norms are np.linalg.norm's own sums. `ok` is None when no norm is 0
+    (the masks are skipped), else the mask of rows that have a cosine.
+    """
+    nw = np.sqrt(np.dot(w_vec, w_vec))
+    nr = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    if nw > 0 and all(n > 0 for n in nr.tolist()):
+        inv = 1.0 / (nr * nw)
+        return np.dot(rows, w_vec) * inv, inv, nw, nr, None
     ok = (nr > 0) & (nw > 0)
     cos = np.zeros(len(rows))
     inv = np.zeros(len(rows))
@@ -188,24 +207,29 @@ def contrast_gradients(W: np.ndarray, w: int, syn_ids, ant_ids):
     count in the mean's normalizer.
     """
     w_vec = W[w]
-    g_w = np.zeros_like(w_vec)
+    g_w = np.zeros(len(w_vec))
     g_sides = []
-    nw2 = float(w_vec @ w_vec)
+    nw2 = float(np.dot(w_vec, w_vec))
     for ids, sign in ((syn_ids, 1.0), (ant_ids, -1.0)):
         if not len(ids):
             g_sides.append(np.zeros((0, len(w_vec))))
             continue
-        rows = W[ids]
+        rows = W.take(ids, axis=0)
         cos, inv, _, nr, ok = _cosine_parts(w_vec, rows)
         scale = sign / len(ids)
         d_w = rows * inv[:, None]
-        d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
-        d_w[~ok] = 0.0
-        g_w += scale * d_w.sum(axis=0)
-        coeff = np.zeros(len(rows))
-        np.divide(cos, nr * nr, out=coeff, where=ok)
+        if ok is None:
+            d_w -= (cos / nw2)[:, None] * w_vec
+            coeff = cos / (nr * nr)
+        else:
+            d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
+            d_w[~ok] = 0.0
+            coeff = np.zeros(len(rows))
+            np.divide(cos, nr * nr, out=coeff, where=ok)
+        g_w += scale * np.add.reduce(d_w, axis=0)
         d_r = inv[:, None] * w_vec - coeff[:, None] * rows
-        d_r[~ok] = 0.0
+        if ok is not None:
+            d_r[~ok] = 0.0
         g_sides.append(scale * d_r)
     return g_w, g_sides[0], g_sides[1]
 
@@ -325,6 +349,8 @@ class _ContrastState:
         self.seed = cfg.seed
         self.beta = cfg.contrast_coefficient
         self.cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
+        self.in_lexicon = np.zeros(len(vocab), dtype=bool)
+        self.in_lexicon[list(self.syn.keys() | self.ant.keys())] = True
 
     def _capped(self, members: list[int], w: int, c: int, side: str) -> np.ndarray:
         arr = np.array(members, dtype=np.int64)
@@ -335,10 +361,8 @@ class _ContrastState:
 
     def pair_sets(self, w: int, c: int):
         key = (w, c)
-        try:
+        if key in self.cache:
             return self.cache[key]
-        except KeyError:
-            pass
         syn = self.syn.get(w)
         ant = self.ant.get(w)
         sets = None
@@ -350,6 +374,13 @@ class _ContrastState:
                 sets = (self._capped(u, w, c, "syn"), self._capped(v, w, c, "ant"))
         self.cache[key] = sets
         return sets
+
+    def hits(self, targets: list[int], contexts: list[int]) -> list[bool]:
+        """Whether each (target, context) pair has a contrast set."""
+        hit = [False] * len(targets)
+        for j in np.flatnonzero(self.in_lexicon[targets]).tolist():
+            hit[j] = self.pair_sets(targets[j], contexts[j]) is not None
+        return hit
 
     def apply(self, W: np.ndarray, w: int, c: int, alpha: float) -> None:
         sets = self.pair_sets(w, c)
@@ -367,51 +398,46 @@ class _ContrastState:
 
 # --- the trainers
 
+CHUNK_PAIRS = 2_500  # pairs whose per-pair set-up is built at once; bounds its memory
+CHECK_EVERY = 10_000  # updates between finiteness checks of W and C
 
-def _run_shard(
-    W,
-    C,
-    targets,
-    contexts,
-    negs,
-    has_dupes,
-    has_collision,
-    labels,
-    alpha0,
-    total_updates,
-    counter,
-    contrast,
-    lock_step: bool,
-    shard_base: int,
-):
-    """Sequential SGD over one shard of the epoch's pair stream."""
-    k1 = negs.shape[1] + 1
-    buffer = np.empty(k1, dtype=np.int32)
-    for i in range(len(targets)):
-        w = targets[i]
-        buffer[0] = contexts[i]
-        buffer[1:] = negs[i]
-        if has_collision[i]:  # drop sampled negatives equal to the true context
-            rows = buffer[np.concatenate(([True], buffer[1:] != buffer[0]))]
-            pair_labels = labels[: len(rows)]
-        else:
-            rows = buffer
-            pair_labels = labels
-        if lock_step:
-            update = shard_base + i
-        else:
-            update = counter[0]
-            counter[0] = update + 1
-        alpha = learning_rate(alpha0, update, total_updates)
-        w_vec = W[w]
-        g_w, g_c = sgns_pair_gradients(w_vec, C[rows], pair_labels)
-        if has_dupes[i]:
-            np.add.at(C, rows, alpha * g_c)
-        else:
-            C[rows] += alpha * g_c
-        W[w] = w_vec + alpha * g_w
-        if contrast is not None:
-            contrast.apply(W, w, int(rows[0]), alpha)
+
+def _run_shard(model, targets, rows, labels, first, total_updates, contrast, start, stop):
+    """Sequential SGD over pairs start..stop of one epoch's pair stream.
+
+    rows[i] is pair i's true context, then its negatives; `first` is the
+    update index of the epoch's first pair, which fixes every pair's rate.
+    """
+    W, C, alpha0 = model.W, model.C, model.config.learning_rate
+    for lo in range(start, stop, CHUNK_PAIRS):
+        hi = min(lo + CHUNK_PAIRS, stop)
+        block = rows[lo:hi].astype(np.intp)
+        srt = np.sort(block, axis=1)
+        dupes = (srt[:, 1:] == srt[:, :-1]).any(axis=1).tolist()
+        pair_rows, pair_labels = list(block), [labels] * (hi - lo)
+        for j in np.flatnonzero((block[:, 1:] == block[:, :1]).any(axis=1)).tolist():
+            r = block[j]  # drop sampled negatives equal to the true context
+            pair_rows[j] = r[np.concatenate(([True], r[1:] != r[0]))]
+            pair_labels[j] = labels[: len(pair_rows[j])]
+        decay = np.maximum(MIN_ALPHA_FRACTION, 1.0 - np.arange(first + lo, first + hi) / total_updates)
+        # 0-d arrays: numpy multiplies by them faster than by Python floats
+        alphas = [np.asarray(a) for a in (alpha0 * decay).tolist()]
+        ws, cs = targets[lo:hi].tolist(), block[:, 0].tolist()
+        hits = [False] * (hi - lo) if contrast is None else contrast.hits(ws, cs)
+        with np.errstate(over="ignore"):
+            for w, c, r, lab, alpha, dupe, hit in zip(ws, cs, pair_rows, pair_labels, alphas, dupes, hits):
+                w_vec = W[w]
+                ctx = C.take(r, axis=0)
+                g_w, g_c = sgns_pair_gradients(w_vec, ctx, lab)
+                if dupe:
+                    np.add.at(C, r, alpha * g_c)
+                else:
+                    C[r] = ctx + alpha * g_c
+                w_vec += alpha * g_w
+                if hit:
+                    contrast.apply(W, w, c, alpha)
+        if (first + lo) // CHECK_EVERY < (first + hi) // CHECK_EVERY:
+            model.validate(first + hi)
 
 
 def _train(
@@ -437,64 +463,38 @@ def _train(
         raise TrainingError("no training pairs survive windowing/subsampling")
 
     n, d = len(vocab), cfg.dim
-    init_rng = rng_for(cfg.seed, "init")
-    W = (init_rng.random((n, d)) - 0.5) / d
-    C = np.zeros((n, d))
+    W = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d
     noise = build_noise_distribution(vocab, cfg.noise_exponent)
     labels = np.zeros(cfg.negatives + 1)
     labels[0] = 1.0
 
-    model = EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
+    model = EmbeddingModel(W=W, C=np.zeros((n, d)), vocab=vocab, config=cfg)
     done = 0
-    with np.errstate(over="ignore"):
-        for epoch, (targets, contexts) in enumerate(epoch_streams):
-            n_pairs = len(targets)
-            negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
-            stacked = np.column_stack((contexts, negs))
-            srt = np.sort(stacked, axis=1)
-            has_dupes = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-            has_collision = (negs == contexts[:, None]).any(axis=1)
-            alpha_start = learning_rate(cfg.learning_rate, done, total_updates)
-            if cfg.threads == 1:
-                _run_shard(
-                    W, C, targets, contexts, negs, has_dupes, has_collision,
-                    labels, cfg.learning_rate, total_updates, None, contrast,
-                    lock_step=True, shard_base=done,
-                )
-            else:
-                counter = [done]
-                bounds = np.linspace(0, n_pairs, cfg.threads + 1).astype(int)
-                workers = [
-                    threading.Thread(
-                        target=_run_shard,
-                        args=(
-                            W, C,
-                            targets[a:b], contexts[a:b], negs[a:b],
-                            has_dupes[a:b], has_collision[a:b],
-                            labels, cfg.learning_rate, total_updates,
-                            counter, contrast,
-                        ),
-                        kwargs={"lock_step": False, "shard_base": 0},
-                    )
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                for t in workers:
-                    t.start()
-                for t in workers:
-                    t.join()
-            done += n_pairs
-            record = {"epoch": epoch, "pairs": n_pairs, "alpha": alpha_start}
-            if cfg.track_objective:
-                record["objective"] = sgns_objective(
-                    model, counted_pairs(targets, contexts), noise, cfg.negatives
-                )
-            model.history.append(record)
-            if progress is not None:
-                line = f"{epoch}\t{n_pairs}\t{alpha_start:.6f}"
-                if "objective" in record:
-                    line += f"\t{record['objective']:.6f}"
-                print(line, file=progress)
-    model.validate()
+    for epoch, (targets, contexts) in enumerate(epoch_streams):
+        n_pairs = len(targets)
+        negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
+        shard = partial(_run_shard, model, targets, np.column_stack((contexts, negs)),
+                        labels, done, total_updates, contrast)
+        if cfg.threads == 1:
+            shard(0, n_pairs)
+        else:
+            bounds = np.linspace(0, n_pairs, cfg.threads + 1).astype(int).tolist()
+            with ThreadPoolExecutor(cfg.threads) as pool:
+                list(pool.map(shard, bounds[:-1], bounds[1:]))
+        alpha_start = learning_rate(cfg.learning_rate, done, total_updates)
+        done += n_pairs
+        model.validate(done)
+        record = {"epoch": epoch, "pairs": n_pairs, "alpha": alpha_start}
+        if cfg.track_objective:
+            record["objective"] = sgns_objective(
+                model, counted_pairs(targets, contexts), noise, cfg.negatives
+            )
+        model.history.append(record)
+        if progress is not None:
+            line = f"{epoch}\t{n_pairs}\t{alpha_start:.6f}"
+            if "objective" in record:
+                line += f"\t{record['objective']:.6f}"
+            print(line, file=progress)
     return model
 
 

@@ -8,8 +8,8 @@ import numpy as np
 
 
 def _label_key(label: str | int) -> int:
-    if isinstance(label, int):
-        return label
+    if isinstance(label, (int, np.integer)):
+        return int(label)
     return zlib.crc32(label.encode("utf-8"))
 
 

@@ -3,7 +3,27 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, Sequence, TextIO
+
+
+@contextmanager
+def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
+    """Text file handle whose contents replace `path` only once complete.
+
+    Writes go to a temporary file in the same directory, which os.replace
+    renames onto `path` when the block ends; if the block raises, the
+    temporary file is removed and `path` keeps its old contents.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_meta(fh: TextIO, meta: dict[str, str] | None) -> None:
@@ -18,7 +38,7 @@ def write_rows(
     rows: Iterable[Sequence[object]],
     meta: dict[str, str] | None = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         write_meta(fh, meta)
         for row in rows:
             fh.write("\t".join(str(field) for field in row) + "\n")

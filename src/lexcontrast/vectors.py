@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tsvio import atomic_writer
+
 
 class VectorsError(ValueError):
     pass
@@ -63,7 +65,7 @@ class DenseEmbeddings:
 
 
 def write_embeddings(path, emb: DenseEmbeddings) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write(f"{len(emb)} {emb.dim}\n")
         for word, row in zip(emb.words, emb.matrix):
             fh.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")

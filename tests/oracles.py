@@ -2,7 +2,8 @@
 
 These are the per-pair and per-cell loops the package used before pair
 scoring, the contrast transform and tie-averaged ranking became whole-array
-operations. They stay here, unchanged in behaviour, as oracles for the
+operations, and the single-threaded SGD loop from before its per-pair set-up
+was precomputed. They stay here, unchanged in behaviour, as oracles for the
 property tests in test_properties.py.
 """
 
@@ -11,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from lexcontrast import embeddings as emb
+from lexcontrast.corpus import CorpusError, encode_lines
+from lexcontrast.seeding import rng_for
 from lexcontrast.weighting import SCHEME_SA, WeightedMatrix
 
 
@@ -177,3 +181,178 @@ def compute_weight_sa(lmi, idx, lex, vocab, ant_mean="pooled", fallback_lmi=Fals
         (out_vals, (out_rows, out_cols)), shape=(n_words, n_features)
     ).tocsr()
     return WeightedMatrix(SCHEME_SA, result)
+
+
+# --- the SGNS/dLCE training loop, one pair at a time
+
+
+def sigmoid(x):
+    """Numerically stable logistic function; scalar in, scalar out."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return float(out) if out.ndim == 0 else out
+
+
+def sgns_pair_gradients(w_vec, ctx_rows, labels):
+    """Ascent gradients of sgns_pair_loss wrt w and each context row."""
+    err = labels - sigmoid(ctx_rows @ w_vec)
+    return err @ ctx_rows, err[:, None] * w_vec
+
+
+def _cosine_parts(w_vec, rows):
+    """cos(w, row) per row plus the pieces its gradient needs; zero-safe."""
+    nw = np.linalg.norm(w_vec)
+    nr = np.linalg.norm(rows, axis=1)
+    ok = (nr > 0) & (nw > 0)
+    cos = np.zeros(len(rows))
+    inv = np.zeros(len(rows))
+    np.divide(1.0, nr * nw, out=inv, where=ok)
+    cos[ok] = (rows[ok] @ w_vec) * inv[ok]
+    return cos, inv, nw, nr, ok
+
+
+def contrast_gradients(W, w, syn_ids, ant_ids):
+    """Ascent gradients of contrast_value wrt W[w], each synonym, each antonym.
+
+    Members with zero norm contribute zero value and zero gradient but still
+    count in the mean's normalizer.
+    """
+    w_vec = W[w]
+    g_w = np.zeros_like(w_vec)
+    g_sides = []
+    nw2 = float(w_vec @ w_vec)
+    for ids, sign in ((syn_ids, 1.0), (ant_ids, -1.0)):
+        if not len(ids):
+            g_sides.append(np.zeros((0, len(w_vec))))
+            continue
+        rows = W[ids]
+        cos, inv, _, nr, ok = _cosine_parts(w_vec, rows)
+        scale = sign / len(ids)
+        d_w = rows * inv[:, None]
+        d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
+        d_w[~ok] = 0.0
+        g_w += scale * d_w.sum(axis=0)
+        coeff = np.zeros(len(rows))
+        np.divide(cos, nr * nr, out=coeff, where=ok)
+        d_r = inv[:, None] * w_vec - coeff[:, None] * rows
+        d_r[~ok] = 0.0
+        g_sides.append(scale * d_r)
+    return g_w, g_sides[0], g_sides[1]
+
+
+def apply_contrast(state, W, w, c, alpha):
+    """_ContrastState.apply with the contrast_gradients above."""
+    sets = state.pair_sets(w, c)
+    if sets is None:
+        return
+    u_ids, v_ids = sets
+    g_w, g_u, g_v = contrast_gradients(W, w, u_ids, v_ids)
+    step = alpha * state.beta
+    W[w] += step * g_w
+    if len(u_ids):
+        W[u_ids] += step * g_u
+    if len(v_ids):
+        W[v_ids] += step * g_v
+
+
+def _run_shard(
+    W,
+    C,
+    targets,
+    contexts,
+    negs,
+    has_dupes,
+    has_collision,
+    labels,
+    alpha0,
+    total_updates,
+    counter,
+    contrast,
+    lock_step: bool,
+    shard_base: int,
+):
+    """Sequential SGD over one shard of the epoch's pair stream."""
+    k1 = negs.shape[1] + 1
+    buffer = np.empty(k1, dtype=np.int32)
+    for i in range(len(targets)):
+        w = targets[i]
+        buffer[0] = contexts[i]
+        buffer[1:] = negs[i]
+        if has_collision[i]:  # drop sampled negatives equal to the true context
+            rows = buffer[np.concatenate(([True], buffer[1:] != buffer[0]))]
+            pair_labels = labels[: len(rows)]
+        else:
+            rows = buffer
+            pair_labels = labels
+        if lock_step:
+            update = shard_base + i
+        else:
+            update = counter[0]
+            counter[0] = update + 1
+        alpha = emb.learning_rate(alpha0, update, total_updates)
+        w_vec = W[w]
+        g_w, g_c = sgns_pair_gradients(w_vec, C[rows], pair_labels)
+        if has_dupes[i]:
+            np.add.at(C, rows, alpha * g_c)
+        else:
+            C[rows] += alpha * g_c
+        W[w] = w_vec + alpha * g_w
+        if contrast is not None:
+            apply_contrast(contrast, W, w, int(rows[0]), alpha)
+
+
+def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
+    """train_sgns, or train_dlce given a lexicon and an index, single-threaded."""
+    contrast = None if lex is None else emb._ContrastState(lex, vocab, idx, cfg)
+    if len(vocab) == 0:
+        raise emb.TrainingError("empty vocabulary")
+    if int(vocab.counts.min()) < cfg.min_count:
+        raise emb.TrainingError(
+            "vocabulary/config mismatch: vocabulary holds words below min_count"
+        )
+    id_lines = encode_lines(lines, vocab)
+    if sum(len(ids) for ids in id_lines) == 0:
+        raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
+
+    epoch_streams = [emb._epoch_pairs(id_lines, vocab, cfg, e) for e in range(cfg.epochs)]
+    total_updates = sum(len(t) for t, _ in epoch_streams)
+    if total_updates == 0:
+        raise emb.TrainingError("no training pairs survive windowing/subsampling")
+
+    n, d = len(vocab), cfg.dim
+    init_rng = rng_for(cfg.seed, "init")
+    W = (init_rng.random((n, d)) - 0.5) / d
+    C = np.zeros((n, d))
+    noise = emb.build_noise_distribution(vocab, cfg.noise_exponent)
+    labels = np.zeros(cfg.negatives + 1)
+    labels[0] = 1.0
+
+    model = emb.EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
+    done = 0
+    with np.errstate(over="ignore"):
+        for epoch, (targets, contexts) in enumerate(epoch_streams):
+            n_pairs = len(targets)
+            negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
+            stacked = np.column_stack((contexts, negs))
+            srt = np.sort(stacked, axis=1)
+            has_dupes = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+            has_collision = (negs == contexts[:, None]).any(axis=1)
+            alpha_start = emb.learning_rate(cfg.learning_rate, done, total_updates)
+            _run_shard(
+                W, C, targets, contexts, negs, has_dupes, has_collision,
+                labels, cfg.learning_rate, total_updates, None, contrast,
+                lock_step=True, shard_base=done,
+            )
+            done += n_pairs
+            record = {"epoch": epoch, "pairs": n_pairs, "alpha": alpha_start}
+            if cfg.track_objective:
+                record["objective"] = emb.sgns_objective(
+                    model, emb.counted_pairs(targets, contexts), noise, cfg.negatives
+                )
+            model.history.append(record)
+    model.validate()
+    return model

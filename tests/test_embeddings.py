@@ -8,7 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lexcontrast.corpus import CorpusError, Vocabulary, build_vocabulary
+from lexcontrast.corpus import (
+    CorpusError,
+    Vocabulary,
+    build_vocabulary,
+    count_cooccurrences,
+    encode_lines,
+)
 from lexcontrast.embeddings import (
     MIN_ALPHA_FRACTION,
     EmbeddingModel,
@@ -32,7 +38,8 @@ from lexcontrast.embeddings import (
     train_sgns,
 )
 from lexcontrast.lexicon import ContrastLexicon
-from lexcontrast.weighting import FeatureOccurrenceIndex
+from lexcontrast.weighting import FeatureOccurrenceIndex, build_feature_index, compute_lmi
+from synthcorpus import build_world
 
 
 class TestSigmoid:
@@ -408,6 +415,15 @@ class TestSgnsTraining:
         assert [r[0] for r in rows] == ["0", "1"]
         assert all(len(r) == 4 for r in rows)
 
+    def test_divergence_fails_fast_naming_the_update(self):
+        lines = _toy_corpus(np.random.default_rng(20), n_lines=900)
+        vocab = build_vocabulary(lines, min_count=1)
+        cfg = TrainingConfig(dim=4, negatives=2, window=2, subsample=None,
+                             min_count=1, learning_rate=1e10)
+        assert len(_epoch_pairs(encode_lines(lines, vocab), vocab, cfg, 0)[0]) > 10_000
+        with pytest.raises(TrainingError, match=r"NaN or Inf after update 10000$"):
+            train_sgns(lines, vocab, cfg)
+
     def test_threaded_training_stays_sane(self):
         lines = _toy_corpus(np.random.default_rng(14))
         vocab = build_vocabulary(lines, min_count=1)
@@ -509,6 +525,25 @@ class TestContrastTraining:
         unc = _ContrastState(lex, vocab, _full_index(8),
                              TrainingConfig(dim=4, min_count=1))
         assert len(unc.pair_sets(0, 7)[0]) == 6
+
+    def test_numpy_integer_ids_sample_like_python_ints(self):
+        vocab = Vocabulary.from_counts({f"w{i}": 10 - i for i in range(8)})
+        lex = ContrastLexicon.from_pairs([("w0", f"w{i}") for i in range(1, 7)], [])
+        cfg = TrainingConfig(dim=4, min_count=1, max_contrast_neighbors=2, seed=9)
+        a = _ContrastState(lex, vocab, _full_index(8), cfg)
+        b = _ContrastState(lex, vocab, _full_index(8), cfg)
+        np.testing.assert_array_equal(a.pair_sets(np.int32(0), np.int32(7))[0], b.pair_sets(0, 7)[0])
+
+    def test_capped_training_completes_and_is_deterministic(self):
+        world = build_world(7, sentences=3000)
+        vocab = build_vocabulary(world.lines, min_count=5)
+        idx = build_feature_index(compute_lmi(count_cooccurrences(world.lines, vocab, 2), vocab))
+        cfg = TrainingConfig(dim=10, negatives=3, window=2, subsample=None, min_count=5,
+                             max_contrast_neighbors=1, seed=4)
+        a = train_dlce(world.lines, vocab, cfg, world.lexicon, idx)
+        b = train_dlce(world.lines, vocab, cfg, world.lexicon, idx)
+        np.testing.assert_array_equal(a.W, b.W)
+        np.testing.assert_array_equal(a.C, b.C)
 
     def test_pair_sets_cached(self):
         vocab = Vocabulary.from_counts({"a": 3, "b": 2, "c": 1})

@@ -1,5 +1,7 @@
 """Property tests: the vectorised scorer, contrast transform and tie-averaged
-ranks against the loop implementations they replaced (tests/oracles.py).
+ranks against the loop implementations they replaced, and the SGNS/dLCE
+trainers, sigmoid and contrast gradients against the per-pair loop they
+replaced, bit for bit (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
 they are continuous: a contrast weight is then exactly 0 only where both of
@@ -15,7 +17,15 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
-from lexcontrast.corpus import Vocabulary
+from lexcontrast.corpus import Vocabulary, build_vocabulary
+from lexcontrast.embeddings import (
+    TrainingConfig,
+    _cosine_parts,
+    contrast_gradients,
+    sigmoid,
+    train_dlce,
+    train_sgns,
+)
 from lexcontrast.evaluation import RelationPair, SparseRowTable, _average_ranks, score_pairs
 from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
 from lexcontrast.vectors import DenseEmbeddings
@@ -112,3 +122,108 @@ def test_score_pairs_matches_per_pair_oracle(case):
 def test_average_ranks_match_loop_oracle(values):
     values = np.array(values)
     np.testing.assert_array_equal(_average_ranks(values), oracles.average_ranks(values))
+
+
+# --- the trainers against the per-pair SGD loop they replaced
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 800.0, -800.0]
+
+
+def _same_bits(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(got)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))  # 0.0 is not -0.0
+
+
+@st.composite
+def training_cases(draw):
+    """A skewed toy corpus over a few words, a drawn config and lexicon.
+
+    Few words and up to 15 negatives force negatives that collide with the
+    true context and duplicate context rows within one pair.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = _words(draw(st.integers(3, 9)))
+    probs = np.arange(len(words), 0, -1, dtype=np.float64) ** 2
+    lines = [list(rng.choice(words, size=int(rng.integers(1, 9)), p=probs / probs.sum()))
+             for _ in range(draw(st.integers(5, 60)))]
+    vocab = build_vocabulary(lines, min_count=1)
+    cfg = TrainingConfig(
+        dim=draw(st.integers(1, 8)),
+        negatives=draw(st.integers(1, 15)),
+        window=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([0.025, 0.1, 0.5])),
+        epochs=draw(st.integers(1, 3)),
+        subsample=draw(st.sampled_from([None, 0.01, 0.1])),
+        min_count=1,
+        contrast_coefficient=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])),
+        seed=draw(st.integers(0, 1000)),
+        track_objective=draw(st.booleans()),
+    )
+    pair = st.tuples(st.sampled_from(words), st.sampled_from(words))
+    lex = enrich_antonyms(
+        ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=10)), draw(st.lists(pair, max_size=6)))
+    )
+    n = len(vocab)
+    if draw(st.booleans()):
+        idx = FeatureOccurrenceIndex({f: frozenset(range(n)) for f in range(n)})
+    else:
+        holders = st.frozensets(st.integers(0, n - 1), max_size=n)
+        idx = FeatureOccurrenceIndex(draw(st.dictionaries(st.integers(0, n - 1), holders, max_size=n)))
+    return lines, vocab, cfg, lex, idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(training_cases())
+def test_trainers_match_per_pair_loop_bit_for_bit(case):
+    lines, vocab, cfg, lex, idx = case
+    runs = [
+        (train_sgns(lines, vocab, cfg), oracles.train(lines, vocab, cfg)),
+        (train_dlce(lines, vocab, cfg, lex, idx), oracles.train(lines, vocab, cfg, lex, idx)),
+    ]
+    for got, want in runs:
+        assert got.W.tobytes() == want.W.tobytes()
+        assert got.C.tobytes() == want.C.tobytes()
+        assert got.history == want.history
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(-50, 50)), max_size=20))
+def test_sigmoid_matches_masked_form(values):
+    x = np.array(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        _same_bits(sigmoid(x), oracles.sigmoid(x))
+        for v in values[:3]:
+            got, want = sigmoid(v), oracles.sigmoid(v)
+            assert type(got) is float
+            _same_bits(got, want)
+
+
+@st.composite
+def contrast_inputs(draw):
+    """A small W with zero rows and, sometimes, non-finite entries."""
+    n, d = draw(st.integers(2, 7)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.standard_normal((n, d))
+    W[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        W[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(st.sampled_from(SPECIAL))
+    ids = st.lists(st.integers(0, n - 1), max_size=4)
+    return W, draw(st.integers(0, n - 1)), np.array(draw(ids), dtype=np.int64), np.array(draw(ids), dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(contrast_inputs())
+def test_contrast_gradients_match_masked_form(case):
+    W, w, syn, ant = case
+    with np.errstate(all="ignore"):
+        for got, want in zip(contrast_gradients(W, w, syn, ant), oracles.contrast_gradients(W, w, syn, ant)):
+            _same_bits(got, want)
+        for ids in (syn, ant):
+            if len(ids):
+                got, want = _cosine_parts(W[w], W[ids]), oracles._cosine_parts(W[w], W[ids])
+                for i in range(4):  # cos, inv, |w|, row norms
+                    _same_bits(got[i], want[i])

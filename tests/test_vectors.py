@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lexcontrast import tsvio
 from lexcontrast.vectors import DenseEmbeddings, VectorsError, read_embeddings, write_embeddings
 
 
@@ -103,3 +104,32 @@ class TestSerialization:
         path.write_text("")
         with pytest.raises(VectorsError, match="empty"):
             read_embeddings(path)
+
+
+def _fails_after_one(first):
+    yield first
+    raise OSError("disk full")
+
+
+class _HalfReadyEmbeddings:
+    """Two words whose second vector cannot be produced."""
+
+    words, dim = ["a", "b"], 1
+    matrix = property(lambda self: _fails_after_one(np.ones(1)))
+
+    def __len__(self):
+        return 2
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path: tsvio.write_rows(path, _fails_after_one(("b", 2))),
+        lambda path: write_embeddings(path, _HalfReadyEmbeddings()),
+    ], ids=["write_rows", "write_embeddings"])
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, write):
+        target = tmp_path / "artifact.txt"
+        target.write_text("old contents\n")
+        with pytest.raises(OSError, match="disk full"):
+            write(target)
+        assert target.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
