@@ -6,27 +6,35 @@ target vector of the word toward its feature-sharing synonyms and away from
 its feature-sharing antonyms via the analytic cosine gradient; synonym and
 antonym target vectors receive the mirrored nudge.
 
-Within one positive pair the gradients for the positive context and its k
-sampled negatives are evaluated at the same parameter values and then
-applied, with duplicate context rows accumulated exactly. A sampled negative
-that collides with the true context is skipped.
+Training is single-threaded SGD over the pair stream in batches of B pairs
+(`batch_size`). Every SGNS gradient of a batch, for the positive context and
+the k sampled negatives of each pair, is taken at the W and C of the batch
+start; each pair keeps its own learning rate on the linear decay, a sampled
+negative that collides with the true context contributes nothing, and the
+updates to a row that the batch touches more than once are summed before
+they are applied. Within one pair this is the rule of the per-pair update;
+across a batch it makes gradients stale by up to B - 1 pairs, which SGD on
+sparse rows tolerates (Hogwild!, Recht et al. 2011). B is the largest
+divisor of CHECK_EVERY up to MAX_BATCH that keeps the expected count of the
+likeliest noise word among one batch's negatives at about NOISE_REUSE, so B
+shrinks on tiny vocabularies; at B = 1 training is the per-pair loop up to
+rounding.
 
-Training is sequential SGD. Each pair's rows, learning rate and contrast set
-are prepared a few thousand pairs at a time, so the per-pair loop runs only
-the arithmetic; W and C are checked for NaN and Inf every CHECK_EVERY updates
-and after each epoch. With threads > 1, threads run the same loop without
-locks on contiguous shards of the stream, which is neither reproducible nor,
-under the interpreter lock, faster.
+The contrast step is not batched: taking a batch's cosine gradients at one W
+and summing them lowered the contrast trainer's Spearman rho by 0.02 to 0.06
+on the benchmark's `train` world. After each batch's SGNS step the batch's
+contrast hits update W one at a time, in stream order. W and C are
+checked for NaN and Inf every CHECK_EVERY updates, which always ends a batch,
+and after each epoch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence, TextIO
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import (
     CorpusError,
@@ -62,7 +70,7 @@ class TrainingConfig:
     max_contrast_neighbors: int | None = None
     noise_exponent: float = 0.75
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # only 1 is accepted; the field keeps configs that set it working
     track_objective: bool = False
 
     def __post_init__(self):
@@ -74,8 +82,10 @@ class TrainingConfig:
             raise TrainingError(f"learning rate must be > 0, got {self.learning_rate}")
         if self.contrast_coefficient < 0:
             raise TrainingError("contrast coefficient must be >= 0")
-        if self.epochs < 1 or self.window < 1 or self.min_count < 1 or self.threads < 1:
-            raise TrainingError("epochs, window, min_count, threads must all be >= 1")
+        if self.epochs < 1 or self.window < 1 or self.min_count < 1:
+            raise TrainingError("epochs, window, min_count must all be >= 1")
+        if self.threads != 1:
+            raise TrainingError(f"threads must be 1, got {self.threads}: training runs in one thread")
         if self.subsample is not None and not self.subsample > 0:
             raise TrainingError("subsample threshold must be > 0 or None")
         if self.noise_exponent < 0:
@@ -155,7 +165,7 @@ class EmbeddingModel:
             raise TrainingError(f"training diverged: W or C holds NaN or Inf{after}")
 
 
-# --- pure per-pair gradients (shared by the trainer and the finite-difference tests)
+# --- pure gradients: the SGNS pair term and the contrast term
 
 
 def sgns_pair_loss(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray) -> float:
@@ -164,11 +174,17 @@ def sgns_pair_loss(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray) 
     return float(np.sum(labels * log_sigmoid(x) + (1.0 - labels) * log_sigmoid(-x)))
 
 
-def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray):
-    """Ascent gradients of sgns_pair_loss wrt w and each context row."""
-    # np.dot runs the same BLAS gemv as `@`, with less dispatch overhead
-    err = labels - sigmoid(np.dot(ctx_rows, w_vec))
-    return np.dot(err, ctx_rows), err[:, None] * w_vec
+def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray, keep=None):
+    """Ascent gradients of sgns_pair_loss wrt w and each context row.
+
+    Takes one pair, or a stack of pairs along leading axes; matmul runs the
+    same BLAS call for each pair of a stack as for that pair alone. Rows
+    where `keep` is False get zero error and so add to neither gradient.
+    """
+    err = labels - sigmoid(np.matmul(ctx_rows, w_vec[..., None])[..., 0])
+    if keep is not None:
+        err = np.where(keep, err, 0.0)
+    return np.matmul(err[..., None, :], ctx_rows)[..., 0, :], err[..., None] * w_vec[..., None, :]
 
 
 def _cosine_parts(w_vec: np.ndarray, rows: np.ndarray):
@@ -204,34 +220,47 @@ def contrast_gradients(W: np.ndarray, w: int, syn_ids, ant_ids):
     """Ascent gradients of contrast_value wrt W[w], each synonym, each antonym.
 
     Members with zero norm contribute zero value and zero gradient but still
-    count in the mean's normalizer.
+    count in the mean's normalizer. Both sides are gathered at once and share
+    |w| and every elementwise step. The dot products and the sums over a side
+    run per side, because BLAS rounds a row's dot product differently inside
+    a taller matrix, and the results must equal the per-side masked form bit
+    for bit.
     """
+    n_syn, d = len(syn_ids), W.shape[1]
+    rows = W.take(np.concatenate((syn_ids, ant_ids)).astype(np.intp), axis=0)
+    if not len(rows):
+        return np.zeros(d), np.zeros((0, d)), np.zeros((0, d))
+    sides = [(part, sign) for part, sign in ((slice(0, n_syn), 1.0), (slice(n_syn, len(rows)), -1.0))
+             if part.stop > part.start]
     w_vec = W[w]
-    g_w = np.zeros(len(w_vec))
-    g_sides = []
-    nw2 = float(np.dot(w_vec, w_vec))
-    for ids, sign in ((syn_ids, 1.0), (ant_ids, -1.0)):
-        if not len(ids):
-            g_sides.append(np.zeros((0, len(w_vec))))
-            continue
-        rows = W.take(ids, axis=0)
-        cos, inv, _, nr, ok = _cosine_parts(w_vec, rows)
-        scale = sign / len(ids)
+    nw2 = np.dot(w_vec, w_vec)
+    nw = np.sqrt(nw2)
+    nr = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    if nw > 0 and all(n > 0 for n in nr.tolist()):
+        inv = 1.0 / (nr * nw)
+        cos = np.concatenate([np.dot(rows[part], w_vec) for part, _ in sides]) * inv
+        d_w = rows * inv[:, None] - (cos / nw2)[:, None] * w_vec
+        d_r = inv[:, None] * w_vec - (cos / (nr * nr))[:, None] * rows
+    else:  # zero norms: those rows get no cosine and no gradient
+        ok = (nr > 0) & (nw > 0)
+        cos, inv, coeff = np.zeros(len(rows)), np.zeros(len(rows)), np.zeros(len(rows))
+        np.divide(1.0, nr * nw, out=inv, where=ok)
+        for part, _ in sides:
+            keep = np.flatnonzero(ok[part]) + part.start
+            if len(keep):
+                cos[keep] = np.dot(rows[keep], w_vec) * inv[keep]
+        np.divide(cos, nr * nr, out=coeff, where=ok)
         d_w = rows * inv[:, None]
-        if ok is None:
-            d_w -= (cos / nw2)[:, None] * w_vec
-            coeff = cos / (nr * nr)
-        else:
-            d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
-            d_w[~ok] = 0.0
-            coeff = np.zeros(len(rows))
-            np.divide(cos, nr * nr, out=coeff, where=ok)
-        g_w += scale * np.add.reduce(d_w, axis=0)
+        d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
         d_r = inv[:, None] * w_vec - coeff[:, None] * rows
-        if ok is not None:
-            d_r[~ok] = 0.0
-        g_sides.append(scale * d_r)
-    return g_w, g_sides[0], g_sides[1]
+        d_w[~ok] = 0.0
+        d_r[~ok] = 0.0
+    g_w = np.zeros(d)
+    for part, sign in sides:
+        scale = sign / (part.stop - part.start)
+        g_w += scale * np.add.reduce(d_w[part], axis=0)
+        d_r[part] *= scale
+    return g_w, d_r[:n_syn], d_r[n_syn:]
 
 
 # --- exact objective (test oracle, not used in the SGD loop)
@@ -375,69 +404,99 @@ class _ContrastState:
         self.cache[key] = sets
         return sets
 
-    def hits(self, targets: list[int], contexts: list[int]) -> list[bool]:
-        """Whether each (target, context) pair has a contrast set."""
-        hit = [False] * len(targets)
-        for j in np.flatnonzero(self.in_lexicon[targets]).tolist():
-            hit[j] = self.pair_sets(targets[j], contexts[j]) is not None
-        return hit
+    def hits(self, targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Indices of the (target, context) pairs that have a contrast set."""
+        cand = np.flatnonzero(self.in_lexicon[targets])
+        pairs = zip(targets[cand].tolist(), contexts[cand].tolist())
+        return cand[np.array([self.pair_sets(w, c) is not None for w, c in pairs], dtype=bool)]
 
     def apply(self, W: np.ndarray, w: int, c: int, alpha: float) -> None:
+        """One contrast step for the pair (w, c), if it has a contrast set.
+
+        The members of both sides move in one scatter, synonyms first, so a
+        row on both sides gets both updates.
+        """
         sets = self.pair_sets(w, c)
         if sets is None:
             return
-        u_ids, v_ids = sets
-        g_w, g_u, g_v = contrast_gradients(W, w, u_ids, v_ids)
+        g_w, g_u, g_v = contrast_gradients(W, w, *sets)
         step = alpha * self.beta
         W[w] += step * g_w
-        if len(u_ids):
-            W[u_ids] += step * g_u
-        if len(v_ids):
-            W[v_ids] += step * g_v
+        np.add.at(W, np.concatenate(sets), step * np.concatenate((g_u, g_v)))
 
 
 # --- the trainers
 
-CHUNK_PAIRS = 2_500  # pairs whose per-pair set-up is built at once; bounds its memory
 CHECK_EVERY = 10_000  # updates between finiteness checks of W and C
+MAX_BATCH = 500  # most pairs in one batched SGNS step
+NOISE_REUSE = 10.0  # bound on the expected draws of the likeliest noise word per batch
 
 
-def _run_shard(model, targets, rows, labels, first, total_updates, contrast, start, stop):
-    """Sequential SGD over pairs start..stop of one epoch's pair stream.
+def batch_size(noise: NoiseDistribution, negatives: int) -> int:
+    """Pairs per SGNS step: the largest divisor of CHECK_EVERY that is at most
+    MAX_BATCH and at most NOISE_REUSE / (negatives * max noise probability).
+
+    The second bound keeps the expected number of times one batch samples its
+    likeliest noise row, whose gradients all see that row's stale value, at
+    about NOISE_REUSE. Dividing CHECK_EVERY puts a batch end on every check.
+    """
+    cap = int(min(MAX_BATCH, NOISE_REUSE / (negatives * float(noise.probabilities.max()))))
+    return next(b for b in range(max(cap, 1), 0, -1) if CHECK_EVERY % b == 0)
+
+
+def _scatter_add(M: np.ndarray, rows: np.ndarray, weights: np.ndarray, cols: np.ndarray,
+                 X: np.ndarray) -> None:
+    """M[rows[j]] += weights[j] * X[cols[j]] for every j, with repeated rows
+    summed exactly once: a stable sort groups them (as np.unique does), and
+    one sparse-times-dense product sums each group in stream order."""
+    order = np.argsort(rows, kind="stable")
+    srt = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
+    S = sparse.csr_matrix((weights[order], cols[order], np.append(starts, len(srt))),
+                          shape=(len(starts), len(X)))
+    M[srt[starts]] += S @ X
+
+
+def _sgns_step(W, C, targets, rows, keep, labels, alphas) -> None:
+    """One SGD step over a batch of B pairs, gradients at the batch-start W and C.
+
+    rows is (B, k+1): each pair's true context, then its negatives; keep is
+    False where a negative collides with the true context, which then
+    contributes nothing. Only the summing of repeated rows differs from
+    applying each pair's update in turn to the same W and C.
+    """
+    B, k1 = rows.shape
+    g_w, g_c = sgns_pair_gradients(W.take(targets, axis=0), C.take(rows, axis=0), labels, keep)
+    _scatter_add(C, rows.ravel(), np.repeat(alphas, k1), np.arange(B * k1), g_c.reshape(B * k1, -1))
+    _scatter_add(W, targets, alphas, np.arange(B), g_w)
+
+
+def _run_epoch(model, targets, rows, labels, first, total_updates, contrast, batch) -> None:
+    """SGD over one epoch's pair stream, `batch` pairs per SGNS step.
 
     rows[i] is pair i's true context, then its negatives; `first` is the
     update index of the epoch's first pair, which fixes every pair's rate.
+    After each step, the batch's contrast hits update W one at a time, in
+    stream order.
     """
-    W, C, alpha0 = model.W, model.C, model.config.learning_rate
-    for lo in range(start, stop, CHUNK_PAIRS):
-        hi = min(lo + CHUNK_PAIRS, stop)
-        block = rows[lo:hi].astype(np.intp)
-        srt = np.sort(block, axis=1)
-        dupes = (srt[:, 1:] == srt[:, :-1]).any(axis=1).tolist()
-        pair_rows, pair_labels = list(block), [labels] * (hi - lo)
-        for j in np.flatnonzero((block[:, 1:] == block[:, :1]).any(axis=1)).tolist():
-            r = block[j]  # drop sampled negatives equal to the true context
-            pair_rows[j] = r[np.concatenate(([True], r[1:] != r[0]))]
-            pair_labels[j] = labels[: len(pair_rows[j])]
-        decay = np.maximum(MIN_ALPHA_FRACTION, 1.0 - np.arange(first + lo, first + hi) / total_updates)
-        # 0-d arrays: numpy multiplies by them faster than by Python floats
-        alphas = [np.asarray(a) for a in (alpha0 * decay).tolist()]
-        ws, cs = targets[lo:hi].tolist(), block[:, 0].tolist()
-        hits = [False] * (hi - lo) if contrast is None else contrast.hits(ws, cs)
-        with np.errstate(over="ignore"):
-            for w, c, r, lab, alpha, dupe, hit in zip(ws, cs, pair_rows, pair_labels, alphas, dupes, hits):
-                w_vec = W[w]
-                ctx = C.take(r, axis=0)
-                g_w, g_c = sgns_pair_gradients(w_vec, ctx, lab)
-                if dupe:
-                    np.add.at(C, r, alpha * g_c)
-                else:
-                    C[r] = ctx + alpha * g_c
-                w_vec += alpha * g_w
-                if hit:
-                    contrast.apply(W, w, c, alpha)
-        if (first + lo) // CHECK_EVERY < (first + hi) // CHECK_EVERY:
-            model.validate(first + hi)
+    W, C, n = model.W, model.C, len(targets)
+    keep = rows != rows[:, :1]
+    keep[:, 0] = True
+    alphas = model.config.learning_rate * np.maximum(
+        MIN_ALPHA_FRACTION, 1.0 - np.arange(first, first + n) / total_updates)
+    hits = np.empty(0, dtype=np.intp) if contrast is None else contrast.hits(targets, rows[:, 0])
+    hit_pairs = list(zip(hits.tolist(), targets[hits].tolist(), rows[hits, 0].tolist(), alphas[hits].tolist()))
+    h = 0
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, batch):
+            hi = min(lo + batch, n)
+            _sgns_step(W, C, targets[lo:hi], rows[lo:hi], keep[lo:hi], labels, alphas[lo:hi])
+            while h < len(hit_pairs) and hit_pairs[h][0] < hi:
+                _, w, c, alpha = hit_pairs[h]
+                contrast.apply(W, w, c, alpha)
+                h += 1
+            if (first + lo) // CHECK_EVERY < (first + hi) // CHECK_EVERY:
+                model.validate(first + hi)
 
 
 def _train(
@@ -469,18 +528,13 @@ def _train(
     labels[0] = 1.0
 
     model = EmbeddingModel(W=W, C=np.zeros((n, d)), vocab=vocab, config=cfg)
+    batch = batch_size(noise, cfg.negatives)
     done = 0
     for epoch, (targets, contexts) in enumerate(epoch_streams):
         n_pairs = len(targets)
         negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
-        shard = partial(_run_shard, model, targets, np.column_stack((contexts, negs)),
-                        labels, done, total_updates, contrast)
-        if cfg.threads == 1:
-            shard(0, n_pairs)
-        else:
-            bounds = np.linspace(0, n_pairs, cfg.threads + 1).astype(int).tolist()
-            with ThreadPoolExecutor(cfg.threads) as pool:
-                list(pool.map(shard, bounds[:-1], bounds[1:]))
+        _run_epoch(model, targets, np.column_stack((contexts, negs)), labels, done,
+                   total_updates, contrast, batch)
         alpha_start = learning_rate(cfg.learning_rate, done, total_updates)
         done += n_pairs
         model.validate(done)
@@ -519,7 +573,7 @@ def train_dlce(
     """Train embeddings with the per-context synonym/antonym contrast term.
 
     With an empty lexicon this is bit-identical to train_sgns under the same
-    seed in single-threaded mode.
+    seed.
     """
     contrast = _ContrastState(lex, vocab, idx, cfg)
     return _train(lines, vocab, cfg, contrast=contrast, progress=progress)

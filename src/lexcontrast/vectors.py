@@ -64,11 +64,14 @@ class DenseEmbeddings:
         return None if i is None else self.matrix[i]
 
 
-def write_embeddings(path, emb: DenseEmbeddings) -> None:
+def write_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = None) -> None:
+    """Write the word2vec text layout, after one `#key=value` line per meta entry."""
     with atomic_writer(path) as fh:
+        for key, value in (meta or {}).items():
+            fh.write(f"#{key}={value}\n")
         fh.write(f"{len(emb)} {emb.dim}\n")
         for word, row in zip(emb.words, emb.matrix):
-            fh.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            fh.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_embeddings(path, source: str = "") -> DenseEmbeddings:

@@ -2,9 +2,10 @@
 
 These are the per-pair and per-cell loops the package used before pair
 scoring, the contrast transform and tie-averaged ranking became whole-array
-operations, and the single-threaded SGD loop from before its per-pair set-up
-was precomputed. They stay here, unchanged in behaviour, as oracles for the
-property tests in test_properties.py.
+operations, the single-threaded per-pair SGD loop from before training was
+batched, the batch rule spelled out one pair at a time, and the vector writer
+from before it took the header lines itself. They stay here, unchanged in
+behaviour, as oracles for the property tests.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from scipy import sparse
 from lexcontrast import embeddings as emb
 from lexcontrast.corpus import CorpusError, encode_lines
 from lexcontrast.seeding import rng_for
+from lexcontrast.tsvio import atomic_writer
 from lexcontrast.weighting import SCHEME_SA, WeightedMatrix
 
 
@@ -259,6 +261,17 @@ def apply_contrast(state, W, w, c, alpha):
         W[v_ids] += step * g_v
 
 
+def sgns_pair_update(W, C, w, rows, labels, alpha, has_dupes):
+    """One pair's SGNS update, rows already rid of colliding negatives."""
+    w_vec = W[w]
+    g_w, g_c = sgns_pair_gradients(w_vec, C[rows], labels)
+    if has_dupes:
+        np.add.at(C, rows, alpha * g_c)
+    else:
+        C[rows] += alpha * g_c
+    W[w] = w_vec + alpha * g_w
+
+
 def _run_shard(
     W,
     C,
@@ -294,13 +307,7 @@ def _run_shard(
             update = counter[0]
             counter[0] = update + 1
         alpha = emb.learning_rate(alpha0, update, total_updates)
-        w_vec = W[w]
-        g_w, g_c = sgns_pair_gradients(w_vec, C[rows], pair_labels)
-        if has_dupes[i]:
-            np.add.at(C, rows, alpha * g_c)
-        else:
-            C[rows] += alpha * g_c
-        W[w] = w_vec + alpha * g_w
+        sgns_pair_update(W, C, w, rows, pair_labels, alpha, has_dupes[i])
         if contrast is not None:
             apply_contrast(contrast, W, w, int(rows[0]), alpha)
 
@@ -356,3 +363,74 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
             model.history.append(record)
     model.validate()
     return model
+
+
+# --- the batch rule, one pair at a time
+
+
+def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.EmbeddingModel:
+    """train_sgns, or train_dlce given a lexicon and an index, with the batch
+    rule spelled out pair by pair: within each block of `batch` pairs every
+    SGNS gradient is taken at the block-start W and C, a sampled negative equal
+    to the true context gets zero error, each row's updates are summed in
+    stream order with np.add.at and then added once, and the block's contrast
+    steps run in stream order after that."""
+    contrast = None if lex is None else emb._ContrastState(lex, vocab, idx, cfg)
+    id_lines = encode_lines(lines, vocab)
+    epoch_streams = [emb._epoch_pairs(id_lines, vocab, cfg, e) for e in range(cfg.epochs)]
+    total_updates = sum(len(t) for t, _ in epoch_streams)
+    if total_updates == 0:
+        raise emb.TrainingError("no training pairs survive windowing/subsampling")
+    n, d = len(vocab), cfg.dim
+    W = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d
+    C = np.zeros((n, d))
+    noise = emb.build_noise_distribution(vocab, cfg.noise_exponent)
+    labels = np.zeros(cfg.negatives + 1)
+    labels[0] = 1.0
+
+    model = emb.EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
+    done = 0
+    with np.errstate(over="ignore"):
+        for epoch, (targets, contexts) in enumerate(epoch_streams):
+            negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (len(targets), cfg.negatives))
+            for lo in range(0, len(targets), batch):
+                block = range(lo, min(lo + batch, len(targets)))
+                dW, dC = np.zeros_like(W), np.zeros_like(C)
+                for i in block:  # gradients at the block-start W and C
+                    rows = np.concatenate(([contexts[i]], negs[i]))
+                    w_vec, ctx = W[targets[i]], C[rows]
+                    err = labels - sigmoid(ctx @ w_vec)
+                    err[1:][rows[1:] == rows[0]] = 0.0  # a colliding negative adds nothing
+                    alpha = emb.learning_rate(cfg.learning_rate, done + i, total_updates)
+                    np.add.at(dC, rows, alpha * (err[:, None] * w_vec))
+                    np.add.at(dW, [targets[i]], alpha * (err @ ctx))
+                touched = np.unique(np.concatenate((targets[block], contexts[block], negs[block].ravel())))
+                W[touched] += dW[touched]
+                C[touched] += dC[touched]
+                if contrast is not None:
+                    for i in block:
+                        alpha = emb.learning_rate(cfg.learning_rate, done + i, total_updates)
+                        apply_contrast(contrast, W, int(targets[i]), int(contexts[i]), alpha)
+            record = {"epoch": epoch, "pairs": len(targets),
+                      "alpha": emb.learning_rate(cfg.learning_rate, done, total_updates)}
+            done += len(targets)
+            if cfg.track_objective:
+                record["objective"] = emb.sgns_objective(
+                    model, emb.counted_pairs(targets, contexts), noise, cfg.negatives
+                )
+            model.history.append(record)
+    model.validate()
+    return model
+
+
+# --- the vector writer
+
+
+def write_embeddings_with_meta(path, vectors, meta) -> None:
+    """`#key=value` header lines, then the word2vec text layout."""
+    with atomic_writer(path) as fh:
+        for key, value in meta.items():
+            fh.write(f"#{key}={value}\n")
+        fh.write(f"{len(vectors)} {vectors.dim}\n")
+        for word, row in zip(vectors.words, vectors.matrix):
+            fh.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")

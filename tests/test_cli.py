@@ -124,6 +124,18 @@ class TestOptionResolution:
         assert "dimm" in capsys.readouterr().err
         assert not (workspace / "v3.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["train-sgns", "pipeline"])
+    def test_threads_other_than_one_are_1(self, workspace, capsys, command):
+        (workspace / "threads.cfg").write_text("min_count=1\nthreads=2\n")
+        inputs = ["--corpus", "corpus.txt"]
+        inputs += ["--vocab", "vocab.tsv", "--out", "sgns.txt"] if command == "train-sgns" else \
+            ["--lexicon", "lexicon.tsv", "--workdir", "out"]
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--min-count", "1"])
+        for option in (["--threads", "2"], ["--config", "threads.cfg"]):
+            assert main([command, *inputs, "--min-count", "1", *option]) == 1
+            assert "threads must be 1, got 2" in capsys.readouterr().err
+        assert not (workspace / "sgns.txt").exists() and not (workspace / "out").exists()
+
     def test_config_may_name_input_paths(self, workspace):
         (workspace / "paths.cfg").write_text("corpus=corpus.txt\nmin_count=1\n")
         assert main(["vocab", "--out", "v4.tsv", "--config", "paths.cfg"]) == 0

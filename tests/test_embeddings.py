@@ -16,7 +16,10 @@ from lexcontrast.corpus import (
     encode_lines,
 )
 from lexcontrast.embeddings import (
+    CHECK_EVERY,
+    MAX_BATCH,
     MIN_ALPHA_FRACTION,
+    NOISE_REUSE,
     EmbeddingModel,
     NoiseDistribution,
     TrainingConfig,
@@ -24,6 +27,7 @@ from lexcontrast.embeddings import (
     _ContrastState,
     _epoch_pairs,
     _window_pairs,
+    batch_size,
     build_noise_distribution,
     contrast_gradients,
     contrast_value,
@@ -128,6 +132,26 @@ class TestNoiseDistribution:
         a = noise.sample(np.random.default_rng(4), (10, 3))
         b = noise.sample(np.random.default_rng(4), (10, 3))
         np.testing.assert_array_equal(a, b)
+
+
+class TestBatchSize:
+    def test_divides_the_check_interval_and_bounds_noise_reuse(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            counts = {f"w{i}": int(rng.integers(1, 10_000)) for i in range(int(rng.integers(1, 3000)))}
+            noise = build_noise_distribution(Vocabulary.from_counts(counts))
+            k = int(rng.integers(1, 20))
+            b = batch_size(noise, k)
+            assert CHECK_EVERY % b == 0
+            assert 1 <= b <= MAX_BATCH
+            assert b == 1 or b * k * noise.probabilities.max() <= NOISE_REUSE
+
+    def test_shrinks_on_tiny_vocabularies(self):
+        vocab = build_vocabulary(_toy_corpus(np.random.default_rng(17)), min_count=1)
+        assert batch_size(build_noise_distribution(vocab), 4) == 8
+        assert batch_size(build_noise_distribution(Vocabulary.from_counts({"a": 1})), 15) == 1
+        uniform = Vocabulary.from_counts({f"w{i}": 10 for i in range(20_000)})
+        assert batch_size(build_noise_distribution(uniform), 5) == MAX_BATCH
 
 
 class TestPairGradients:
@@ -424,20 +448,11 @@ class TestSgnsTraining:
         with pytest.raises(TrainingError, match=r"NaN or Inf after update 10000$"):
             train_sgns(lines, vocab, cfg)
 
-    def test_threaded_training_stays_sane(self):
-        lines = _toy_corpus(np.random.default_rng(14))
-        vocab = build_vocabulary(lines, min_count=1)
-        cfg = TrainingConfig(dim=6, negatives=3, window=2, epochs=2,
-                             subsample=None, min_count=1, threads=2)
-        model = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
-        model.validate()
-        single = train_sgns(
-            lines, vocab,
-            TrainingConfig(dim=6, negatives=3, window=2, epochs=2,
-                           subsample=None, min_count=1, threads=1),
-            progress=open("/dev/null", "w"),
-        )
-        assert [h["pairs"] for h in model.history] == [h["pairs"] for h in single.history]
+    def test_threads_other_than_one_are_refused(self):
+        for threads in (0, 2, 8):
+            with pytest.raises(TrainingError, match=f"threads must be 1, got {threads}"):
+                TrainingConfig(dim=6, min_count=1, threads=threads)
+        assert TrainingConfig(dim=6, min_count=1, threads=1).threads == 1
 
     def test_embeddings_export(self):
         lines = _toy_corpus(np.random.default_rng(15), n_lines=20)

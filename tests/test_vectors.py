@@ -1,6 +1,7 @@
 """Dense embedding container and its text serialization."""
 
 import numpy as np
+import oracles
 import pytest
 
 from lexcontrast import tsvio
@@ -133,3 +134,18 @@ class TestAtomicWrites:
             write(target)
         assert target.read_text() == "old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+
+class TestWriterFormat:
+    @pytest.mark.parametrize("meta", [None, {"tool": "lexcontrast", "stage": "svd", "effective_rank": "3"}])
+    def test_bytes_equal_the_former_writers(self, tmp_path, meta):
+        rng = np.random.default_rng(23)
+        matrix = rng.standard_normal((5, 4)) * np.logspace(-300, 300, 4)
+        matrix[0] = [0.0, -0.0, 5e-324, 1.0]
+        emb = DenseEmbeddings([f"w{i}" for i in range(5)], matrix)
+        write_embeddings(tmp_path / "new.txt", emb, meta)
+        oracles.write_embeddings_with_meta(tmp_path / "old.txt", emb, meta or {})
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+        if meta is None:
+            assert (tmp_path / "new.txt").read_bytes().startswith(b"5 4\n")
+        assert read_embeddings(tmp_path / "new.txt").matrix.tobytes() == matrix.tobytes()
