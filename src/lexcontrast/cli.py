@@ -1,12 +1,17 @@
 """Command-line interface: one subcommand per pipeline stage plus `pipeline`.
 
+One table, STAGES, drives every subcommand: a row names its input path keys
+and option keys, and its pure stage function `stage_<name>` maps the loaded
+inputs and the options to the result, which the subcommand writes after its
+header. `pipeline` chains the same stage functions in memory, with the same
+bytes as the subcommands chained by hand.
+
 Every artifact starts with comment lines recording the tool version, the
 resolved stage configuration (verbatim and as a sha256), and the root seed.
 Randomness flows from that single root seed, salted per stage, so a rerun
 with the same config file is byte-identical.
 
-Option resolution order: command-line flag, then config-file entry, then
-built-in default.
+An option comes from its flag, else the config file, else the default, and is checked before any work.
 """
 
 from __future__ import annotations
@@ -16,53 +21,11 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-from . import __version__, tsvio
-from .corpus import (
-    CorpusError,
-    build_vocabulary,
-    count_cooccurrences,
-    read_corpus,
-    read_counts,
-    read_vocabulary,
-    write_counts,
-    write_vocabulary,
-)
-from .embeddings import TrainingConfig, TrainingError, train_dlce, train_sgns
-from .evaluation import (
-    EvalError,
-    MetricReport,
-    SparseRowTable,
-    eval_ap,
-    eval_auc,
-    eval_spearman,
-    load_relation_pairs,
-    load_similarity_pairs,
-    median_report,
-)
-from .lexicon import LexiconError, enrich_antonyms, load_lexicon
-from .reduction import ReductionError, truncated_svd
+from . import __version__, corpus, embeddings, evaluation, lexicon, reduction, tsvio, weighting
 from .seeding import seed_sequence
-from .vectors import DenseEmbeddings, VectorsError, read_embeddings, write_embeddings
-from .weighting import (
-    SCHEME_SA,
-    WeightingError,
-    build_feature_index,
-    compute_lmi,
-    compute_weight_sa,
-    read_weighted,
-    write_weighted,
-)
-
-_ERRORS = (
-    CorpusError,
-    LexiconError,
-    WeightingError,
-    ReductionError,
-    VectorsError,
-    TrainingError,
-    EvalError,
-)
+from .vectors import DenseEmbeddings, read_embeddings, write_embeddings
 
 DEFAULTS: dict[str, object] = {
     "lowercase": True,
@@ -88,32 +51,14 @@ DEFAULTS: dict[str, object] = {
     "seed": 0,
 }
 
-_BOOL_KEYS = {
-    "lowercase",
-    "dynamic_window",
-    "fallback_lmi",
-    "average_contexts",
-    "track_objective",
-}
+# the values a string option may take, from a flag or a config file alike
+_CHOICES = {"ant_mean": ("pooled", "per-antonym"), "svd_mode": ("auto", "dense", "randomized")}
+# lower bounds of numeric options; NaN fails them too
+_MINIMUM = {"min_count": 1, "window": 1, "dim": 1, "svd_dim": 1, "negatives": 1, "epochs": 1,
+            "seed": 0, "noise_exponent": 0, "beta": 0, "sigma_exponent": 0}
 # keys naming input files or the pipeline's output directory; they have no default
-_PATH_KEYS = {"corpus", "counts", "lexicon", "lmi", "pairs", "simpairs", "vectors", "vocab", "weights", "workdir"}
-_INT_KEYS = {"min_count", "window", "dim", "svd_dim", "negatives", "epochs", "threads", "max_contrast_neighbors", "seed"}
-_FLOAT_KEYS = {"learning_rate", "subsample", "noise_exponent", "beta", "sigma_exponent"}
-
-
-def _parse_config_value(key: str, raw: str):
-    if key in _BOOL_KEYS:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+_PATH_KEYS = ("corpus", "counts", "lexicon", "lmi", "pairs", "simpairs", "vectors", "vocab", "weights", "workdir")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
 def read_config_file(path) -> dict[str, object]:
@@ -126,59 +71,42 @@ def read_config_file(path) -> dict[str, object]:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = text.partition("=")
-            key = key.strip()
+            key, _, raw = (part.strip() for part in text.partition("="))
             if key not in DEFAULTS and key not in _PATH_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_config_value(key, raw.strip())
+            kind = type(DEFAULTS.get(key, ""))  # the type of the default; paths are strings
+            if kind is bool and raw.lower() not in _BOOLEANS:
+                raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
+            out[key] = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
     return out
 
 
-class Settings:
-    """Effective option values: flag beats config file beats default."""
+def _resolve(args: argparse.Namespace) -> dict[str, object]:
+    """Every path key and option: flag beats config file beats default.
 
-    def __init__(self, args: argparse.Namespace):
-        self.file_config: dict[str, object] = {}
-        config_path = getattr(args, "config", None)
-        if config_path is not None:
-            if not Path(config_path).is_file():
-                raise FileNotFoundError(config_path)
-            self.file_config = read_config_file(config_path)
-        self.args = args
-
-    def get(self, key: str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_config:
-            return self.file_config[key]
-        return DEFAULTS[key]
-
-    def path(self, key: str) -> str | None:
-        """Paths may come from flags or the config file, with no default."""
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        value = self.file_config.get(key)
-        return None if value is None else str(value)
-
-    def require_path(self, key: str) -> str:
-        value = self.path(key)
-        if value is None:
-            raise ValueError(f"--{key.replace('_', '-')} is required (flag or config file)")
-        return value
-
-
-def _header(stage: str, params: dict[str, object], seed: int) -> dict[str, str]:
-    serialized = " ".join(f"{k}={params[k]}" for k in sorted(params))
-    digest = hashlib.sha256(serialized.encode("utf-8")).hexdigest()
-    return {
-        "tool": f"lexcontrast {__version__}",
-        "stage": stage,
-        "seed": str(seed),
-        "config_sha256": digest,
-        "config": serialized,
-    }
+    Values, required inputs and input files are all checked here, so that a
+    bad one fails before any input is read or any artifact written.
+    """
+    config: dict[str, object] = {}
+    if args.config is not None:
+        if not Path(args.config).is_file():
+            raise FileNotFoundError(args.config)
+        config = read_config_file(args.config)
+    s: dict[str, object] = {}
+    for key in (*_PATH_KEYS, *DEFAULTS):
+        flag = getattr(args, key, None)
+        value = flag if flag is not None else config.get(key, DEFAULTS.get(key))
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+        if key in _MINIMUM and not value >= _MINIMUM[key]:
+            raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
+        off = key in ("subsample", "max_contrast_neighbors") and value <= 0  # at or below zero, it is off
+        s[key] = None if off else value
+    for key in args.row.inputs:
+        if not key.endswith("?") and s[key] is None:
+            raise ValueError(f"--{key} is required (flag or config file)")
+    _require_files(*(s[key] for key in args.row.keys))
+    return s
 
 
 def _stage_seed(root: int, label: str) -> int:
@@ -188,203 +116,179 @@ def _stage_seed(root: int, label: str) -> int:
 
 def _require_files(*paths) -> None:
     for p in paths:
-        if p is None:
-            continue
-        if not Path(p).is_file():
+        if p is not None and not Path(p).is_file():
             raise FileNotFoundError(p)
 
 
-def _missing_path_error(exc: FileNotFoundError) -> int:
-    name = exc.args[0] if exc.args else exc.filename
-    print(f"error: input file not found: {name}", file=sys.stderr)
-    return 2
+def _training_config(s: dict) -> embeddings.TrainingConfig:
+    same = ("dim", "negatives", "window", "learning_rate", "epochs", "subsample", "min_count",
+            "max_contrast_neighbors", "noise_exponent", "seed", "threads", "track_objective")
+    return embeddings.TrainingConfig(contrast_coefficient=s["beta"], **{key: s[key] for key in same})
 
 
-# --- stage implementations (shared by single subcommands and `pipeline`)
+# --- stage functions: loaded inputs in, in the row's input order, then the resolved options
 
 
-def stage_vocab(corpus_path, out_path, lowercase: bool, min_count: int, seed: int) -> None:
-    _require_files(corpus_path)
-    lines = read_corpus(corpus_path, lowercase=lowercase)
-    vocab = build_vocabulary(lines, min_count)
-    params = {"corpus": corpus_path, "lowercase": lowercase, "min_count": min_count}
-    write_vocabulary(out_path, vocab, meta=_header("vocab", params, seed))
+class Report(NamedTuple):
+    """An eval stage's result: a table whose first row names the columns, and its JSON form."""
+
+    table: list[list]
+    payload: dict
+    notes: dict[str, str] = {}  # header lines after the stage's own
 
 
-def stage_count(corpus_path, vocab_path, out_path, lowercase, window, dynamic_window, seed) -> None:
-    _require_files(corpus_path, vocab_path)
-    lines = read_corpus(corpus_path, lowercase=lowercase)
-    vocab = read_vocabulary(vocab_path)
-    counts = count_cooccurrences(
-        lines, vocab, window, dynamic_window=dynamic_window, seed=_stage_seed(seed, "count")
-    )
-    params = {
-        "corpus": corpus_path,
-        "vocab": vocab_path,
-        "lowercase": lowercase,
-        "window": window,
-        "dynamic_window": dynamic_window,
-    }
-    write_counts(out_path, counts, meta=_header("count", params, seed))
+def stage_vocab(lines, s) -> corpus.Vocabulary:
+    return corpus.build_vocabulary(lines, s["min_count"])
 
 
-def stage_lmi(counts_path, out_path, vocab_path, seed) -> None:
-    _require_files(counts_path, vocab_path)
-    counts = read_counts(counts_path)
-    vocab = read_vocabulary(vocab_path) if vocab_path else None
-    lmi = compute_lmi(counts, vocab)
-    params = {"counts": counts_path, "vocab": vocab_path or ""}
-    write_weighted(out_path, lmi, meta=_header("lmi", params, seed))
+def stage_count(lines, vocab, s) -> corpus.CooccurrenceCounts:
+    seed = _stage_seed(s["seed"], "count")
+    return corpus.count_cooccurrences(lines, vocab, s["window"], dynamic_window=s["dynamic_window"], seed=seed)
 
 
-def stage_weight_sa(lmi_path, lexicon_path, vocab_path, out_path, ant_mean, fallback_lmi, seed) -> None:
-    _require_files(lmi_path, lexicon_path, vocab_path)
-    lmi = read_weighted(lmi_path)
-    if lmi.scheme != "LMI":
-        raise WeightingError(f"{lmi_path}: expected an LMI matrix, found scheme {lmi.scheme}")
-    vocab = read_vocabulary(vocab_path)
-    lex = enrich_antonyms(load_lexicon(lexicon_path))
-    idx = build_feature_index(lmi)
-    sa = compute_weight_sa(lmi, idx, lex, vocab, ant_mean=ant_mean, fallback_lmi=fallback_lmi)
-    params = {
-        "lmi": lmi_path,
-        "lexicon": lexicon_path,
-        "vocab": vocab_path,
-        "ant_mean": ant_mean,
-        "fallback_lmi": fallback_lmi,
-    }
-    write_weighted(out_path, sa, meta=_header("weight-sa", params, seed))
+def stage_lmi(counts, vocab, s) -> weighting.WeightedMatrix:
+    return weighting.compute_lmi(counts, vocab)
 
 
-def stage_svd(weights_path, vocab_path, out_path, dim, svd_mode, sigma_exponent, seed) -> None:
-    _require_files(weights_path, vocab_path)
-    weights = read_weighted(weights_path)
-    vocab = read_vocabulary(vocab_path)
+def stage_weight_sa(lmi, lex, vocab, s) -> weighting.WeightedMatrix:
+    idx = weighting.build_feature_index(lmi)
+    return weighting.compute_weight_sa(lmi, idx, lexicon.enrich_antonyms(lex), vocab,
+                                       ant_mean=s["ant_mean"], fallback_lmi=s["fallback_lmi"])
+
+
+def stage_svd(weights, vocab, s) -> tuple[DenseEmbeddings, dict[str, str]]:
+    """Reduced row vectors, and the header lines that annotate them."""
     if weights.shape[0] != len(vocab):
-        raise ReductionError("weighted matrix and vocabulary disagree on word count")
-    result = truncated_svd(
-        weights.matrix,
-        dim,
-        mode=svd_mode,
-        seed=_stage_seed(seed, "svd"),
-        sigma_exponent=sigma_exponent,
-    )
-    emb = DenseEmbeddings(list(vocab.words), result.row_vectors, source="svd")
-    params = {
-        "weights": weights_path,
-        "vocab": vocab_path,
-        "svd_dim": dim,
-        "svd_mode": svd_mode,
-        "sigma_exponent": sigma_exponent,
+        raise reduction.ReductionError("weighted matrix and vocabulary disagree on word count")
+    result = reduction.truncated_svd(weights.matrix, s["svd_dim"], mode=s["svd_mode"],
+                                     seed=_stage_seed(s["seed"], "svd"), sigma_exponent=s["sigma_exponent"])
+    vectors = DenseEmbeddings(list(vocab.words), result.row_vectors, source="svd")
+    return vectors, {"effective_rank": str(result.effective_rank), "mode_used": result.mode_used}
+
+
+def _trained(model, source: str, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
+    """Word vectors, then the context matrix as vectors."""
+    words = model.embeddings(source=source, average_contexts=s["average_contexts"])
+    return words, DenseEmbeddings(list(model.vocab.words), model.C, source=f"{source}-context")
+
+
+def stage_train_sgns(lines, vocab, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
+    return _trained(embeddings.train_sgns(lines, vocab, _training_config(s), progress=sys.stderr), "sgns", s)
+
+
+def stage_train_dlce(lines, vocab, lex, lmi, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
+    idx = weighting.build_feature_index(lmi)
+    model = embeddings.train_dlce(lines, vocab, _training_config(s), lex, idx, progress=sys.stderr)
+    return _trained(model, "dlce", s)
+
+
+def _per_class(report, *fields: str) -> Report:
+    rows = [[name, cm.n_total, cm.n_scored, cm.coverage, *(getattr(cm, f) for f in fields)]
+            for name, cm in sorted(report.classes.items())]
+    return Report([["class", "n_total", "n_scored", "coverage", *fields], *rows], report.to_json_dict())
+
+
+def stage_eval_ap(vectors, pairs, s) -> Report:
+    return _per_class(evaluation.eval_ap(vectors, pairs), "ap_syn", "ap_ant")
+
+
+def stage_eval_auc(vectors, pairs, s) -> Report:
+    report = _per_class(evaluation.eval_auc(vectors, pairs), "auc")
+    return report._replace(notes={"positives": "SYN by descending cosine; equals ANT detection on negated scores"})
+
+
+def stage_eval_spearman(vectors, pairs, s) -> Report:
+    report, n_scored, n_total = evaluation.eval_spearman(vectors, pairs)
+    row = [report.spearman, n_scored, n_total, n_scored / n_total if n_total else 0.0]
+    payload = {**report.to_json_dict(), "n_scored": n_scored, "n_total": n_total}
+    return Report([["spearman", "n_scored", "n_total", "coverage"], row], payload)
+
+
+def stage_report_medians(vectors, pairs, s) -> Report:
+    return _per_class(evaluation.median_report(vectors, pairs), "median_syn", "median_ant")
+
+
+class Stage(NamedTuple):
+    """One subcommand, run by `stage_<name>` on its loaded inputs and the options."""
+
+    name: str
+    help: str
+    inputs: tuple[str, ...]  # path keys, in the stage function's order; "?" marks an optional one
+    options: tuple[str, ...] = ()  # DEFAULTS keys; the header records all but track_objective
+    flags: tuple[str, ...] = ()  # further flags, neither loaded nor recorded
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(key.rstrip("?") for key in self.inputs)
+
+
+_TRAIN = ("lowercase", "dim", "negatives", "window", "learning_rate", "epochs", "subsample",
+          "min_count", "noise_exponent", "threads", "average_contexts", "track_objective")
+_EVAL = ("vectors", "pairs")
+_REPORT = ("vocab", "json")
+
+STAGES = {row.name: row for row in (
+    Stage("vocab", "build a frequency-filtered vocabulary from a corpus", ("corpus",), ("lowercase", "min_count")),
+    Stage("count", "count windowed co-occurrences", ("corpus", "vocab"), ("lowercase", "window", "dynamic_window")),
+    Stage("lmi", "weight a count table by local mutual information", ("counts", "vocab?")),
+    Stage("weight-sa", "re-weight LMI cells by synonym/antonym contrast", ("lmi", "lexicon", "vocab"),
+          ("ant_mean", "fallback_lmi")),
+    Stage("svd", "reduce a weighted matrix to dense vectors", ("weights", "vocab"),
+          ("svd_dim", "svd_mode", "sigma_exponent")),
+    Stage("train-sgns", "train skip-gram embeddings with negative sampling", ("corpus", "vocab"), _TRAIN,
+          ("context_out",)),
+    Stage("train-dlce", "train skip-gram embeddings with the lexical-contrast term",
+          ("corpus", "vocab", "lexicon", "lmi"), _TRAIN + ("beta", "max_contrast_neighbors"), ("context_out",)),
+    Stage("eval-ap", "average precision of SYN and ANT pairs ranked by cosine", _EVAL, flags=_REPORT),
+    Stage("eval-auc", "ROC AUC of SYN against ANT pairs by cosine", _EVAL, flags=_REPORT),
+    Stage("eval-spearman", "Spearman's rho between cosines and similarity ratings", _EVAL, flags=_REPORT),
+    Stage("report-medians", "median cosine of SYN and ANT pairs", _EVAL, flags=_REPORT),
+)}
+PIPELINE = Stage("pipeline", "run every stage into a work directory", ("corpus", "lexicon", "pairs?", "simpairs?"),
+                 tuple(dict.fromkeys(key for row in STAGES.values() for key in row.options)), ("workdir",))
+
+_HELP = {
+    "corpus": "one document per line, whitespace tokenized",
+    "vocab": "vocabulary TSV (optional for lmi; for the eval stages, needed by sparse --vectors)",
+    "lexicon": "TSV word1<TAB>SYN|ANT<TAB>word2",
+    "vectors": "dense text vectors or sparse weighted TSV",
+    "pairs": "relation pairs TSV (similarity ratings for eval-spearman)",
+    "simpairs": "similarity ratings for eval-spearman (optional)",
+    "workdir": "output directory (default: pipeline-out)",
+    "context_out": "also write the context matrix",
+}
+
+
+def _load(row: Stage, key: str, s: dict):
+    """Open one input of a subcommand; the readers resolve at call time, like the stage functions."""
+    path = s[key]
+    if key == "corpus":
+        return corpus.read_corpus(path, lowercase=s["lowercase"])
+    if key == "vectors" and "scheme" in tsvio.read_meta(path):  # a sparse weighted matrix, not dense vectors
+        if s["vocab"] is None:
+            raise evaluation.EvalError("sparse weighted vectors need --vocab for word lookup")
+        _require_files(s["vocab"])
+        return evaluation.SparseRowTable(weighting.read_weighted(path), corpus.read_vocabulary(s["vocab"]))
+    if key == "pairs" and row.name == "eval-spearman":
+        return evaluation.load_similarity_pairs(path)
+    readers = {"vocab": corpus.read_vocabulary, "counts": corpus.read_counts, "lexicon": lexicon.load_lexicon,
+               "pairs": evaluation.load_relation_pairs, "vectors": read_embeddings}
+    # lmi and weights: an LMI input's scheme is checked by the feature index its stage builds
+    return readers.get(key, weighting.read_weighted)(path)
+
+
+def _meta(row: Stage, s: dict, suffix: str = "") -> dict[str, str]:
+    """Header lines of one artifact: its input paths and options, verbatim and hashed, and the seed."""
+    params = {key: s[key] or "" for key in row.keys}
+    params.update((key, s[key]) for key in row.options if key != "track_objective")
+    serialized = " ".join(f"{k}={params[k]}" for k in sorted(params))
+    return {
+        "tool": f"lexcontrast {__version__}",
+        "stage": row.name + suffix,
+        "seed": str(s["seed"]),
+        "config_sha256": hashlib.sha256(serialized.encode("utf-8")).hexdigest(),
+        "config": serialized,
     }
-    meta = _header("svd", params, seed)
-    meta["effective_rank"] = str(result.effective_rank)
-    meta["mode_used"] = result.mode_used
-    write_embeddings(out_path, emb, meta)
-
-
-# the vector writer under its former name, which the benchmark's tracer wraps
-write_embeddings_with_meta = write_embeddings
-
-
-def _training_config(settings: Settings) -> TrainingConfig:
-    subsample = float(settings.get("subsample"))
-    cap = int(settings.get("max_contrast_neighbors"))
-    return TrainingConfig(
-        dim=int(settings.get("dim")),
-        negatives=int(settings.get("negatives")),
-        window=int(settings.get("window")),
-        learning_rate=float(settings.get("learning_rate")),
-        epochs=int(settings.get("epochs")),
-        subsample=None if subsample <= 0 else subsample,
-        min_count=int(settings.get("min_count")),
-        contrast_coefficient=float(settings.get("beta")),
-        max_contrast_neighbors=None if cap <= 0 else cap,
-        noise_exponent=float(settings.get("noise_exponent")),
-        seed=int(settings.get("seed")),
-        threads=int(settings.get("threads")),
-        track_objective=bool(settings.get("track_objective")),
-    )
-
-
-def _train_params(cfg: TrainingConfig, extra: dict[str, object]) -> dict[str, object]:
-    params = {
-        "dim": cfg.dim,
-        "negatives": cfg.negatives,
-        "window": cfg.window,
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-        "subsample": cfg.subsample,
-        "min_count": cfg.min_count,
-        "noise_exponent": cfg.noise_exponent,
-        "threads": cfg.threads,
-    }
-    params.update(extra)
-    return params
-
-
-def stage_train_sgns(corpus_path, vocab_path, out_path, context_out, lowercase, average_contexts, cfg) -> None:
-    _require_files(corpus_path, vocab_path)
-    lines = read_corpus(corpus_path, lowercase=lowercase)
-    vocab = read_vocabulary(vocab_path)
-    model = train_sgns(lines, vocab, cfg, progress=sys.stderr)
-    params = _train_params(
-        cfg,
-        {"corpus": corpus_path, "vocab": vocab_path, "lowercase": lowercase, "average_contexts": average_contexts},
-    )
-    emb = model.embeddings(source="sgns", average_contexts=average_contexts)
-    write_embeddings(out_path, emb, _header("train-sgns", params, cfg.seed))
-    if context_out:
-        ctx = DenseEmbeddings(list(vocab.words), model.C.copy(), source="sgns-context")
-        write_embeddings(context_out, ctx, _header("train-sgns-context", params, cfg.seed))
-
-
-def stage_train_dlce(
-    corpus_path, vocab_path, lexicon_path, lmi_path, out_path, context_out, lowercase, average_contexts, cfg
-) -> None:
-    _require_files(corpus_path, vocab_path, lexicon_path, lmi_path)
-    lines = read_corpus(corpus_path, lowercase=lowercase)
-    vocab = read_vocabulary(vocab_path)
-    lex = load_lexicon(lexicon_path)
-    lmi = read_weighted(lmi_path)
-    if lmi.scheme != "LMI":
-        raise WeightingError(f"{lmi_path}: expected an LMI matrix, found scheme {lmi.scheme}")
-    idx = build_feature_index(lmi)
-    model = train_dlce(lines, vocab, cfg, lex, idx, progress=sys.stderr)
-    params = _train_params(
-        cfg,
-        {
-            "corpus": corpus_path,
-            "vocab": vocab_path,
-            "lexicon": lexicon_path,
-            "lmi": lmi_path,
-            "lowercase": lowercase,
-            "average_contexts": average_contexts,
-            "beta": cfg.contrast_coefficient,
-            "max_contrast_neighbors": cfg.max_contrast_neighbors,
-        },
-    )
-    emb = model.embeddings(source="dlce", average_contexts=average_contexts)
-    write_embeddings(out_path, emb, _header("train-dlce", params, cfg.seed))
-    if context_out:
-        ctx = DenseEmbeddings(list(vocab.words), model.C.copy(), source="dlce-context")
-        write_embeddings(context_out, ctx, _header("train-dlce-context", params, cfg.seed))
-
-
-def load_vectors(vectors_path, vocab_path):
-    """Open dense text vectors or a sparse weighted matrix, by sniffing.
-
-    A `scheme` header marks the sparse TSV form, which needs the vocabulary
-    for word lookup.
-    """
-    _require_files(vectors_path)
-    meta = tsvio.read_meta(vectors_path)
-    if "scheme" in meta:
-        if vocab_path is None:
-            raise EvalError("sparse weighted vectors need --vocab for word lookup")
-        _require_files(vocab_path)
-        return SparseRowTable(read_weighted(vectors_path), read_vocabulary(vocab_path))
-    return read_embeddings(vectors_path)
 
 
 def _fmt(value) -> str:
@@ -395,280 +299,108 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(out_path, lines) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with tsvio.atomic_writer(out_path) as fh:
+def _write(path, result, meta: dict[str, str], as_json: bool = False) -> None:
+    """Write one stage result after its header lines; a report without a path goes to stdout."""
+    if isinstance(result, Report):
+        meta = {**meta, **result.notes}
+        if as_json:
+            text = json.dumps({"meta": meta, **result.payload}, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "".join(f"#{k}={v}\n" for k, v in meta.items())
+            text += "".join("\t".join(map(_fmt, row)) + "\n" for row in result.table)
+        if path is None:
+            sys.stdout.write(text)
+            return
+        with tsvio.atomic_writer(path) as fh:
             fh.write(text)
+    elif isinstance(result, tuple):  # SVD vectors and their annotations
+        write_embeddings(path, result[0], {**meta, **result[1]})
+    else:
+        writers = {corpus.Vocabulary: corpus.write_vocabulary, corpus.CooccurrenceCounts: corpus.write_counts,
+                   weighting.WeightedMatrix: weighting.write_weighted}
+        writers.get(type(result), write_embeddings)(path, result, meta)
 
 
-def _report_lines(meta: dict[str, str], columns: list[str], rows: list[list]) -> list[str]:
-    lines = [f"#{k}={v}" for k, v in meta.items()]
-    lines.append("\t".join(columns))
-    lines.extend("\t".join(_fmt(cell) for cell in row) for row in rows)
-    return lines
+# the vector writer under its former name, which the benchmark's tracer wraps
+write_embeddings_with_meta = write_embeddings
 
 
-def _json_report(meta: dict[str, str], report: MetricReport, extra: dict | None = None) -> list[str]:
-    payload = {"meta": meta, **report.to_json_dict()}
-    if extra:
-        payload.update(extra)
-    return [json.dumps(payload, indent=2, sort_keys=True)]
+def run_stage(args: argparse.Namespace) -> None:
+    """One subcommand: resolve the options, load the inputs, run the stage, write its result."""
+    row, s = args.row, _resolve(args)
+    # looked up at call time, so that a wrapper set on the module attribute is the one called
+    stage = globals()["stage_" + row.name.replace("-", "_")]
+    result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
+    if "context_out" in row.flags:
+        _write(args.out, result[0], _meta(row, s))
+        if args.context_out:
+            _write(args.context_out, result[1], _meta(row, s, "-context"))
+    else:
+        _write(args.out, result, _meta(row, s), getattr(args, "json", False))
 
 
-def stage_eval_ap(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
-    _require_files(pairs_path)
-    pair_set = load_relation_pairs(pairs_path)
-    report = eval_ap(vectors, pair_set)
-    meta = _header("eval-ap", {"vectors": vectors_path, "pairs": pairs_path}, seed)
-    if as_json:
-        _emit(out_path, _json_report(meta, report))
-        return
-    rows = [
-        [name, cm.n_total, cm.n_scored, cm.coverage, cm.ap_syn, cm.ap_ant]
-        for name, cm in sorted(report.classes.items())
-    ]
-    _emit(out_path, _report_lines(meta, ["class", "n_total", "n_scored", "coverage", "ap_syn", "ap_ant"], rows))
+def run_pipeline(args: argparse.Namespace) -> None:
+    """Every stage, chained in memory; each artifact is written as it comes, under its subcommand's header.
 
-
-def stage_eval_auc(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
-    _require_files(pairs_path)
-    pair_set = load_relation_pairs(pairs_path)
-    report = eval_auc(vectors, pair_set)
-    meta = _header("eval-auc", {"vectors": vectors_path, "pairs": pairs_path}, seed)
-    meta["positives"] = "SYN by descending cosine; equals ANT detection on negated scores"
-    if as_json:
-        _emit(out_path, _json_report(meta, report))
-        return
-    rows = [
-        [name, cm.n_total, cm.n_scored, cm.coverage, cm.auc]
-        for name, cm in sorted(report.classes.items())
-    ]
-    _emit(out_path, _report_lines(meta, ["class", "n_total", "n_scored", "coverage", "auc"], rows))
-
-
-def stage_eval_spearman(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
-    _require_files(pairs_path)
-    pair_set = load_similarity_pairs(pairs_path)
-    report, n_scored, n_total = eval_spearman(vectors, pair_set)
-    meta = _header("eval-spearman", {"vectors": vectors_path, "pairs": pairs_path}, seed)
-    if as_json:
-        _emit(out_path, _json_report(meta, report, {"n_scored": n_scored, "n_total": n_total}))
-        return
-    rows = [[report.spearman, n_scored, n_total, n_scored / n_total if n_total else 0.0]]
-    _emit(out_path, _report_lines(meta, ["spearman", "n_scored", "n_total", "coverage"], rows))
-
-
-def stage_report_medians(vectors, vectors_path, pairs_path, out_path, as_json, seed) -> None:
-    _require_files(pairs_path)
-    pair_set = load_relation_pairs(pairs_path)
-    report = median_report(vectors, pair_set)
-    meta = _header("report-medians", {"vectors": vectors_path, "pairs": pairs_path}, seed)
-    if as_json:
-        _emit(out_path, _json_report(meta, report))
-        return
-    rows = [
-        [name, cm.n_total, cm.n_scored, cm.coverage, cm.median_syn, cm.median_ant]
-        for name, cm in sorted(report.classes.items())
-    ]
-    _emit(
-        out_path,
-        _report_lines(meta, ["class", "n_total", "n_scored", "coverage", "median_syn", "median_ant"], rows),
-    )
-
-
-# --- subcommand handlers
-
-
-def _cmd_vocab(args) -> int:
-    s = Settings(args)
-    stage_vocab(s.require_path("corpus"), args.out, bool(s.get("lowercase")), int(s.get("min_count")), int(s.get("seed")))
-    return 0
-
-
-def _cmd_count(args) -> int:
-    s = Settings(args)
-    stage_count(
-        s.require_path("corpus"),
-        s.require_path("vocab"),
-        args.out,
-        bool(s.get("lowercase")),
-        int(s.get("window")),
-        bool(s.get("dynamic_window")),
-        int(s.get("seed")),
-    )
-    return 0
-
-
-def _cmd_lmi(args) -> int:
-    s = Settings(args)
-    stage_lmi(s.require_path("counts"), args.out, s.path("vocab"), int(s.get("seed")))
-    return 0
-
-
-def _cmd_weight_sa(args) -> int:
-    s = Settings(args)
-    stage_weight_sa(
-        s.require_path("lmi"),
-        s.require_path("lexicon"),
-        s.require_path("vocab"),
-        args.out,
-        str(s.get("ant_mean")),
-        bool(s.get("fallback_lmi")),
-        int(s.get("seed")),
-    )
-    return 0
-
-
-def _cmd_svd(args) -> int:
-    s = Settings(args)
-    stage_svd(
-        s.require_path("weights"),
-        s.require_path("vocab"),
-        args.out,
-        int(s.get("svd_dim")),
-        str(s.get("svd_mode")),
-        float(s.get("sigma_exponent")),
-        int(s.get("seed")),
-    )
-    return 0
-
-
-def _cmd_train_sgns(args) -> int:
-    s = Settings(args)
-    stage_train_sgns(
-        s.require_path("corpus"),
-        s.require_path("vocab"),
-        args.out,
-        args.context_out,
-        bool(s.get("lowercase")),
-        bool(s.get("average_contexts")),
-        _training_config(s),
-    )
-    return 0
-
-
-def _cmd_train_dlce(args) -> int:
-    s = Settings(args)
-    stage_train_dlce(
-        s.require_path("corpus"),
-        s.require_path("vocab"),
-        s.require_path("lexicon"),
-        s.require_path("lmi"),
-        args.out,
-        args.context_out,
-        bool(s.get("lowercase")),
-        bool(s.get("average_contexts")),
-        _training_config(s),
-    )
-    return 0
-
-
-def _eval_args(args, s: Settings):
-    vectors_path, pairs_path = s.require_path("vectors"), s.require_path("pairs")
-    return (
-        load_vectors(vectors_path, s.path("vocab")),
-        vectors_path,
-        pairs_path,
-        getattr(args, "out", None),
-        bool(getattr(args, "json", False)),
-        int(s.get("seed")),
-    )
-
-
-def _cmd_eval_ap(args) -> int:
-    stage_eval_ap(*_eval_args(args, Settings(args)))
-    return 0
-
-
-def _cmd_eval_auc(args) -> int:
-    stage_eval_auc(*_eval_args(args, Settings(args)))
-    return 0
-
-
-def _cmd_eval_spearman(args) -> int:
-    stage_eval_spearman(*_eval_args(args, Settings(args)))
-    return 0
-
-
-def _cmd_report_medians(args) -> int:
-    stage_report_medians(*_eval_args(args, Settings(args)))
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    s = Settings(args)
-    corpus = s.require_path("corpus")
-    lexicon = s.require_path("lexicon")
-    pairs = s.path("pairs")
-    simpairs = s.path("simpairs")
-    _require_files(corpus, lexicon, pairs, simpairs)
-    cfg = _training_config(s)  # refuses a bad training option before anything is written
-    workdir = Path(args.workdir if args.workdir is not None else s.file_config.get("workdir", "pipeline-out"))
+    The corpus is read twice: the token lists go after counting, so that they do not stay in memory next
+    to the matrices, and are read once more for both trainers.
+    """
+    s = _resolve(args)
+    _training_config(s)  # refuses a bad training option before anything is written
+    workdir = Path(s["workdir"] or "pipeline-out")
     workdir.mkdir(parents=True, exist_ok=True)
+    paths = {**s, **{key: str(workdir / f"{key}.tsv") for key in ("vocab", "counts", "lmi")}}
 
-    seed = int(s.get("seed"))
-    lowercase = bool(s.get("lowercase"))
+    def save(stage: str, result, name: str, **inputs) -> None:
+        _write(str(workdir / name), result, _meta(STAGES[stage], {**paths, **inputs}))
 
-    vocab_p = str(workdir / "vocab.tsv")
-    counts_p = str(workdir / "counts.tsv")
-    lmi_p = str(workdir / "lmi.tsv")
-    sa_p = str(workdir / "sa.tsv")
+    relation = None if s["pairs"] is None else evaluation.load_relation_pairs(s["pairs"])
+    similarity = None if s["simpairs"] is None else evaluation.load_similarity_pairs(s["simpairs"])
 
-    stage_vocab(corpus, vocab_p, lowercase, int(s.get("min_count")), seed)
-    stage_count(corpus, vocab_p, counts_p, lowercase, int(s.get("window")), bool(s.get("dynamic_window")), seed)
-    stage_lmi(counts_p, lmi_p, vocab_p, seed)
-    stage_weight_sa(lmi_p, lexicon, vocab_p, sa_p, str(s.get("ant_mean")), bool(s.get("fallback_lmi")), seed)
+    def score(name: str, vectors) -> None:
+        at = str(workdir / f"{name}.txt")
+        if relation is not None:
+            save("eval-ap", stage_eval_ap(vectors, relation, s), f"eval_ap_{name}.tsv", vectors=at)
+            save("eval-auc", stage_eval_auc(vectors, relation, s), f"eval_auc_{name}.tsv", vectors=at)
+            save("report-medians", stage_report_medians(vectors, relation, s), f"medians_{name}.tsv", vectors=at)
+        if similarity is not None:
+            save("eval-spearman", stage_eval_spearman(vectors, similarity, s), f"spearman_{name}.tsv",
+                 vectors=at, pairs=s["simpairs"])
 
-    svd_dim = int(s.get("svd_dim"))
-    svd_mode = str(s.get("svd_mode"))
-    sigma_exponent = float(s.get("sigma_exponent"))
-    vector_sets: dict[str, str] = {}
-    for name, weights_path in (("lmi_svd", lmi_p), ("sa_svd", sa_p)):
-        out = str(workdir / f"{name}.txt")
-        stage_svd(weights_path, vocab_p, out, svd_dim, svd_mode, sigma_exponent, seed)
-        vector_sets[name] = out
+    lines = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
+    vocab = stage_vocab(lines, s)
+    save("vocab", vocab, "vocab.tsv")
+    counts = stage_count(lines, vocab, s)
+    del lines
+    save("count", counts, "counts.tsv")
+    lmi = stage_lmi(counts, vocab, s)
+    del counts
+    save("lmi", lmi, "lmi.tsv")
+    lex = lexicon.load_lexicon(s["lexicon"])
+    sa = stage_weight_sa(lmi, lex, vocab, s)
+    save("weight-sa", sa, "sa.tsv")
+    for name, weights, source in (("lmi_svd", lmi, "lmi.tsv"), ("sa_svd", sa, "sa.tsv")):
+        reduced = stage_svd(weights, vocab, s)
+        save("svd", reduced, f"{name}.txt", weights=str(workdir / source))
+        score(name, reduced[0])
+        del reduced, weights  # each vector set goes once scored
+    del sa
 
-    sgns_p = str(workdir / "sgns.txt")
-    dlce_p = str(workdir / "dlce.txt")
-    average_contexts = bool(s.get("average_contexts"))
-    stage_train_sgns(corpus, vocab_p, sgns_p, None, lowercase, average_contexts, cfg)
-    stage_train_dlce(corpus, vocab_p, lexicon, lmi_p, dlce_p, None, lowercase, average_contexts, cfg)
-    vector_sets["sgns"] = sgns_p
-    vector_sets["dlce"] = dlce_p
-
-    if pairs is None and simpairs is None:
-        return 0
-    for name, path in vector_sets.items():
-        vectors = load_vectors(path, vocab_p)  # read once, scored by every eval stage
-        if pairs is not None:
-            stage_eval_ap(vectors, path, pairs, str(workdir / f"eval_ap_{name}.tsv"), False, seed)
-            stage_eval_auc(vectors, path, pairs, str(workdir / f"eval_auc_{name}.tsv"), False, seed)
-            stage_report_medians(vectors, path, pairs, str(workdir / f"medians_{name}.tsv"), False, seed)
-        if simpairs is not None:
-            stage_eval_spearman(vectors, path, simpairs, str(workdir / f"spearman_{name}.tsv"), False, seed)
-    return 0
+    lines = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
+    vectors = stage_train_sgns(lines, vocab, s)[0]
+    save("train-sgns", vectors, "sgns.txt")
+    score("sgns", vectors)
+    del vectors
+    vectors = stage_train_dlce(lines, vocab, lex, lmi, s)[0]
+    save("train-dlce", vectors, "dlce.txt")
+    score("dlce", vectors)
 
 
 # --- parser
 
 
-def _add_common(sub, *names):
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--seed", type=int, help=f"root random seed (default: {DEFAULTS['seed']})")
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        if name in _BOOL_KEYS:
-            sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None,
-                             help=f"(default: {DEFAULTS[name]})")
-        elif name in _INT_KEYS:
-            sub.add_argument(flag, type=int, help=f"(default: {DEFAULTS[name]})")
-        elif name in _FLOAT_KEYS:
-            sub.add_argument(flag, type=float, help=f"(default: {DEFAULTS[name]})")
-        else:
-            sub.add_argument(flag, help=f"(default: {DEFAULTS[name]})")
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -678,120 +410,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lexcontrast {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("vocab", help="build a frequency-filtered vocabulary from a corpus")
-    p.add_argument("--corpus", help="one document per line, whitespace tokenized")
-    p.add_argument("--out", required=True)
-    _add_common(p, "lowercase", "min_count")
-    p.set_defaults(func=_cmd_vocab)
-
-    p = subs.add_parser("count", help="count windowed co-occurrences")
-    p.add_argument("--corpus")
-    p.add_argument("--vocab")
-    p.add_argument("--out", required=True)
-    _add_common(p, "lowercase", "window", "dynamic_window")
-    p.set_defaults(func=_cmd_count)
-
-    p = subs.add_parser("lmi", help="weight a count table by local mutual information")
-    p.add_argument("--counts")
-    p.add_argument("--vocab", help="optional, validates the id space")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lmi)
-
-    p = subs.add_parser("weight-sa", help="re-weight LMI cells by synonym/antonym contrast")
-    p.add_argument("--lmi")
-    p.add_argument("--lexicon", help="TSV word1<TAB>SYN|ANT<TAB>word2")
-    p.add_argument("--vocab")
-    p.add_argument("--out", required=True)
-    p.add_argument("--ant-mean", choices=("pooled", "per-antonym"),
-                   help=f"antonym-term normalizer (default: {DEFAULTS['ant_mean']})")
-    _add_common(p, "fallback_lmi")
-    p.set_defaults(func=_cmd_weight_sa)
-
-    p = subs.add_parser("svd", help="reduce a weighted matrix to dense vectors")
-    p.add_argument("--weights")
-    p.add_argument("--vocab")
-    p.add_argument("--out", required=True)
-    p.add_argument("--svd-mode", choices=("auto", "dense", "randomized"),
-                   help=f"(default: {DEFAULTS['svd_mode']})")
-    _add_common(p, "svd_dim", "sigma_exponent")
-    p.set_defaults(func=_cmd_svd)
-
-    for name, handler, needs_lexicon in (
-        ("train-sgns", _cmd_train_sgns, False),
-        ("train-dlce", _cmd_train_dlce, True),
-    ):
-        p = subs.add_parser(name, help=f"{name.replace('-', ' ')} embedding trainer")
-        p.add_argument("--corpus")
-        p.add_argument("--vocab")
-        p.add_argument("--out", required=True)
-        p.add_argument("--context-out", help="also write the context matrix")
-        if needs_lexicon:
-            p.add_argument("--lexicon")
-            p.add_argument("--lmi", help="LMI matrix that defines each context's word set")
-            _add_common(
-                p, "lowercase", "dim", "negatives", "window", "learning_rate", "epochs",
-                "subsample", "min_count", "noise_exponent", "threads",
-                "average_contexts", "track_objective", "beta", "max_contrast_neighbors",
-            )
-        else:
-            _add_common(
-                p, "lowercase", "dim", "negatives", "window", "learning_rate", "epochs",
-                "subsample", "min_count", "noise_exponent", "threads",
-                "average_contexts", "track_objective",
-            )
-        p.set_defaults(func=handler)
-
-    for name, handler, pairs_help in (
-        ("eval-ap", _cmd_eval_ap, "relation pairs TSV"),
-        ("eval-auc", _cmd_eval_auc, "relation pairs TSV"),
-        ("eval-spearman", _cmd_eval_spearman, "similarity ratings TSV"),
-        ("report-medians", _cmd_report_medians, "relation pairs TSV"),
-    ):
-        p = subs.add_parser(name, help=f"{name.replace('-', ' ')} over scored word pairs")
-        p.add_argument("--vectors", help="dense text vectors or sparse weighted TSV")
-        p.add_argument("--vocab", help="needed when --vectors is a sparse weighted TSV")
-        p.add_argument("--pairs", help=pairs_help)
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--json", action="store_true", help="structured report with OOV lists")
-        _add_common(p)
-        p.set_defaults(func=handler)
-
-    p = subs.add_parser("pipeline", help="run every stage into a work directory")
-    p.add_argument("--corpus")
-    p.add_argument("--lexicon")
-    p.add_argument("--pairs", help="relation pairs for the eval stages (optional)")
-    p.add_argument("--simpairs", help="similarity ratings for eval-spearman (optional)")
-    p.add_argument("--workdir", help="output directory (default: pipeline-out)")
-    _add_common(
-        p, "lowercase", "min_count", "window", "dynamic_window", "dim", "svd_dim",
-        "negatives", "learning_rate", "epochs", "subsample", "noise_exponent", "threads",
-        "average_contexts", "track_objective", "beta", "max_contrast_neighbors",
-        "fallback_lmi", "sigma_exponent",
-    )
-    p.add_argument("--ant-mean", choices=("pooled", "per-antonym"),
-                   help=f"(default: {DEFAULTS['ant_mean']})")
-    p.add_argument("--svd-mode", choices=("auto", "dense", "randomized"),
-                   help=f"(default: {DEFAULTS['svd_mode']})")
-    p.set_defaults(func=_cmd_pipeline)
-
+    for row in (*STAGES.values(), PIPELINE):
+        p = subs.add_parser(row.name, help=row.help)
+        for key in row.keys + row.flags:
+            if key == "json":
+                p.add_argument("--json", action="store_true", help="structured report with OOV lists")
+            else:
+                p.add_argument(_flag(key), help=_HELP.get(key))
+        if row is not PIPELINE:
+            p.add_argument("--out", required="json" not in row.flags,
+                           help="write the report here instead of stdout" if "json" in row.flags else None)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        for key in ("seed", *row.options):
+            kind, default = type(DEFAULTS[key]), f"(default: {DEFAULTS[key]})"
+            if kind is bool:
+                p.add_argument(_flag(key), action=argparse.BooleanOptionalAction, default=None, help=default)
+            else:
+                p.add_argument(_flag(key), type=None if kind is str else kind, choices=_CHOICES.get(key),
+                               help=default)
+        p.set_defaults(run=run_pipeline if row is PIPELINE else run_stage, row=row)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.run(args)
     except FileNotFoundError as exc:
-        return _missing_path_error(exc)
-    except _ERRORS as exc:
+        name = exc.args[0] if exc.args else exc.filename
+        print(f"error: input file not found: {name}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # every error type of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

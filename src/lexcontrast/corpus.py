@@ -74,14 +74,20 @@ class Vocabulary:
 
 
 def read_corpus(path, lowercase: bool = True) -> list[list[str]]:
-    """Load a one-document-per-line corpus file into token lists."""
+    """Load a one-document-per-line corpus file into token lists.
+
+    Equal tokens share one string object. The lists then cost a pointer per
+    token, and a vocabulary built from them, which outlives them, does not
+    hold on to memory spread through every line.
+    """
     lines = []
+    canonical: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             tokens = line.split()
             if lowercase:
                 tokens = [t.lower() for t in tokens]
-            lines.append(tokens)
+            lines.append([canonical.setdefault(t, t) for t in tokens])
     return lines
 
 
@@ -100,16 +106,6 @@ def encode_lines(lines: TokenLines, vocab: Vocabulary) -> list[np.ndarray]:
         np.array([ids[t] for t in line if t in ids], dtype=np.int64)
         for line in lines
     ]
-
-
-@dataclass(frozen=True)
-class SubsampleConfig:
-    threshold: float = 1e-5  # relative-frequency threshold t; math.inf disables
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.threshold > 0:
-            raise CorpusError(f"subsample threshold must be > 0, got {self.threshold}")
 
 
 def discard_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
@@ -141,15 +137,6 @@ def subsample_ids(
         keep = rng.random(len(ids)) >= discard[ids]
         out.append(ids[keep])
     return out
-
-
-def subsample(lines: TokenLines, vocab: Vocabulary, cfg: SubsampleConfig) -> list[list[str]]:
-    """Subsample a token stream; OOV tokens are dropped before any draw."""
-    id_lines = encode_lines(lines, vocab)
-    discard = discard_probabilities(vocab, cfg.threshold)
-    rng = np.random.default_rng(cfg.seed)
-    kept = subsample_ids(id_lines, discard, rng)
-    return [[vocab.words[i] for i in ids] for ids in kept]
 
 
 @dataclass(frozen=True)
@@ -187,16 +174,12 @@ class CooccurrenceCounts:
 
 
 def _aggregate_pairs(
-    targets: np.ndarray, features: np.ndarray, n_words: int, weights: np.ndarray | None = None
+    targets: np.ndarray, features: np.ndarray, n_words: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(targets) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
+    """Count each distinct (target, feature) pair, in (target, feature) order."""
     keys = targets.astype(np.int64) * n_words + features.astype(np.int64)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inverse, weights if weights is not None else np.ones(len(keys), dtype=np.int64))
-    return uniq // n_words, uniq % n_words, sums
+    uniq, counts = np.unique(keys, return_counts=True)
+    return uniq // n_words, uniq % n_words, counts.astype(np.int64)
 
 
 def count_cooccurrences(
@@ -257,25 +240,6 @@ def count_cooccurrences(
     features = np.concatenate(feature_chunks) if feature_chunks else np.zeros(0, dtype=np.int64)
     t, f, c = _aggregate_pairs(targets, features, len(vocab))
     return CooccurrenceCounts(len(vocab), window, t, f, c)
-
-
-def merge_counts(parts: Sequence[CooccurrenceCounts]) -> CooccurrenceCounts:
-    """Sum partial count tables; the result is independent of merge order."""
-    if not parts:
-        raise CorpusError("nothing to merge")
-    n_words = parts[0].n_words
-    window = parts[0].window
-    for p in parts[1:]:
-        if p.n_words != n_words or p.window != window:
-            raise CorpusError("cannot merge counts built against different vocab/window")
-    targets = np.concatenate([p.targets for p in parts])
-    features = np.concatenate([p.features for p in parts])
-    counts = np.concatenate([p.counts for p in parts])
-    if len(targets) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return CooccurrenceCounts(n_words, window, empty, empty.copy(), empty.copy())
-    t, f, c = _aggregate_pairs(targets, features, n_words, weights=counts)
-    return CooccurrenceCounts(n_words, window, t, f, c)
 
 
 def write_vocabulary(path, vocab: Vocabulary, meta: dict[str, str] | None = None) -> None:

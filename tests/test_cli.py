@@ -1,17 +1,27 @@
 """End-to-end command-line behavior: exit codes, option resolution, report
 formats, and byte-level reproducibility of the pipeline."""
 
+import argparse
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lexcontrast.cli import main, read_config_file
+import lexcontrast
+from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.vectors import read_embeddings
 
 DATA = Path(__file__).parent / "data"
+# header lines of the 24 pipeline artifacts of `workspace`, plus the full vocab and counts files
+GOLDEN = DATA / "pipeline_golden.json"
+# every subcommand's flags with their type, default, choices and whether required
+OPTIONS = DATA / "cli_options.json"
+PIPELINE = ["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv",
+            "--pairs", "pairs.tsv", "--simpairs", "sim.tsv", "--workdir", "run", "--config", "run.cfg"]
 
 
 @pytest.fixture
@@ -135,6 +145,26 @@ class TestOptionResolution:
             assert main([command, *inputs, "--min-count", "1", *option]) == 1
             assert "threads must be 1, got 2" in capsys.readouterr().err
         assert not (workspace / "sgns.txt").exists() and not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("ant_mean", "bogus"), ("svd_mode", "bogus"), ("seed", "-5"),
+        ("svd_dim", "0"), ("sigma_exponent", "nan"), ("noise_exponent", "nan"),
+    ])
+    def test_bad_config_value_is_1_before_any_work(self, workspace, capsys, key, value):
+        (workspace / "bad.cfg").write_text(f"min_count=1\n{key}={value}\n")
+        code = main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv",
+                     "--workdir", "out", "--config", "bad.cfg"])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", ["vocab", "count"])
+    def test_negative_seed_flag_is_1(self, workspace, capsys, command):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--min-count", "1"])
+        inputs = ["--vocab", "vocab.tsv"] if command == "count" else []
+        assert main([command, "--corpus", "corpus.txt", *inputs, "--out", "out.tsv", "--seed", "-5"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (workspace / "out.tsv").exists()
 
     def test_config_may_name_input_paths(self, workspace):
         (workspace / "paths.cfg").write_text("corpus=corpus.txt\nmin_count=1\n")
@@ -276,3 +306,49 @@ class TestPipeline:
                     assert dense_payload["classes"][cls][key] == pytest.approx(
                         cm[key], abs=1e-9
                     )
+
+
+def _header_lines(path: Path) -> list[str]:
+    lines = path.read_text().splitlines()
+    return lines[: next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))]
+
+
+def option_table() -> dict:
+    """Each subcommand's flags as the parser declares them."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            "/".join(a.option_strings): {
+                "action": type(a).__name__,
+                "type": getattr(a.type, "__name__", None),
+                "default": a.default,
+                "choices": list(a.choices) if a.choices else None,
+                "required": a.required,
+            }
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in subparsers.choices.items()
+    }
+
+
+class TestSurface:
+    """The command-line surface and the artifact format, pinned by files under tests/data."""
+
+    def test_pipeline_artifacts_match_golden(self, workspace):
+        assert main(PIPELINE) == 0
+        run = workspace / "run"
+        golden = json.loads(GOLDEN.read_text())
+        assert {p.name: _header_lines(p) for p in sorted(run.iterdir())} == golden["headers"]
+        for name in ("vocab.tsv", "counts.tsv"):
+            assert (run / name).read_bytes() == golden[name].encode("utf-8")
+
+    def test_options_match_snapshot(self):
+        assert option_table() == json.loads(OPTIONS.read_text())
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(lexcontrast.__file__).resolve().parents[1])
+        code = "import sys, lexcontrast.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": src}, check=True)
+        assert proc.stdout.strip() == "False"

@@ -7,16 +7,13 @@ import pytest
 
 from lexcontrast.corpus import (
     CorpusError,
-    SubsampleConfig,
     Vocabulary,
     build_vocabulary,
     count_cooccurrences,
     discard_probabilities,
     encode_lines,
-    merge_counts,
     read_counts,
     read_vocabulary,
-    subsample,
     subsample_ids,
     write_counts,
     write_vocabulary,
@@ -103,24 +100,6 @@ class TestSubsampling:
         assert probs[vocab.id_of("rare")] == 0.0
         assert probs[vocab.id_of("common")] > 0.9
 
-    def test_infinite_threshold_is_identity(self):
-        rng = np.random.default_rng(1)
-        lines = _random_lines(rng, 300, 10)
-        vocab = build_vocabulary(lines, min_count=1)
-        kept = subsample(lines, vocab, SubsampleConfig(threshold=math.inf, seed=3))
-        assert kept == lines
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(2)
-        lines = _random_lines(rng, 2000, 5)
-        vocab = build_vocabulary(lines, min_count=1)
-        cfg = SubsampleConfig(threshold=0.05, seed=9)
-        assert subsample(lines, vocab, cfg) == subsample(lines, vocab, cfg)
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(CorpusError):
-            SubsampleConfig(threshold=0.0)
-
     def test_empirical_discard_rate(self):
         # one word, known discard probability, many tokens: observed rate
         # should sit within ~4 sigma of the binomial expectation
@@ -135,10 +114,6 @@ class TestSubsampling:
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(observed - p) < 4 * sigma
 
-    def test_oov_dropped_before_draw(self):
-        vocab = Vocabulary.from_counts({"a": 4})
-        out = subsample([["a", "zzz", "a"]], vocab, SubsampleConfig(threshold=math.inf))
-        assert out == [["a", "a"]]
 
 
 def _brute_force_counts(lines, vocab, window):
@@ -198,21 +173,6 @@ class TestCooccurrence:
         counts = count_cooccurrences(lines, vocab, 4)
         matrix = counts.to_csr().toarray()
         np.testing.assert_array_equal(matrix, matrix.T)
-
-    def test_merge_equals_whole(self):
-        rng = np.random.default_rng(13)
-        lines = _random_lines(rng, 2500, 12)
-        vocab = build_vocabulary(lines, min_count=1)
-        whole = count_cooccurrences(lines, vocab, 3)
-        parts = [
-            count_cooccurrences(lines[: len(lines) // 2], vocab, 3),
-            count_cooccurrences(lines[len(lines) // 2 :], vocab, 3),
-        ]
-        merged = merge_counts(parts)
-        assert merged.to_dict() == whole.to_dict()
-        # merge order must not matter
-        swapped = merge_counts(parts[::-1])
-        assert swapped.to_dict() == whole.to_dict()
 
     def test_dynamic_window_is_seeded_and_contained(self):
         rng = np.random.default_rng(14)
