@@ -173,15 +173,6 @@ class CooccurrenceCounts:
         return m.tocsr()
 
 
-def _aggregate_pairs(
-    targets: np.ndarray, features: np.ndarray, n_words: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count each distinct (target, feature) pair, in (target, feature) order."""
-    keys = targets.astype(np.int64) * n_words + features.astype(np.int64)
-    uniq, counts = np.unique(keys, return_counts=True)
-    return uniq // n_words, uniq % n_words, counts.astype(np.int64)
-
-
 def count_cooccurrences(
     lines: TokenLines,
     vocab: Vocabulary,
@@ -194,52 +185,38 @@ def count_cooccurrences(
     OOV tokens are removed before windowing, so windows close over the gaps
     they leave. With dynamic_window=True, each target position draws an
     effective window size uniformly from 1..window (word2vec-style); the
-    default is the fixed window.
+    default is the fixed window. Each (target, feature) occurrence becomes
+    one int64 key target * n + feature, and counting the distinct keys
+    yields the table in (target, feature) order.
     """
     if window < 1:
         raise CorpusError(f"window must be >= 1, got {window}")
+    n = len(vocab)
+    empty = np.zeros(0, dtype=np.int64)
     id_lines = encode_lines(lines, vocab)
-    if not id_lines or len(vocab) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return CooccurrenceCounts(len(vocab), window, empty, empty.copy(), empty.copy())
-
-    tok = np.concatenate([ids for ids in id_lines]) if id_lines else np.zeros(0, dtype=np.int64)
-    line_id = (
-        np.concatenate([np.full(len(ids), i, dtype=np.int64) for i, ids in enumerate(id_lines)])
-        if id_lines
-        else np.zeros(0, dtype=np.int64)
-    )
+    if not id_lines or n == 0:
+        return CooccurrenceCounts(n, window, empty, empty.copy(), empty.copy())
+    tok = np.concatenate(id_lines)
     if len(tok) < 2:
-        empty = np.zeros(0, dtype=np.int64)
-        return CooccurrenceCounts(len(vocab), window, empty, empty.copy(), empty.copy())
+        return CooccurrenceCounts(n, window, empty, empty.copy(), empty.copy())
+    lengths = np.fromiter((len(ids) for ids in id_lines), dtype=np.int64, count=len(id_lines))
+    line_id = np.repeat(np.arange(len(id_lines)), lengths)
+    eff = np.random.default_rng(seed).integers(1, window + 1, size=len(tok)) if dynamic_window else None
 
-    if dynamic_window:
-        rng = np.random.default_rng(seed)
-        eff = rng.integers(1, window + 1, size=len(tok))
-    else:
-        eff = None
-
-    target_chunks = []
-    feature_chunks = []
-    for off in range(1, window + 1):
-        if off >= len(tok):
-            break
+    key_chunks = []
+    for off in range(1, min(window, len(tok) - 1) + 1):
         same_line = line_id[:-off] == line_id[off:]
         left = tok[:-off]
         right = tok[off:]
         # center on the left token: context is `off` to the right
         mask = same_line if eff is None else same_line & (eff[:-off] >= off)
-        target_chunks.append(left[mask])
-        feature_chunks.append(right[mask])
+        key_chunks.append(left[mask] * n + right[mask])
         # center on the right token: context is `off` to the left
         mask = same_line if eff is None else same_line & (eff[off:] >= off)
-        target_chunks.append(right[mask])
-        feature_chunks.append(left[mask])
+        key_chunks.append(right[mask] * n + left[mask])
 
-    targets = np.concatenate(target_chunks) if target_chunks else np.zeros(0, dtype=np.int64)
-    features = np.concatenate(feature_chunks) if feature_chunks else np.zeros(0, dtype=np.int64)
-    t, f, c = _aggregate_pairs(targets, features, len(vocab))
-    return CooccurrenceCounts(len(vocab), window, t, f, c)
+    keys, counts = np.unique(np.concatenate(key_chunks), return_counts=True)
+    return CooccurrenceCounts(n, window, keys // n, keys % n, counts.astype(np.int64))
 
 
 def write_vocabulary(path, vocab: Vocabulary, meta: dict[str, str] | None = None) -> None:

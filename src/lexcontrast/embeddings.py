@@ -80,7 +80,7 @@ class TrainingConfig:
             raise TrainingError(f"negatives must be >= 1, got {self.negatives}")
         if not self.learning_rate > 0:
             raise TrainingError(f"learning rate must be > 0, got {self.learning_rate}")
-        if self.contrast_coefficient < 0:
+        if not self.contrast_coefficient >= 0:
             raise TrainingError("contrast coefficient must be >= 0")
         if self.epochs < 1 or self.window < 1 or self.min_count < 1:
             raise TrainingError("epochs, window, min_count must all be >= 1")
@@ -88,7 +88,7 @@ class TrainingConfig:
             raise TrainingError(f"threads must be 1, got {self.threads}: training runs in one thread")
         if self.subsample is not None and not self.subsample > 0:
             raise TrainingError("subsample threshold must be > 0 or None")
-        if self.noise_exponent < 0:
+        if not self.noise_exponent >= 0:
             raise TrainingError("noise exponent must be >= 0")
         if self.max_contrast_neighbors is not None and self.max_contrast_neighbors < 1:
             raise TrainingError("max_contrast_neighbors must be >= 1 or None")

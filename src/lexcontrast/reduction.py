@@ -1,9 +1,22 @@
 """Low-rank reduction of sparse weighted matrices via truncated SVD.
 
 Small matrices go through an exact dense SVD; large ones use randomized
-subspace iteration (Gaussian sketch, QR re-orthonormalization, a few power
-iterations), which concentrates the spectrum well enough for decaying
-singular values at a fraction of the dense cost.
+subspace iteration, which concentrates the spectrum well enough for decaying
+singular values at a fraction of the dense cost (Halko, Martinsson & Tropp
+2011, arXiv:0909.4061):
+
+- a seeded Gaussian sketch Y = A Omega, k + oversample columns wide;
+- a few power iterations Y <- A (A^T Y). The basis is renormalized after
+  every product with the permuted L factor of an LU factorization, which
+  keeps the columns from collapsing onto the top singular vector and spans
+  the same subspace as a QR would, at a fraction of the cost (Li et al.
+  2017, "Algorithm 971", arXiv:1412.3510);
+- one economic QR of the final Y gives the orthonormal basis Q;
+- the small SVD is taken of the tall B^T = A^T Q rather than of the wide
+  B = Q^T A, which LAPACK factors faster; A ~ (Q Ub) diag(s) Vt follows.
+
+scipy.linalg supplies the LU. It is imported on the randomized path only,
+so that importing the package, and the dense path, do not pay for it.
 """
 
 from __future__ import annotations
@@ -45,23 +58,25 @@ class SvdResult:
 
 def _dense_svd(matrix: np.ndarray, k: int):
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, :k], s[:k], vt[:k]
+    return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
 
 
 def _randomized_svd(matrix, k: int, seed: int, oversample: int, power_iters: int):
+    from scipy.linalg import lu
+
+    def normalized(block):
+        return lu(block, permute_l=True, check_finite=False)[0]
+
     n, m = matrix.shape
     sketch = min(k + oversample, min(n, m))
-    rng = rng_for(seed, "svd-sketch")
-    omega = rng.standard_normal((m, sketch))
-    q, _ = np.linalg.qr(matrix @ omega)
+    y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))
     for _ in range(power_iters):
-        q, _ = np.linalg.qr(matrix.T @ q)
-        q, _ = np.linalg.qr(matrix @ q)
-    b = q.T @ matrix
-    if sparse.issparse(b):
-        b = np.asarray(b.todense())
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    return (q @ ub)[:, :k], s[:k], vt[:k]
+        y = matrix @ normalized(matrix.T @ normalized(y))
+    q = np.linalg.qr(y)[0]
+    del y  # the block is as large as q; keep it out of the final SVD's peak
+    # B^T = A^T Q = V diag(s) Ub^T, so A ~ Q B = (Q Ub) diag(s) V^T
+    v, s, ubt = np.linalg.svd(matrix.T @ q, full_matrices=False)
+    return q @ ubt[:k].T, s[:k].copy(), v[:, :k].T.copy()
 
 
 def truncated_svd(
@@ -82,7 +97,7 @@ def truncated_svd(
     """
     if dim < 1:
         raise ReductionError(f"dim must be >= 1, got {dim}")
-    if sigma_exponent < 0:
+    if not sigma_exponent >= 0:
         raise ReductionError("sigma exponent must be >= 0")
     if mode not in ("auto", "dense", "randomized"):
         raise ReductionError(f"unknown svd mode {mode!r}")

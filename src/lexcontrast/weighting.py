@@ -114,9 +114,10 @@ def compute_lmi(counts: CooccurrenceCounts, vocab: Vocabulary | None = None) -> 
 def pair_cosines(matrix, a, b) -> np.ndarray:
     """Cosine between rows a[i] and b[i] of a dense array or a sparse matrix.
 
-    Only the rows the pairs name are read. They are scaled to unit norm
-    once, so a row of norm 0 scores 0 against any row, and all the pair dot
-    products are taken in one call.
+    Only the rows the pairs name are read, and all the pair dot products are
+    taken in one call. Each cosine is the raw dot product over the product
+    of the two norms, so parallel rows score exactly +-1 when the
+    arithmetic allows it; a row of norm 0 scores 0 against any row.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -127,11 +128,12 @@ def pair_cosines(matrix, a, b) -> np.ndarray:
     sub = matrix[rows]
     if sparse.issparse(sub):
         norms = np.sqrt(np.asarray(sub.multiply(sub).sum(axis=1)).ravel())
-        unit = sparse.diags(_ratio(1.0, norms)) @ sub
-        return np.asarray(unit[left].multiply(unit[right]).sum(axis=1)).ravel()
-    sub = np.asarray(sub, dtype=np.float64)
-    unit = sub * _ratio(1.0, np.linalg.norm(sub, axis=1))[:, None]
-    return np.einsum("ij,ij->i", unit[left], unit[right])
+        dots = np.asarray(sub[left].multiply(sub[right]).sum(axis=1)).ravel()
+    else:
+        sub = np.asarray(sub, dtype=np.float64)
+        norms = np.linalg.norm(sub, axis=1)
+        dots = np.einsum("ij,ij->i", sub[left], sub[right])
+    return _ratio(dots, norms[left] * norms[right])
 
 
 def _ratio(num, den: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 These are the per-pair and per-cell loops the package used before pair
 scoring, the contrast transform and tie-averaged ranking became whole-array
 operations, the single-threaded per-pair SGD loop from before training was
-batched, the batch rule spelled out one pair at a time, and the vector writer
-from before it took the header lines itself. They stay here, unchanged in
+batched, the batch rule spelled out one pair at a time, the vector writer
+from before it took the header lines itself, co-occurrence counting with
+separate target and feature chunks, and the randomized SVD that took a QR
+after every product of its subspace iteration. They stay here, unchanged in
 behaviour, as oracles for the property tests.
 """
 
@@ -14,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from lexcontrast import embeddings as emb
-from lexcontrast.corpus import CorpusError, encode_lines
+from lexcontrast.corpus import CooccurrenceCounts, CorpusError, encode_lines
 from lexcontrast.seeding import rng_for
 from lexcontrast.tsvio import atomic_writer
 from lexcontrast.weighting import SCHEME_SA, WeightedMatrix
@@ -434,3 +436,76 @@ def write_embeddings_with_meta(path, vectors, meta) -> None:
         fh.write(f"{len(vectors)} {vectors.dim}\n")
         for word, row in zip(vectors.words, vectors.matrix):
             fh.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
+
+
+# --- the randomized SVD
+
+
+def randomized_svd(matrix, k: int, seed: int, oversample: int, power_iters: int):
+    """Subspace iteration with a QR after every product, and the SVD of the wide B."""
+    n, m = matrix.shape
+    sketch = min(k + oversample, min(n, m))
+    rng = rng_for(seed, "svd-sketch")
+    omega = rng.standard_normal((m, sketch))
+    q, _ = np.linalg.qr(matrix @ omega)
+    for _ in range(power_iters):
+        q, _ = np.linalg.qr(matrix.T @ q)
+        q, _ = np.linalg.qr(matrix @ q)
+    b = q.T @ matrix
+    if sparse.issparse(b):
+        b = np.asarray(b.todense())
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    return (q @ ub)[:, :k], s[:k], vt[:k]
+
+
+# --- co-occurrence counting
+
+
+def count_cooccurrences(lines, vocab, window, dynamic_window=False, seed=0) -> CooccurrenceCounts:
+    """Separate target and feature chunks per offset, one `np.full` per line."""
+    if window < 1:
+        raise CorpusError(f"window must be >= 1, got {window}")
+    id_lines = encode_lines(lines, vocab)
+    if not id_lines or len(vocab) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return CooccurrenceCounts(len(vocab), window, empty, empty.copy(), empty.copy())
+
+    tok = np.concatenate([ids for ids in id_lines]) if id_lines else np.zeros(0, dtype=np.int64)
+    line_id = (
+        np.concatenate([np.full(len(ids), i, dtype=np.int64) for i, ids in enumerate(id_lines)])
+        if id_lines
+        else np.zeros(0, dtype=np.int64)
+    )
+    if len(tok) < 2:
+        empty = np.zeros(0, dtype=np.int64)
+        return CooccurrenceCounts(len(vocab), window, empty, empty.copy(), empty.copy())
+
+    if dynamic_window:
+        rng = np.random.default_rng(seed)
+        eff = rng.integers(1, window + 1, size=len(tok))
+    else:
+        eff = None
+
+    target_chunks = []
+    feature_chunks = []
+    for off in range(1, window + 1):
+        if off >= len(tok):
+            break
+        same_line = line_id[:-off] == line_id[off:]
+        left = tok[:-off]
+        right = tok[off:]
+        # center on the left token: context is `off` to the right
+        mask = same_line if eff is None else same_line & (eff[:-off] >= off)
+        target_chunks.append(left[mask])
+        feature_chunks.append(right[mask])
+        # center on the right token: context is `off` to the left
+        mask = same_line if eff is None else same_line & (eff[off:] >= off)
+        target_chunks.append(right[mask])
+        feature_chunks.append(left[mask])
+
+    targets = np.concatenate(target_chunks) if target_chunks else np.zeros(0, dtype=np.int64)
+    features = np.concatenate(feature_chunks) if feature_chunks else np.zeros(0, dtype=np.int64)
+    keys = targets.astype(np.int64) * len(vocab) + features.astype(np.int64)
+    uniq, counts = np.unique(keys, return_counts=True)
+    t, f, c = uniq // len(vocab), uniq % len(vocab), counts.astype(np.int64)
+    return CooccurrenceCounts(len(vocab), window, t, f, c)

@@ -346,9 +346,18 @@ class TestSurface:
     def test_options_match_snapshot(self):
         assert option_table() == json.loads(OPTIONS.read_text())
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
+    @staticmethod
+    def _loaded_by_cli_import(module: str) -> bool:
+        """Whether importing the CLI in a fresh interpreter loads `module`."""
         src = str(Path(lexcontrast.__file__).resolve().parents[1])
-        code = "import sys, lexcontrast.cli; print('scipy.stats' in sys.modules)"
+        code = f"import sys, lexcontrast.cli; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": src}, check=True)
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip() == "True"
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        assert not self._loaded_by_cli_import("scipy.stats")
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # the randomized SVD imports it when it runs
+        assert not self._loaded_by_cli_import("scipy.linalg")

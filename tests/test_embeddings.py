@@ -454,6 +454,11 @@ class TestSgnsTraining:
                 TrainingConfig(dim=6, min_count=1, threads=threads)
         assert TrainingConfig(dim=6, min_count=1, threads=1).threads == 1
 
+    @pytest.mark.parametrize("field", ["noise_exponent", "contrast_coefficient"])
+    def test_nan_knobs_are_refused(self, field):
+        with pytest.raises(TrainingError, match=field.replace("_", " ")):
+            TrainingConfig(dim=6, min_count=1, **{field: float("nan")})
+
     def test_embeddings_export(self):
         lines = _toy_corpus(np.random.default_rng(15), n_lines=20)
         vocab = build_vocabulary(lines, min_count=1)

@@ -2,8 +2,9 @@
 ranks against the loop implementations they replaced; the batched SGNS/dLCE
 trainers against the batch rule spelled out pair by pair and, at batch size
 1, step by step against the per-pair loop they replaced; sigmoid and contrast
-gradients against that loop's versions bit for bit, and the contrast step
-against its old form (tests/oracles.py).
+gradients against that loop's versions bit for bit, the contrast step
+against its old form, co-occurrence counting against its chunked form, and the
+LU-normalized randomized SVD against the QR-normalized one (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
 they are continuous: a contrast weight is then exactly 0 only where both of
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
-from lexcontrast import embeddings
-from lexcontrast.corpus import Vocabulary, build_vocabulary
+from lexcontrast import embeddings, reduction
+from lexcontrast.corpus import Vocabulary, build_vocabulary, count_cooccurrences
 from lexcontrast.embeddings import (
     TrainingConfig,
     TrainingError,
@@ -337,3 +338,68 @@ def test_contrast_step_matches_old_form(case):
         state.apply(W, w, c, alpha)
         oracles.apply_contrast(state, want, w, c, alpha)
         _assert_close(W, want)
+
+
+# --- co-occurrence counting against its chunked form
+
+
+@st.composite
+def corpora(draw):
+    """Token lines over a few words, with empty lines and out-of-vocabulary tokens."""
+    words = _words(draw(st.integers(0, 8)))
+    token = st.sampled_from(words + ["oov0", "oov1"])
+    lines = draw(st.lists(st.lists(token, max_size=12), max_size=15))
+    return lines, Vocabulary.from_counts({w: len(words) - i for i, w in enumerate(words)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), st.integers(1, 6), st.booleans(), st.integers(0, 1000))
+def test_cooccurrence_counts_match_chunked_oracle(case, window, dynamic_window, seed):
+    lines, vocab = case
+    got = count_cooccurrences(lines, vocab, window, dynamic_window=dynamic_window, seed=seed)
+    want = oracles.count_cooccurrences(lines, vocab, window, dynamic_window=dynamic_window, seed=seed)
+    assert (got.n_words, got.window) == (want.n_words, want.window)
+    for field in ("targets", "features", "counts"):
+        _same_bits(getattr(got, field), getattr(want, field))
+
+
+# --- the randomized SVD against the QR-normalized subspace iteration
+
+
+@st.composite
+def svd_cases(draw):
+    """A wide or tall matrix, dense or sparse, with a rank to cut it at.
+
+    Rank-deficient matrices are exactly so: every row is a power-of-two
+    multiple of one of r < 4 continuous rows, so their rank sits below the
+    sketch width and their nonzero singular values are distinct.
+    """
+    n, m = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(["full", "rank-deficient", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "full":
+        dense = rng.standard_normal((n, m)) * (rng.random((n, m)) < draw(st.sampled_from([0.2, 1.0])))
+    elif kind == "rank-deficient":
+        basis = rng.standard_normal((draw(st.integers(1, 3)), m))
+        scale = 2.0 ** rng.integers(-2, 3, n) * rng.choice([-1.0, 1.0], n)
+        dense = scale[:, None] * basis[rng.integers(0, len(basis), n)]
+    else:
+        dense = np.zeros((n, m))
+    dense[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    matrix = sparse.csr_matrix(dense) if draw(st.booleans()) else dense
+    return dense, matrix, kind, draw(st.integers(1, min(n, m) + 2)), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(svd_cases())
+def test_randomized_svd_matches_qr_oracle(case):
+    dense, matrix, kind, dim, seed = case
+    got = reduction.truncated_svd(matrix, dim, mode="randomized", seed=seed)
+    with mock.patch.object(reduction, "_randomized_svd", oracles.randomized_svd):
+        want = reduction.truncated_svd(matrix, dim, mode="randomized", seed=seed)
+    scale = max(1.0, want.singular_values[0])
+    np.testing.assert_allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(got.reconstruction(), want.reconstruction(),
+                               rtol=0, atol=1e-9 * np.linalg.norm(dense))
+    if kind != "full":
+        assert got.effective_rank == want.effective_rank

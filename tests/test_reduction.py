@@ -140,6 +140,19 @@ class TestConventions:
         with pytest.raises(ReductionError):
             truncated_svd(np.eye(3), 2, mode="fast")
 
+    def test_nan_sigma_exponent_is_refused(self):
+        with pytest.raises(ReductionError, match="sigma exponent"):
+            truncated_svd(np.eye(3), 2, sigma_exponent=float("nan"))
+
+    @pytest.mark.parametrize("mode", ["dense", "randomized"])
+    def test_result_arrays_own_their_memory(self, mode):
+        # a view would keep the whole factorization it was cut from alive
+        dense = np.random.default_rng(11).standard_normal((30, 20))
+        result = truncated_svd(dense, 5, mode=mode)
+        for array in (result.row_vectors, result.singular_values,
+                      result.left_vectors, result.right_vectors):
+            assert array.flags.owndata
+
     def test_sparse_and_dense_inputs_agree(self):
         rng = np.random.default_rng(10)
         dense = rng.standard_normal((9, 6)) * (rng.random((9, 6)) > 0.4)
