@@ -48,7 +48,6 @@ from .lexicon import (  # noqa: F401
 from .reduction import ReductionError, SvdResult, truncated_svd  # noqa: F401
 from .vectors import DenseEmbeddings, VectorsError, read_embeddings, write_embeddings  # noqa: F401
 from .weighting import (  # noqa: F401
-    FeatureOccurrenceIndex,
     WeightedMatrix,
     WeightingError,
     build_feature_index,

@@ -276,6 +276,8 @@ def read_counts(path) -> CooccurrenceCounts:
         raise CorpusError(f"{path}: stored counts must be positive")
     if len(targets) and (targets.max() >= n_words or features.max() >= n_words):
         raise CorpusError(f"{path}: id out of range for n_words={n_words}")
+    if len(np.unique(targets * n_words + features)) < len(targets):
+        raise CorpusError(f"{path}: duplicate (target, feature) rows")
     order = np.lexsort((features, targets))
     return CooccurrenceCounts(
         n_words, window, targets[order], features[order], values[order]

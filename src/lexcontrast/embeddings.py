@@ -46,7 +46,7 @@ from .corpus import (
 from .lexicon import ContrastLexicon
 from .seeding import rng_for
 from .vectors import DenseEmbeddings
-from .weighting import FeatureOccurrenceIndex
+from .weighting import relation_matrix
 
 MIN_ALPHA_FRACTION = 1e-4  # floor of the linear decay, as a fraction of alpha0
 
@@ -346,69 +346,55 @@ def counted_pairs(targets: np.ndarray, contexts: np.ndarray) -> list[tuple[int, 
 
 
 class _ContrastState:
-    """Per-(word, context) synonym/antonym intersections, cached on first use.
+    """Per-(word, context) synonym/antonym sets, found in bulk and cached.
 
-    Uses the plain antonym sets, not the enriched ones. When a capped
-    intersection exceeds max_contrast_neighbors it is sampled without
-    replacement, deterministically per (word, context) key.
+    The synonyms of w that hold feature c are the row S[w] * H.T[c], with S
+    the 0/1 synonym matrix of `relation_matrix`, H the feature-holder matrix
+    of `build_feature_index` and * the elementwise product; the antonyms
+    likewise, from the plain antonym matrix, not the enriched one. When a set
+    exceeds max_contrast_neighbors it is sampled without replacement,
+    deterministically per (word, context) key.
     """
 
-    def __init__(
-        self,
-        lex: ContrastLexicon,
-        vocab: Vocabulary,
-        idx: FeatureOccurrenceIndex,
-        cfg: TrainingConfig,
-    ):
-        ids = vocab.word_ids
-        self.syn: dict[int, tuple[int, ...]] = {}
-        self.ant: dict[int, tuple[int, ...]] = {}
-        for word in lex.words():
-            wid = ids.get(word)
-            if wid is None:
-                continue
-            syn = tuple(sorted(ids[u] for u in lex.synonyms(word) if u in ids))
-            ant = tuple(sorted(ids[v] for v in lex.antonyms(word) if v in ids))
-            if syn:
-                self.syn[wid] = syn
-            if ant:
-                self.ant[wid] = ant
-        self.idx = idx
-        self.cap = cfg.max_contrast_neighbors
-        self.seed = cfg.seed
-        self.beta = cfg.contrast_coefficient
+    def __init__(self, lex: ContrastLexicon, vocab: Vocabulary, idx: sparse.csr_matrix, cfg: TrainingConfig):
+        self.n = len(vocab)
+        if idx.shape != (self.n, self.n):
+            raise TrainingError(f"feature index has shape {idx.shape}, the vocabulary {self.n} words")
+        self.sides = (relation_matrix(lex, "syn", vocab), relation_matrix(lex, "ant", vocab))
+        self.held_by = sparse.csr_matrix(idx.T)  # row c: the words that hold feature c
+        self.in_lexicon = (np.diff(self.sides[0].indptr) + np.diff(self.sides[1].indptr)) > 0
+        self.cap, self.seed, self.beta = cfg.max_contrast_neighbors, cfg.seed, cfg.contrast_coefficient
         self.cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
-        self.in_lexicon = np.zeros(len(vocab), dtype=bool)
-        self.in_lexicon[list(self.syn.keys() | self.ant.keys())] = True
 
-    def _capped(self, members: list[int], w: int, c: int, side: str) -> np.ndarray:
-        arr = np.array(members, dtype=np.int64)
-        if self.cap is not None and len(arr) > self.cap:
-            rng = rng_for(self.seed, "contrast", side, w, c)
-            arr = np.sort(rng.choice(arr, size=self.cap, replace=False))
-        return arr
+    def _capped(self, members: np.ndarray, key: tuple[int, int], side: str) -> np.ndarray:
+        if self.cap is None or len(members) <= self.cap:
+            return members
+        rng = rng_for(self.seed, "contrast", side, *key)
+        return np.sort(rng.choice(members, size=self.cap, replace=False))
+
+    def _find(self, keys: list[tuple[int, int]]) -> None:
+        """Cache the sets of the (w, c) keys, with one product per side for all of them."""
+        words, contexts = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        held = self.held_by[contexts]
+        (syn, s_ptr), (ant, a_ptr) = ((m.indices.astype(np.int64), m.indptr.tolist())
+                                      for m in (rel[words].multiply(held) for rel in self.sides))
+        for i, key in enumerate(keys):
+            u, v = syn[s_ptr[i]:s_ptr[i + 1]], ant[a_ptr[i]:a_ptr[i + 1]]
+            self.cache[key] = (self._capped(u, key, "syn"), self._capped(v, key, "ant")) if len(u) or len(v) else None
 
     def pair_sets(self, w: int, c: int):
-        key = (w, c)
-        if key in self.cache:
-            return self.cache[key]
-        syn = self.syn.get(w)
-        ant = self.ant.get(w)
-        sets = None
-        if syn is not None or ant is not None:
-            holders = self.idx.words_for(c)
-            u = [x for x in syn or () if x in holders]
-            v = [x for x in ant or () if x in holders]
-            if u or v:
-                sets = (self._capped(u, w, c, "syn"), self._capped(v, w, c, "ant"))
-        self.cache[key] = sets
-        return sets
+        key = (int(w), int(c))
+        if key not in self.cache:
+            self._find([key])
+        return self.cache[key]
 
     def hits(self, targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
         """Indices of the (target, context) pairs that have a contrast set."""
         cand = np.flatnonzero(self.in_lexicon[targets])
-        pairs = zip(targets[cand].tolist(), contexts[cand].tolist())
-        return cand[np.array([self.pair_sets(w, c) is not None for w, c in pairs], dtype=bool)]
+        codes, inverse = np.unique(targets[cand].astype(np.int64) * self.n + contexts[cand], return_inverse=True)
+        keys = [divmod(code, self.n) for code in codes.tolist()]
+        self._find([key for key in keys if key not in self.cache])
+        return cand[np.array([self.cache[key] is not None for key in keys], dtype=bool)[inverse]]
 
     def apply(self, W: np.ndarray, w: int, c: int, alpha: float) -> None:
         """One contrast step for the pair (w, c), if it has a contrast set.
@@ -567,10 +553,11 @@ def train_dlce(
     vocab: Vocabulary,
     cfg: TrainingConfig,
     lex: ContrastLexicon,
-    idx: FeatureOccurrenceIndex,
+    idx: sparse.csr_matrix,
     progress: TextIO | None = None,
 ) -> EmbeddingModel:
-    """Train embeddings with the per-context synonym/antonym contrast term.
+    """Train embeddings with the per-context synonym/antonym contrast term,
+    whose sets come from `idx`, the holder matrix of `build_feature_index`.
 
     With an empty lexicon this is bit-identical to train_sgns under the same
     seed.

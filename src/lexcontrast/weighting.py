@@ -8,17 +8,19 @@ weights, opposite-side features go negative, and features shared by both
 sides land near zero.
 
 The transform is whole-matrix sparse algebra over the lexicon rows. With L
-the LMI matrix, S and A the 0/1 synonym and enriched-antonym matrices, S_cos
-the row cosines of L on S's pattern and B the 0/1 feature-holder matrix,
+the LMI matrix, B = (L > 0) its 0/1 feature-holder matrix
+(`build_feature_index`), S and A the 0/1 synonym and enriched-antonym
+matrices (`relation_matrix`) and S_cos the row cosines of L on S's pattern,
 each stored cell of L takes (S_cos B)/(S B) minus either the pooled antonym
 term (A S_cos B)/(A S B) or the per-antonym term (A m)/(A [S B > 0]) with
 m = (S_cos B)/(S B). `pair_cosines`, which gives S_cos, also scores
-evaluation pairs.
+evaluation pairs. The contrast trainer reads its per-pair sets from the same
+B and relation matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -158,71 +160,27 @@ def _with_data(pattern: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matri
     return sparse.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
 
 
-def _zero_one(cells: list[tuple[int, int]], shape: tuple[int, int]) -> sparse.csr_matrix:
-    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
-    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
-
-
-@dataclass(frozen=True)
-class FeatureOccurrenceIndex:
-    """Inverse map: feature id -> set of word ids with a positive stored weight."""
-
-    index: dict[int, frozenset[int]]
-    _holders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def words_for(self, feature_id: int) -> frozenset[int]:
-        return self.index.get(feature_id, frozenset())
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def holders(self, shape: tuple[int, int]) -> sparse.csr_matrix:
-        """0/1 word-by-feature matrix of the index, built once per shape.
-
-        Ids outside `shape` are left out: no cell of that shape can hold them.
-        """
-        if shape not in self._holders:
-            cells = [(w, f) for f, words in self.index.items() if 0 <= f < shape[1]
-                     for w in words if 0 <= w < shape[0]]
-            self._holders[shape] = _zero_one(cells, shape)
-        return self._holders[shape]
-
-
-def build_feature_index(lmi: WeightedMatrix) -> FeatureOccurrenceIndex:
-    """Invert a positively-weighted matrix by column."""
+def build_feature_index(lmi: WeightedMatrix) -> sparse.csr_matrix:
+    """The 0/1 feature-holder matrix B = (L > 0) of an LMI matrix L: row w
+    marks the features w holds, column f the words that hold feature f."""
     if lmi.scheme != SCHEME_LMI:
         raise WeightingError(f"feature index expects an LMI matrix, got {lmi.scheme}")
-    csc = lmi.matrix.tocsc()
-    bounds = zip(csc.indptr[:-1].tolist(), csc.indptr[1:].tolist())
-    idx = FeatureOccurrenceIndex(
-        {f: frozenset(csc.indices[s:e].tolist()) for f, (s, e) in enumerate(bounds) if e > s}
-    )
-    idx._holders[lmi.shape] = _with_data(lmi.matrix, np.ones(len(lmi)))
-    return idx
+    return (lmi.matrix > 0).astype(np.float64)
 
 
-def _lexicon_matrices(lex: ContrastLexicon, vocab: Vocabulary):
-    """(rows, S, A) over the lexicon words in the vocabulary.
-
-    `rows` holds their sorted ids; S[i, u] = 1 when u is a synonym of
-    rows[i], A[i, j] = 1 when rows[j] is an enriched antonym of rows[i]. An
-    antonym that is no lexicon word has no synonyms and so no column.
-    """
+def relation_matrix(lex: ContrastLexicon, relation: str, vocab: Vocabulary) -> sparse.csr_matrix:
+    """0/1 vocab-by-vocab matrix R of the lexicon relation "syn", "ant" or "ant_enriched":
+    R[i, j] = 1 when word j is related to word i; words outside the vocabulary drop out."""
     ids = vocab.word_ids
-    entries = sorted((ids[w], w) for w in lex.words() if w in ids)
-    rows = np.array([wid for wid, _ in entries], dtype=np.int64)
-    position = {wid: i for i, (wid, _) in enumerate(entries)}
-    syn_cells: list[tuple[int, int]] = []
-    ant_cells: list[tuple[int, int]] = []
-    for i, (_, word) in enumerate(entries):
-        syn_cells += [(i, ids[u]) for u in lex.synonyms(word) if u in ids]
-        ant_cells += [(i, position[ids[a]]) for a in lex.enriched_antonyms(word) if ids.get(a) in position]
-    return rows, _zero_one(syn_cells, (len(rows), len(vocab))), _zero_one(ant_cells, (len(rows), len(rows)))
+    cells = [(ids[w], ids[u]) for w, related in getattr(lex, relation).items() if w in ids
+             for u in related if u in ids]
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(vocab), len(vocab)))
 
 
 def compute_weight_sa(
     lmi: WeightedMatrix,
-    idx: FeatureOccurrenceIndex,
+    idx: sparse.csr_matrix,
     lex: ContrastLexicon,
     vocab: Vocabulary,
     ant_mean: str = "pooled",
@@ -231,7 +189,8 @@ def compute_weight_sa(
     """Transform LMI weights into lexical-contrast weights.
 
     For each stored cell (w, f): the synonym term averages cosine(w, u) over
-    synonyms u of w that hold feature f; the antonym term averages
+    synonyms u of w that hold feature f in `idx`, the holder matrix of
+    `build_feature_index` (of L's shape); the antonym term averages
     cosine(w', v) over enriched antonyms w' of w paired with their own
     feature-holding synonyms v. The cell weight is synonym term minus antonym
     term; an empty side contributes 0, and weights equal to 0 are not
@@ -249,13 +208,17 @@ def compute_weight_sa(
         raise WeightingError(f"ant_mean must be 'pooled' or 'per-antonym', got {ant_mean!r}")
     if lex.ant and not lex.ant_enriched:
         raise WeightingError("lexicon has antonyms but no enriched sets; run enrich_antonyms first")
+    if idx.shape != lmi.shape:
+        raise WeightingError(f"feature index has shape {idx.shape}, the LMI matrix {lmi.shape}")
 
     matrix = lmi.matrix
-    rows, syn, ant = _lexicon_matrices(lex, vocab)
+    ids = vocab.word_ids
+    rows = np.array(sorted(ids[w] for w in lex.words() if w in ids), dtype=np.int64)
+    syn = relation_matrix(lex, "syn", vocab)[rows]
+    ant = relation_matrix(lex, "ant_enriched", vocab)[rows][:, rows]
     s_rows, s_cols = _cells(syn)
     syn_cos = _with_data(syn, pair_cosines(matrix, rows[s_rows], s_cols))
-    holders = idx.holders(matrix.shape)
-    syn_num, syn_den = syn_cos @ holders, syn @ holders
+    syn_num, syn_den = syn_cos @ idx, syn @ idx
 
     cell_rows, cell_cols = _cells(matrix[rows])
     term_syn = _ratio(_values_at(syn_num, cell_rows, cell_cols), _values_at(syn_den, cell_rows, cell_cols))
@@ -302,7 +265,12 @@ def read_weighted(path) -> WeightedMatrix:
         rows.append(int(fields[0]))
         cols.append(int(fields[1]))
         vals.append(float(fields[2]))
-    matrix = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(n_words, n_features)
-    ).tocsr()
-    return WeightedMatrix(scheme, matrix)
+    wm = WeightedMatrix(scheme, sparse.coo_matrix((vals, (rows, cols)), shape=(n_words, n_features)).tocsr())
+    if len(wm) < len(vals):  # converting to CSR summed repeated cells
+        raise WeightingError(f"{path}: duplicate (target, feature) cells")
+    if scheme == SCHEME_LMI:
+        try:
+            wm.validate()
+        except WeightingError as exc:
+            raise WeightingError(f"{path}: {exc}") from None
+    return wm

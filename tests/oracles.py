@@ -2,15 +2,19 @@
 
 These are the per-pair and per-cell loops the package used before pair
 scoring, the contrast transform and tie-averaged ranking became whole-array
-operations, the single-threaded per-pair SGD loop from before training was
-batched, the batch rule spelled out one pair at a time, the vector writer
-from before it took the header lines itself, co-occurrence counting with
-separate target and feature chunks, and the randomized SVD that took a QR
-after every product of its subspace iteration. They stay here, unchanged in
-behaviour, as oracles for the property tests.
+operations, the frozenset feature index and the per-key contrast sets from
+before both routes read one sparse holder matrix, the single-threaded
+per-pair SGD loop from before training was batched, the batch rule spelled
+out one pair at a time, the vector writer from before it took the header
+lines itself, co-occurrence counting with separate target and feature
+chunks, and the randomized SVD that took a QR after every product of its
+subspace iteration. They stay here, unchanged in behaviour, as oracles for
+the property tests.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -185,6 +189,91 @@ def compute_weight_sa(lmi, idx, lex, vocab, ant_mean="pooled", fallback_lmi=Fals
         (out_vals, (out_rows, out_cols)), shape=(n_words, n_features)
     ).tocsr()
     return WeightedMatrix(SCHEME_SA, result)
+
+
+# --- the frozenset feature index and the per-key contrast sets
+
+
+@dataclass(frozen=True)
+class FeatureOccurrenceIndex:
+    """Inverse map: feature id -> set of word ids with a positive stored weight."""
+
+    index: dict[int, frozenset[int]]
+
+    def words_for(self, feature_id: int) -> frozenset[int]:
+        return self.index.get(feature_id, frozenset())
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def feature_index(holders) -> FeatureOccurrenceIndex:
+    """The frozenset index of a 0/1 holder matrix, inverted by column."""
+    csc = sparse.csc_matrix(holders)
+    bounds = zip(csc.indptr[:-1].tolist(), csc.indptr[1:].tolist())
+    return FeatureOccurrenceIndex(
+        {f: frozenset(csc.indices[s:e].tolist()) for f, (s, e) in enumerate(bounds) if e > s}
+    )
+
+
+class ContrastState:
+    """Per-(word, context) synonym/antonym intersections, cached on first use.
+
+    Uses the plain antonym sets, not the enriched ones. When a capped
+    intersection exceeds max_contrast_neighbors it is sampled without
+    replacement, deterministically per (word, context) key.
+    """
+
+    def __init__(self, lex, vocab, idx: FeatureOccurrenceIndex, cfg):
+        ids = vocab.word_ids
+        self.syn: dict[int, tuple[int, ...]] = {}
+        self.ant: dict[int, tuple[int, ...]] = {}
+        for word in lex.words():
+            wid = ids.get(word)
+            if wid is None:
+                continue
+            syn = tuple(sorted(ids[u] for u in lex.synonyms(word) if u in ids))
+            ant = tuple(sorted(ids[v] for v in lex.antonyms(word) if v in ids))
+            if syn:
+                self.syn[wid] = syn
+            if ant:
+                self.ant[wid] = ant
+        self.idx = idx
+        self.cap = cfg.max_contrast_neighbors
+        self.seed = cfg.seed
+        self.beta = cfg.contrast_coefficient
+        self.cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
+        self.in_lexicon = np.zeros(len(vocab), dtype=bool)
+        self.in_lexicon[list(self.syn.keys() | self.ant.keys())] = True
+
+    def _capped(self, members: list[int], w: int, c: int, side: str) -> np.ndarray:
+        arr = np.array(members, dtype=np.int64)
+        if self.cap is not None and len(arr) > self.cap:
+            rng = rng_for(self.seed, "contrast", side, w, c)
+            arr = np.sort(rng.choice(arr, size=self.cap, replace=False))
+        return arr
+
+    def pair_sets(self, w: int, c: int):
+        key = (w, c)
+        if key in self.cache:
+            return self.cache[key]
+        syn = self.syn.get(w)
+        ant = self.ant.get(w)
+        sets = None
+        if syn is not None or ant is not None:
+            holders = self.idx.words_for(c)
+            u = [x for x in syn or () if x in holders]
+            v = [x for x in ant or () if x in holders]
+            if u or v:
+                sets = (self._capped(u, w, c, "syn"), self._capped(v, w, c, "ant"))
+        self.cache[key] = sets
+        return sets
+
+    def hits(self, targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Indices of the (target, context) pairs that have a contrast set."""
+        cand = np.flatnonzero(self.in_lexicon[targets])
+        pairs = zip(targets[cand].tolist(), contexts[cand].tolist())
+        return cand[np.array([self.pair_sets(w, c) is not None for w, c in pairs], dtype=bool)]
 
 
 # --- the SGNS/dLCE training loop, one pair at a time

@@ -90,6 +90,30 @@ class TestExitCodes:
         assert code == 1
         assert "--vocab" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("artifact, fault", [
+        ("counts.tsv", "duplicate"), ("lmi.tsv", "duplicate"), ("lmi.tsv", "nonpositive")])
+    def test_bad_matrix_file_is_1(self, workspace, capsys, artifact, fault):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
+              "--out", "counts.tsv", "--config", "run.cfg"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+        lines = Path(artifact).read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        if fault == "duplicate":
+            lines.append(lines[first])
+        else:
+            lines[first] = lines[first].rsplit("\t", 1)[0] + "\t-4.0\n"
+        Path("bad.tsv").write_text("".join(lines))
+        capsys.readouterr()
+        if artifact == "counts.tsv":
+            code = main(["lmi", "--counts", "bad.tsv", "--out", "out.tsv"])
+        else:
+            code = main(["weight-sa", "--lmi", "bad.tsv", "--lexicon", "lexicon.tsv",
+                         "--vocab", "vocab.tsv", "--out", "out.tsv"])
+        assert code == 1
+        assert "bad.tsv" in capsys.readouterr().err
+        assert not Path("out.tsv").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

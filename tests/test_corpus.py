@@ -215,6 +215,12 @@ class TestCooccurrence:
         with pytest.raises(CorpusError):
             read_counts(path)
 
+    def test_read_counts_rejects_duplicate_cells(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("#n_words=3\n#window=2\n0\t1\t2\n1\t0\t2\n0\t1\t3\n")
+        with pytest.raises(CorpusError, match="counts.tsv.*duplicate"):
+            read_counts(path)
+
     def test_encode_drops_oov(self):
         vocab = build_vocabulary([["a", "b"]], min_count=1)
         encoded = encode_lines([["a", "x", "b", "y"]], vocab)

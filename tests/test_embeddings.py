@@ -2,11 +2,13 @@
 identities, finite-difference gradient checks, an independent objective
 oracle, and behavioral properties of the two training loops."""
 
+import io
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lexcontrast.corpus import (
     CorpusError,
@@ -42,7 +44,7 @@ from lexcontrast.embeddings import (
     train_sgns,
 )
 from lexcontrast.lexicon import ContrastLexicon
-from lexcontrast.weighting import FeatureOccurrenceIndex, build_feature_index, compute_lmi
+from lexcontrast.weighting import build_feature_index, compute_lmi
 from synthcorpus import build_world
 
 
@@ -346,9 +348,8 @@ def _toy_corpus(rng, n_lines=120):
 
 
 def _full_index(n_words):
-    """Feature index claiming every word holds every feature (for unit tests)."""
-    all_ids = frozenset(range(n_words))
-    return FeatureOccurrenceIndex({f: all_ids for f in range(n_words)})
+    """Feature-holder matrix claiming every word holds every feature (for unit tests)."""
+    return sparse.csr_matrix(np.ones((n_words, n_words)))
 
 
 class TestSgnsTraining:
@@ -357,13 +358,13 @@ class TestSgnsTraining:
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=8, negatives=4, window=3, epochs=2,
                              subsample=None, min_count=1, seed=5)
-        a = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
-        b = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
+        a = train_sgns(lines, vocab, cfg, progress=io.StringIO())
+        b = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(a.C, b.C)
         c = train_sgns(lines, vocab, TrainingConfig(
             dim=8, negatives=4, window=3, epochs=2,
-            subsample=None, min_count=1, seed=6), progress=open("/dev/null", "w"))
+            subsample=None, min_count=1, seed=6), progress=io.StringIO())
         assert not np.array_equal(a.W, c.W)
 
     def test_history_and_alpha_schedule(self):
@@ -371,7 +372,7 @@ class TestSgnsTraining:
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=4, negatives=2, window=2, epochs=3,
                              subsample=None, min_count=1, learning_rate=0.05)
-        model = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
+        model = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         assert [h["epoch"] for h in model.history] == [0, 1, 2]
         per_epoch = model.history[0]["pairs"]
         assert model.history[0]["alpha"] == 0.05
@@ -391,7 +392,7 @@ class TestSgnsTraining:
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=10, negatives=5, window=2, epochs=25,
                              subsample=None, min_count=1, learning_rate=0.05, seed=0)
-        emb = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w")).embeddings()
+        emb = train_sgns(lines, vocab, cfg, progress=io.StringIO()).embeddings()
 
         def cos(a, b):
             va, vb = emb.vector(a), emb.vector(b)
@@ -406,7 +407,7 @@ class TestSgnsTraining:
         cfg = TrainingConfig(dim=6, negatives=3, window=2, epochs=5,
                              subsample=None, min_count=1, learning_rate=0.05,
                              track_objective=True)
-        model = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
+        model = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         objectives = [h["objective"] for h in model.history]
         assert len(objectives) == 5
         for prev, cur in zip(objectives, objectives[1:]):
@@ -464,7 +465,7 @@ class TestSgnsTraining:
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=4, negatives=2, window=2, epochs=1,
                              subsample=None, min_count=1)
-        model = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
+        model = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         emb = model.embeddings(source="sgns")
         assert emb.source == "sgns"
         assert emb.words == list(vocab.words)
@@ -478,10 +479,10 @@ class TestContrastTraining:
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=8, negatives=4, window=3, epochs=2,
                              subsample=None, min_count=1, seed=3)
-        plain = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
+        plain = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         empty = ContrastLexicon.from_pairs([], [])
         contrast = train_dlce(lines, vocab, cfg, empty, _full_index(len(vocab)),
-                              progress=open("/dev/null", "w"))
+                              progress=io.StringIO())
         np.testing.assert_array_equal(plain.W, contrast.W)
         np.testing.assert_array_equal(plain.C, contrast.C)
 
@@ -491,10 +492,10 @@ class TestContrastTraining:
         cfg = TrainingConfig(dim=8, negatives=4, window=3, epochs=4,
                              subsample=None, min_count=1, seed=2,
                              learning_rate=0.05, contrast_coefficient=1.0)
-        plain = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
+        plain = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         lex = ContrastLexicon.from_pairs([("w0", "w1")], [("w0", "w2")])
         tuned = train_dlce(lines, vocab, cfg, lex, _full_index(len(vocab)),
-                           progress=open("/dev/null", "w"))
+                           progress=io.StringIO())
 
         def cos(model, a, b):
             va = model.W[vocab.id_of(a)]
@@ -511,8 +512,8 @@ class TestContrastTraining:
                              subsample=None, min_count=1, contrast_coefficient=0.0)
         lex = ContrastLexicon.from_pairs([("w0", "w1")], [("w0", "w2")])
         tuned = train_dlce(lines, vocab, cfg, lex, _full_index(len(vocab)),
-                           progress=open("/dev/null", "w"))
-        plain = train_sgns(lines, vocab, cfg, progress=open("/dev/null", "w"))
+                           progress=io.StringIO())
+        plain = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         np.testing.assert_allclose(tuned.W, plain.W, atol=1e-15)
         np.testing.assert_allclose(tuned.C, plain.C, atol=1e-15)
 
@@ -584,7 +585,12 @@ class TestContrastTraining:
         # the context word must be a shared feature of the neighbor
         vocab = Vocabulary.from_counts({"a": 3, "b": 2, "c": 1})
         lex = ContrastLexicon.from_pairs([("a", "b")], [])
-        idx = FeatureOccurrenceIndex({0: frozenset({0}), 1: frozenset({0})})
+        idx = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         state = _ContrastState(lex, vocab, idx, TrainingConfig(dim=2, min_count=1))
         assert state.pair_sets(0, 1) is None
-        assert state.pair_sets(0, 5) is None
+
+    def test_index_of_another_shape_is_refused(self):
+        vocab = Vocabulary.from_counts({"a": 3, "b": 2, "c": 1})
+        lex = ContrastLexicon.from_pairs([("a", "b")], [])
+        with pytest.raises(TrainingError, match="shape"):
+            _ContrastState(lex, vocab, _full_index(4), TrainingConfig(dim=2, min_count=1))

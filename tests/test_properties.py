@@ -1,17 +1,18 @@
 """Property tests: the vectorised scorer, contrast transform and tie-averaged
-ranks against the loop implementations they replaced; the batched SGNS/dLCE
-trainers against the batch rule spelled out pair by pair and, at batch size
-1, step by step against the per-pair loop they replaced; sigmoid and contrast
-gradients against that loop's versions bit for bit, the contrast step
-against its old form, co-occurrence counting against its chunked form, and the
-LU-normalized randomized SVD against the QR-normalized one (tests/oracles.py).
+ranks against the loop implementations they replaced; the trainer's contrast
+sets against the per-key frozenset form; the batched SGNS/dLCE trainers
+against the batch rule spelled out pair by pair and, at batch size 1, step by
+step against the per-pair loop they replaced; sigmoid and contrast gradients
+against that loop's versions bit for bit, the contrast step against its old
+form, co-occurrence counting against its chunked form, and the LU-normalized
+randomized SVD against the QR-normalized one (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
 they are continuous: a contrast weight is then exactly 0 only where both of
 its terms are empty or equal by structure, and the two implementations must
 agree on which cells they store. Hypothesis draws the structure: the shape,
 which cells and rows are empty, the lexicon, out-of-vocabulary words and
-hand-made feature indexes.
+hand-made feature-holder matrices.
 """
 
 from unittest import mock
@@ -40,7 +41,6 @@ from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
 from lexcontrast.vectors import DenseEmbeddings
 from lexcontrast.weighting import (
     SCHEME_LMI,
-    FeatureOccurrenceIndex,
     WeightedMatrix,
     build_feature_index,
     compute_weight_sa,
@@ -66,6 +66,14 @@ def _words(n):
 
 
 @st.composite
+def holder_matrices(draw, n, m):
+    """A hand-made 0/1 word-by-feature holder matrix with some empty columns."""
+    held = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))).reshape(n, m)
+    held[:, draw(st.lists(st.integers(0, m - 1), max_size=2))] = False
+    return sparse.csr_matrix(held.astype(np.float64))
+
+
+@st.composite
 def contrast_cases(draw):
     dense = draw(lmi_matrices())
     n, m = dense.shape
@@ -78,12 +86,7 @@ def contrast_cases(draw):
         ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=12)), draw(st.lists(pair, max_size=8)))
     )
     wm = WeightedMatrix(SCHEME_LMI, sparse.csr_matrix(dense))
-    if draw(st.booleans()):
-        idx = build_feature_index(wm)
-    else:
-        # hand-made: any word may hold any feature, ids past the matrix included
-        holders = st.frozensets(st.integers(0, n + 1), max_size=n)
-        idx = FeatureOccurrenceIndex(draw(st.dictionaries(st.integers(0, m + 1), holders, max_size=m + 2)))
+    idx = build_feature_index(wm) if draw(st.booleans()) else draw(holder_matrices(n, m))
     return wm, idx, lex, vocab
 
 
@@ -92,7 +95,8 @@ def contrast_cases(draw):
 def test_weight_sa_matches_per_cell_oracle(case, ant_mean, fallback_lmi):
     wm, idx, lex, vocab = case
     got = compute_weight_sa(wm, idx, lex, vocab, ant_mean=ant_mean, fallback_lmi=fallback_lmi)
-    want = oracles.compute_weight_sa(wm, idx, lex, vocab, ant_mean=ant_mean, fallback_lmi=fallback_lmi)
+    want = oracles.compute_weight_sa(wm, oracles.feature_index(idx), lex, vocab,
+                                     ant_mean=ant_mean, fallback_lmi=fallback_lmi)
     assert got.scheme == want.scheme
     assert got.matrix.nnz == want.matrix.nnz
     np.testing.assert_allclose(got.matrix.toarray(), want.matrix.toarray(), rtol=0, atol=TOL)
@@ -177,11 +181,7 @@ def training_cases(draw):
         ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=10)), draw(st.lists(pair, max_size=6)))
     )
     n = len(vocab)
-    if draw(st.booleans()):
-        idx = FeatureOccurrenceIndex({f: frozenset(range(n)) for f in range(n)})
-    else:
-        holders = st.frozensets(st.integers(0, n - 1), max_size=n)
-        idx = FeatureOccurrenceIndex(draw(st.dictionaries(st.integers(0, n - 1), holders, max_size=n)))
+    idx = sparse.csr_matrix(np.ones((n, n))) if draw(st.booleans()) else draw(holder_matrices(n, n))
     return lines, vocab, cfg, lex, idx
 
 
@@ -316,8 +316,7 @@ def contrast_steps(draw):
     vocab = Vocabulary.from_counts({w: n - i for i, w in enumerate(words)})
     pair = st.tuples(st.sampled_from(words), st.sampled_from(words))
     lex = ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=12)), draw(st.lists(pair, max_size=8)))
-    holders = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
-    idx = FeatureOccurrenceIndex(draw(st.dictionaries(st.integers(0, n - 1), holders, min_size=1, max_size=n)))
+    idx = draw(holder_matrices(n, n))
     cfg = TrainingConfig(dim=d, min_count=1, seed=draw(st.integers(0, 100)),
                          contrast_coefficient=draw(st.sampled_from([1.0, 3.0])),
                          max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])))
@@ -338,6 +337,41 @@ def test_contrast_step_matches_old_form(case):
         state.apply(W, w, c, alpha)
         oracles.apply_contrast(state, want, w, c, alpha)
         _assert_close(W, want)
+
+
+@st.composite
+def contrast_set_cases(draw):
+    """A lexicon over a few words, a holder matrix, a cap and a pair stream.
+
+    Drawn lexicons give words with synonyms only, antonyms only, both and
+    neither; an out-of-vocabulary word takes part; caps of 1 and 2 sample.
+    """
+    n = draw(st.integers(2, 9))
+    words = _words(n)
+    vocab = Vocabulary.from_counts({w: n - i for i, w in enumerate(words)})
+    pair = st.tuples(st.sampled_from(words + ["oov0"]), st.sampled_from(words + ["oov0"]))
+    lex = ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=12)), draw(st.lists(pair, max_size=8)))
+    cfg = TrainingConfig(dim=2, min_count=1, seed=draw(st.integers(0, 100)),
+                         max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])))
+    stream = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    targets, contexts = np.array(stream, dtype=np.int32).reshape(-1, 2).T
+    return lex, vocab, draw(holder_matrices(n, n)), cfg, targets, contexts
+
+
+@settings(max_examples=300, deadline=None)
+@given(contrast_set_cases())
+def test_contrast_sets_match_per_key_oracle(case):
+    lex, vocab, holders, cfg, targets, contexts = case
+    got = _ContrastState(lex, vocab, holders, cfg)
+    want = oracles.ContrastState(lex, vocab, oracles.feature_index(holders), cfg)
+    _same_bits(got.in_lexicon, want.in_lexicon)
+    _same_bits(got.hits(targets, contexts), want.hits(targets, contexts))
+    for w in range(len(vocab)):
+        for c in range(len(vocab)):
+            sets, old = got.pair_sets(w, c), want.pair_sets(w, c)
+            assert (sets is None) == (old is None)
+            for side, old_side in zip(sets or (), old or ()):
+                _same_bits(side, old_side)
 
 
 # --- co-occurrence counting against its chunked form

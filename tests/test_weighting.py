@@ -12,7 +12,6 @@ from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
 from lexcontrast.weighting import (
     SCHEME_LMI,
     SCHEME_SA,
-    FeatureOccurrenceIndex,
     WeightedMatrix,
     WeightingError,
     build_feature_index,
@@ -114,9 +113,8 @@ class TestFeatureIndex:
             dense = rng.random((n, m)) * (rng.random((n, m)) > 0.6)
             wm = WeightedMatrix(SCHEME_LMI, sparse.csr_matrix(dense))
             idx = build_feature_index(wm)
-            for f in range(m):
-                expected = frozenset(np.nonzero(dense[:, f])[0].tolist())
-                assert idx.words_for(f) == expected
+            assert idx.shape == (n, m)
+            np.testing.assert_array_equal(idx.toarray(), (dense > 0).astype(np.float64))
 
     def test_requires_lmi_scheme(self):
         wm = WeightedMatrix(SCHEME_SA, sparse.csr_matrix((2, 2)))
@@ -124,8 +122,17 @@ class TestFeatureIndex:
             build_feature_index(wm)
 
     def test_absent_feature_is_empty(self):
-        idx = FeatureOccurrenceIndex({})
-        assert idx.words_for(3) == frozenset()
+        dense = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
+        idx = build_feature_index(WeightedMatrix(SCHEME_LMI, sparse.csr_matrix(dense)))
+        assert idx[:, 1].nnz == 0
+
+    def test_index_of_another_shape_is_refused(self):
+        rng = np.random.default_rng(3)
+        dense, wm, lex, vocab = _random_instance(rng)
+        n, m = wm.shape
+        for shape in ((n, m + 1), (n + 1, m)):
+            with pytest.raises(WeightingError, match="shape"):
+                compute_weight_sa(wm, sparse.csr_matrix(shape), lex, vocab)
 
 
 def _sa_oracle(lmi_dense, lex, vocab, ant_mean):
@@ -386,4 +393,17 @@ class TestWeightedIo:
         path = tmp_path / "bad.tsv"
         path.write_text("#scheme=LMI\n#n_words=2\n0\t1\t0.5\n")
         with pytest.raises(WeightingError, match="n_features"):
+            read_weighted(path)
+
+    def test_duplicate_cells_rejected(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("#scheme=SA\n#n_words=2\n#n_features=2\n0\t1\t1.5\n0\t1\t2.5\n")
+        with pytest.raises(WeightingError, match="dup.tsv.*duplicate"):
+            read_weighted(path)
+
+    @pytest.mark.parametrize("weight", ["-4.0", "0.0"])
+    def test_lmi_weights_must_be_positive(self, tmp_path, weight):
+        path = tmp_path / "lmi.tsv"
+        path.write_text(f"#scheme=LMI\n#n_words=2\n#n_features=2\n0\t0\t1.0\n1\t1\t{weight}\n")
+        with pytest.raises(WeightingError, match="lmi.tsv.*positive"):
             read_weighted(path)
