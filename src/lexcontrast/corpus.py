@@ -126,17 +126,21 @@ def subsample_ids(
 ) -> list[np.ndarray]:
     """Drop each occurrence independently with its word's discard probability.
 
-    One uniform draw is consumed per token, so the output is a pure function
-    of (input, discard table, generator state).
+    One uniform draw is consumed per token, in corpus order, so the output is
+    a pure function of (input, discard table, generator state). The draws
+    come from one call: a generator's stream of doubles does not depend on
+    how it is chunked, so this equals drawing line by line.
     """
-    out = []
-    for ids in id_lines:
-        if len(ids) == 0:
-            out.append(ids)
-            continue
-        keep = rng.random(len(ids)) >= discard[ids]
-        out.append(ids[keep])
-    return out
+    full = [ids for ids in id_lines if len(ids)]
+    if not full:
+        return list(id_lines)
+    flat = np.concatenate(full)
+    keep = rng.random(len(flat)) >= discard[flat]
+    line_ends = np.cumsum(np.fromiter(map(len, full), dtype=np.intp, count=len(full))) - 1
+    bounds = [0] + np.cumsum(keep)[line_ends].tolist()
+    kept = flat[keep]
+    pieces = iter([kept[a:b] for a, b in zip(bounds, bounds[1:])])
+    return [next(pieces) if len(ids) else ids for ids in id_lines]
 
 
 @dataclass(frozen=True)

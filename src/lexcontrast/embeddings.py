@@ -20,12 +20,17 @@ likeliest noise word among one batch's negatives at about NOISE_REUSE, so B
 shrinks on tiny vocabularies; at B = 1 training is the per-pair loop up to
 rounding.
 
-The contrast step is not batched: taking a batch's cosine gradients at one W
-and summing them lowered the contrast trainer's Spearman rho by 0.02 to 0.06
-on the benchmark's `train` world. After each batch's SGNS step the batch's
-contrast hits update W one at a time, in stream order. W and C are
-checked for NaN and Inf every CHECK_EVERY updates, which always ends a batch,
-and after each epoch.
+The contrast step is not batched the same way: taking a batch's cosine
+gradients at one W and summing them lowered the contrast trainer's Spearman
+rho by 0.02 to 0.06 on the benchmark's `train` world. After each batch's SGNS
+step the batch's contrast hits update W as if one at a time, in stream order,
+but in waves: a hit joins the first wave after every earlier hit of the batch
+that shares a row with it (its w, a synonym or an antonym), so the hits of a
+wave touch disjoint rows and commute, and one vectorized step applies a
+whole wave (the conflict-free grouping of CYCLADES, Pan et al. 2016). The
+step rounds every hit as `contrast_gradients` does, so W is bit-identical to
+the one-at-a-time loop. W and C are checked for NaN and Inf every CHECK_EVERY
+updates, which always ends a batch, and after each epoch.
 """
 
 from __future__ import annotations
@@ -220,47 +225,176 @@ def contrast_gradients(W: np.ndarray, w: int, syn_ids, ant_ids):
     """Ascent gradients of contrast_value wrt W[w], each synonym, each antonym.
 
     Members with zero norm contribute zero value and zero gradient but still
-    count in the mean's normalizer. Both sides are gathered at once and share
-    |w| and every elementwise step. The dot products and the sums over a side
-    run per side, because BLAS rounds a row's dot product differently inside
-    a taller matrix, and the results must equal the per-side masked form bit
-    for bit.
+    count in the mean's normalizer. This is `_wave_gradients` on one hit, so
+    it equals the per-side masked form bit for bit.
     """
     n_syn, d = len(syn_ids), W.shape[1]
-    rows = W.take(np.concatenate((syn_ids, ant_ids)).astype(np.intp), axis=0)
-    if not len(rows):
+    if n_syn + len(ant_ids) == 0:
         return np.zeros(d), np.zeros((0, d)), np.zeros((0, d))
-    sides = [(part, sign) for part, sign in ((slice(0, n_syn), 1.0), (slice(n_syn, len(rows)), -1.0))
-             if part.stop > part.start]
-    w_vec = W[w]
-    nw2 = np.dot(w_vec, w_vec)
-    nw = np.sqrt(nw2)
-    nr = np.sqrt(np.add.reduce(rows * rows, axis=1))
-    if nw > 0 and all(n > 0 for n in nr.tolist()):
+    out = _wave_gradients(W, _plan_hit(w, 0.0, syn_ids, ant_ids), 0)
+    return out[0], out[1:1 + n_syn], out[1 + n_syn:]
+
+
+# --- the contrast step, many hits at once
+
+
+@dataclass(frozen=True)
+class _Waves:
+    """Contrast hits laid out wave by wave for `_wave_gradients`.
+
+    No two hits of a wave share a row of W, so a wave's hits commute and one
+    vectorized step applies them all. Within a wave the hits keep stream
+    order and their member rows come in side blocks: synonym sides by
+    descending length, then antonym sides by ascending length. A run of
+    sides of one length m (the two m = 1 runs meet in the middle) is a
+    group, which one stacked product and one stacked sum serve.
+    """
+
+    gather: np.ndarray  # per wave: its member rows, then the w of each member's hit
+    scatter: np.ndarray  # per wave: each hit's w, then its member rows
+    steps: np.ndarray  # (., 1) alpha * beta of the hit behind each scatter entry
+    row_scale: np.ndarray  # (M, 1) sign / length of each member's side
+    side_owner: np.ndarray  # index of each side's hit within its wave
+    side_scale: np.ndarray  # (S, 1)
+    # per wave: hit, row and side bounds, its synonym sides, its groups
+    # (first row, end row, length, first side, end side) and whether a row
+    # repeats within a hit
+    bounds: list
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _plan_waves(targets, steps, n_syn, n_ant, members, wave) -> _Waves:
+    """Lay out hits given in wave order: `wave` rises from 0 by steps of 0
+    or 1, and within a wave the hits are in stream order. Hit j has
+    n_syn[j] synonyms, then n_ant[j] antonyms, next in `members`."""
+    H = len(targets)
+    n_waves = int(wave[-1]) + 1 if H else 0
+    # the nonempty sides, each a hit and a kind (0 synonyms, 1 antonyms), in layout order
+    lengths = np.column_stack((n_syn, n_ant)).ravel()
+    hit, kind = np.repeat(np.arange(H), 2), np.tile([0, 1], H)
+    start = np.cumsum(lengths) - lengths
+    side = np.flatnonzero(lengths)
+    side = side[np.lexsort((hit[side], np.where(kind, 1, -1)[side] * lengths[side], kind[side], wave[hit[side]]))]
+    hit, kind, lengths, start = hit[side], kind[side], lengths[side], start[side]
+    side_wave = wave[hit]
+    side_ptr = np.concatenate(([0], np.cumsum(lengths)))
+    # the bounds of each wave's hits, sides and member rows
+    hb = np.searchsorted(wave, np.arange(n_waves + 1))
+    sb = np.searchsorted(side_wave, np.arange(n_waves + 1))
+    rb = side_ptr[sb]
+    row_side = np.repeat(np.arange(len(side)), lengths)
+    row_hit, row_wave = hit[row_side], side_wave[row_side]
+    rows = members[_ranges(start, lengths)]
+    M = len(rows)
+    gather = np.empty(2 * M, dtype=np.intp)
+    at = rb[row_wave] + np.arange(M)
+    gather[at] = rows
+    gather[at + np.diff(rb)[row_wave]] = targets[row_hit]
+    hit_at, row_at = rb[wave] + np.arange(H), hb[row_wave + 1] + np.arange(M)
+    scatter, step = np.empty(H + M, dtype=np.intp), np.empty((H + M, 1))
+    scatter[hit_at], scatter[row_at] = targets, rows
+    step[hit_at, 0], step[row_at, 0] = steps, steps[row_hit]
+    side_scale = np.where(kind, -1.0, 1.0) / lengths
+    # a row repeats within a hit when it is also the hit's w or on both sides
+    size = int(max(targets.max(initial=0), members.max(initial=0))) + 1
+    key = np.sort(np.concatenate((np.arange(H), np.repeat(np.arange(H), n_syn + n_ant))) * size
+                  + np.concatenate((targets, members)))
+    repeat = np.zeros(n_waves, dtype=bool)
+    repeat[wave[key[1:][key[1:] == key[:-1]] // size]] = True
+    # each wave's groups, in wave-local row and side indices
+    run = np.flatnonzero((np.diff(side_wave, prepend=-1) != 0) | (np.diff(lengths, prepend=0) != 0))
+    groups = [[] for _ in range(n_waves)]
+    for v, a, b, m in zip(side_wave[run].tolist(), run.tolist(), np.append(run[1:], len(side)).tolist(),
+                          lengths[run].tolist()):
+        groups[v].append((int(side_ptr[a] - rb[v]), int(side_ptr[b] - rb[v]), m, a - int(sb[v]), b - int(sb[v])))
+    n_syn_sides = np.bincount(side_wave[kind == 0], minlength=n_waves)
+    return _Waves(gather=gather, scatter=scatter, steps=step, row_scale=side_scale[row_side, None],
+                  side_owner=hit - hb[side_wave], side_scale=side_scale[:, None],
+                  bounds=list(zip(hb[:-1].tolist(), hb[1:].tolist(), rb[:-1].tolist(), rb[1:].tolist(),
+                                  sb[:-1].tolist(), sb[1:].tolist(), n_syn_sides.tolist(), groups, repeat.tolist())))
+
+
+def _plan_hit(w: int, step: float, syn_ids, ant_ids) -> _Waves:
+    """A plan of one wave that holds the one hit (w, syn_ids, ant_ids)."""
+    return _plan_waves(np.array([w], dtype=np.intp), np.array([step]), np.array([len(syn_ids)]),
+                       np.array([len(ant_ids)]), np.concatenate((syn_ids, ant_ids)).astype(np.intp),
+                       np.zeros(1, dtype=np.intp))
+
+
+def _wave_gradients(W: np.ndarray, plan: _Waves, i: int) -> np.ndarray:
+    """contrast_gradients of every hit of wave i, at the W all of them see.
+
+    Returns g_w of each hit, then the scaled gradient of each member row, in
+    the order of the wave's scatter entries. |w|^2 is a dot product per row,
+    each side's cosines one matrix-vector product over that side's rows and
+    each side's sum of d_w a sum over that side: BLAS rounds a row's dot
+    product differently in a taller matrix, so these run on stacks of equal
+    sides, each of which rounds as that side alone. Every other step is
+    elementwise or reduces within a row, and so exact over the wave. If any
+    norm of the wave is 0 the whole wave takes the masked form, which gives
+    the same bits for the rows whose norms are not.
+    """
+    h0, h1, r0, r1, s0, s1, n_syn, groups, _ = plan.bounds[i]
+    M, d = r1 - r0, W.shape[1]
+    X = W.take(plan.gather[2 * r0:2 * r1], axis=0)
+    R, wv = X[:M], X[M:]
+    nw2 = np.matmul(wv[:, None, :], wv[:, :, None]).ravel()
+    nw, nr = np.sqrt(nw2), np.sqrt(np.add.reduce(R * R, axis=1))
+    if nw.min() > 0 and nr.min() > 0:
         inv = 1.0 / (nr * nw)
-        cos = np.concatenate([np.dot(rows[part], w_vec) for part, _ in sides]) * inv
-        d_w = rows * inv[:, None] - (cos / nw2)[:, None] * w_vec
-        d_r = inv[:, None] * w_vec - (cos / (nr * nr))[:, None] * rows
+        dots = np.empty(M)
+        for a, b, m, _, _ in groups:
+            np.matmul(R[a:b].reshape(-1, m, d), wv[a:b:m, :, None], out=dots[a:b].reshape(-1, m, 1))
+        cos = dots * inv
+        d_w = R * inv[:, None] - (cos / nw2)[:, None] * wv
+        d_r = inv[:, None] * wv - (cos / (nr * nr))[:, None] * R
     else:  # zero norms: those rows get no cosine and no gradient
         ok = (nr > 0) & (nw > 0)
-        cos, inv, coeff = np.zeros(len(rows)), np.zeros(len(rows)), np.zeros(len(rows))
+        cos, inv, coeff = np.zeros(M), np.zeros(M), np.zeros(M)
         np.divide(1.0, nr * nw, out=inv, where=ok)
-        for part, _ in sides:
-            keep = np.flatnonzero(ok[part]) + part.start
-            if len(keep):
-                cos[keep] = np.dot(rows[keep], w_vec) * inv[keep]
+        for a, b, m, _, _ in groups:
+            for lo in range(a, b, m):
+                keep = np.flatnonzero(ok[lo:lo + m]) + lo
+                if len(keep):
+                    cos[keep] = np.dot(R[keep], wv[lo]) * inv[keep]
         np.divide(cos, nr * nr, out=coeff, where=ok)
-        d_w = rows * inv[:, None]
-        d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
-        d_r = inv[:, None] * w_vec - coeff[:, None] * rows
+        d_w = R * inv[:, None]
+        d_w[ok] -= (cos[ok] / nw2[ok])[:, None] * wv[ok]
+        d_r = inv[:, None] * wv - coeff[:, None] * R
         d_w[~ok] = 0.0
         d_r[~ok] = 0.0
-    g_w = np.zeros(d)
-    for part, sign in sides:
-        scale = sign / (part.stop - part.start)
-        g_w += scale * np.add.reduce(d_w[part], axis=0)
-        d_r[part] *= scale
-    return g_w, d_r[:n_syn], d_r[n_syn:]
+    sums = np.empty((s1 - s0, d))
+    for a, b, m, sa, sb in groups:
+        np.add.reduce(d_w[a:b].reshape(-1, m, d), axis=1, out=sums[sa:sb])
+    sums *= plan.side_scale[s0:s1]
+    h = h1 - h0
+    out = np.zeros((h + M, d))
+    owner = plan.side_owner[s0:s1]
+    out[owner[:n_syn]] += sums[:n_syn]  # g_w = 0 + synonym term + antonym term;
+    out[owner[n_syn:]] += sums[n_syn:]  # no hit has two sides of one kind
+    np.multiply(d_r, plan.row_scale[r0:r1], out=out[h:])
+    return out
+
+
+def _apply_wave(W: np.ndarray, plan: _Waves, i: int) -> None:
+    """W[w] += step * g_w for every hit of wave i, then each member row its update.
+
+    Where a row repeats within a hit, np.add.at adds its updates one by
+    one: w's first, a synonym's before an antonym's.
+    """
+    h0, h1, r0, r1, *_, repeat = plan.bounds[i]
+    update = _wave_gradients(W, plan, i)
+    update *= plan.steps[h0 + r0:h1 + r1]
+    rows = plan.scatter[h0 + r0:h1 + r1]
+    if repeat:
+        np.add.at(W, rows, update)
+    else:
+        W[rows] += update
 
 
 # --- exact objective (test oracle, not used in the SGD loop)
@@ -396,19 +530,74 @@ class _ContrastState:
         self._find([key for key in keys if key not in self.cache])
         return cand[np.array([self.cache[key] is not None for key in keys], dtype=bool)[inverse]]
 
-    def apply(self, W: np.ndarray, w: int, c: int, alpha: float) -> None:
-        """One contrast step for the pair (w, c), if it has a contrast set.
+    def waves(self, targets: np.ndarray, contexts: np.ndarray, alphas: np.ndarray, batch: int):
+        """The contrast hits of a pair stream laid out in waves, and where the
+        waves of each batch of `batch` pairs start: batch b applies waves
+        starts[b] to starts[b + 1] - 1.
 
-        The members of both sides move in one scatter, synonyms first, so a
-        row on both sides gets both updates.
+        A hit goes to the first wave of its batch after every earlier hit of
+        the batch that shares a row of W with it: its w, a synonym or an
+        antonym. Applying the waves in turn then equals applying the hits one
+        at a time in stream order.
         """
+        hits = self.hits(targets, contexts)
+        codes, key = np.unique(targets[hits].astype(np.int64) * self.n + contexts[hits], return_inverse=True)
+        sets = [self.cache[divmod(code, self.n)] for code in codes.tolist()]
+        n_syn, n_ant = (np.array([len(s[j]) for s in sets], dtype=np.intp) for j in (0, 1))
+        flat = np.concatenate([np.zeros(0, dtype=np.intp)] + [side for s in sets for side in s]).astype(np.intp)
+        first = np.cumsum(n_syn + n_ant) - n_syn - n_ant
+
+        def members(k):
+            return flat[_ranges(first[k], n_syn[k] + n_ant[k])]
+
+        batch_of = hits // batch
+        member_hit = np.repeat(np.arange(len(hits)), (n_syn + n_ant)[key])
+        level = _wave_levels(batch_of, targets[hits], members(key), member_hit)
+        count = np.zeros(len(targets) // batch + 2, dtype=np.intp)  # count[b + 1]: the waves of batch b
+        np.maximum.at(count, batch_of + 1, level + 1)
+        starts = np.cumsum(count)
+        wave = starts[batch_of] + level
+        order = np.argsort(wave, kind="stable")
+        k, hits = key[order], hits[order]
+        plan = _plan_waves(targets[hits].astype(np.intp), alphas[hits] * self.beta, n_syn[k], n_ant[k], members(k),
+                           wave[order])
+        return plan, starts.tolist()
+
+    def apply(self, W: np.ndarray, w: int, c: int, alpha: float) -> None:
+        """One contrast step for the pair (w, c), if it has a contrast set:
+        a wave of one hit."""
         sets = self.pair_sets(w, c)
-        if sets is None:
-            return
-        g_w, g_u, g_v = contrast_gradients(W, w, *sets)
-        step = alpha * self.beta
-        W[w] += step * g_w
-        np.add.at(W, np.concatenate(sets), step * np.concatenate((g_u, g_v)))
+        if sets is not None:
+            _apply_wave(W, _plan_hit(w, alpha * self.beta, *sets), 0)
+
+
+def _wave_levels(batch_of: np.ndarray, targets: np.ndarray, members: np.ndarray,
+                 member_hit: np.ndarray) -> np.ndarray:
+    """Each hit's wave within its batch: 0, or one more than the latest wave
+    of an earlier hit of the batch that shares a row with it.
+
+    Consecutive hits of a batch that share a row are links of a chain; the
+    levels are the longest paths along the chains, found by relaxing every
+    link at once until nothing moves, in as many rounds as the longest
+    chain has links.
+    """
+    hit = np.concatenate((np.arange(len(targets)), member_hit))
+    row = np.concatenate((targets, members))
+    order = np.lexsort((hit, row, batch_of[hit]))
+    hit, row = hit[order], row[order]
+    link = (row[1:] == row[:-1]) & (batch_of[hit[1:]] == batch_of[hit[:-1]]) & (hit[1:] != hit[:-1])
+    src, dst = hit[:-1][link], hit[1:][link]
+    by_dst = np.argsort(dst, kind="stable")
+    src, dst = src[by_dst], dst[by_dst]
+    heads = np.flatnonzero(np.diff(dst, prepend=-1))
+    dst = dst[heads]
+    level = np.zeros(len(targets), dtype=np.intp)
+    while len(dst):
+        new = np.maximum(level[dst], np.maximum.reduceat(level[src] + 1, heads))
+        if np.array_equal(new, level[dst]):
+            break
+        level[dst] = new
+    return level
 
 
 # --- the trainers
@@ -416,6 +605,7 @@ class _ContrastState:
 CHECK_EVERY = 10_000  # updates between finiteness checks of W and C
 MAX_BATCH = 500  # most pairs in one batched SGNS step
 NOISE_REUSE = 10.0  # bound on the expected draws of the likeliest noise word per batch
+PLAN_PAIRS = 10_000  # about this many pairs' contrast waves are planned at once, which bounds the plan's memory
 
 
 def batch_size(noise: NoiseDistribution, negatives: int) -> int:
@@ -462,25 +652,26 @@ def _run_epoch(model, targets, rows, labels, first, total_updates, contrast, bat
 
     rows[i] is pair i's true context, then its negatives; `first` is the
     update index of the epoch's first pair, which fixes every pair's rate.
-    After each step, the batch's contrast hits update W one at a time, in
-    stream order.
+    After each step, the batch's contrast hits update W wave by wave; the
+    waves are planned for `span` pairs, a whole number of batches, at a time.
     """
     W, C, n = model.W, model.C, len(targets)
     keep = rows != rows[:, :1]
     keep[:, 0] = True
     alphas = model.config.learning_rate * np.maximum(
         MIN_ALPHA_FRACTION, 1.0 - np.arange(first, first + n) / total_updates)
-    hits = np.empty(0, dtype=np.intp) if contrast is None else contrast.hits(targets, rows[:, 0])
-    hit_pairs = list(zip(hits.tolist(), targets[hits].tolist(), rows[hits, 0].tolist(), alphas[hits].tolist()))
-    h = 0
+    span = batch * max(1, PLAN_PAIRS // batch)
     with np.errstate(over="ignore"):
         for lo in range(0, n, batch):
             hi = min(lo + batch, n)
+            if contrast is not None and lo % span == 0:
+                block = slice(lo, lo + span)
+                plan, starts = contrast.waves(targets[block], rows[block, 0], alphas[block], batch)
             _sgns_step(W, C, targets[lo:hi], rows[lo:hi], keep[lo:hi], labels, alphas[lo:hi])
-            while h < len(hit_pairs) and hit_pairs[h][0] < hi:
-                _, w, c, alpha = hit_pairs[h]
-                contrast.apply(W, w, c, alpha)
-                h += 1
+            if contrast is not None:
+                b = lo % span // batch
+                for v in range(starts[b], starts[b + 1]):
+                    _apply_wave(W, plan, v)
             if (first + lo) // CHECK_EVERY < (first + hi) // CHECK_EVERY:
                 model.validate(first + hi)
 

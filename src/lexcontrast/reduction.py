@@ -62,7 +62,7 @@ def _dense_svd(matrix: np.ndarray, k: int):
 
 
 def _randomized_svd(matrix, k: int, seed: int, oversample: int, power_iters: int):
-    from scipy.linalg import lu
+    from scipy.linalg import lu, qr, svd  # one BLAS pool for every factorization here
 
     def normalized(block):
         return lu(block, permute_l=True, check_finite=False)[0]
@@ -72,10 +72,10 @@ def _randomized_svd(matrix, k: int, seed: int, oversample: int, power_iters: int
     y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))
     for _ in range(power_iters):
         y = matrix @ normalized(matrix.T @ normalized(y))
-    q = np.linalg.qr(y)[0]
+    q = qr(y, mode="economic", check_finite=False)[0]
     del y  # the block is as large as q; keep it out of the final SVD's peak
     # B^T = A^T Q = V diag(s) Ub^T, so A ~ Q B = (Q Ub) diag(s) V^T
-    v, s, ubt = np.linalg.svd(matrix.T @ q, full_matrices=False)
+    v, s, ubt = svd(matrix.T @ q, full_matrices=False, check_finite=False)
     return q @ ubt[:k].T, s[:k].copy(), v[:, :k].T.copy()
 
 

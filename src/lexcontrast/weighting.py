@@ -262,8 +262,11 @@ def read_weighted(path) -> WeightedMatrix:
     for lineno, fields in tsvio.iter_rows(path):
         if len(fields) != 3:
             raise WeightingError(f"{path}:{lineno}: expected target<TAB>feature<TAB>weight")
-        rows.append(int(fields[0]))
-        cols.append(int(fields[1]))
+        row, col = int(fields[0]), int(fields[1])
+        if not (0 <= row < n_words and 0 <= col < n_features):
+            raise WeightingError(f"{path}:{lineno}: id out of range for n_words={n_words}, n_features={n_features}")
+        rows.append(row)
+        cols.append(col)
         vals.append(float(fields[2]))
     wm = WeightedMatrix(scheme, sparse.coo_matrix((vals, (rows, cols)), shape=(n_words, n_features)).tocsr())
     if len(wm) < len(vals):  # converting to CSR summed repeated cells

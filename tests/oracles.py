@@ -7,9 +7,9 @@ before both routes read one sparse holder matrix, the single-threaded
 per-pair SGD loop from before training was batched, the batch rule spelled
 out one pair at a time, the vector writer from before it took the header
 lines itself, co-occurrence counting with separate target and feature
-chunks, and the randomized SVD that took a QR after every product of its
-subspace iteration. They stay here, unchanged in behaviour, as oracles for
-the property tests.
+chunks, subsampling with one draw call per line, and the randomized SVD
+that took a QR after every product of its subspace iteration. They stay
+here, unchanged in behaviour, as oracles for the property tests.
 """
 
 from __future__ import annotations
@@ -24,6 +24,18 @@ from lexcontrast.corpus import CooccurrenceCounts, CorpusError, encode_lines
 from lexcontrast.seeding import rng_for
 from lexcontrast.tsvio import atomic_writer
 from lexcontrast.weighting import SCHEME_SA, WeightedMatrix
+
+
+def subsample_ids(id_lines, discard, rng) -> list[np.ndarray]:
+    """Drop each occurrence with its word's discard probability, one draw call per line."""
+    out = []
+    for ids in id_lines:
+        if len(ids) == 0:
+            out.append(ids)
+            continue
+        keep = rng.random(len(ids)) >= discard[ids]
+        out.append(ids[keep])
+    return out
 
 
 def cosine(u, v) -> float:

@@ -114,6 +114,27 @@ class TestExitCodes:
         assert "bad.tsv" in capsys.readouterr().err
         assert not Path("out.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["weight-sa", "svd"])
+    def test_weighted_id_out_of_range_is_1(self, workspace, capsys, command):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
+              "--out", "counts.tsv", "--config", "run.cfg"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+        lines = Path("lmi.tsv").read_text().splitlines(keepends=True)
+        n_features = next(line for line in lines if line.startswith("#n_features=")).strip().split("=")[1]
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[first] = f"0\t{n_features}\t0.5\n"
+        Path("bad.tsv").write_text("".join(lines))
+        capsys.readouterr()
+        if command == "svd":
+            code = main(["svd", "--weights", "bad.tsv", "--vocab", "vocab.tsv", "--out", "out.txt"])
+        else:
+            code = main(["weight-sa", "--lmi", "bad.tsv", "--lexicon", "lexicon.tsv",
+                         "--vocab", "vocab.tsv", "--out", "out.txt"])
+        assert code == 1
+        assert f"bad.tsv:{first + 1}: id out of range" in capsys.readouterr().err
+        assert not Path("out.txt").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -4,8 +4,10 @@ sets against the per-key frozenset form; the batched SGNS/dLCE trainers
 against the batch rule spelled out pair by pair and, at batch size 1, step by
 step against the per-pair loop they replaced; sigmoid and contrast gradients
 against that loop's versions bit for bit, the contrast step against its old
-form, co-occurrence counting against its chunked form, and the LU-normalized
-randomized SVD against the QR-normalized one (tests/oracles.py).
+form, the contrast waves against the same hits applied one at a time,
+co-occurrence counting against its chunked form, subsampling against one
+draw call per line, and the LU-normalized randomized SVD against the
+QR-normalized one (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
 they are continuous: a contrast weight is then exactly 0 only where both of
@@ -25,7 +27,7 @@ from scipy import sparse
 
 import oracles
 from lexcontrast import embeddings, reduction
-from lexcontrast.corpus import Vocabulary, build_vocabulary, count_cooccurrences
+from lexcontrast.corpus import Vocabulary, build_vocabulary, count_cooccurrences, subsample_ids
 from lexcontrast.embeddings import (
     TrainingConfig,
     TrainingError,
@@ -226,6 +228,27 @@ def test_trainers_follow_the_batch_rule(case, batch):
             assert got.history == want.history
 
 
+@settings(max_examples=40, deadline=None)
+@given(training_cases(), st.sampled_from([1, 2, 7, 250]), st.integers(1, 30))
+def test_dlce_does_not_depend_on_the_plan_span(case, batch, plan_pairs):
+    """Planning the contrast waves a few pairs at a time gives the same bits."""
+    lines, vocab, cfg, lex, idx = case
+    runs = []
+    with mock.patch.object(embeddings, "batch_size", lambda noise, negatives: batch):
+        for pairs in (plan_pairs, embeddings.PLAN_PAIRS):
+            with mock.patch.object(embeddings, "PLAN_PAIRS", pairs):
+                try:
+                    runs.append(train_dlce(lines, vocab, cfg, lex, idx))
+                except TrainingError as exc:
+                    runs.append(str(exc))
+    got, want = runs
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _same_bits(got.W, want.W)
+        _same_bits(got.C, want.C)
+
+
 @settings(max_examples=60, deadline=None)
 @given(training_cases())
 def test_trainers_match_per_pair_loop_at_batch_one(case):
@@ -340,6 +363,65 @@ def test_contrast_step_matches_old_form(case):
 
 
 @st.composite
+def wave_cases(draw):
+    """A contrast state, a W with zero rows, a pair stream and a batch size.
+
+    The lexicon is drawn as raw per-word sets, so a word can be among its own
+    synonyms or antonyms and on both sides of another word; caps of 1 and 2
+    give sampled sets. The learning rates are distinct, as in the trainer.
+    """
+    n, d = draw(st.integers(3, 9)), draw(st.integers(1, 6))
+    words = _words(n)
+    vocab = Vocabulary.from_counts({w: n - i for i, w in enumerate(words)})
+    related = st.dictionaries(st.sampled_from(words), st.frozensets(st.sampled_from(words), min_size=1, max_size=4),
+                              max_size=n)
+    lex = ContrastLexicon(syn=draw(related), ant=draw(related))
+    idx = sparse.csr_matrix(np.ones((n, n))) if draw(st.booleans()) else draw(holder_matrices(n, n))
+    cfg = TrainingConfig(dim=d, min_count=1, seed=draw(st.integers(0, 100)),
+                         contrast_coefficient=draw(st.sampled_from([1.0, 3.0])),
+                         max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.standard_normal((n, d))
+    W[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    stream = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=40))
+    targets, contexts = np.array(stream, dtype=np.int32).T
+    alphas = draw(st.sampled_from([1e-3, 0.05, 0.5])) * (1.0 - np.arange(len(stream)) / len(stream))
+    return _ContrastState(lex, vocab, idx, cfg), W, targets, contexts, alphas, draw(st.sampled_from([1, 2, 7, 250]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wave_cases())
+def test_contrast_waves_equal_hits_in_stream_order(case):
+    state, W, targets, contexts, alphas, batch = case
+    hits = state.hits(targets, contexts).tolist()
+    plan, starts = state.waves(targets, contexts, alphas, batch)
+
+    def rows(i):
+        return {int(targets[i])} | {int(r) for side in state.pair_sets(targets[i], contexts[i]) for r in side}
+
+    hit_of_step = {alphas[i] * state.beta: i for i in hits}  # the steps tell the hits apart
+    wave_of = {}
+    for v, (h0, h1, r0, *_) in enumerate(plan.bounds):
+        wave = [hit_of_step[step] for step in plan.steps[h0 + r0:h1 + r0, 0].tolist()]
+        assert wave == sorted(wave) and plan.scatter[h0 + r0:h1 + r0].tolist() == targets[wave].tolist()
+        assert len(set().union(*map(rows, wave))) == sum(len(rows(i)) for i in wave)  # row-disjoint
+        for i in wave:
+            assert i not in wave_of and starts[i // batch] <= v < starts[i // batch + 1]
+            wave_of[i] = v
+    assert sorted(wave_of) == hits
+    for j, later in enumerate(hits):
+        for earlier in hits[:j]:
+            if earlier // batch == later // batch and rows(earlier) & rows(later):
+                assert wave_of[earlier] < wave_of[later]
+    want = W.copy()  # the old per-hit step, which scatters each side on its own
+    for i in hits:
+        oracles.apply_contrast(state, want, targets[i], contexts[i], alphas[i])
+    for v in range(len(plan.bounds)):
+        embeddings._apply_wave(W, plan, v)
+    _same_bits(W, want)
+
+
+@st.composite
 def contrast_set_cases(draw):
     """A lexicon over a few words, a holder matrix, a cap and a pair stream.
 
@@ -395,6 +477,23 @@ def test_cooccurrence_counts_match_chunked_oracle(case, window, dynamic_window, 
     assert (got.n_words, got.window) == (want.n_words, want.window)
     for field in ("targets", "features", "counts"):
         _same_bits(getattr(got, field), getattr(want, field))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, n - 1), max_size=12), max_size=15),
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), min_size=n, max_size=n))),
+    st.integers(0, 2**32 - 1))
+def test_subsampling_matches_per_line_oracle(case, seed):
+    lines, discard = case
+    id_lines = [np.array(line, dtype=np.int64) for line in lines]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = subsample_ids(id_lines, np.array(discard), got_rng)
+    want = oracles.subsample_ids(id_lines, np.array(discard), want_rng)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_bits(g, w)
+    _same_bits(got_rng.random(3), want_rng.random(3))  # both consumed the same draws
 
 
 # --- the randomized SVD against the QR-normalized subspace iteration

@@ -401,6 +401,14 @@ class TestWeightedIo:
         with pytest.raises(WeightingError, match="dup.tsv.*duplicate"):
             read_weighted(path)
 
+    @pytest.mark.parametrize("scheme", ["LMI", "SA"])
+    @pytest.mark.parametrize("row", ["0\t5\t0.5", "0\t2\t0.5", "2\t0\t0.5", "-1\t0\t0.5", "0\t-1\t0.5"])
+    def test_ids_outside_the_header_rejected(self, tmp_path, scheme, row):
+        path = tmp_path / "ids.tsv"
+        path.write_text(f"#scheme={scheme}\n#n_words=2\n#n_features=2\n0\t0\t1.0\n{row}\n")
+        with pytest.raises(WeightingError, match="ids.tsv:5: id out of range"):
+            read_weighted(path)
+
     @pytest.mark.parametrize("weight", ["-4.0", "0.0"])
     def test_lmi_weights_must_be_positive(self, tmp_path, weight):
         path = tmp_path / "lmi.tsv"
