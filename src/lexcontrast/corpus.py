@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,8 +33,12 @@ class Vocabulary:
 
     words: tuple[str, ...]
     counts: np.ndarray  # int64, aligned with words
-    total_tokens: int
-    word_ids: dict[str, int]
+    total_tokens: int = field(init=False)
+    word_ids: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "total_tokens", int(self.counts.sum()))
+        object.__setattr__(self, "word_ids", {w: i for i, w in enumerate(self.words)})
 
     def __len__(self) -> int:
         return len(self.words)
@@ -63,14 +67,7 @@ class Vocabulary:
             raise CorpusError(f"min_count must be >= 1, got {min_count}")
         kept = [(w, int(c)) for w, c in counts.items() if c >= min_count]
         kept.sort(key=lambda item: (-item[1], item[0]))
-        words = tuple(w for w, _ in kept)
-        arr = np.array([c for _, c in kept], dtype=np.int64)
-        return cls(
-            words=words,
-            counts=arr,
-            total_tokens=int(arr.sum()) if len(arr) else 0,
-            word_ids={w: i for i, w in enumerate(words)},
-        )
+        return cls(tuple(w for w, _ in kept), np.array([c for _, c in kept], dtype=np.int64))
 
 
 def read_corpus(path, lowercase: bool = True) -> list[list[str]]:
@@ -196,67 +193,63 @@ def count_cooccurrences(
     if window < 1:
         raise CorpusError(f"window must be >= 1, got {window}")
     n = len(vocab)
-    empty = np.zeros(0, dtype=np.int64)
-    id_lines = encode_lines(lines, vocab)
-    if not id_lines or n == 0:
-        return CooccurrenceCounts(n, window, empty, empty.copy(), empty.copy())
-    tok = np.concatenate(id_lines)
-    if len(tok) < 2:
-        return CooccurrenceCounts(n, window, empty, empty.copy(), empty.copy())
-    lengths = np.fromiter((len(ids) for ids in id_lines), dtype=np.int64, count=len(id_lines))
-    line_id = np.repeat(np.arange(len(id_lines)), lengths)
+    tok, line_id = flatten_lines(encode_lines(lines, vocab))
     eff = np.random.default_rng(seed).integers(1, window + 1, size=len(tok)) if dynamic_window else None
-
-    key_chunks = []
-    for off in range(1, min(window, len(tok) - 1) + 1):
-        same_line = line_id[:-off] == line_id[off:]
-        left = tok[:-off]
-        right = tok[off:]
-        # center on the left token: context is `off` to the right
-        mask = same_line if eff is None else same_line & (eff[:-off] >= off)
-        key_chunks.append(left[mask] * n + right[mask])
-        # center on the right token: context is `off` to the left
-        mask = same_line if eff is None else same_line & (eff[off:] >= off)
-        key_chunks.append(right[mask] * n + left[mask])
-
-    keys, counts = np.unique(np.concatenate(key_chunks), return_counts=True)
+    keys, counts = np.unique(window_keys(tok, line_id, window, n, eff), return_counts=True)
     return CooccurrenceCounts(n, window, keys // n, keys % n, counts.astype(np.int64))
 
 
+def flatten_lines(id_lines: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of all lines in one int64 array, and the line of each."""
+    lengths = np.fromiter(map(len, id_lines), dtype=np.int64, count=len(id_lines))
+    tok = np.concatenate(id_lines).astype(np.int64, copy=False) if len(id_lines) else np.zeros(0, dtype=np.int64)
+    return tok, np.repeat(np.arange(len(id_lines)), lengths)
+
+
+def window_keys(tok: np.ndarray, line_id: np.ndarray, window: int, scale: int,
+                eff: np.ndarray | None = None) -> np.ndarray:
+    """The key center * scale + context of every (center, context) pair of
+    the symmetric window over `tok`, one key per pair, as int64.
+
+    tok holds one value per token and line_id the line of each; no pair
+    crosses lines. eff, when given, is each center's own window size (at
+    most `window`), else every center sees `window` tokens on each side.
+    """
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for off in range(1, min(window, len(tok) - 1) + 1):
+        same_line = line_id[:-off] == line_id[off:]
+        left, right = tok[:-off], tok[off:]
+        if eff is None:
+            left, right = left[same_line], right[same_line]
+            chunks += [left * scale + right, right * scale + left]
+            continue
+        mask = same_line & (eff[:-off] >= off)  # center on the left token, context `off` to its right
+        chunks.append(left[mask] * scale + right[mask])
+        mask = same_line & (eff[off:] >= off)  # center on the right token, context `off` to its left
+        chunks.append(right[mask] * scale + left[mask])
+    return np.concatenate(chunks)
+
+
 def write_vocabulary(path, vocab: Vocabulary, meta: dict[str, str] | None = None) -> None:
-    rows = ((vocab.words[i], i, int(vocab.counts[i])) for i in range(len(vocab)))
-    tsvio.write_rows(path, rows, meta)
+    tsvio.write_rows(path, zip(vocab.words, range(len(vocab)), vocab.counts.tolist()), meta)
 
 
 def read_vocabulary(path) -> Vocabulary:
-    entries: list[tuple[str, int, int]] = []
-    for lineno, fields in tsvio.iter_rows(path):
-        if len(fields) != 3:
-            raise CorpusError(f"{path}:{lineno}: expected word<TAB>id<TAB>count")
-        word, wid, count = fields[0], int(fields[1]), int(fields[2])
-        entries.append((word, wid, count))
-    entries.sort(key=lambda e: e[1])
-    for expected, (_, wid, _) in enumerate(entries):
-        if wid != expected:
-            raise CorpusError(f"{path}: ids are not dense 0..n-1")
-    words = tuple(w for w, _, _ in entries)
-    if len(set(words)) != len(words):
+    columns = {"word": str, "id": int, "count": tsvio.bounded(int, 1, math.inf, "count below 1")}
+    entries = sorted(zip(*tsvio.read_columns(path, columns, CorpusError)), key=lambda e: e[1])
+    if [wid for _, wid, _ in entries] != list(range(len(entries))):
+        raise CorpusError(f"{path}: ids are not dense 0..n-1")
+    vocab = Vocabulary(tuple(w for w, _, _ in entries), np.array([c for _, _, c in entries], dtype=np.int64))
+    if len(vocab.word_ids) < len(vocab):
         raise CorpusError(f"{path}: duplicate surface forms")
-    counts = np.array([c for _, _, c in entries], dtype=np.int64)
-    return Vocabulary(
-        words=words,
-        counts=counts,
-        total_tokens=int(counts.sum()) if len(counts) else 0,
-        word_ids={w: i for i, w in enumerate(words)},
-    )
+    return vocab
 
 
 def write_counts(path, counts: CooccurrenceCounts, meta: dict[str, str] | None = None) -> None:
     full_meta = {"n_words": str(counts.n_words), "window": str(counts.window)}
     if meta:
         full_meta.update(meta)
-    rows = zip(counts.targets, counts.features, counts.counts)
-    tsvio.write_rows(path, rows, full_meta)
+    tsvio.write_rows(path, zip(counts.targets.tolist(), counts.features.tolist(), counts.counts.tolist()), full_meta)
 
 
 def read_counts(path) -> CooccurrenceCounts:
@@ -266,19 +259,11 @@ def read_counts(path) -> CooccurrenceCounts:
         window = int(meta["window"])
     except KeyError as exc:
         raise CorpusError(f"{path}: missing {exc.args[0]} header") from None
-    t, f, c = [], [], []
-    for lineno, fields in tsvio.iter_rows(path):
-        if len(fields) != 3:
-            raise CorpusError(f"{path}:{lineno}: expected target<TAB>feature<TAB>count")
-        t.append(int(fields[0]))
-        f.append(int(fields[1]))
-        c.append(int(fields[2]))
-    targets = np.array(t, dtype=np.int64)
-    features = np.array(f, dtype=np.int64)
-    values = np.array(c, dtype=np.int64)
+    columns = {"target": int, "feature": int, "count": int}
+    targets, features, values = (np.array(c, dtype=np.int64) for c in tsvio.read_columns(path, columns, CorpusError))
     if len(values) and (values <= 0).any():
         raise CorpusError(f"{path}: stored counts must be positive")
-    if len(targets) and (targets.max() >= n_words or features.max() >= n_words):
+    if len(targets) and not (0 <= min(targets.min(), features.min()) and max(targets.max(), features.max()) < n_words):
         raise CorpusError(f"{path}: id out of range for n_words={n_words}")
     if len(np.unique(targets * n_words + features)) < len(targets):
         raise CorpusError(f"{path}: duplicate (target, feature) rows")

@@ -46,12 +46,14 @@ from .corpus import (
     Vocabulary,
     discard_probabilities,
     encode_lines,
+    flatten_lines,
     subsample_ids,
+    window_keys,
 )
 from .lexicon import ContrastLexicon
 from .seeding import rng_for
 from .vectors import DenseEmbeddings
-from .weighting import relation_matrix
+from .weighting import pair_cosines, relation_matrix
 
 MIN_ALPHA_FRACTION = 1e-4  # floor of the linear decay, as a fraction of alpha0
 
@@ -192,32 +194,12 @@ def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndar
     return np.matmul(err[..., None, :], ctx_rows)[..., 0, :], err[..., None] * w_vec[..., None, :]
 
 
-def _cosine_parts(w_vec: np.ndarray, rows: np.ndarray):
-    """cos(w, row) per row plus the pieces its gradient needs; zero-safe.
-
-    The norms are np.linalg.norm's own sums. `ok` is None when no norm is 0
-    (the masks are skipped), else the mask of rows that have a cosine.
-    """
-    nw = np.sqrt(np.dot(w_vec, w_vec))
-    nr = np.sqrt(np.add.reduce(rows * rows, axis=1))
-    if nw > 0 and all(n > 0 for n in nr.tolist()):
-        inv = 1.0 / (nr * nw)
-        return np.dot(rows, w_vec) * inv, inv, nw, nr, None
-    ok = (nr > 0) & (nw > 0)
-    cos = np.zeros(len(rows))
-    inv = np.zeros(len(rows))
-    np.divide(1.0, nr * nw, out=inv, where=ok)
-    cos[ok] = (rows[ok] @ w_vec) * inv[ok]
-    return cos, inv, nw, nr, ok
-
-
 def contrast_value(W: np.ndarray, w: int, syn_ids, ant_ids) -> float:
     """mean cos(w, u) over synonyms minus mean cos(w, v) over antonyms."""
     value = 0.0
     for ids, sign in ((syn_ids, 1.0), (ant_ids, -1.0)):
         if len(ids):
-            cos, *_ = _cosine_parts(W[w], W[ids])
-            value += sign * cos.mean()
+            value += sign * pair_cosines(W, np.full(len(ids), w), ids).mean()
     return value
 
 
@@ -425,46 +407,18 @@ def sgns_objective(
 # --- pair extraction
 
 
-def _window_pairs(id_lines: Sequence[np.ndarray], window: int):
-    """Positive (target, context) pairs in corpus-scan order.
-
-    For each position i the contexts are the up-to-`window` neighbors on each
-    side within the same line, ordered left to right.
-    """
-    lines = [ids for ids in id_lines if len(ids)]
-    if not lines:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty
-    toks = np.concatenate(lines)
-    line_ids = np.repeat(np.arange(len(lines)), [len(ids) for ids in lines])
-    pos = np.arange(len(toks))
-    centers, contexts = [], []
-    for off in range(1, window + 1):
-        if off >= len(toks):
-            break
-        same = line_ids[off:] == line_ids[:-off]
-        right = pos[:-off][same]
-        centers.append(right)
-        contexts.append(right + off)
-        left = pos[off:][same]
-        centers.append(left)
-        contexts.append(left - off)
-    if not centers:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty
-    ci = np.concatenate(centers)
-    xi = np.concatenate(contexts)
-    order = np.lexsort((xi, ci))
-    return toks[ci[order]].astype(np.int32), toks[xi[order]].astype(np.int32)
-
-
 def _epoch_pairs(id_lines, vocab: Vocabulary, cfg: TrainingConfig, epoch: int):
-    if cfg.subsample is None:
-        kept = id_lines
-    else:
+    """One epoch's positive (target, context) pairs in corpus-scan order:
+    each kept token in turn, with its contexts left to right.
+
+    The window keys of token positions, sorted, are that order.
+    """
+    if cfg.subsample is not None:
         discard = discard_probabilities(vocab, cfg.subsample)
-        kept = subsample_ids(id_lines, discard, rng_for(cfg.seed, "subsample", epoch))
-    return _window_pairs(kept, cfg.window)
+        id_lines = subsample_ids(id_lines, discard, rng_for(cfg.seed, "subsample", epoch))
+    tok, line_id = flatten_lines(id_lines)
+    keys = np.sort(window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok)))
+    return tok[keys // len(tok)].astype(np.int32), tok[keys % len(tok)].astype(np.int32)
 
 
 def counted_pairs(targets: np.ndarray, contexts: np.ndarray) -> list[tuple[int, int, int]]:

@@ -216,20 +216,24 @@ class MetricReport:
         return out
 
 
-def _scored_by_class(vectors, pair_set: RelationPairSet):
-    """Score each class's pairs and split scored from missing."""
-    result = {}
-    for word_class, pairs in pair_set.by_class().items():
+def _per_class(vectors, pair_set: RelationPairSet, fill, omit_unscored: bool = True) -> MetricReport:
+    """Score each word class's pairs and build its ClassMetrics, which
+    `fill(word_class, metrics, present)` completes from the scored pairs.
+
+    A class with no scored pair is left out when omit_unscored is set.
+    """
+    report = MetricReport()
+    for word_class, pairs in sorted(pair_set.by_class().items()):
         scored = score_pairs(vectors, pairs)
         present = [(p, s) for p, s in scored if s is not None]
-        missing = [(p.word1, p.word2) for p, s in scored if s is None]
-        result[word_class] = (pairs, present, missing)
-    return result
-
-
-def _ranked_labels(present) -> list[str]:
-    ordered = sorted(present, key=lambda ps: (-ps[1], ps[0].word1, ps[0].word2))
-    return [p.label for p, _ in ordered]
+        if not present and omit_unscored:
+            warnings.warn(f"class {word_class}: no scorable pairs, omitted")
+            continue
+        cm = ClassMetrics(n_total=len(pairs), n_scored=len(present),
+                          oov=[(p.word1, p.word2) for p, s in scored if s is None])
+        fill(word_class, cm, present)
+        report.classes[word_class] = cm
+    return report
 
 
 def eval_ap(vectors, pair_set: RelationPairSet) -> MetricReport:
@@ -238,20 +242,16 @@ def eval_ap(vectors, pair_set: RelationPairSet) -> MetricReport:
     Ties are broken by ascending (word1, word2) so results are
     order-independent. A label absent from a class leaves that AP unset.
     """
-    report = MetricReport()
-    for word_class, (pairs, present, missing) in sorted(_scored_by_class(vectors, pair_set).items()):
-        if not present:
-            warnings.warn(f"class {word_class}: no scorable pairs, omitted")
-            continue
-        cm = ClassMetrics(n_total=len(pairs), n_scored=len(present), oov=missing)
-        ranked = _ranked_labels(present)
+    def fill(word_class, cm, present):
+        ordered = sorted(present, key=lambda ps: (-ps[1], ps[0].word1, ps[0].word2))
+        ranked = [p.label for p, _ in ordered]
         for label, attr in (("SYN", "ap_syn"), ("ANT", "ap_ant")):
             if label in ranked:
                 setattr(cm, attr, average_precision(ranked, label))
             else:
                 warnings.warn(f"class {word_class}: no {label} pairs, AP_{label} unset")
-        report.classes[word_class] = cm
-    return report
+
+    return _per_class(vectors, pair_set, fill)
 
 
 def eval_auc(vectors, pair_set: RelationPairSet) -> MetricReport:
@@ -261,34 +261,27 @@ def eval_auc(vectors, pair_set: RelationPairSet) -> MetricReport:
     synonym pair gets the higher cosine, which equals antonym detection with
     negated scores.
     """
-    report = MetricReport()
-    for word_class, (pairs, present, missing) in sorted(_scored_by_class(vectors, pair_set).items()):
-        if not present:
-            warnings.warn(f"class {word_class}: no scorable pairs, omitted")
-            continue
-        cm = ClassMetrics(n_total=len(pairs), n_scored=len(present), oov=missing)
+    def fill(word_class, cm, present):
         labels = [p.label for p, _ in present]
         if "SYN" in labels and "ANT" in labels:
-            cm.auc = auc([s for _, s in present], [p.label == "SYN" for p, _ in present])
+            cm.auc = auc([s for _, s in present], [label == "SYN" for label in labels])
         else:
             warnings.warn(f"class {word_class}: single-label class, AUC unset")
-        report.classes[word_class] = cm
-    return report
+
+    return _per_class(vectors, pair_set, fill)
 
 
 def median_report(vectors, pair_set: RelationPairSet) -> MetricReport:
     """Median cosine per (word class, label) cell; empty cells stay blank."""
-    report = MetricReport()
-    for word_class, (pairs, present, missing) in sorted(_scored_by_class(vectors, pair_set).items()):
-        cm = ClassMetrics(n_total=len(pairs), n_scored=len(present), oov=missing)
+    def fill(word_class, cm, present):
         for label, attr in (("SYN", "median_syn"), ("ANT", "median_ant")):
             values = [s for p, s in present if p.label == label]
             if values:
                 setattr(cm, attr, float(np.median(values)))
             else:
                 warnings.warn(f"class {word_class}: no scored {label} pairs, median blank")
-        report.classes[word_class] = cm
-    return report
+
+    return _per_class(vectors, pair_set, fill, omit_unscored=False)
 
 
 def eval_spearman(vectors, pair_set: SimilarityPairSet) -> tuple[MetricReport, int, int]:
@@ -310,11 +303,8 @@ def eval_spearman(vectors, pair_set: SimilarityPairSet) -> tuple[MetricReport, i
 
 def load_relation_pairs(path) -> RelationPairSet:
     """Read `word1<TAB>word2<TAB>SYN|ANT<TAB>ADJ|NOUN|VERB` rows."""
-    pairs = []
-    for lineno, fields in tsvio.iter_rows(path):
-        if len(fields) != 4:
-            raise EvalError(f"{path}:{lineno}: expected word1, word2, label, word class")
-        pairs.append(RelationPair(fields[0], fields[1], fields[2], fields[3]))
+    columns = dict.fromkeys(("word1", "word2", "label", "class"), str)
+    pairs = map(RelationPair, *tsvio.read_columns(path, columns, EvalError))
     try:
         return RelationPairSet(tuple(pairs))
     except EvalError as exc:
@@ -323,15 +313,7 @@ def load_relation_pairs(path) -> RelationPairSet:
 
 def load_similarity_pairs(path) -> SimilarityPairSet:
     """Read `word1<TAB>word2<TAB>rating` rows."""
-    pairs = []
-    for lineno, fields in tsvio.iter_rows(path):
-        if len(fields) != 3:
-            raise EvalError(f"{path}:{lineno}: expected word1, word2, rating")
-        try:
-            rating = float(fields[2])
-        except ValueError:
-            raise EvalError(f"{path}:{lineno}: bad rating {fields[2]!r}") from None
-        pairs.append(SimilarityPair(fields[0], fields[1], rating))
+    pairs = map(SimilarityPair, *tsvio.read_columns(path, {"word1": str, "word2": str, "rating": float}, EvalError))
     try:
         return SimilarityPairSet(tuple(pairs))
     except EvalError as exc:

@@ -73,22 +73,24 @@ class ContrastLexicon:
         )
 
 
+def _word(field: str) -> str:
+    if not field:
+        raise ValueError("empty word field")
+    return field
+
+
+def _relation(field: str) -> str:
+    if field not in _RELATIONS:
+        raise ValueError(f"unknown relation tag {field!r}")
+    return field
+
+
 def load_lexicon(path) -> ContrastLexicon:
     """Parse a relation TSV into a symmetrized, conflict-resolved lexicon."""
-    syn_pairs: set[tuple[str, str]] = set()
-    ant_pairs: set[tuple[str, str]] = set()
-    for lineno, fields in tsvio.iter_rows(path):
-        if len(fields) != 3:
-            raise LexiconError(f"{path}:{lineno}: expected word1<TAB>REL<TAB>word2")
-        w1, rel, w2 = fields
-        if rel not in _RELATIONS:
-            raise LexiconError(f"{path}:{lineno}: unknown relation tag {rel!r}")
-        if not w1 or not w2:
-            raise LexiconError(f"{path}:{lineno}: empty word field")
-        if rel == "SYN":
-            syn_pairs.add((w1, w2))
-        else:
-            ant_pairs.add((w1, w2))
+    columns = {"word1": _word, "REL": _relation, "word2": _word}
+    first, rel, second = tsvio.read_columns(path, columns, LexiconError)
+    syn_pairs = {(w1, w2) for w1, r, w2 in zip(first, rel, second) if r == "SYN"}
+    ant_pairs = {(w1, w2) for w1, r, w2 in zip(first, rel, second) if r == "ANT"}
     return ContrastLexicon.from_pairs(syn_pairs, ant_pairs)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
 @contextmanager
@@ -40,18 +40,57 @@ def write_rows(
 ) -> None:
     with atomic_writer(path) as fh:
         write_meta(fh, meta)
-        for row in rows:
-            fh.write("\t".join(str(field) for field in row) + "\n")
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
-def iter_rows(path: str | os.PathLike) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, fields) for data rows, skipping comments and blanks."""
+def read_columns(
+    path: str | os.PathLike,
+    columns: dict[str, Callable[[str], object]],
+    error: type[ValueError],
+) -> list[list]:
+    """The data rows of `path`, skipping comments and blanks, as one list per
+    column, each field parsed by its column's parser.
+
+    A row whose field count differs from len(columns), or a field whose
+    parser raises ValueError, raises `error` naming the path, the line and
+    the column.
+    """
+    width = len(columns)
+    lines, flat = [], []  # flat holds the fields row after row: no list per row for the collector to scan
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            yield lineno, line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != width:
+                layout = "<TAB>".join(columns)
+                raise error(f"{path}:{lineno}: expected {layout}, got {len(fields)} fields")
+            lines.append(lineno)
+            flat += fields
+    parsed = []
+    for col, (name, parse) in enumerate(columns.items()):
+        fields = flat[col::width]
+        try:
+            parsed.append(list(map(parse, fields)))
+        except ValueError:
+            for lineno, field in zip(lines, fields):
+                try:
+                    parse(field)
+                except ValueError as exc:
+                    raise error(f"{path}:{lineno}: {exc} (bad {name} in column {col + 1})") from None
+    return parsed
+
+
+def bounded(parse: Callable[[str], float], low: float, high: float, message: str) -> Callable[[str], float]:
+    """Parser of a field that `parse` reads into a value in [low, high];
+    `message` says what is wrong with a value outside, NaN included."""
+    def check(field: str) -> float:
+        value = parse(field)
+        if not low <= value <= high:
+            raise ValueError(message)
+        return value
+    return check
 
 
 def read_meta(path: str | os.PathLike) -> dict[str, str]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tsvio import atomic_writer
+from .tsvio import atomic_writer, write_meta
 
 
 class VectorsError(ValueError):
@@ -67,8 +67,7 @@ class DenseEmbeddings:
 def write_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = None) -> None:
     """Write the word2vec text layout, after one `#key=value` line per meta entry."""
     with atomic_writer(path) as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"#{key}={value}\n")
+        write_meta(fh, meta)
         fh.write(f"{len(emb)} {emb.dim}\n")
         for word, row in zip(emb.words, emb.matrix):
             fh.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
@@ -87,7 +86,7 @@ def read_embeddings(path, source: str = "") -> DenseEmbeddings:
         if header is None:
             raise VectorsError(f"{path}: empty vector file")
         parts = header.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(part.isdecimal() for part in parts):
             raise VectorsError(f"{path}: header must be 'n_rows n_cols'")
         n_rows, n_cols = int(parts[0]), int(parts[1])
         for lineno, line in enumerate(fh, start=2):
@@ -99,8 +98,14 @@ def read_embeddings(path, source: str = "") -> DenseEmbeddings:
                     f"{path}:{lineno}: expected a word and {n_cols} values, got {len(fields)} fields"
                 )
             words.append(fields[0])
-            rows.append([float(x) for x in fields[1:]])
+            try:
+                rows.append([float(x) for x in fields[1:]])
+            except ValueError as exc:
+                raise VectorsError(f"{path}:{lineno}: {exc}") from None
     if len(words) != n_rows:
         raise VectorsError(f"{path}: header claims {n_rows} rows, found {len(words)}")
     matrix = np.array(rows, dtype=np.float64).reshape(len(words), n_cols)
-    return DenseEmbeddings(words, matrix, source=source)
+    try:
+        return DenseEmbeddings(words, matrix, source=source)
+    except VectorsError as exc:
+        raise VectorsError(f"{path}: {exc}") from None

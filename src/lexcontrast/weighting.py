@@ -20,8 +20,8 @@ B and relation matrices.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -54,12 +54,6 @@ class WeightedMatrix:
 
     def __len__(self) -> int:
         return int(self.matrix.nnz)
-
-    def triples(self) -> Iterator[tuple[int, int, float]]:
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            yield int(coo.row[i]), int(coo.col[i]), float(coo.data[i])
 
     def row(self, word_id: int) -> sparse.csr_matrix:
         return self.matrix.getrow(word_id)
@@ -246,8 +240,8 @@ def write_weighted(path, wm: WeightedMatrix, meta: dict[str, str] | None = None)
     full_meta = {"scheme": wm.scheme, "n_words": str(wm.shape[0]), "n_features": str(wm.shape[1])}
     if meta:
         full_meta.update(meta)
-    rows = ((t, f, repr(v)) for t, f, v in wm.triples())
-    tsvio.write_rows(path, rows, full_meta)
+    rows, cols = _cells(wm.matrix)
+    tsvio.write_rows(path, zip(rows.tolist(), cols.tolist(), map(repr, wm.matrix.data.tolist())), full_meta)
 
 
 def read_weighted(path) -> WeightedMatrix:
@@ -258,16 +252,11 @@ def read_weighted(path) -> WeightedMatrix:
         n_features = int(meta["n_features"])
     except KeyError as exc:
         raise WeightingError(f"{path}: missing {exc.args[0]} header") from None
-    rows, cols, vals = [], [], []
-    for lineno, fields in tsvio.iter_rows(path):
-        if len(fields) != 3:
-            raise WeightingError(f"{path}:{lineno}: expected target<TAB>feature<TAB>weight")
-        row, col = int(fields[0]), int(fields[1])
-        if not (0 <= row < n_words and 0 <= col < n_features):
-            raise WeightingError(f"{path}:{lineno}: id out of range for n_words={n_words}, n_features={n_features}")
-        rows.append(row)
-        cols.append(col)
-        vals.append(float(fields[2]))
+    outside = f"id out of range for n_words={n_words}, n_features={n_features}"
+    columns = {"target": tsvio.bounded(int, 0, n_words - 1, outside),
+               "feature": tsvio.bounded(int, 0, n_features - 1, outside),
+               "weight": tsvio.bounded(float, -sys.float_info.max, sys.float_info.max, "weight is NaN or infinite")}
+    rows, cols, vals = tsvio.read_columns(path, columns, WeightingError)
     wm = WeightedMatrix(scheme, sparse.coo_matrix((vals, (rows, cols)), shape=(n_words, n_features)).tocsr())
     if len(wm) < len(vals):  # converting to CSR summed repeated cells
         raise WeightingError(f"{path}: duplicate (target, feature) cells")

@@ -6,10 +6,11 @@ operations, the frozenset feature index and the per-key contrast sets from
 before both routes read one sparse holder matrix, the single-threaded
 per-pair SGD loop from before training was batched, the batch rule spelled
 out one pair at a time, the vector writer from before it took the header
-lines itself, co-occurrence counting with separate target and feature
-chunks, subsampling with one draw call per line, and the randomized SVD
-that took a QR after every product of its subspace iteration. They stay
-here, unchanged in behaviour, as oracles for the property tests.
+lines itself, the table writers that formatted cell by cell, co-occurrence
+counting with separate target and feature chunks, subsampling with one draw
+call per line, and the randomized SVD that took a QR after every product of
+its subspace iteration. They stay here, unchanged in behaviour, as oracles
+for the property tests.
 """
 
 from __future__ import annotations
@@ -537,6 +538,30 @@ def write_embeddings_with_meta(path, vectors, meta) -> None:
         fh.write(f"{len(vectors)} {vectors.dim}\n")
         for word, row in zip(vectors.words, vectors.matrix):
             fh.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
+
+
+def write_weighted(path, wm, meta=None) -> None:
+    """The weighted-matrix writer that formatted each cell of a lexsorted COO copy."""
+    full_meta = {"scheme": wm.scheme, "n_words": str(wm.shape[0]), "n_features": str(wm.shape[1])}
+    full_meta.update(meta or {})
+    coo = wm.matrix.tocoo()
+    cells = ((int(coo.row[i]), int(coo.col[i]), repr(float(coo.data[i]))) for i in np.lexsort((coo.col, coo.row)))
+    _write_rows(path, cells, full_meta)
+
+
+def write_counts(path, counts, meta=None) -> None:
+    """The count-table writer that formatted numpy scalars."""
+    full_meta = {"n_words": str(counts.n_words), "window": str(counts.window)}
+    full_meta.update(meta or {})
+    _write_rows(path, zip(counts.targets, counts.features, counts.counts), full_meta)
+
+
+def _write_rows(path, rows, meta) -> None:
+    with atomic_writer(path) as fh:
+        for key, value in meta.items():
+            fh.write(f"#{key}={value}\n")
+        for row in rows:
+            fh.write("\t".join(str(field) for field in row) + "\n")
 
 
 # --- the randomized SVD

@@ -135,6 +135,35 @@ class TestExitCodes:
         assert f"bad.tsv:{first + 1}: id out of range" in capsys.readouterr().err
         assert not Path("out.txt").exists()
 
+    @pytest.mark.parametrize("fault", ["duplicate word", "nan vector", "nan weight", "negative count"])
+    def test_bad_input_rows_are_1_and_named(self, workspace, capsys, fault):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
+              "--out", "counts.tsv", "--config", "run.cfg"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+        main(["weight-sa", "--lmi", "lmi.tsv", "--lexicon", "lexicon.tsv", "--vocab", "vocab.tsv",
+              "--out", "sa.tsv"])
+        eval_ap = ["eval-ap", "--vectors", "bad.tsv", "--pairs", "pairs.tsv", "--out", "out.tsv"]
+        if fault in ("duplicate word", "nan vector"):
+            row = "hot 1.0 2.0\n" if fault == "duplicate word" else "cold nan 2.0\n"
+            Path("bad.tsv").write_text("2 2\nhot 0.5 0.5\n" + row)
+            argv = eval_ap
+        elif fault == "nan weight":
+            lines = Path("sa.tsv").read_text().splitlines(keepends=True)
+            first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+            lines[first] = lines[first].rsplit("\t", 1)[0] + "\tnan\n"
+            Path("bad.tsv").write_text("".join(lines))
+            argv = eval_ap + ["--vocab", "vocab.tsv"]
+        else:
+            lines = Path("vocab.tsv").read_text().splitlines(keepends=True)
+            lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\t-3\n"
+            Path("bad.tsv").write_text("".join(lines))
+            argv = ["lmi", "--counts", "counts.tsv", "--vocab", "bad.tsv", "--out", "out.tsv"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "bad.tsv" in capsys.readouterr().err
+        assert not Path("out.tsv").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -83,6 +83,24 @@ class TestVocabulary:
         with pytest.raises(CorpusError):
             read_vocabulary(path)
 
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_read_rejects_counts_below_one(self, tmp_path, count):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"#tool=x\na\t0\t5\nb\t1\t{count}\n")
+        with pytest.raises(CorpusError, match=r"vocab\.tsv:3: .*column 3"):
+            read_vocabulary(path)
+
+    @pytest.mark.parametrize("reader, body, where", [
+        (read_vocabulary, "a\t0\t5\nb\tone\t3\n", r"vocab\.tsv:2: .*'one'.*column 2"),
+        (read_vocabulary, "a\t0\t5\nb\t1\n", r"vocab\.tsv:2: expected word<TAB>id<TAB>count"),
+        (read_counts, "#n_words=3\n#window=2\n0\t1\t2\n1\t0\tfoo\n", r"vocab\.tsv:4: .*'foo'.*column 3"),
+    ])
+    def test_unparsable_fields_are_named(self, tmp_path, reader, body, where):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(body)
+        with pytest.raises(CorpusError, match=where):
+            reader(path)
+
 
 class TestSubsampling:
     def test_discard_probability_formula(self):
@@ -213,6 +231,13 @@ class TestCooccurrence:
         path = tmp_path / "counts.tsv"
         path.write_text("#n_words=3\n#window=2\n0\t1\t0\n")
         with pytest.raises(CorpusError):
+            read_counts(path)
+
+    @pytest.mark.parametrize("row", ["-1\t0\t2", "0\t-1\t2", "3\t0\t2", "0\t3\t2"])
+    def test_read_counts_rejects_ids_outside_n_words(self, tmp_path, row):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#n_words=3\n#window=2\n0\t1\t2\n{row}\n")
+        with pytest.raises(CorpusError, match=r"counts\.tsv: id out of range"):
             read_counts(path)
 
     def test_read_counts_rejects_duplicate_cells(self, tmp_path):

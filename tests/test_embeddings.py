@@ -28,7 +28,6 @@ from lexcontrast.embeddings import (
     TrainingError,
     _ContrastState,
     _epoch_pairs,
-    _window_pairs,
     batch_size,
     build_noise_distribution,
     contrast_gradients,
@@ -294,16 +293,21 @@ class TestObjective:
 
 
 class TestPairExtraction:
+    @staticmethod
+    def _stream(ids, window):
+        vocab = Vocabulary.from_counts({f"w{i}": 1 for i in range(16)})
+        return _epoch_pairs(ids, vocab, TrainingConfig(dim=2, min_count=1, subsample=None, window=window), 0)
+
     def test_scan_order(self):
         # centers left to right, each with its contexts left to right
         ids = [np.array([10, 11, 12], dtype=np.int64)]
-        t, c = _window_pairs(ids, window=2)
+        t, c = self._stream(ids, window=2)
         got = list(zip(t.tolist(), c.tolist()))
         assert got == [(10, 11), (10, 12), (11, 10), (11, 12), (12, 10), (12, 11)]
 
     def test_line_boundaries_respected(self):
         ids = [np.array([1]), np.array([2])]
-        t, c = _window_pairs(ids, window=5)
+        t, c = self._stream(ids, window=5)
         assert len(t) == 0
 
     def test_counted_pairs_matches_counter(self):

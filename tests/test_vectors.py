@@ -100,6 +100,24 @@ class TestSerialization:
         with pytest.raises(VectorsError, match="claims 3"):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("rows, fault", [("a 1.0 2.0\na 3.0 4.0\n", "duplicate"),
+                                             ("a 1.0 nan\nb 3.0 4.0\n", "NaN"),
+                                             ("a 1.0 2.0\nb -inf 4.0\n", "NaN or Inf")])
+    def test_bad_rows_name_the_file(self, tmp_path, rows, fault):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 2\n" + rows)
+        with pytest.raises(VectorsError, match=rf"vec\.txt: .*{fault}"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("text, where", [("2 2\na 1.0 x\nb 1.0 2.0\n", r"vec\.txt:2: .*'x'"),
+                                             ("a b\na 1.0 2.0\n", r"vec\.txt: header"),
+                                             ("1 2.5\na 1.0 2.0\n", r"vec\.txt: header")])
+    def test_unparsable_fields_name_the_file(self, tmp_path, text, where):
+        path = tmp_path / "vec.txt"
+        path.write_text(text)
+        with pytest.raises(VectorsError, match=where):
+            read_embeddings(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("")

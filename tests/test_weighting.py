@@ -4,10 +4,11 @@ dense double-loop oracle that shares no code with the implementation."""
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy import sparse
 
-from lexcontrast.corpus import CooccurrenceCounts, Vocabulary, build_vocabulary, count_cooccurrences
+from lexcontrast.corpus import CooccurrenceCounts, Vocabulary, build_vocabulary, count_cooccurrences, write_counts
 from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
 from lexcontrast.weighting import (
     SCHEME_LMI,
@@ -383,11 +384,32 @@ class TestWeightedIo:
             loaded = read_weighted(path)
             assert loaded.scheme == matrix.scheme
             assert loaded.shape == matrix.shape
-            got = list(loaded.triples())
-            want = list(matrix.triples())
-            assert [(t, f) for t, f, _ in got] == [(t, f) for t, f, _ in want]
+            got, want = loaded.matrix, matrix.matrix
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
             # repr round-trip keeps float64 payloads bit-exact
-            assert [v for _, _, v in got] == [v for _, _, v in want]
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_writers_match_the_per_cell_writers(self, tmp_path):
+        rng = np.random.default_rng(31)
+        words = [f"w{i}" for i in range(40)]
+        lines = [[words[i] for i in rng.integers(0, 40, int(rng.integers(1, 30)))] for _ in range(200)]
+        vocab = build_vocabulary(lines, min_count=1)
+        counts = count_cooccurrences(lines, vocab, 3)
+        lmi = compute_lmi(counts, vocab)
+        syn = [(words[a], words[b]) for a, b in rng.integers(0, 40, (30, 2))]
+        ant = [(words[a], words[b]) for a, b in rng.integers(0, 40, (20, 2))]
+        lex = enrich_antonyms(ContrastLexicon.from_pairs(syn, ant))
+        sa = compute_weight_sa(lmi, build_feature_index(lmi), lex, vocab, fallback_lmi=True)
+        tiny = WeightedMatrix(SCHEME_SA, sparse.csr_matrix(np.array([[5e-324, -0.0], [0.0, -1e300]])))
+        meta = {"tool": "lexcontrast", "stage": "test"}
+        cases = [(write_counts, oracles.write_counts, counts)]
+        cases += [(write_weighted, oracles.write_weighted, wm) for wm in (lmi, sa, tiny)]
+        for new, old, table in cases:
+            new(tmp_path / "new.tsv", table, meta)
+            old(tmp_path / "old.tsv", table, meta)
+            assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+        assert len(sa) > len(lmi) // 2
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -407,6 +429,21 @@ class TestWeightedIo:
         path = tmp_path / "ids.tsv"
         path.write_text(f"#scheme={scheme}\n#n_words=2\n#n_features=2\n0\t0\t1.0\n{row}\n")
         with pytest.raises(WeightingError, match="ids.tsv:5: id out of range"):
+            read_weighted(path)
+
+    @pytest.mark.parametrize("scheme", ["LMI", "SA"])
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_weights_rejected(self, tmp_path, scheme, weight):
+        path = tmp_path / "w.tsv"
+        path.write_text(f"#scheme={scheme}\n#n_words=2\n#n_features=2\n0\t0\t0.5\n1\t1\t{weight}\n")
+        with pytest.raises(WeightingError, match=r"w\.tsv:5: .*column 3"):
+            read_weighted(path)
+
+    @pytest.mark.parametrize("row", ["x\t0\t0.5", "0\t1.5\t0.5", "0\t0\tnope"])
+    def test_unparsable_fields_are_named(self, tmp_path, row):
+        path = tmp_path / "w.tsv"
+        path.write_text(f"#scheme=SA\n#n_words=2\n#n_features=2\n{row}\n")
+        with pytest.raises(WeightingError, match=r"w\.tsv:4: .*column"):
             read_weighted(path)
 
     @pytest.mark.parametrize("weight", ["-4.0", "0.0"])
