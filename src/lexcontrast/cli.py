@@ -137,13 +137,13 @@ class Report(NamedTuple):
     notes: dict[str, str] = {}  # header lines after the stage's own
 
 
-def stage_vocab(lines, s) -> corpus.Vocabulary:
-    return corpus.build_vocabulary(lines, s["min_count"])
+def stage_vocab(text, s) -> corpus.Vocabulary:
+    return corpus.build_vocabulary(text, s["min_count"])
 
 
-def stage_count(lines, vocab, s) -> corpus.CooccurrenceCounts:
+def stage_count(text, vocab, s) -> corpus.CooccurrenceCounts:
     seed = _stage_seed(s["seed"], "count")
-    return corpus.count_cooccurrences(lines, vocab, s["window"], dynamic_window=s["dynamic_window"], seed=seed)
+    return corpus.count_cooccurrences(text, vocab, s["window"], dynamic_window=s["dynamic_window"], seed=seed)
 
 
 def stage_lmi(counts, vocab, s) -> weighting.WeightedMatrix:
@@ -172,13 +172,13 @@ def _trained(model, source: str, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
     return words, DenseEmbeddings(list(model.vocab.words), model.C, source=f"{source}-context")
 
 
-def stage_train_sgns(lines, vocab, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
-    return _trained(embeddings.train_sgns(lines, vocab, _training_config(s), progress=sys.stderr), "sgns", s)
+def stage_train_sgns(text, vocab, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
+    return _trained(embeddings.train_sgns(text, vocab, _training_config(s), progress=sys.stderr), "sgns", s)
 
 
-def stage_train_dlce(lines, vocab, lex, lmi, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
+def stage_train_dlce(text, vocab, lex, lmi, s) -> tuple[DenseEmbeddings, DenseEmbeddings]:
     idx = weighting.build_feature_index(lmi)
-    model = embeddings.train_dlce(lines, vocab, _training_config(s), lex, idx, progress=sys.stderr)
+    model = embeddings.train_dlce(text, vocab, _training_config(s), lex, idx, progress=sys.stderr)
     return _trained(model, "dlce", s)
 
 
@@ -342,8 +342,7 @@ def run_stage(args: argparse.Namespace) -> None:
 def run_pipeline(args: argparse.Namespace) -> None:
     """Every stage, chained in memory; each artifact is written as it comes, under its subcommand's header.
 
-    The corpus is read twice: the token lists go after counting, so that they do not stay in memory next
-    to the matrices, and are read once more for both trainers.
+    The corpus is read and encoded once; the vocabulary, the counts and both trainers take that `Corpus`.
     """
     s = _resolve(args)
     _training_config(s)  # refuses a bad training option before anything is written
@@ -367,11 +366,10 @@ def run_pipeline(args: argparse.Namespace) -> None:
             save("eval-spearman", stage_eval_spearman(vectors, similarity, s), f"spearman_{name}.tsv",
                  vectors=at, pairs=s["simpairs"])
 
-    lines = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
-    vocab = stage_vocab(lines, s)
+    text = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
+    vocab = stage_vocab(text, s)
     save("vocab", vocab, "vocab.tsv")
-    counts = stage_count(lines, vocab, s)
-    del lines
+    counts = stage_count(text, vocab, s)
     save("count", counts, "counts.tsv")
     lmi = stage_lmi(counts, vocab, s)
     del counts
@@ -386,12 +384,11 @@ def run_pipeline(args: argparse.Namespace) -> None:
         del reduced, weights  # each vector set goes once scored
     del sa
 
-    lines = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
-    vectors = stage_train_sgns(lines, vocab, s)[0]
+    vectors = stage_train_sgns(text, vocab, s)[0]
     save("train-sgns", vectors, "sgns.txt")
     score("sgns", vectors)
     del vectors
-    vectors = stage_train_dlce(lines, vocab, lex, lmi, s)[0]
+    vectors = stage_train_dlce(text, vocab, lex, lmi, s)[0]
     save("train-dlce", vectors, "dlce.txt")
     score("dlce", vectors)
 

@@ -1,18 +1,23 @@
-"""Corpus ingestion: vocabulary building, frequency subsampling, windowed co-occurrence counts.
+"""Corpus ingestion: one encoded corpus, vocabulary building, frequency
+subsampling, windowed co-occurrence counts.
 
 The corpus format is plain UTF-8 text, one document per line, whitespace
-tokenized. Document boundaries are never crossed when windowing.
+tokenized. `encode_lines` turns token lines into a `Corpus` in one pass, the
+only pass over the tokens; everything downstream, the vocabulary, the count
+table and both trainers, reads its flat int arrays. Document boundaries are
+never crossed when windowing.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import tsvio
 
@@ -23,12 +28,13 @@ class CorpusError(ValueError):
     """Raised for malformed corpus-side inputs (vocab/count files, bad ids)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
     """Word <-> dense-id mapping with corpus frequencies.
 
     Ids are 0..n-1, assigned by descending frequency with lexicographic
     tie-breaking; every count is >= the min_count used at build time.
+    Two vocabularies are equal when their words and counts are.
     """
 
     words: tuple[str, ...]
@@ -40,6 +46,10 @@ class Vocabulary:
         object.__setattr__(self, "total_tokens", int(self.counts.sum()))
         object.__setattr__(self, "word_ids", {w: i for i, w in enumerate(self.words)})
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Vocabulary) and self.words == other.words
+                and np.array_equal(self.counts, other.counts))
+
     def __len__(self) -> int:
         return len(self.words)
 
@@ -49,12 +59,6 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self.word_ids[word]
 
-    def word_of(self, word_id: int) -> str:
-        return self.words[word_id]
-
-    def count_of(self, word_id: int) -> int:
-        return int(self.counts[word_id])
-
     def relative_frequencies(self) -> np.ndarray:
         """count(w) / total retained tokens, per id."""
         if self.total_tokens == 0:
@@ -62,7 +66,7 @@ class Vocabulary:
         return self.counts / float(self.total_tokens)
 
     @classmethod
-    def from_counts(cls, counts: Counter | dict[str, int], min_count: int = 1) -> "Vocabulary":
+    def from_counts(cls, counts: Mapping[str, int], min_count: int = 1) -> "Vocabulary":
         if min_count < 1:
             raise CorpusError(f"min_count must be >= 1, got {min_count}")
         kept = [(w, int(c)) for w, c in counts.items() if c >= min_count]
@@ -70,39 +74,55 @@ class Vocabulary:
         return cls(tuple(w for w, _ in kept), np.array([c for _, c in kept], dtype=np.int64))
 
 
-def read_corpus(path, lowercase: bool = True) -> list[list[str]]:
-    """Load a one-document-per-line corpus file into token lists.
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A corpus encoded once: its token types in first-seen order, and for
+    each token in corpus order its type id and its line."""
 
-    Equal tokens share one string object. The lists then cost a pointer per
-    token, and a vocabulary built from them, which outlives them, does not
-    hold on to memory spread through every line.
-    """
-    lines = []
-    canonical: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if lowercase:
-                tokens = [t.lower() for t in tokens]
-            lines.append([canonical.setdefault(t, t) for t in tokens])
-    return lines
+    types: tuple[str, ...]
+    tok: np.ndarray  # C int (int32) index into types; half the memory of int64
+    line: np.ndarray  # C int line number, non-decreasing
+
+    def ids(self, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+        """The vocabulary id of every in-vocabulary token, in corpus order, and
+        its line; out-of-vocabulary tokens are dropped."""
+        table = np.array([vocab.word_ids.get(t, -1) for t in self.types], dtype=np.int64)
+        ids = table[self.tok]
+        kept = ids >= 0
+        return ids[kept], self.line[kept]
 
 
-def build_vocabulary(lines: TokenLines, min_count: int) -> Vocabulary:
-    """Count all token types and keep those with frequency >= min_count."""
-    counter: Counter = Counter()
+def encode_lines(lines: TokenLines) -> Corpus:
+    """Encode token lines in one pass, one dict lookup per token; a type's id
+    is its rank in first-seen order. The lookup of a new type inserts it, so
+    the loop over a line's tokens runs in `map`, not in Python code."""
+    type_ids: defaultdict[str, int] = defaultdict(count().__next__)
+    tok, lengths = array("i"), array("i")
     for line in lines:
-        counter.update(line)
-    return Vocabulary.from_counts(counter, min_count)
+        tok.extend(map(type_ids.__getitem__, line))
+        lengths.append(len(line))
+    line_of = np.repeat(np.arange(len(lengths), dtype=np.intc), np.frombuffer(lengths, dtype=np.intc))
+    return Corpus(tuple(type_ids), np.frombuffer(tok, dtype=np.intc), line_of)
 
 
-def encode_lines(lines: TokenLines, vocab: Vocabulary) -> list[np.ndarray]:
-    """Map token lines to id arrays, dropping out-of-vocabulary tokens."""
-    ids = vocab.word_ids
-    return [
-        np.array([ids[t] for t in line if t in ids], dtype=np.int64)
-        for line in lines
-    ]
+def _as_corpus(lines: Corpus | TokenLines) -> Corpus:
+    """The corpus, with token lines encoded first. The entry points that take
+    a corpus also take token lines, which the benchmark's in-process
+    workloads and library callers pass."""
+    return lines if isinstance(lines, Corpus) else encode_lines(lines)
+
+
+def read_corpus(path, lowercase: bool = True) -> Corpus:
+    """Encode a one-document-per-line corpus file, lowercasing each token if asked."""
+    with open(path, encoding="utf-8") as fh:
+        return encode_lines([t.lower() for t in line.split()] if lowercase else line.split() for line in fh)
+
+
+def build_vocabulary(lines: Corpus | TokenLines, min_count: int) -> Vocabulary:
+    """Count all token types and keep those with frequency >= min_count."""
+    text = _as_corpus(lines)
+    counts = np.bincount(text.tok, minlength=len(text.types))
+    return Vocabulary.from_counts(dict(zip(text.types, counts.tolist())), min_count)
 
 
 def discard_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
@@ -117,27 +137,19 @@ def discard_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
 
 
 def subsample_ids(
-    id_lines: Sequence[np.ndarray],
+    ids: tuple[np.ndarray, np.ndarray],
     discard: np.ndarray,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Drop each occurrence independently with its word's discard probability.
 
+    `ids` is the (token id, line) pair of `Corpus.ids`, and so is the result.
     One uniform draw is consumed per token, in corpus order, so the output is
-    a pure function of (input, discard table, generator state). The draws
-    come from one call: a generator's stream of doubles does not depend on
-    how it is chunked, so this equals drawing line by line.
+    a pure function of (input, discard table, generator state).
     """
-    full = [ids for ids in id_lines if len(ids)]
-    if not full:
-        return list(id_lines)
-    flat = np.concatenate(full)
-    keep = rng.random(len(flat)) >= discard[flat]
-    line_ends = np.cumsum(np.fromiter(map(len, full), dtype=np.intp, count=len(full))) - 1
-    bounds = [0] + np.cumsum(keep)[line_ends].tolist()
-    kept = flat[keep]
-    pieces = iter([kept[a:b] for a, b in zip(bounds, bounds[1:])])
-    return [next(pieces) if len(ids) else ids for ids in id_lines]
+    tok, line = ids
+    keep = rng.random(len(tok)) >= discard[tok]
+    return tok[keep], line[keep]
 
 
 @dataclass(frozen=True)
@@ -160,22 +172,9 @@ class CooccurrenceCounts:
     def total(self) -> int:
         return int(self.counts.sum()) if len(self.counts) else 0
 
-    def to_dict(self) -> dict[tuple[int, int], int]:
-        return {
-            (int(t), int(f)): int(c)
-            for t, f, c in zip(self.targets, self.features, self.counts)
-        }
-
-    def to_csr(self) -> sparse.csr_matrix:
-        m = sparse.coo_matrix(
-            (self.counts.astype(np.float64), (self.targets, self.features)),
-            shape=(self.n_words, self.n_words),
-        )
-        return m.tocsr()
-
 
 def count_cooccurrences(
-    lines: TokenLines,
+    lines: Corpus | TokenLines,
     vocab: Vocabulary,
     window: int,
     dynamic_window: bool = False,
@@ -193,17 +192,10 @@ def count_cooccurrences(
     if window < 1:
         raise CorpusError(f"window must be >= 1, got {window}")
     n = len(vocab)
-    tok, line_id = flatten_lines(encode_lines(lines, vocab))
+    tok, line_id = _as_corpus(lines).ids(vocab)
     eff = np.random.default_rng(seed).integers(1, window + 1, size=len(tok)) if dynamic_window else None
     keys, counts = np.unique(window_keys(tok, line_id, window, n, eff), return_counts=True)
     return CooccurrenceCounts(n, window, keys // n, keys % n, counts.astype(np.int64))
-
-
-def flatten_lines(id_lines: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of all lines in one int64 array, and the line of each."""
-    lengths = np.fromiter(map(len, id_lines), dtype=np.int64, count=len(id_lines))
-    tok = np.concatenate(id_lines).astype(np.int64, copy=False) if len(id_lines) else np.zeros(0, dtype=np.int64)
-    return tok, np.repeat(np.arange(len(id_lines)), lengths)
 
 
 def window_keys(tok: np.ndarray, line_id: np.ndarray, window: int, scale: int,
@@ -259,12 +251,9 @@ def read_counts(path) -> CooccurrenceCounts:
         window = int(meta["window"])
     except KeyError as exc:
         raise CorpusError(f"{path}: missing {exc.args[0]} header") from None
-    columns = {"target": int, "feature": int, "count": int}
+    word_id = tsvio.bounded(int, 0, n_words - 1, f"id out of range for n_words={n_words}")
+    columns = {"target": word_id, "feature": word_id, "count": tsvio.bounded(int, 1, math.inf, "count below 1")}
     targets, features, values = (np.array(c, dtype=np.int64) for c in tsvio.read_columns(path, columns, CorpusError))
-    if len(values) and (values <= 0).any():
-        raise CorpusError(f"{path}: stored counts must be positive")
-    if len(targets) and not (0 <= min(targets.min(), features.min()) and max(targets.max(), features.max()) < n_words):
-        raise CorpusError(f"{path}: id out of range for n_words={n_words}")
     if len(np.unique(targets * n_words + features)) < len(targets):
         raise CorpusError(f"{path}: duplicate (target, feature) rows")
     order = np.lexsort((features, targets))

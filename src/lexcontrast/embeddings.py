@@ -42,18 +42,19 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import (
+    Corpus,
     CorpusError,
+    TokenLines,
     Vocabulary,
+    _as_corpus,
     discard_probabilities,
-    encode_lines,
-    flatten_lines,
     subsample_ids,
     window_keys,
 )
 from .lexicon import ContrastLexicon
 from .seeding import rng_for
 from .vectors import DenseEmbeddings
-from .weighting import pair_cosines, relation_matrix
+from .weighting import relation_matrix
 
 MIN_ALPHA_FRACTION = 1e-4  # floor of the linear decay, as a fraction of alpha0
 
@@ -175,14 +176,10 @@ class EmbeddingModel:
 # --- pure gradients: the SGNS pair term and the contrast term
 
 
-def sgns_pair_loss(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray) -> float:
-    """Sum of log sigma(+-dot) terms for one positive pair and its negatives."""
-    x = ctx_rows @ w_vec
-    return float(np.sum(labels * log_sigmoid(x) + (1.0 - labels) * log_sigmoid(-x)))
-
-
 def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray, keep=None):
-    """Ascent gradients of sgns_pair_loss wrt w and each context row.
+    """Ascent gradients of one pair's log-likelihood, the sum over its rows
+    of log sigma(dot) for label 1 and log sigma(-dot) for label 0, wrt w and
+    each context row.
 
     Takes one pair, or a stack of pairs along leading axes; matmul runs the
     same BLAS call for each pair of a stack as for that pair alone. Rows
@@ -194,17 +191,9 @@ def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndar
     return np.matmul(err[..., None, :], ctx_rows)[..., 0, :], err[..., None] * w_vec[..., None, :]
 
 
-def contrast_value(W: np.ndarray, w: int, syn_ids, ant_ids) -> float:
-    """mean cos(w, u) over synonyms minus mean cos(w, v) over antonyms."""
-    value = 0.0
-    for ids, sign in ((syn_ids, 1.0), (ant_ids, -1.0)):
-        if len(ids):
-            value += sign * pair_cosines(W, np.full(len(ids), w), ids).mean()
-    return value
-
-
 def contrast_gradients(W: np.ndarray, w: int, syn_ids, ant_ids):
-    """Ascent gradients of contrast_value wrt W[w], each synonym, each antonym.
+    """Ascent gradients of the contrast value, mean cos(w, u) over synonyms
+    minus mean cos(w, v) over antonyms, wrt W[w], each synonym, each antonym.
 
     Members with zero norm contribute zero value and zero gradient but still
     count in the mean's normalizer. This is `_wave_gradients` on one hit, so
@@ -407,16 +396,17 @@ def sgns_objective(
 # --- pair extraction
 
 
-def _epoch_pairs(id_lines, vocab: Vocabulary, cfg: TrainingConfig, epoch: int):
+def _epoch_pairs(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig, epoch: int):
     """One epoch's positive (target, context) pairs in corpus-scan order:
-    each kept token in turn, with its contexts left to right.
+    each kept token in turn, with its contexts left to right. `ids` is the
+    (token id, line) pair of `Corpus.ids`.
 
     The window keys of token positions, sorted, are that order.
     """
     if cfg.subsample is not None:
         discard = discard_probabilities(vocab, cfg.subsample)
-        id_lines = subsample_ids(id_lines, discard, rng_for(cfg.seed, "subsample", epoch))
-    tok, line_id = flatten_lines(id_lines)
+        ids = subsample_ids(ids, discard, rng_for(cfg.seed, "subsample", epoch))
+    tok, line_id = ids
     keys = np.sort(window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok)))
     return tok[keys // len(tok)].astype(np.int32), tok[keys % len(tok)].astype(np.int32)
 
@@ -631,7 +621,7 @@ def _run_epoch(model, targets, rows, labels, first, total_updates, contrast, bat
 
 
 def _train(
-    lines,
+    lines: Corpus | TokenLines,
     vocab: Vocabulary,
     cfg: TrainingConfig,
     contrast: _ContrastState | None,
@@ -643,11 +633,11 @@ def _train(
         raise TrainingError(
             "vocabulary/config mismatch: vocabulary holds words below min_count"
         )
-    id_lines = encode_lines(lines, vocab)
-    if sum(len(ids) for ids in id_lines) == 0:
+    ids = _as_corpus(lines).ids(vocab)
+    if len(ids[0]) == 0:
         raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
 
-    epoch_streams = [_epoch_pairs(id_lines, vocab, cfg, e) for e in range(cfg.epochs)]
+    epoch_streams = [_epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)
     if total_updates == 0:
         raise TrainingError("no training pairs survive windowing/subsampling")
@@ -684,7 +674,7 @@ def _train(
 
 
 def train_sgns(
-    lines,
+    lines: Corpus | TokenLines,
     vocab: Vocabulary,
     cfg: TrainingConfig,
     progress: TextIO | None = None,
@@ -694,7 +684,7 @@ def train_sgns(
 
 
 def train_dlce(
-    lines,
+    lines: Corpus | TokenLines,
     vocab: Vocabulary,
     cfg: TrainingConfig,
     lex: ContrastLexicon,

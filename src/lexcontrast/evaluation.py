@@ -303,7 +303,7 @@ def eval_spearman(vectors, pair_set: SimilarityPairSet) -> tuple[MetricReport, i
 
 def load_relation_pairs(path) -> RelationPairSet:
     """Read `word1<TAB>word2<TAB>SYN|ANT<TAB>ADJ|NOUN|VERB` rows."""
-    columns = dict.fromkeys(("word1", "word2", "label", "class"), str)
+    columns = {"word1": str, "word2": str, "label": tsvio.one_of(LABELS), "class": tsvio.one_of(WORD_CLASSES)}
     pairs = map(RelationPair, *tsvio.read_columns(path, columns, EvalError))
     try:
         return RelationPairSet(tuple(pairs))

@@ -44,9 +44,6 @@ class ContrastLexicon:
     def words(self) -> set[str]:
         return set(self.syn) | set(self.ant)
 
-    def has_entries(self, word: str) -> bool:
-        return bool(self.syn.get(word)) or bool(self.ant.get(word))
-
     @classmethod
     def from_pairs(
         cls,
@@ -109,18 +106,3 @@ def enrich_antonyms(lex: ContrastLexicon) -> ContrastLexicon:
         pool -= lex.synonyms(word)
         enriched[word] = frozenset(pool)
     return ContrastLexicon(syn=lex.syn, ant=lex.ant, ant_enriched=enriched)
-
-
-def write_lexicon(path, lex: ContrastLexicon, meta: dict[str, str] | None = None) -> None:
-    """Emit each unordered pair once, synonyms first, sorted for determinism."""
-    seen: set[frozenset[str]] = set()
-    rows = []
-    for rel, mapping in (("SYN", lex.syn), ("ANT", lex.ant)):
-        for w in sorted(mapping):
-            for other in sorted(mapping[w]):
-                key = frozenset((w, other))
-                if key in seen:
-                    continue
-                seen.add(key)
-                rows.append((w, rel, other))
-    tsvio.write_rows(path, rows, meta)

@@ -52,9 +52,6 @@ class SvdResult:
     def dim(self) -> int:
         return self.row_vectors.shape[1]
 
-    def reconstruction(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors
-
 
 def _dense_svd(matrix: np.ndarray, k: int):
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)

@@ -93,6 +93,15 @@ def bounded(parse: Callable[[str], float], low: float, high: float, message: str
     return check
 
 
+def one_of(choices: Sequence[str]) -> Callable[[str], str]:
+    """Parser of a field that must be one of `choices`."""
+    def check(field: str) -> str:
+        if field not in choices:
+            raise ValueError(f"{field!r} is not one of {', '.join(choices)}")
+        return field
+    return check
+
+
 def read_meta(path: str | os.PathLike) -> dict[str, str]:
     """Parse leading `#key=value` comment lines."""
     meta: dict[str, str] = {}

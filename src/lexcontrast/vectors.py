@@ -18,9 +18,13 @@ class VectorsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseEmbeddings:
-    """Row-per-word dense matrix plus the word list that indexes it."""
+    """Row-per-word dense matrix plus the word list that indexes it.
+
+    Two are equal when every field is: words, matrix values, source,
+    singular values and effective rank.
+    """
 
     words: list[str]
     matrix: np.ndarray  # shape (len(words), dim), float64
@@ -42,6 +46,12 @@ class DenseEmbeddings:
         if len(ids) != len(self.words):
             raise VectorsError("duplicate word in embedding rows")
         object.__setattr__(self, "word_ids", ids)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DenseEmbeddings) and self.words == other.words
+                and (self.source, self.effective_rank) == (other.source, other.effective_rank)
+                and np.array_equal(self.matrix, other.matrix)
+                and np.array_equal(self.singular_values, other.singular_values))
 
     @property
     def dim(self) -> int:
@@ -75,7 +85,7 @@ def write_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = N
 
 def read_embeddings(path, source: str = "") -> DenseEmbeddings:
     words: list[str] = []
-    rows: list[list[float]] = []
+    values: list[float] = []  # row after row: no list per row for the collector to scan
     with open(path, encoding="utf-8") as fh:
         header = None
         for line in fh:
@@ -99,12 +109,12 @@ def read_embeddings(path, source: str = "") -> DenseEmbeddings:
                 )
             words.append(fields[0])
             try:
-                rows.append([float(x) for x in fields[1:]])
+                values += map(float, fields[1:])
             except ValueError as exc:
                 raise VectorsError(f"{path}:{lineno}: {exc}") from None
     if len(words) != n_rows:
         raise VectorsError(f"{path}: header claims {n_rows} rows, found {len(words)}")
-    matrix = np.array(rows, dtype=np.float64).reshape(len(words), n_cols)
+    matrix = np.array(values, dtype=np.float64).reshape(len(words), n_cols)
     try:
         return DenseEmbeddings(words, matrix, source=source)
     except VectorsError as exc:

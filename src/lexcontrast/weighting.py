@@ -55,13 +55,6 @@ class WeightedMatrix:
     def __len__(self) -> int:
         return int(self.matrix.nnz)
 
-    def row(self, word_id: int) -> sparse.csr_matrix:
-        return self.matrix.getrow(word_id)
-
-    def has_row(self, word_id: int) -> bool:
-        indptr = self.matrix.indptr
-        return indptr[word_id] < indptr[word_id + 1]
-
     def validate(self) -> None:
         """Check the value invariants of a pure-scheme matrix.
 

@@ -8,23 +8,58 @@ per-pair SGD loop from before training was batched, the batch rule spelled
 out one pair at a time, the vector writer from before it took the header
 lines itself, the table writers that formatted cell by cell, co-occurrence
 counting with separate target and feature chunks, subsampling with one draw
-call per line, and the randomized SVD that took a QR after every product of
-its subspace iteration. They stay here, unchanged in behaviour, as oracles
-for the property tests.
+call per line, the randomized SVD that took a QR after every product of
+its subspace iteration, and the corpus as token lists: a `Counter`
+vocabulary and one id array per line. They stay here, unchanged in
+behaviour, as oracles for the property tests.
+
+Below them are helpers that only tests use: the pair objective and the
+contrast value whose gradients the trainer takes, table views, the SVD
+reconstruction and the lexicon writer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from lexcontrast import embeddings as emb
-from lexcontrast.corpus import CooccurrenceCounts, CorpusError, encode_lines
+from lexcontrast.corpus import CooccurrenceCounts, CorpusError, Vocabulary
 from lexcontrast.seeding import rng_for
-from lexcontrast.tsvio import atomic_writer
-from lexcontrast.weighting import SCHEME_SA, WeightedMatrix
+from lexcontrast.tsvio import atomic_writer, write_rows
+from lexcontrast.weighting import SCHEME_SA, WeightedMatrix, pair_cosines
+
+
+# --- the corpus as token lists
+
+
+def build_vocabulary(lines, min_count) -> Vocabulary:
+    """Count all token types with a Counter and keep those with frequency >= min_count."""
+    counter: Counter = Counter()
+    for line in lines:
+        counter.update(line)
+    return Vocabulary.from_counts(counter, min_count)
+
+
+def encode_lines(lines, vocab) -> list[np.ndarray]:
+    """Map token lines to id arrays, dropping out-of-vocabulary tokens."""
+    ids = vocab.word_ids
+    return [np.array([ids[t] for t in line if t in ids], dtype=np.int64) for line in lines]
+
+
+def flatten_lines(id_lines) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of all lines in one int64 array, and the line of each."""
+    lengths = np.fromiter(map(len, id_lines), dtype=np.int64, count=len(id_lines))
+    tok = np.concatenate(id_lines).astype(np.int64, copy=False) if len(id_lines) else np.zeros(0, dtype=np.int64)
+    return tok, np.repeat(np.arange(len(id_lines)), lengths)
+
+
+def vocabulary_ids(lines, vocab) -> tuple[np.ndarray, np.ndarray]:
+    """`Corpus.ids` by way of one id array per line."""
+    return flatten_lines(encode_lines(lines, vocab))
 
 
 def subsample_ids(id_lines, discard, rng) -> list[np.ndarray]:
@@ -425,11 +460,11 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
         raise emb.TrainingError(
             "vocabulary/config mismatch: vocabulary holds words below min_count"
         )
-    id_lines = encode_lines(lines, vocab)
-    if sum(len(ids) for ids in id_lines) == 0:
+    ids = vocabulary_ids(lines, vocab)
+    if len(ids[0]) == 0:
         raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
 
-    epoch_streams = [emb._epoch_pairs(id_lines, vocab, cfg, e) for e in range(cfg.epochs)]
+    epoch_streams = [emb._epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)
     if total_updates == 0:
         raise emb.TrainingError("no training pairs survive windowing/subsampling")
@@ -480,8 +515,8 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
     stream order with np.add.at and then added once, and the block's contrast
     steps run in stream order after that."""
     contrast = None if lex is None else emb._ContrastState(lex, vocab, idx, cfg)
-    id_lines = encode_lines(lines, vocab)
-    epoch_streams = [emb._epoch_pairs(id_lines, vocab, cfg, e) for e in range(cfg.epochs)]
+    ids = vocabulary_ids(lines, vocab)
+    epoch_streams = [emb._epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)
     if total_updates == 0:
         raise emb.TrainingError("no training pairs survive windowing/subsampling")
@@ -635,3 +670,53 @@ def count_cooccurrences(lines, vocab, window, dynamic_window=False, seed=0) -> C
     uniq, counts = np.unique(keys, return_counts=True)
     t, f, c = uniq // len(vocab), uniq % len(vocab), counts.astype(np.int64)
     return CooccurrenceCounts(len(vocab), window, t, f, c)
+
+
+# --- helpers that only tests use
+
+
+def sgns_pair_loss(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of log sigma(+-dot) terms for one positive pair and its negatives."""
+    x = ctx_rows @ w_vec
+    return float(np.sum(labels * emb.log_sigmoid(x) + (1.0 - labels) * emb.log_sigmoid(-x)))
+
+
+def contrast_value(W: np.ndarray, w: int, syn_ids, ant_ids) -> float:
+    """mean cos(w, u) over synonyms minus mean cos(w, v) over antonyms."""
+    value = 0.0
+    for ids, sign in ((syn_ids, 1.0), (ant_ids, -1.0)):
+        if len(ids):
+            value += sign * pair_cosines(W, np.full(len(ids), w), ids).mean()
+    return value
+
+
+def counts_dict(counts: CooccurrenceCounts) -> dict[tuple[int, int], int]:
+    """A count table as {(target, feature): count}."""
+    return {(int(t), int(f)): int(c) for t, f, c in zip(counts.targets, counts.features, counts.counts)}
+
+
+def counts_csr(counts: CooccurrenceCounts) -> sparse.csr_matrix:
+    """A count table as an n_words x n_words float matrix."""
+    m = sparse.coo_matrix((counts.counts.astype(np.float64), (counts.targets, counts.features)),
+                          shape=(counts.n_words, counts.n_words))
+    return m.tocsr()
+
+
+def reconstruction(result) -> np.ndarray:
+    """U diag(s) Vt of an SvdResult."""
+    return (result.left_vectors * result.singular_values) @ result.right_vectors
+
+
+def write_lexicon(path, lex, meta=None) -> None:
+    """Emit each unordered pair once, synonyms first, sorted for determinism."""
+    seen: set[frozenset[str]] = set()
+    rows = []
+    for rel, mapping in (("SYN", lex.syn), ("ANT", lex.ant)):
+        for w in sorted(mapping):
+            for other in sorted(mapping[w]):
+                key = frozenset((w, other))
+                if key in seen:
+                    continue
+                seen.add(key)
+                rows.append((w, rel, other))
+    write_rows(path, rows, meta)

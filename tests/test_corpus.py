@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from lexcontrast.corpus import (
@@ -12,12 +13,16 @@ from lexcontrast.corpus import (
     count_cooccurrences,
     discard_probabilities,
     encode_lines,
+    read_corpus,
     read_counts,
     read_vocabulary,
     subsample_ids,
     write_counts,
     write_vocabulary,
 )
+from lexcontrast.embeddings import TrainingConfig, train_dlce, train_sgns
+from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
+from lexcontrast.weighting import build_feature_index, compute_lmi
 
 
 def _random_lines(rng, n_tokens, vocab_size, max_line=40):
@@ -34,7 +39,7 @@ class TestVocabulary:
     def test_min_count_filters(self):
         vocab = build_vocabulary([["a", "a", "a", "b"]], min_count=2)
         assert list(vocab.words) == ["a"]
-        assert vocab.count_of(0) == 3
+        assert vocab.counts.tolist() == [3]
 
     def test_ordering_by_frequency_then_word(self):
         vocab = build_vocabulary([["a", "a", "a", "b"]], min_count=1)
@@ -60,6 +65,14 @@ class TestVocabulary:
         assert sorted(vocab.word_ids.values()) == list(range(len(vocab)))
         assert len(set(vocab.words)) == len(vocab)
         assert (vocab.counts >= 1).all()
+
+    def test_equality_is_over_words_and_counts(self):
+        vocab = Vocabulary.from_counts({"a": 3, "b": 2})
+        assert vocab == Vocabulary(("a", "b"), np.array([3, 2])) and not vocab != Vocabulary.from_counts({"a": 3, "b": 2})
+        assert vocab != Vocabulary.from_counts({"a": 3, "b": 1})
+        assert vocab != Vocabulary.from_counts({"a": 3, "c": 2})
+        assert vocab != Vocabulary.from_counts({"a": 3})
+        assert vocab != ("a", "b")
 
     def test_round_trip(self, tmp_path):
         vocab = build_vocabulary([["b", "a", "b", "c", "b", "a"]], min_count=1)
@@ -126,9 +139,9 @@ class TestSubsampling:
         p = probs[vocab.id_of("a")]
         assert 0.0 < p < 1.0
         n = 200_000
-        ids = [np.full(n, vocab.id_of("a"), dtype=np.int64)]
-        kept = subsample_ids(ids, probs, np.random.default_rng(7))
-        observed = 1.0 - len(kept[0]) / n
+        ids = np.full(n, vocab.id_of("a"), dtype=np.int64), np.zeros(n, dtype=np.int64)
+        kept, _ = subsample_ids(ids, probs, np.random.default_rng(7))
+        observed = 1.0 - len(kept) / n
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(observed - p) < 4 * sigma
 
@@ -152,12 +165,12 @@ class TestCooccurrence:
         vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
         counts = count_cooccurrences([["a", "b", "c"]], vocab, 1)
         a, b, c = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("c")
-        assert counts.to_dict() == {(a, b): 1, (b, a): 1, (b, c): 1, (c, b): 1}
+        assert oracles.counts_dict(counts) == {(a, b): 1, (b, a): 1, (b, c): 1, (c, b): 1}
 
     def test_window_two_adds_skip_pair(self):
         vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
-        d1 = count_cooccurrences([["a", "b", "c"]], vocab, 1).to_dict()
-        d2 = count_cooccurrences([["a", "b", "c"]], vocab, 2).to_dict()
+        d1 = oracles.counts_dict(count_cooccurrences([["a", "b", "c"]], vocab, 1))
+        d2 = oracles.counts_dict(count_cooccurrences([["a", "b", "c"]], vocab, 2))
         a, c = vocab.id_of("a"), vocab.id_of("c")
         assert d2[(a, c)] == 1 and d2[(c, a)] == 1
         for key, value in d1.items():
@@ -168,12 +181,12 @@ class TestCooccurrence:
         vocab = build_vocabulary([["a", "b"]], min_count=1)
         counts = count_cooccurrences([["a", "zzz", "b"]], vocab, 1)
         a, b = vocab.id_of("a"), vocab.id_of("b")
-        assert counts.to_dict() == {(a, b): 1, (b, a): 1}
+        assert oracles.counts_dict(counts) == {(a, b): 1, (b, a): 1}
 
     def test_lines_are_boundaries(self):
         vocab = build_vocabulary([["a"], ["b"]], min_count=1)
         counts = count_cooccurrences([["a"], ["b"]], vocab, 5)
-        assert counts.to_dict() == {}
+        assert oracles.counts_dict(counts) == {}
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
@@ -182,32 +195,32 @@ class TestCooccurrence:
             vocab = build_vocabulary(lines, min_count=1)
             window = int(rng.integers(1, 7))
             counts = count_cooccurrences(lines, vocab, window)
-            assert counts.to_dict() == _brute_force_counts(lines, vocab, window)
+            assert oracles.counts_dict(counts) == _brute_force_counts(lines, vocab, window)
 
     def test_aggregate_symmetry(self):
         rng = np.random.default_rng(12)
         lines = _random_lines(rng, 3000, 15)
         vocab = build_vocabulary(lines, min_count=1)
         counts = count_cooccurrences(lines, vocab, 4)
-        matrix = counts.to_csr().toarray()
+        matrix = oracles.counts_csr(counts).toarray()
         np.testing.assert_array_equal(matrix, matrix.T)
 
     def test_dynamic_window_is_seeded_and_contained(self):
         rng = np.random.default_rng(14)
         lines = _random_lines(rng, 1500, 10)
         vocab = build_vocabulary(lines, min_count=1)
-        fixed = count_cooccurrences(lines, vocab, 5).to_dict()
+        fixed = oracles.counts_dict(count_cooccurrences(lines, vocab, 5))
         dyn1 = count_cooccurrences(lines, vocab, 5, dynamic_window=True, seed=21)
         dyn2 = count_cooccurrences(lines, vocab, 5, dynamic_window=True, seed=21)
-        assert dyn1.to_dict() == dyn2.to_dict()
-        for key, value in dyn1.to_dict().items():
+        assert oracles.counts_dict(dyn1) == oracles.counts_dict(dyn2)
+        for key, value in oracles.counts_dict(dyn1).items():
             assert value <= fixed[key]
 
     def test_dynamic_window_one_equals_fixed(self):
         lines = [["a", "b", "c", "a", "b"]]
         vocab = build_vocabulary(lines, min_count=1)
-        fixed = count_cooccurrences(lines, vocab, 1).to_dict()
-        dyn = count_cooccurrences(lines, vocab, 1, dynamic_window=True, seed=5).to_dict()
+        fixed = oracles.counts_dict(count_cooccurrences(lines, vocab, 1))
+        dyn = oracles.counts_dict(count_cooccurrences(lines, vocab, 1, dynamic_window=True, seed=5))
         assert dyn == fixed
 
     def test_window_validation(self):
@@ -223,7 +236,7 @@ class TestCooccurrence:
         path = tmp_path / "counts.tsv"
         write_counts(path, counts)
         loaded = read_counts(path)
-        assert loaded.to_dict() == counts.to_dict()
+        assert oracles.counts_dict(loaded) == oracles.counts_dict(counts)
         assert loaded.n_words == counts.n_words
         assert loaded.window == counts.window
 
@@ -237,7 +250,17 @@ class TestCooccurrence:
     def test_read_counts_rejects_ids_outside_n_words(self, tmp_path, row):
         path = tmp_path / "counts.tsv"
         path.write_text(f"#n_words=3\n#window=2\n0\t1\t2\n{row}\n")
-        with pytest.raises(CorpusError, match=r"counts\.tsv: id out of range"):
+        with pytest.raises(CorpusError, match=r"counts\.tsv:4: id out of range"):
+            read_counts(path)
+
+    @pytest.mark.parametrize("row, where", [
+        ("1\t0\t0", r"counts\.tsv:4: count below 1 \(bad count in column 3\)"),
+        ("0\t3\t2", r"counts\.tsv:4: id out of range for n_words=3 \(bad feature in column 2\)"),
+    ])
+    def test_read_counts_bad_rows_name_the_line(self, tmp_path, row, where):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#n_words=3\n#window=2\n0\t1\t2\n{row}\n")
+        with pytest.raises(CorpusError, match=where):
             read_counts(path)
 
     def test_read_counts_rejects_duplicate_cells(self, tmp_path):
@@ -248,5 +271,40 @@ class TestCooccurrence:
 
     def test_encode_drops_oov(self):
         vocab = build_vocabulary([["a", "b"]], min_count=1)
-        encoded = encode_lines([["a", "x", "b", "y"]], vocab)
-        assert encoded[0].tolist() == [vocab.id_of("a"), vocab.id_of("b")]
+        tok, line = encode_lines([["a", "x", "b", "y"]]).ids(vocab)
+        assert tok.tolist() == [vocab.id_of("a"), vocab.id_of("b")]
+        assert line.tolist() == [0, 0]
+
+
+class TestEncodedCorpus:
+    TEXT = "The cat sat\n\nthe DOG  sat on the cat\ndog the  cat\n" * 20
+
+    def test_read_corpus_keeps_lines_and_first_seen_types(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("b a\n\nA c b\n")
+        text = read_corpus(path, lowercase=False)
+        assert text.types == ("b", "a", "A", "c")
+        assert text.tok.tolist() == [0, 1, 2, 3, 0]
+        assert text.line.tolist() == [0, 0, 2, 2, 2]
+        assert read_corpus(path).types == ("b", "a", "c")
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_token_lines_and_read_corpus_agree(self, tmp_path, lowercase):
+        path = tmp_path / "corpus.txt"
+        path.write_text(self.TEXT)
+        lines = [[t.lower() if lowercase else t for t in line.split()] for line in self.TEXT.splitlines()]
+        text = read_corpus(path, lowercase=lowercase)
+        vocab = build_vocabulary(lines, min_count=2)
+        assert build_vocabulary(text, min_count=2) == vocab
+        for dynamic in (False, True):
+            got = count_cooccurrences(text, vocab, 2, dynamic_window=dynamic, seed=3)
+            want = count_cooccurrences(lines, vocab, 2, dynamic_window=dynamic, seed=3)
+            for field in ("targets", "features", "counts"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        idx = build_feature_index(compute_lmi(count_cooccurrences(lines, vocab, 2), vocab))
+        lex = enrich_antonyms(ContrastLexicon.from_pairs([("cat", "dog")], [("sat", "on")]))
+        cfg = TrainingConfig(dim=4, negatives=2, window=2, min_count=2, subsample=0.05, epochs=2, seed=4)
+        for train in (lambda x: train_sgns(x, vocab, cfg), lambda x: train_dlce(x, vocab, cfg, lex, idx)):
+            got, want = train(text), train(lines)
+            np.testing.assert_array_equal(got.W, want.W)
+            np.testing.assert_array_equal(got.C, want.C)

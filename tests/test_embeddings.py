@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import contrast_value, sgns_pair_loss
 from scipy import sparse
 
 from lexcontrast.corpus import (
@@ -31,13 +32,11 @@ from lexcontrast.embeddings import (
     batch_size,
     build_noise_distribution,
     contrast_gradients,
-    contrast_value,
     counted_pairs,
     learning_rate,
     log_sigmoid,
     sgns_objective,
     sgns_pair_gradients,
-    sgns_pair_loss,
     sigmoid,
     train_dlce,
     train_sgns,
@@ -300,13 +299,13 @@ class TestPairExtraction:
 
     def test_scan_order(self):
         # centers left to right, each with its contexts left to right
-        ids = [np.array([10, 11, 12], dtype=np.int64)]
+        ids = np.array([10, 11, 12], dtype=np.int64), np.zeros(3, dtype=np.int64)
         t, c = self._stream(ids, window=2)
         got = list(zip(t.tolist(), c.tolist()))
         assert got == [(10, 11), (10, 12), (11, 10), (11, 12), (12, 10), (12, 11)]
 
     def test_line_boundaries_respected(self):
-        ids = [np.array([1]), np.array([2])]
+        ids = np.array([1, 2], dtype=np.int64), np.array([0, 1], dtype=np.int64)
         t, c = self._stream(ids, window=5)
         assert len(t) == 0
 
@@ -321,7 +320,7 @@ class TestPairExtraction:
     def test_subsampled_epochs_differ_but_are_seeded(self):
         lines = [["the"] * 6 + ["cat", "sat"] for _ in range(30)]
         vocab = build_vocabulary(lines, min_count=1)
-        ids = [np.array([vocab.id_of(t) for t in line]) for line in lines]
+        ids = encode_lines(lines).ids(vocab)
         cfg = TrainingConfig(dim=2, min_count=1, subsample=0.05, window=2, seed=1)
         e0 = _epoch_pairs(ids, vocab, cfg, 0)
         e0_again = _epoch_pairs(ids, vocab, cfg, 0)
@@ -332,7 +331,7 @@ class TestPairExtraction:
     def test_no_subsample_epochs_identical(self):
         lines = [["a", "b", "c"]] * 3
         vocab = build_vocabulary(lines, min_count=1)
-        ids = [np.array([vocab.id_of(t) for t in line]) for line in lines]
+        ids = encode_lines(lines).ids(vocab)
         cfg = TrainingConfig(dim=2, min_count=1, subsample=None, window=2)
         e0 = _epoch_pairs(ids, vocab, cfg, 0)
         e1 = _epoch_pairs(ids, vocab, cfg, 1)
@@ -449,7 +448,7 @@ class TestSgnsTraining:
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=4, negatives=2, window=2, subsample=None,
                              min_count=1, learning_rate=1e10)
-        assert len(_epoch_pairs(encode_lines(lines, vocab), vocab, cfg, 0)[0]) > 10_000
+        assert len(_epoch_pairs(encode_lines(lines).ids(vocab), vocab, cfg, 0)[0]) > 10_000
         with pytest.raises(TrainingError, match=r"NaN or Inf after update 10000$"):
             train_sgns(lines, vocab, cfg)
 

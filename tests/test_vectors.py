@@ -36,6 +36,19 @@ class TestContainer:
         with pytest.raises(VectorsError, match="duplicate"):
             DenseEmbeddings(["a", "a"], np.zeros((2, 2)))
 
+    def test_equality_is_over_the_fields(self):
+        emb = _sample(np.random.default_rng(0))
+        same = DenseEmbeddings(list(emb.words), emb.matrix.copy(), source="test")
+        assert emb == same and not emb != same
+        moved = emb.matrix.copy()
+        moved[0, 0] += 1.0
+        assert emb != DenseEmbeddings(list(emb.words), moved, source="test")
+        assert emb != DenseEmbeddings(list(emb.words), emb.matrix, source="svd")
+        assert emb != DenseEmbeddings(list(emb.words), emb.matrix, source="test", effective_rank=4)
+        assert emb != DenseEmbeddings(list(emb.words), emb.matrix, source="test", singular_values=np.ones(4))
+        assert emb != DenseEmbeddings(["a", "b"], np.zeros((2, 4)), source="test")
+        assert emb != "not vectors"
+
     def test_non_finite_rejected(self):
         bad = np.zeros((2, 2))
         bad[1, 0] = np.nan

@@ -224,7 +224,7 @@ class TestContrastWeighting:
                 )
                 for w in range(dense.shape[0]):
                     if not in_lex[w]:
-                        assert not got.has_row(w)
+                        assert got.matrix[w].nnz == 0
 
     def test_sign_structure(self):
         # features held only by a word's own side score positive, features
@@ -302,9 +302,9 @@ class TestContrastWeighting:
         fallback = compute_weight_sa(wm, idx, lex, vocab, fallback_lmi=True)
         covered = {vocab.word_ids[w] for w in lex.words() if w in vocab.word_ids}
         for w in range(dense.shape[0]):
-            got = fallback.row(w).toarray().ravel()
+            got = fallback.matrix[w].toarray().ravel()
             if w in covered:
-                np.testing.assert_array_equal(got, strict.row(w).toarray().ravel())
+                np.testing.assert_array_equal(got, strict.matrix[w].toarray().ravel())
             else:
                 np.testing.assert_array_equal(got, dense[w])
 
