@@ -75,9 +75,10 @@ def read_config_file(path) -> dict[str, object]:
             if key not in DEFAULTS and key not in _PATH_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             kind = type(DEFAULTS.get(key, ""))  # the type of the default; paths are strings
-            if kind is bool and raw.lower() not in _BOOLEANS:
-                raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-            out[key] = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+            try:
+                out[key] = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}:{lineno}: config key {key}: expected {kind.__name__}, got {raw!r}") from None
     return out
 
 

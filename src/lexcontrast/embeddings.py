@@ -28,8 +28,11 @@ but in waves: a hit joins the first wave after every earlier hit of the batch
 that shares a row with it (its w, a synonym or an antonym), so the hits of a
 wave touch disjoint rows and commute, and one vectorized step applies a
 whole wave (the conflict-free grouping of CYCLADES, Pan et al. 2016). The
-step rounds every hit as `contrast_gradients` does, so W is bit-identical to
-the one-at-a-time loop. W and C are checked for NaN and Inf every CHECK_EVERY
+step's arithmetic is row-local by definition: every dot product and squared
+norm is a sum over one row, np.add.reduce(a * b, axis=1), and each side's
+rows are summed in order. A hit therefore rounds the same in any wave, as
+`contrast_gradients` rounds it alone, and W is bit-identical to the hits
+applied one at a time. W and C are checked for NaN and Inf every CHECK_EVERY
 updates, which always ends a batch, and after each epoch.
 """
 
@@ -197,7 +200,7 @@ def contrast_gradients(W: np.ndarray, w: int, syn_ids, ant_ids):
 
     Members with zero norm contribute zero value and zero gradient but still
     count in the mean's normalizer. This is `_wave_gradients` on one hit, so
-    it equals the per-side masked form bit for bit.
+    it rounds as the hit does in any wave.
     """
     n_syn, d = len(syn_ids), W.shape[1]
     if n_syn + len(ant_ids) == 0:
@@ -215,22 +218,17 @@ class _Waves:
 
     No two hits of a wave share a row of W, so a wave's hits commute and one
     vectorized step applies them all. Within a wave the hits keep stream
-    order and their member rows come in side blocks: synonym sides by
-    descending length, then antonym sides by ascending length. A run of
-    sides of one length m (the two m = 1 runs meet in the middle) is a
-    group, which one stacked product and one stacked sum serve.
+    order, and each hit's member rows keep hit order: its synonyms, then its
+    antonyms.
     """
 
-    gather: np.ndarray  # per wave: its member rows, then the w of each member's hit
+    owners: np.ndarray  # (M,) the w of each member's hit
+    slots: np.ndarray  # (2, M) each member's side, 2 * (hit within its wave) + (1 for antonyms), and place in it
+    side_scale: np.ndarray  # (2H, 1) sign / length of each hit's synonym and antonym side (length 1 if empty)
+    row_scale: np.ndarray  # (M, 1) the side_scale of each member's side
     scatter: np.ndarray  # per wave: each hit's w, then its member rows
-    steps: np.ndarray  # (., 1) alpha * beta of the hit behind each scatter entry
-    row_scale: np.ndarray  # (M, 1) sign / length of each member's side
-    side_owner: np.ndarray  # index of each side's hit within its wave
-    side_scale: np.ndarray  # (S, 1)
-    # per wave: hit, row and side bounds, its synonym sides, its groups
-    # (first row, end row, length, first side, end side) and whether a row
-    # repeats within a hit
-    bounds: list
+    steps: np.ndarray  # (H + M, 1) alpha * beta of the hit behind each scatter entry
+    bounds: list  # per wave: hit and row bounds, its longest side, whether a row repeats within a hit
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -242,52 +240,35 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _plan_waves(targets, steps, n_syn, n_ant, members, wave) -> _Waves:
     """Lay out hits given in wave order: `wave` rises from 0 by steps of 0
     or 1, and within a wave the hits are in stream order. Hit j has
-    n_syn[j] synonyms, then n_ant[j] antonyms, next in `members`."""
-    H = len(targets)
+    n_syn[j] synonyms, then n_ant[j] antonyms, next in `members`; every hit
+    has at least one."""
+    H, M = len(targets), len(members)
     n_waves = int(wave[-1]) + 1 if H else 0
-    # the nonempty sides, each a hit and a kind (0 synonyms, 1 antonyms), in layout order
-    lengths = np.column_stack((n_syn, n_ant)).ravel()
-    hit, kind = np.repeat(np.arange(H), 2), np.tile([0, 1], H)
-    start = np.cumsum(lengths) - lengths
-    side = np.flatnonzero(lengths)
-    side = side[np.lexsort((hit[side], np.where(kind, 1, -1)[side] * lengths[side], kind[side], wave[hit[side]]))]
-    hit, kind, lengths, start = hit[side], kind[side], lengths[side], start[side]
-    side_wave = wave[hit]
-    side_ptr = np.concatenate(([0], np.cumsum(lengths)))
-    # the bounds of each wave's hits, sides and member rows
+    sizes = n_syn + n_ant
+    first = np.cumsum(sizes) - sizes
     hb = np.searchsorted(wave, np.arange(n_waves + 1))
-    sb = np.searchsorted(side_wave, np.arange(n_waves + 1))
-    rb = side_ptr[sb]
-    row_side = np.repeat(np.arange(len(side)), lengths)
-    row_hit, row_wave = hit[row_side], side_wave[row_side]
-    rows = members[_ranges(start, lengths)]
-    M = len(rows)
-    gather = np.empty(2 * M, dtype=np.intp)
-    at = rb[row_wave] + np.arange(M)
-    gather[at] = rows
-    gather[at + np.diff(rb)[row_wave]] = targets[row_hit]
+    rb = np.append(first, M)[hb]
+    row_hit = np.repeat(np.arange(H), sizes)
+    row_wave = wave[row_hit]
+    place = np.arange(M) - first[row_hit]
+    ant = place >= n_syn[row_hit]
+    side = 2 * (row_hit - hb[row_wave]) + ant
+    slots = np.stack((side, place - np.where(ant, n_syn[row_hit], 0)))
+    side_scale = (np.array([1.0, -1.0]) / np.maximum(np.column_stack((n_syn, n_ant)), 1)).reshape(-1, 1)
+    longest = np.maximum.reduceat(np.maximum(n_syn, n_ant), hb[:-1]) if H else np.zeros(0, dtype=np.intp)
     hit_at, row_at = rb[wave] + np.arange(H), hb[row_wave + 1] + np.arange(M)
     scatter, step = np.empty(H + M, dtype=np.intp), np.empty((H + M, 1))
-    scatter[hit_at], scatter[row_at] = targets, rows
+    scatter[hit_at], scatter[row_at] = targets, members
     step[hit_at, 0], step[row_at, 0] = steps, steps[row_hit]
-    side_scale = np.where(kind, -1.0, 1.0) / lengths
     # a row repeats within a hit when it is also the hit's w or on both sides
     size = int(max(targets.max(initial=0), members.max(initial=0))) + 1
-    key = np.sort(np.concatenate((np.arange(H), np.repeat(np.arange(H), n_syn + n_ant))) * size
-                  + np.concatenate((targets, members)))
+    key = np.sort(np.concatenate((np.arange(H), row_hit)) * size + np.concatenate((targets, members)))
     repeat = np.zeros(n_waves, dtype=bool)
     repeat[wave[key[1:][key[1:] == key[:-1]] // size]] = True
-    # each wave's groups, in wave-local row and side indices
-    run = np.flatnonzero((np.diff(side_wave, prepend=-1) != 0) | (np.diff(lengths, prepend=0) != 0))
-    groups = [[] for _ in range(n_waves)]
-    for v, a, b, m in zip(side_wave[run].tolist(), run.tolist(), np.append(run[1:], len(side)).tolist(),
-                          lengths[run].tolist()):
-        groups[v].append((int(side_ptr[a] - rb[v]), int(side_ptr[b] - rb[v]), m, a - int(sb[v]), b - int(sb[v])))
-    n_syn_sides = np.bincount(side_wave[kind == 0], minlength=n_waves)
-    return _Waves(gather=gather, scatter=scatter, steps=step, row_scale=side_scale[row_side, None],
-                  side_owner=hit - hb[side_wave], side_scale=side_scale[:, None],
+    return _Waves(owners=targets[row_hit], slots=slots, side_scale=side_scale,
+                  row_scale=side_scale[2 * row_hit + ant], scatter=scatter, steps=step,
                   bounds=list(zip(hb[:-1].tolist(), hb[1:].tolist(), rb[:-1].tolist(), rb[1:].tolist(),
-                                  sb[:-1].tolist(), sb[1:].tolist(), n_syn_sides.tolist(), groups, repeat.tolist())))
+                                  longest.tolist(), repeat.tolist())))
 
 
 def _plan_hit(w: int, step: float, syn_ids, ant_ids) -> _Waves:
@@ -301,53 +282,34 @@ def _wave_gradients(W: np.ndarray, plan: _Waves, i: int) -> np.ndarray:
     """contrast_gradients of every hit of wave i, at the W all of them see.
 
     Returns g_w of each hit, then the scaled gradient of each member row, in
-    the order of the wave's scatter entries. |w|^2 is a dot product per row,
-    each side's cosines one matrix-vector product over that side's rows and
-    each side's sum of d_w a sum over that side: BLAS rounds a row's dot
-    product differently in a taller matrix, so these run on stacks of equal
-    sides, each of which rounds as that side alone. Every other step is
-    elementwise or reduces within a row, and so exact over the wave. If any
-    norm of the wave is 0 the whole wave takes the masked form, which gives
-    the same bits for the rows whose norms are not.
+    the order of the wave's scatter entries. Every dot product and squared
+    norm is a row-local sum, np.add.reduce(a * b, axis=1), and every other
+    step is elementwise, so a member row rounds the same whatever else is in
+    the wave. Each side's d_w rows are summed in order through a block of the
+    wave's sides, zero-padded to its longest side (numpy sums in order when
+    d > 1; at d = 1 it sums a padded side of eight or more rows pairwise,
+    which can move the last bit of a side of four or more). g_w is 0 plus the
+    synonym term plus the antonym term. Rows where a norm is 0 get no cosine
+    and no gradient.
     """
-    h0, h1, r0, r1, s0, s1, n_syn, groups, _ = plan.bounds[i]
-    M, d = r1 - r0, W.shape[1]
-    X = W.take(plan.gather[2 * r0:2 * r1], axis=0)
-    R, wv = X[:M], X[M:]
-    nw2 = np.matmul(wv[:, None, :], wv[:, :, None]).ravel()
-    nw, nr = np.sqrt(nw2), np.sqrt(np.add.reduce(R * R, axis=1))
-    if nw.min() > 0 and nr.min() > 0:
-        inv = 1.0 / (nr * nw)
-        dots = np.empty(M)
-        for a, b, m, _, _ in groups:
-            np.matmul(R[a:b].reshape(-1, m, d), wv[a:b:m, :, None], out=dots[a:b].reshape(-1, m, 1))
-        cos = dots * inv
-        d_w = R * inv[:, None] - (cos / nw2)[:, None] * wv
-        d_r = inv[:, None] * wv - (cos / (nr * nr))[:, None] * R
-    else:  # zero norms: those rows get no cosine and no gradient
-        ok = (nr > 0) & (nw > 0)
-        cos, inv, coeff = np.zeros(M), np.zeros(M), np.zeros(M)
-        np.divide(1.0, nr * nw, out=inv, where=ok)
-        for a, b, m, _, _ in groups:
-            for lo in range(a, b, m):
-                keep = np.flatnonzero(ok[lo:lo + m]) + lo
-                if len(keep):
-                    cos[keep] = np.dot(R[keep], wv[lo]) * inv[keep]
-        np.divide(cos, nr * nr, out=coeff, where=ok)
-        d_w = R * inv[:, None]
-        d_w[ok] -= (cos[ok] / nw2[ok])[:, None] * wv[ok]
-        d_r = inv[:, None] * wv - coeff[:, None] * R
-        d_w[~ok] = 0.0
-        d_r[~ok] = 0.0
-    sums = np.empty((s1 - s0, d))
-    for a, b, m, sa, sb in groups:
-        np.add.reduce(d_w[a:b].reshape(-1, m, d), axis=1, out=sums[sa:sb])
-    sums *= plan.side_scale[s0:s1]
-    h = h1 - h0
-    out = np.zeros((h + M, d))
-    owner = plan.side_owner[s0:s1]
-    out[owner[:n_syn]] += sums[:n_syn]  # g_w = 0 + synonym term + antonym term;
-    out[owner[n_syn:]] += sums[n_syn:]  # no hit has two sides of one kind
+    h0, h1, r0, r1, longest, _ = plan.bounds[i]
+    h, M, d = h1 - h0, r1 - r0, W.shape[1]
+    R, wv = W.take(plan.scatter[h1 + r0:h1 + r1], axis=0), W.take(plan.owners[r0:r1], axis=0)
+    nw2 = np.add.reduce(wv * wv, axis=1)
+    nr = np.sqrt(np.add.reduce(R * R, axis=1))
+    ok = (nr > 0) & (nw2 > 0)
+    inv = np.divide(1.0, nr * np.sqrt(nw2), out=np.zeros(M), where=ok)
+    cos = np.add.reduce(R * wv, axis=1) * inv
+    d_w = R * inv[:, None] - np.divide(cos, nw2, out=np.zeros(M), where=ok)[:, None] * wv
+    d_r = inv[:, None] * wv - np.divide(cos, nr * nr, out=np.zeros(M), where=ok)[:, None] * R
+    d_w[~ok] = 0.0
+    d_r[~ok] = 0.0
+    block = np.zeros((2 * h, longest, d))
+    block[tuple(plan.slots[:, r0:r1])] = d_w
+    sums = np.add.reduce(block, axis=1)
+    sums *= plan.side_scale[2 * h0:2 * h1]
+    out = np.empty((h + M, d))
+    np.add.reduce(sums.reshape(h, 2, d), axis=1, initial=0.0, out=out[:h])
     np.multiply(d_r, plan.row_scale[r0:r1], out=out[h:])
     return out
 
@@ -424,55 +386,47 @@ def counted_pairs(targets: np.ndarray, contexts: np.ndarray) -> list[tuple[int, 
 
 
 class _ContrastState:
-    """Per-(word, context) synonym/antonym sets, found in bulk and cached.
+    """Per-(word, context) synonym/antonym sets, found in bulk.
 
     The synonyms of w that hold feature c are the row S[w] * H.T[c], with S
     the 0/1 synonym matrix of `relation_matrix`, H the feature-holder matrix
     of `build_feature_index` and * the elementwise product; the antonyms
-    likewise, from the plain antonym matrix, not the enriched one. When a set
-    exceeds max_contrast_neighbors it is sampled without replacement,
-    deterministically per (word, context) key.
+    likewise, from the plain antonym matrix, not the enriched one. One
+    product [S | A][words] * [H.T | H.T][contexts] finds both sides of many
+    keys at once. When a set exceeds max_contrast_neighbors it is sampled
+    without replacement, deterministically per (word, context) key.
     """
 
     def __init__(self, lex: ContrastLexicon, vocab: Vocabulary, idx: sparse.csr_matrix, cfg: TrainingConfig):
         self.n = len(vocab)
         if idx.shape != (self.n, self.n):
             raise TrainingError(f"feature index has shape {idx.shape}, the vocabulary {self.n} words")
-        self.sides = (relation_matrix(lex, "syn", vocab), relation_matrix(lex, "ant", vocab))
-        self.held_by = sparse.csr_matrix(idx.T)  # row c: the words that hold feature c
-        self.in_lexicon = (np.diff(self.sides[0].indptr) + np.diff(self.sides[1].indptr)) > 0
+        self.relations = sparse.hstack((relation_matrix(lex, "syn", vocab), relation_matrix(lex, "ant", vocab)),
+                                       format="csr")
+        held_by = sparse.csr_matrix(idx.T)  # row c: the words that hold feature c
+        self.held_by = sparse.hstack((held_by, held_by), format="csr")
+        self.in_lexicon = np.diff(self.relations.indptr) > 0
         self.cap, self.seed, self.beta = cfg.max_contrast_neighbors, cfg.seed, cfg.contrast_coefficient
-        self.cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
 
-    def _capped(self, members: np.ndarray, key: tuple[int, int], side: str) -> np.ndarray:
-        if self.cap is None or len(members) <= self.cap:
-            return members
-        rng = rng_for(self.seed, "contrast", side, *key)
-        return np.sort(rng.choice(members, size=self.cap, replace=False))
-
-    def _find(self, keys: list[tuple[int, int]]) -> None:
-        """Cache the sets of the (w, c) keys, with one product per side for all of them."""
-        words, contexts = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-        held = self.held_by[contexts]
-        (syn, s_ptr), (ant, a_ptr) = ((m.indices.astype(np.int64), m.indptr.tolist())
-                                      for m in (rel[words].multiply(held) for rel in self.sides))
-        for i, key in enumerate(keys):
-            u, v = syn[s_ptr[i]:s_ptr[i + 1]], ant[a_ptr[i]:a_ptr[i + 1]]
-            self.cache[key] = (self._capped(u, key, "syn"), self._capped(v, key, "ant")) if len(u) or len(v) else None
-
-    def pair_sets(self, w: int, c: int):
-        key = (int(w), int(c))
-        if key not in self.cache:
-            self._find([key])
-        return self.cache[key]
-
-    def hits(self, targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-        """Indices of the (target, context) pairs that have a contrast set."""
-        cand = np.flatnonzero(self.in_lexicon[targets])
-        codes, inverse = np.unique(targets[cand].astype(np.int64) * self.n + contexts[cand], return_inverse=True)
-        keys = [divmod(code, self.n) for code in codes.tolist()]
-        self._find([key for key in keys if key not in self.cache])
-        return cand[np.array([self.cache[key] is not None for key in keys], dtype=bool)[inverse]]
+    def sets(self, words: np.ndarray, contexts: np.ndarray):
+        """The contrast sets of the keys (words[i], contexts[i]): n_syn[i]
+        synonyms, then n_ant[i] antonyms, next in `members`, each side in
+        ascending id order. A key with no set has n_syn[i] = n_ant[i] = 0."""
+        both = self.relations[words].multiply(self.held_by[contexts])
+        ids, sizes = both.indices.astype(np.intp), np.diff(both.indptr)
+        n_ant = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[ids >= self.n], minlength=len(sizes))
+        n_syn = sizes - n_ant
+        members = ids % self.n
+        if self.cap is None:
+            return n_syn, n_ant, members
+        keep = np.ones(len(members), dtype=bool)
+        lengths = np.stack((n_syn, n_ant))
+        starts = np.stack((both.indptr[:-1], both.indptr[:-1] + n_syn))
+        for side, i in np.argwhere(lengths > self.cap).tolist():
+            part = slice(starts[side, i], starts[side, i] + lengths[side, i])
+            rng = rng_for(self.seed, "contrast", ("syn", "ant")[side], int(words[i]), int(contexts[i]))
+            keep[part] = np.isin(members[part], rng.choice(members[part], size=self.cap, replace=False))
+        return np.minimum(n_syn, self.cap), np.minimum(n_ant, self.cap), members[keep]
 
     def waves(self, targets: np.ndarray, contexts: np.ndarray, alphas: np.ndarray, batch: int):
         """The contrast hits of a pair stream laid out in waves, and where the
@@ -484,19 +438,19 @@ class _ContrastState:
         antonym. Applying the waves in turn then equals applying the hits one
         at a time in stream order.
         """
-        hits = self.hits(targets, contexts)
-        codes, key = np.unique(targets[hits].astype(np.int64) * self.n + contexts[hits], return_inverse=True)
-        sets = [self.cache[divmod(code, self.n)] for code in codes.tolist()]
-        n_syn, n_ant = (np.array([len(s[j]) for s in sets], dtype=np.intp) for j in (0, 1))
-        flat = np.concatenate([np.zeros(0, dtype=np.intp)] + [side for s in sets for side in s]).astype(np.intp)
-        first = np.cumsum(n_syn + n_ant) - n_syn - n_ant
+        cand = np.flatnonzero(self.in_lexicon[targets])
+        codes, key = np.unique(targets[cand].astype(np.int64) * self.n + contexts[cand], return_inverse=True)
+        n_syn, n_ant, flat = self.sets(codes // self.n, codes % self.n)
+        sizes = n_syn + n_ant
+        first = np.cumsum(sizes) - sizes
+        hit = sizes[key] > 0
+        hits, key = cand[hit], key[hit]
 
         def members(k):
-            return flat[_ranges(first[k], n_syn[k] + n_ant[k])]
+            return flat[_ranges(first[k], sizes[k])]
 
         batch_of = hits // batch
-        member_hit = np.repeat(np.arange(len(hits)), (n_syn + n_ant)[key])
-        level = _wave_levels(batch_of, targets[hits], members(key), member_hit)
+        level = _wave_levels(batch_of, targets[hits], members(key), np.repeat(np.arange(len(hits)), sizes[key]))
         count = np.zeros(len(targets) // batch + 2, dtype=np.intp)  # count[b + 1]: the waves of batch b
         np.maximum.at(count, batch_of + 1, level + 1)
         starts = np.cumsum(count)
@@ -506,13 +460,6 @@ class _ContrastState:
         plan = _plan_waves(targets[hits].astype(np.intp), alphas[hits] * self.beta, n_syn[k], n_ant[k], members(k),
                            wave[order])
         return plan, starts.tolist()
-
-    def apply(self, W: np.ndarray, w: int, c: int, alpha: float) -> None:
-        """One contrast step for the pair (w, c), if it has a contrast set:
-        a wave of one hit."""
-        sets = self.pair_sets(w, c)
-        if sets is not None:
-            _apply_wave(W, _plan_hit(w, alpha * self.beta, *sets), 0)
 
 
 def _wave_levels(batch_of: np.ndarray, targets: np.ndarray, members: np.ndarray,

@@ -90,10 +90,8 @@ def compute_lmi(counts: CooccurrenceCounts, vocab: Vocabulary | None = None) -> 
     f = counts.features
     c = counts.counts.astype(np.float64)
     total = c.sum()
-    row_marg = np.zeros(n)
-    col_marg = np.zeros(n)
-    np.add.at(row_marg, t, c)
-    np.add.at(col_marg, f, c)
+    row_marg = np.bincount(t, weights=c, minlength=n)
+    col_marg = np.bincount(f, weights=c, minlength=n)
     values = c * np.log2(c * total / (row_marg[t] * col_marg[f]))
     keep = values > 0
     matrix = sparse.coo_matrix((values[keep], (t[keep], f[keep])), shape=(n, n)).tocsr()

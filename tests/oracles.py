@@ -11,7 +11,10 @@ counting with separate target and feature chunks, subsampling with one draw
 call per line, the randomized SVD that took a QR after every product of
 its subspace iteration, and the corpus as token lists: a `Counter`
 vocabulary and one id array per line. They stay here, unchanged in
-behaviour, as oracles for the property tests.
+behaviour, as oracles for the property tests. The one exception is the
+per-pair loop's contrast gradients: their dot products and norms are
+row-local sums, as the trainer defines them, and the BLAS form they had
+before stays selectable as a second oracle.
 
 Below them are helpers that only tests use: the pair objective and the
 contrast value whose gradients the trainer takes, table views, the SVD
@@ -344,34 +347,41 @@ def sgns_pair_gradients(w_vec, ctx_rows, labels):
     return err @ ctx_rows, err[:, None] * w_vec
 
 
-def _cosine_parts(w_vec, rows):
+def row_dots(a, b):
+    """Dot products along the last axis, each row summed on its own, as the
+    trainer's contrast step takes them."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+def _cosine_parts(w_vec, rows, dot):
     """cos(w, row) per row plus the pieces its gradient needs; zero-safe."""
-    nw = np.linalg.norm(w_vec)
+    nw = np.sqrt(dot(w_vec, w_vec))
     nr = np.linalg.norm(rows, axis=1)
     ok = (nr > 0) & (nw > 0)
     cos = np.zeros(len(rows))
     inv = np.zeros(len(rows))
     np.divide(1.0, nr * nw, out=inv, where=ok)
-    cos[ok] = (rows[ok] @ w_vec) * inv[ok]
+    cos[ok] = dot(rows[ok], w_vec) * inv[ok]
     return cos, inv, nw, nr, ok
 
 
-def contrast_gradients(W, w, syn_ids, ant_ids):
+def contrast_gradients(W, w, syn_ids, ant_ids, dot=row_dots):
     """Ascent gradients of contrast_value wrt W[w], each synonym, each antonym.
 
     Members with zero norm contribute zero value and zero gradient but still
-    count in the mean's normalizer.
+    count in the mean's normalizer. `dot=np.dot` gives the BLAS form the
+    trainer took before its dot products and norms became row-local sums.
     """
     w_vec = W[w]
     g_w = np.zeros_like(w_vec)
     g_sides = []
-    nw2 = float(w_vec @ w_vec)
+    nw2 = float(dot(w_vec, w_vec))
     for ids, sign in ((syn_ids, 1.0), (ant_ids, -1.0)):
         if not len(ids):
             g_sides.append(np.zeros((0, len(w_vec))))
             continue
         rows = W[ids]
-        cos, inv, _, nr, ok = _cosine_parts(w_vec, rows)
+        cos, inv, _, nr, ok = _cosine_parts(w_vec, rows, dot)
         scale = sign / len(ids)
         d_w = rows * inv[:, None]
         d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
@@ -386,8 +396,9 @@ def contrast_gradients(W, w, syn_ids, ant_ids):
 
 
 def apply_contrast(state, W, w, c, alpha):
-    """_ContrastState.apply with the contrast_gradients above."""
-    sets = state.pair_sets(w, c)
+    """One contrast step for the pair (w, c), if it has a contrast set, with
+    the contrast_gradients above."""
+    sets = state.pair_sets(int(w), int(c))
     if sets is None:
         return
     u_ids, v_ids = sets
@@ -398,6 +409,13 @@ def apply_contrast(state, W, w, c, alpha):
         W[u_ids] += step * g_u
     if len(v_ids):
         W[v_ids] += step * g_v
+
+
+def apply_hit(state, W, w, c, alpha):
+    """The same step as the trainer takes it: a wave of one hit."""
+    sets = state.pair_sets(int(w), int(c))
+    if sets is not None:
+        emb._apply_wave(W, emb._plan_hit(w, alpha * state.beta, *sets), 0)
 
 
 def sgns_pair_update(W, C, w, rows, labels, alpha, has_dupes):
@@ -453,7 +471,7 @@ def _run_shard(
 
 def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
     """train_sgns, or train_dlce given a lexicon and an index, single-threaded."""
-    contrast = None if lex is None else emb._ContrastState(lex, vocab, idx, cfg)
+    contrast = None if lex is None else ContrastState(lex, vocab, feature_index(idx), cfg)
     if len(vocab) == 0:
         raise emb.TrainingError("empty vocabulary")
     if int(vocab.counts.min()) < cfg.min_count:
@@ -514,7 +532,7 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
     to the true context gets zero error, each row's updates are summed in
     stream order with np.add.at and then added once, and the block's contrast
     steps run in stream order after that."""
-    contrast = None if lex is None else emb._ContrastState(lex, vocab, idx, cfg)
+    contrast = None if lex is None else ContrastState(lex, vocab, feature_index(idx), cfg)
     ids = vocabulary_ids(lines, vocab)
     epoch_streams = [emb._epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)

@@ -201,6 +201,17 @@ class TestOptionResolution:
         with pytest.raises(ValueError, match="key=value"):
             read_config_file(cfg)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("dim", "abc", "int"), ("max_contrast_neighbors", "1.5", "int"), ("beta", "high", "float"),
+        ("lowercase", "maybe", "bool"),
+    ])
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, key, value, kind):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"# comment\nmin_count=3\n{key}={value}\n")
+        with pytest.raises(ValueError) as err:
+            read_config_file(cfg)
+        assert str(err.value) == f"{cfg}:3: config key {key}: expected {kind}, got {value!r}"
+
     def test_unknown_config_key_is_1(self, workspace, capsys):
         (workspace / "typo.cfg").write_text("min_count=1\ndimm=7\n")
         code = main(["vocab", "--corpus", "corpus.txt", "--out", "v3.tsv", "--config", "typo.cfg"])

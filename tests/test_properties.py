@@ -3,8 +3,9 @@ ranks against the loop implementations they replaced; the trainer's contrast
 sets against the per-key frozenset form; the batched SGNS/dLCE trainers
 against the batch rule spelled out pair by pair and, at batch size 1, step by
 step against the per-pair loop they replaced; sigmoid and contrast gradients
-against that loop's versions bit for bit, the contrast step against its old
-form, the contrast waves against the same hits applied one at a time,
+against that loop's versions bit for bit, and the contrast gradients within
+rounding of their BLAS form; the contrast step against its old form, the
+contrast waves against the same hits applied one at a time,
 co-occurrence counting against its chunked form and against the trainer's
 pair stream, subsampling against one draw call per line, a corpus file's
 encoding against the Counter vocabulary and per-line id arrays of its token
@@ -311,13 +312,13 @@ def test_sigmoid_matches_masked_form(values):
 
 
 @st.composite
-def contrast_inputs(draw):
-    """A small W with zero rows and, sometimes, non-finite entries."""
+def contrast_inputs(draw, special=True):
+    """A small W with zero rows and, if `special`, sometimes non-finite entries."""
     n, d = draw(st.integers(2, 7)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     W = rng.standard_normal((n, d))
     W[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if special else 0):
         W[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(st.sampled_from(SPECIAL))
     ids = st.lists(st.integers(0, n - 1), max_size=4)
     return W, draw(st.integers(0, n - 1)), np.array(draw(ids), dtype=np.int64), np.array(draw(ids), dtype=np.int64)
@@ -330,6 +331,16 @@ def test_contrast_gradients_match_masked_form(case):
     with np.errstate(all="ignore"):
         for got, want in zip(contrast_gradients(W, w, syn, ant), oracles.contrast_gradients(W, w, syn, ant)):
             _same_bits(got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(contrast_inputs(special=False))
+def test_contrast_gradients_near_blas_form(case):
+    """Row-local sums move the gradients from the BLAS form by rounding only."""
+    W, w, syn, ant = case
+    got = np.concatenate([np.ravel(g) for g in contrast_gradients(W, w, syn, ant)])
+    want = np.concatenate([np.ravel(g) for g in oracles.contrast_gradients(W, w, syn, ant, dot=np.dot)])
+    _assert_close(got, want)
 
 
 @st.composite
@@ -353,18 +364,19 @@ def contrast_steps(draw):
     W[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
     hits = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=8))
     alpha = draw(st.sampled_from([1e-3, 0.05, 0.5]))
-    return _ContrastState(lex, vocab, idx, cfg), W, hits, alpha
+    return oracles.ContrastState(lex, vocab, oracles.feature_index(idx), cfg), W, hits, alpha
 
 
 @settings(max_examples=300, deadline=None)
 @given(contrast_steps())
 def test_contrast_step_matches_old_form(case):
+    """A wave of one hit against the per-pair loop's step, one hit after another."""
     state, W, hits, alpha = case
     want = W.copy()
     for w, c in hits:
-        state.apply(W, w, c, alpha)
+        oracles.apply_hit(state, W, w, c, alpha)
         oracles.apply_contrast(state, want, w, c, alpha)
-        _assert_close(W, want)
+        _same_bits(W, want)
 
 
 @st.composite
@@ -391,18 +403,19 @@ def wave_cases(draw):
     stream = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=40))
     targets, contexts = np.array(stream, dtype=np.int32).T
     alphas = draw(st.sampled_from([1e-3, 0.05, 0.5])) * (1.0 - np.arange(len(stream)) / len(stream))
-    return _ContrastState(lex, vocab, idx, cfg), W, targets, contexts, alphas, draw(st.sampled_from([1, 2, 7, 250]))
+    return (_ContrastState(lex, vocab, idx, cfg), oracles.ContrastState(lex, vocab, oracles.feature_index(idx), cfg),
+            W, targets, contexts, alphas, draw(st.sampled_from([1, 2, 7, 250])))
 
 
 @settings(max_examples=300, deadline=None)
 @given(wave_cases())
 def test_contrast_waves_equal_hits_in_stream_order(case):
-    state, W, targets, contexts, alphas, batch = case
-    hits = state.hits(targets, contexts).tolist()
+    state, oracle, W, targets, contexts, alphas, batch = case
+    hits = oracle.hits(targets, contexts).tolist()
     plan, starts = state.waves(targets, contexts, alphas, batch)
 
     def rows(i):
-        return {int(targets[i])} | {int(r) for side in state.pair_sets(targets[i], contexts[i]) for r in side}
+        return {int(targets[i])} | {int(r) for side in oracle.pair_sets(targets[i], contexts[i]) for r in side}
 
     hit_of_step = {alphas[i] * state.beta: i for i in hits}  # the steps tell the hits apart
     wave_of = {}
@@ -420,7 +433,7 @@ def test_contrast_waves_equal_hits_in_stream_order(case):
                 assert wave_of[earlier] < wave_of[later]
     want = W.copy()  # the old per-hit step, which scatters each side on its own
     for i in hits:
-        oracles.apply_contrast(state, want, targets[i], contexts[i], alphas[i])
+        oracles.apply_contrast(oracle, want, targets[i], contexts[i], alphas[i])
     for v in range(len(plan.bounds)):
         embeddings._apply_wave(W, plan, v)
     _same_bits(W, want)
@@ -430,14 +443,22 @@ def test_contrast_waves_equal_hits_in_stream_order(case):
 def contrast_set_cases(draw):
     """A lexicon over a few words, a holder matrix, a cap and a pair stream.
 
-    Drawn lexicons give words with synonyms only, antonyms only, both and
-    neither; an out-of-vocabulary word takes part; caps of 1 and 2 sample.
+    Lexicons are drawn as symmetric pairs or as raw per-word sets, which put
+    a word among its own synonyms or antonyms and on both sides of another
+    word; either way words get synonyms only, antonyms only, both and
+    neither, and an out-of-vocabulary word takes part. Caps of 1 and 2
+    sample.
     """
     n = draw(st.integers(2, 9))
     words = _words(n)
     vocab = Vocabulary.from_counts({w: n - i for i, w in enumerate(words)})
-    pair = st.tuples(st.sampled_from(words + ["oov0"]), st.sampled_from(words + ["oov0"]))
-    lex = ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=12)), draw(st.lists(pair, max_size=8)))
+    pool = st.sampled_from(words + ["oov0"])
+    if draw(st.booleans()):
+        pair = st.tuples(pool, pool)
+        lex = ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=12)), draw(st.lists(pair, max_size=8)))
+    else:
+        related = st.dictionaries(pool, st.frozensets(pool, min_size=1, max_size=5), max_size=n)
+        lex = ContrastLexicon(syn=draw(related), ant=draw(related))
     cfg = TrainingConfig(dim=2, min_count=1, seed=draw(st.integers(0, 100)),
                          max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])))
     stream = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
@@ -448,17 +469,24 @@ def contrast_set_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(contrast_set_cases())
 def test_contrast_sets_match_per_key_oracle(case):
+    """The bulk sets of every key and of a pair stream against the per-key sets."""
     lex, vocab, holders, cfg, targets, contexts = case
     got = _ContrastState(lex, vocab, holders, cfg)
     want = oracles.ContrastState(lex, vocab, oracles.feature_index(holders), cfg)
     _same_bits(got.in_lexicon, want.in_lexicon)
-    _same_bits(got.hits(targets, contexts), want.hits(targets, contexts))
-    for w in range(len(vocab)):
-        for c in range(len(vocab)):
-            sets, old = got.pair_sets(w, c), want.pair_sets(w, c)
-            assert (sets is None) == (old is None)
-            for side, old_side in zip(sets or (), old or ()):
-                _same_bits(side, old_side)
+    n = len(vocab)
+    words = np.concatenate((np.repeat(np.arange(n), n), targets))
+    features = np.concatenate((np.tile(np.arange(n), n), contexts))
+    n_syn, n_ant, members = got.sets(words, features)
+    ends = np.cumsum(n_syn + n_ant)
+    for i, (w, c) in enumerate(zip(words.tolist(), features.tolist())):
+        old = want.pair_sets(w, c)
+        assert (n_syn[i] + n_ant[i] == 0) == (old is None)
+        if old is not None:
+            start = ends[i] - n_syn[i] - n_ant[i]
+            _same_bits(members[start:start + n_syn[i]], old[0])
+            _same_bits(members[start + n_syn[i]:ends[i]], old[1])
+    _same_bits(np.flatnonzero(n_syn[n * n:] + n_ant[n * n:]), want.hits(targets, contexts))
 
 
 # --- co-occurrence counting against its chunked form and the trainer's stream
