@@ -17,6 +17,7 @@ An option comes from its flag, else the config file, else the default, and is ch
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import sys
@@ -90,8 +91,7 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
     """
     config: dict[str, object] = {}
     if args.config is not None:
-        if not Path(args.config).is_file():
-            raise FileNotFoundError(args.config)
+        _require_files(args.config)
         config = read_config_file(args.config)
     s: dict[str, object] = {}
     for key in (*_PATH_KEYS, *DEFAULTS):
@@ -118,7 +118,7 @@ def _stage_seed(root: int, label: str) -> int:
 def _require_files(*paths) -> None:
     for p in paths:
         if p is not None and not Path(p).is_file():
-            raise FileNotFoundError(p)
+            raise FileNotFoundError(errno.ENOENT, "input file not found", p)
 
 
 def _training_config(s: dict) -> embeddings.TrainingConfig:
@@ -329,6 +329,9 @@ write_embeddings_with_meta = write_embeddings
 def run_stage(args: argparse.Namespace) -> None:
     """One subcommand: resolve the options, load the inputs, run the stage, write its result."""
     row, s = args.row, _resolve(args)
+    for out in (args.out, getattr(args, "context_out", None)):  # a bad output path fails before the work
+        if out is not None and not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "output directory not found", str(Path(out).parent))
     # looked up at call time, so that a wrapper set on the module attribute is the one called
     stage = globals()["stage_" + row.name.replace("-", "_")]
     result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
@@ -434,10 +437,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.run(args)
-    except FileNotFoundError as exc:
-        name = exc.args[0] if exc.args else exc.filename
-        print(f"error: input file not found: {name}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # a file or directory: exit 2 when it is missing
+        print(f"error: {exc.strerror}: {exc.filename}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, FileNotFoundError) else 1
     except ValueError as exc:  # every error type of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,15 +56,6 @@ class Vocabulary:
     def __contains__(self, word: str) -> bool:
         return word in self.word_ids
 
-    def id_of(self, word: str) -> int:
-        return self.word_ids[word]
-
-    def relative_frequencies(self) -> np.ndarray:
-        """count(w) / total retained tokens, per id."""
-        if self.total_tokens == 0:
-            return np.zeros(0)
-        return self.counts / float(self.total_tokens)
-
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], min_count: int = 1) -> "Vocabulary":
         if min_count < 1:
@@ -126,11 +117,10 @@ def build_vocabulary(lines: Corpus | TokenLines, min_count: int) -> Vocabulary:
 
 
 def discard_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
-    """Per-id discard probability max(0, 1 - sqrt(t / f(w)))."""
-    freqs = vocab.relative_frequencies()
+    """Per-id discard probability max(0, 1 - sqrt(t / f(w))), f(w) the
+    word's share of the vocabulary's tokens."""
+    freqs = vocab.counts / float(vocab.total_tokens)
     probs = np.zeros(len(vocab))
-    if math.isinf(threshold):
-        return probs
     nz = freqs > 0
     probs[nz] = 1.0 - np.sqrt(threshold / freqs[nz])
     return np.clip(probs, 0.0, 1.0)
@@ -168,9 +158,6 @@ class CooccurrenceCounts:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def total(self) -> int:
-        return int(self.counts.sum()) if len(self.counts) else 0
 
 
 def count_cooccurrences(

@@ -123,9 +123,10 @@ def log_sigmoid(x):
     return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
 
 
-def learning_rate(alpha0: float, update: int, total_updates: int) -> float:
-    """Linear decay from alpha0 down to alpha0 * MIN_ALPHA_FRACTION."""
-    return alpha0 * max(MIN_ALPHA_FRACTION, 1.0 - update / total_updates)
+def learning_rate(alpha0: float, update, total_updates: int):
+    """Linear decay from alpha0 down to alpha0 * MIN_ALPHA_FRACTION, at one
+    update index or at each of an array of them."""
+    return alpha0 * np.maximum(MIN_ALPHA_FRACTION, 1.0 - update / total_updates)
 
 
 @dataclass(frozen=True)
@@ -223,12 +224,12 @@ class _Waves:
     """
 
     owners: np.ndarray  # (M,) the w of each member's hit
-    slots: np.ndarray  # (2, M) each member's side, 2 * (hit within its wave) + (1 for antonyms), and place in it
+    slots: np.ndarray  # (2, M) each member's place in its side, and that side: 2 * (hit in its wave) + (1 for antonyms)
     side_scale: np.ndarray  # (2H, 1) sign / length of each hit's synonym and antonym side (length 1 if empty)
     row_scale: np.ndarray  # (M, 1) the side_scale of each member's side
     scatter: np.ndarray  # per wave: each hit's w, then its member rows
     steps: np.ndarray  # (H + M, 1) alpha * beta of the hit behind each scatter entry
-    bounds: list  # per wave: hit and row bounds, its longest side, whether a row repeats within a hit
+    bounds: list  # per wave: hit and row bounds, and its longest side
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -253,22 +254,17 @@ def _plan_waves(targets, steps, n_syn, n_ant, members, wave) -> _Waves:
     place = np.arange(M) - first[row_hit]
     ant = place >= n_syn[row_hit]
     side = 2 * (row_hit - hb[row_wave]) + ant
-    slots = np.stack((side, place - np.where(ant, n_syn[row_hit], 0)))
+    slots = np.stack((place - np.where(ant, n_syn[row_hit], 0), side))
     side_scale = (np.array([1.0, -1.0]) / np.maximum(np.column_stack((n_syn, n_ant)), 1)).reshape(-1, 1)
     longest = np.maximum.reduceat(np.maximum(n_syn, n_ant), hb[:-1]) if H else np.zeros(0, dtype=np.intp)
     hit_at, row_at = rb[wave] + np.arange(H), hb[row_wave + 1] + np.arange(M)
     scatter, step = np.empty(H + M, dtype=np.intp), np.empty((H + M, 1))
     scatter[hit_at], scatter[row_at] = targets, members
     step[hit_at, 0], step[row_at, 0] = steps, steps[row_hit]
-    # a row repeats within a hit when it is also the hit's w or on both sides
-    size = int(max(targets.max(initial=0), members.max(initial=0))) + 1
-    key = np.sort(np.concatenate((np.arange(H), row_hit)) * size + np.concatenate((targets, members)))
-    repeat = np.zeros(n_waves, dtype=bool)
-    repeat[wave[key[1:][key[1:] == key[:-1]] // size]] = True
     return _Waves(owners=targets[row_hit], slots=slots, side_scale=side_scale,
                   row_scale=side_scale[2 * row_hit + ant], scatter=scatter, steps=step,
                   bounds=list(zip(hb[:-1].tolist(), hb[1:].tolist(), rb[:-1].tolist(), rb[1:].tolist(),
-                                  longest.tolist(), repeat.tolist())))
+                                  longest.tolist())))
 
 
 def _plan_hit(w: int, step: float, syn_ids, ant_ids) -> _Waves:
@@ -285,14 +281,13 @@ def _wave_gradients(W: np.ndarray, plan: _Waves, i: int) -> np.ndarray:
     the order of the wave's scatter entries. Every dot product and squared
     norm is a row-local sum, np.add.reduce(a * b, axis=1), and every other
     step is elementwise, so a member row rounds the same whatever else is in
-    the wave. Each side's d_w rows are summed in order through a block of the
-    wave's sides, zero-padded to its longest side (numpy sums in order when
-    d > 1; at d = 1 it sums a padded side of eight or more rows pairwise,
-    which can move the last bit of a side of four or more). g_w is 0 plus the
-    synonym term plus the antonym term. Rows where a norm is 0 get no cosine
-    and no gradient.
+    the wave. Each side's d_w rows are summed in order: the wave's sides,
+    zero-padded to its longest, fill a (longest, 2 * hits, d) block, which
+    numpy reduces along its first axis one row after another at every d.
+    g_w is 0 plus the synonym term plus the antonym term. Rows where a norm
+    is 0 get no cosine and no gradient.
     """
-    h0, h1, r0, r1, longest, _ = plan.bounds[i]
+    h0, h1, r0, r1, longest = plan.bounds[i]
     h, M, d = h1 - h0, r1 - r0, W.shape[1]
     R, wv = W.take(plan.scatter[h1 + r0:h1 + r1], axis=0), W.take(plan.owners[r0:r1], axis=0)
     nw2 = np.add.reduce(wv * wv, axis=1)
@@ -304,9 +299,9 @@ def _wave_gradients(W: np.ndarray, plan: _Waves, i: int) -> np.ndarray:
     d_r = inv[:, None] * wv - np.divide(cos, nr * nr, out=np.zeros(M), where=ok)[:, None] * R
     d_w[~ok] = 0.0
     d_r[~ok] = 0.0
-    block = np.zeros((2 * h, longest, d))
+    block = np.zeros((longest, 2 * h, d))
     block[tuple(plan.slots[:, r0:r1])] = d_w
-    sums = np.add.reduce(block, axis=1)
+    sums = np.add.reduce(block, axis=0)
     sums *= plan.side_scale[2 * h0:2 * h1]
     out = np.empty((h + M, d))
     np.add.reduce(sums.reshape(h, 2, d), axis=1, initial=0.0, out=out[:h])
@@ -317,17 +312,14 @@ def _wave_gradients(W: np.ndarray, plan: _Waves, i: int) -> np.ndarray:
 def _apply_wave(W: np.ndarray, plan: _Waves, i: int) -> None:
     """W[w] += step * g_w for every hit of wave i, then each member row its update.
 
-    Where a row repeats within a hit, np.add.at adds its updates one by
-    one: w's first, a synonym's before an antonym's.
+    np.add.at adds the updates one by one in scatter order, so a row that
+    repeats within a hit, which only a hand-built lexicon allows, takes w's
+    update first and a synonym's before an antonym's.
     """
-    h0, h1, r0, r1, *_, repeat = plan.bounds[i]
+    h0, h1, r0, r1, _ = plan.bounds[i]
     update = _wave_gradients(W, plan, i)
     update *= plan.steps[h0 + r0:h1 + r1]
-    rows = plan.scatter[h0 + r0:h1 + r1]
-    if repeat:
-        np.add.at(W, rows, update)
-    else:
-        W[rows] += update
+    np.add.at(W, plan.scatter[h0 + r0:h1 + r1], update)
 
 
 # --- exact objective (test oracle, not used in the SGD loop)
@@ -511,16 +503,14 @@ def batch_size(noise: NoiseDistribution, negatives: int) -> int:
     return next(b for b in range(max(cap, 1), 0, -1) if CHECK_EVERY % b == 0)
 
 
-def _scatter_add(M: np.ndarray, rows: np.ndarray, weights: np.ndarray, cols: np.ndarray,
-                 X: np.ndarray) -> None:
-    """M[rows[j]] += weights[j] * X[cols[j]] for every j, with repeated rows
-    summed exactly once: a stable sort groups them (as np.unique does), and
-    one sparse-times-dense product sums each group in stream order."""
+def _scatter_add(M: np.ndarray, rows: np.ndarray, weights: np.ndarray, X: np.ndarray) -> None:
+    """M[rows[j]] += weights[j] * X[j] for every j, with repeated rows summed
+    exactly once: a stable sort groups them (as np.unique does), and one
+    sparse-times-dense product sums each group in stream order."""
     order = np.argsort(rows, kind="stable")
     srt = rows[order]
     starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
-    S = sparse.csr_matrix((weights[order], cols[order], np.append(starts, len(srt))),
-                          shape=(len(starts), len(X)))
+    S = sparse.csr_matrix((weights[order], order, np.append(starts, len(srt))), shape=(len(starts), len(X)))
     M[srt[starts]] += S @ X
 
 
@@ -534,8 +524,8 @@ def _sgns_step(W, C, targets, rows, keep, labels, alphas) -> None:
     """
     B, k1 = rows.shape
     g_w, g_c = sgns_pair_gradients(W.take(targets, axis=0), C.take(rows, axis=0), labels, keep)
-    _scatter_add(C, rows.ravel(), np.repeat(alphas, k1), np.arange(B * k1), g_c.reshape(B * k1, -1))
-    _scatter_add(W, targets, alphas, np.arange(B), g_w)
+    _scatter_add(C, rows.ravel(), np.repeat(alphas, k1), g_c.reshape(B * k1, -1))
+    _scatter_add(W, targets, alphas, g_w)
 
 
 def _run_epoch(model, targets, rows, labels, first, total_updates, contrast, batch) -> None:
@@ -549,8 +539,7 @@ def _run_epoch(model, targets, rows, labels, first, total_updates, contrast, bat
     W, C, n = model.W, model.C, len(targets)
     keep = rows != rows[:, :1]
     keep[:, 0] = True
-    alphas = model.config.learning_rate * np.maximum(
-        MIN_ALPHA_FRACTION, 1.0 - np.arange(first, first + n) / total_updates)
+    alphas = learning_rate(model.config.learning_rate, np.arange(first, first + n), total_updates)
     span = batch * max(1, PLAN_PAIRS // batch)
     with np.errstate(over="ignore"):
         for lo in range(0, n, batch):
@@ -603,7 +592,7 @@ def _train(
         negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
         _run_epoch(model, targets, np.column_stack((contexts, negs)), labels, done,
                    total_updates, contrast, batch)
-        alpha_start = learning_rate(cfg.learning_rate, done, total_updates)
+        alpha_start = float(learning_rate(cfg.learning_rate, done, total_updates))
         done += n_pairs
         model.validate(done)
         record = {"epoch": epoch, "pairs": n_pairs, "alpha": alpha_start}

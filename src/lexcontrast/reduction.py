@@ -5,12 +5,12 @@ subspace iteration, which concentrates the spectrum well enough for decaying
 singular values at a fraction of the dense cost (Halko, Martinsson & Tropp
 2011, arXiv:0909.4061):
 
-- a seeded Gaussian sketch Y = A Omega, k + oversample columns wide;
-- a few power iterations Y <- A (A^T Y). The basis is renormalized after
-  every product with the permuted L factor of an LU factorization, which
-  keeps the columns from collapsing onto the top singular vector and spans
-  the same subspace as a QR would, at a fraction of the cost (Li et al.
-  2017, "Algorithm 971", arXiv:1412.3510);
+- a seeded Gaussian sketch Y = A Omega, k + DEFAULT_OVERSAMPLE columns wide;
+- DEFAULT_POWER_ITERS power iterations Y <- A (A^T Y). The basis is
+  renormalized after every product with the permuted L factor of an LU
+  factorization, which keeps the columns from collapsing onto the top
+  singular vector and spans the same subspace as a QR would, at a fraction
+  of the cost (Li et al. 2017, "Algorithm 971", arXiv:1412.3510);
 - one economic QR of the final Y gives the orthonormal basis Q;
 - the small SVD is taken of the tall B^T = A^T Q rather than of the wide
   B = Q^T A, which LAPACK factors faster; A ~ (Q Ub) diag(s) Vt follows.
@@ -48,26 +48,22 @@ class SvdResult:
     effective_rank: int
     mode_used: str
 
-    @property
-    def dim(self) -> int:
-        return self.row_vectors.shape[1]
-
 
 def _dense_svd(matrix: np.ndarray, k: int):
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
 
 
-def _randomized_svd(matrix, k: int, seed: int, oversample: int, power_iters: int):
+def _randomized_svd(matrix, k: int, seed: int):
     from scipy.linalg import lu, qr, svd  # one BLAS pool for every factorization here
 
     def normalized(block):
         return lu(block, permute_l=True, check_finite=False)[0]
 
     n, m = matrix.shape
-    sketch = min(k + oversample, min(n, m))
+    sketch = min(k + DEFAULT_OVERSAMPLE, min(n, m))
     y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))
-    for _ in range(power_iters):
+    for _ in range(DEFAULT_POWER_ITERS):
         y = matrix @ normalized(matrix.T @ normalized(y))
     q = qr(y, mode="economic", check_finite=False)[0]
     del y  # the block is as large as q; keep it out of the final SVD's peak
@@ -82,8 +78,6 @@ def truncated_svd(
     mode: str = "auto",
     seed: int = 0,
     sigma_exponent: float = 1.0,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    power_iters: int = DEFAULT_POWER_ITERS,
 ) -> SvdResult:
     """Rank-`dim` truncated SVD with row vectors U_d * diag(s_d ** exponent).
 
@@ -106,7 +100,7 @@ def truncated_svd(
         dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix)
         u, s, vt = _dense_svd(dense.astype(np.float64), k)
     else:
-        u, s, vt = _randomized_svd(matrix.astype(np.float64), k, seed, oversample, power_iters)
+        u, s, vt = _randomized_svd(matrix.astype(np.float64), k, seed)
     tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
     effective_rank = int((s > tol).sum())
     rows = u * (s ** sigma_exponent)

@@ -22,15 +22,12 @@ class VectorsError(ValueError):
 class DenseEmbeddings:
     """Row-per-word dense matrix plus the word list that indexes it.
 
-    Two are equal when every field is: words, matrix values, source,
-    singular values and effective rank.
+    Two are equal when every field is: words, matrix values and source.
     """
 
     words: list[str]
     matrix: np.ndarray  # shape (len(words), dim), float64
     source: str = ""  # e.g. "svd", "sgns", "dlce"
-    singular_values: np.ndarray | None = None
-    effective_rank: int | None = None
     word_ids: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -48,10 +45,8 @@ class DenseEmbeddings:
         object.__setattr__(self, "word_ids", ids)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, DenseEmbeddings) and self.words == other.words
-                and (self.source, self.effective_rank) == (other.source, other.effective_rank)
-                and np.array_equal(self.matrix, other.matrix)
-                and np.array_equal(self.singular_values, other.singular_values))
+        return (isinstance(other, DenseEmbeddings) and (self.words, self.source) == (other.words, other.source)
+                and np.array_equal(self.matrix, other.matrix))
 
     @property
     def dim(self) -> int:
@@ -62,16 +57,6 @@ class DenseEmbeddings:
 
     def __contains__(self, word: str) -> bool:
         return word in self.word_ids
-
-    def vector(self, word: str) -> np.ndarray:
-        try:
-            return self.matrix[self.word_ids[word]]
-        except KeyError:
-            raise VectorsError(f"no vector for {word!r}") from None
-
-    def get(self, word: str) -> np.ndarray | None:
-        i = self.word_ids.get(word)
-        return None if i is None else self.matrix[i]
 
 
 def write_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = None) -> None:

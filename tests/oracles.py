@@ -31,6 +31,7 @@ from scipy import sparse
 
 from lexcontrast import embeddings as emb
 from lexcontrast.corpus import CooccurrenceCounts, CorpusError, Vocabulary
+from lexcontrast.reduction import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS
 from lexcontrast.seeding import rng_for
 from lexcontrast.tsvio import atomic_writer, write_rows
 from lexcontrast.weighting import SCHEME_SA, WeightedMatrix, pair_cosines
@@ -371,6 +372,7 @@ def contrast_gradients(W, w, syn_ids, ant_ids, dot=row_dots):
     Members with zero norm contribute zero value and zero gradient but still
     count in the mean's normalizer. `dot=np.dot` gives the BLAS form the
     trainer took before its dot products and norms became row-local sums.
+    Each side's d_w rows are summed one after another, at every d.
     """
     w_vec = W[w]
     g_w = np.zeros_like(w_vec)
@@ -386,7 +388,10 @@ def contrast_gradients(W, w, syn_ids, ant_ids, dot=row_dots):
         d_w = rows * inv[:, None]
         d_w[ok] -= (cos[ok] / nw2)[:, None] * w_vec
         d_w[~ok] = 0.0
-        g_w += scale * d_w.sum(axis=0)
+        side_sum = d_w[0].copy()
+        for row in d_w[1:]:
+            side_sum += row
+        g_w += scale * side_sum
         coeff = np.zeros(len(rows))
         np.divide(cos, nr * nr, out=coeff, where=ok)
         d_r = inv[:, None] * w_vec - coeff[:, None] * rows
@@ -620,14 +625,14 @@ def _write_rows(path, rows, meta) -> None:
 # --- the randomized SVD
 
 
-def randomized_svd(matrix, k: int, seed: int, oversample: int, power_iters: int):
+def randomized_svd(matrix, k: int, seed: int):
     """Subspace iteration with a QR after every product, and the SVD of the wide B."""
     n, m = matrix.shape
-    sketch = min(k + oversample, min(n, m))
+    sketch = min(k + DEFAULT_OVERSAMPLE, min(n, m))
     rng = rng_for(seed, "svd-sketch")
     omega = rng.standard_normal((m, sketch))
     q, _ = np.linalg.qr(matrix @ omega)
-    for _ in range(power_iters):
+    for _ in range(DEFAULT_POWER_ITERS):
         q, _ = np.linalg.qr(matrix.T @ q)
         q, _ = np.linalg.qr(matrix @ q)
     b = q.T @ matrix

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lexcontrast
+from lexcontrast import cli
 from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.vectors import read_embeddings
 
@@ -69,6 +70,28 @@ class TestExitCodes:
         code = main(["vocab", "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "v.tsv")])
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, stage", [
+        (["vocab", "--corpus", "corpus.txt", "--out", "missing/v.tsv"], "stage_vocab"),
+        (["train-sgns", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--out", "sgns.txt",
+          "--context-out", "missing/ctx.txt", "--config", "run.cfg"], "stage_train_sgns"),
+    ])
+    def test_missing_output_directory_is_2_before_the_work(self, workspace, capsys, monkeypatch, argv, stage):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+
+        def refuse(*args):
+            raise AssertionError(f"{stage} ran although its output directory is missing")
+
+        monkeypatch.setattr(cli, stage, refuse)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "error: output directory not found: missing" in capsys.readouterr().err
+        assert not Path("sgns.txt").exists()
+
+    def test_workdir_that_is_a_file_is_1(self, workspace, capsys):
+        Path("run").write_text("not a directory\n")
+        assert main(PIPELINE) == 1
+        assert "error: File exists: run" in capsys.readouterr().err
 
     def test_missing_required_option_is_1(self, tmp_path, capsys):
         code = main(["vocab", "--out", str(tmp_path / "v.tsv")])

@@ -1,6 +1,7 @@
 """Vocabulary building, subsampling, and windowed co-occurrence counting."""
 
 import math
+import warnings
 
 import numpy as np
 import oracles
@@ -44,7 +45,7 @@ class TestVocabulary:
     def test_ordering_by_frequency_then_word(self):
         vocab = build_vocabulary([["a", "a", "a", "b"]], min_count=1)
         assert list(vocab.words) == ["a", "b"]
-        assert vocab.id_of("a") == 0 and vocab.id_of("b") == 1
+        assert vocab.word_ids["a"] == 0 and vocab.word_ids["b"] == 1
         # tie on count falls back to lexicographic order
         tied = build_vocabulary([["z", "y", "z", "y"]], min_count=1)
         assert list(tied.words) == ["y", "z"]
@@ -120,26 +121,31 @@ class TestSubsampling:
         # f(w) = 1e-3 at threshold 1e-5 discards with probability 1 - 0.1
         vocab = Vocabulary.from_counts({"x": 1, "y": 999})
         probs = discard_probabilities(vocab, 1e-5)
-        f = vocab.relative_frequencies()
-        assert f[vocab.id_of("x")] == pytest.approx(1e-3)
-        assert probs[vocab.id_of("x")] == pytest.approx(0.9)
+        assert vocab.counts[vocab.word_ids["x"]] / vocab.total_tokens == pytest.approx(1e-3)
+        assert probs[vocab.word_ids["x"]] == pytest.approx(0.9)
 
     def test_rare_word_never_discarded(self):
         vocab = Vocabulary.from_counts({"rare": 1, "common": 10**6})
         probs = discard_probabilities(vocab, 1e-5)
         # f(rare) ~ 1e-6 <= t, so discard probability clamps to 0
-        assert probs[vocab.id_of("rare")] == 0.0
-        assert probs[vocab.id_of("common")] > 0.9
+        assert probs[vocab.word_ids["rare"]] == 0.0
+        assert probs[vocab.word_ids["common"]] > 0.9
+
+    def test_infinite_threshold_discards_nothing_without_a_warning(self):
+        vocab = Vocabulary.from_counts({"rare": 1, "common": 10**6})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert discard_probabilities(vocab, math.inf).tolist() == [0.0, 0.0]
 
     def test_empirical_discard_rate(self):
         # one word, known discard probability, many tokens: observed rate
         # should sit within ~4 sigma of the binomial expectation
         vocab = Vocabulary.from_counts({"a": 900, "b": 100})
         probs = discard_probabilities(vocab, 0.01)
-        p = probs[vocab.id_of("a")]
+        p = probs[vocab.word_ids["a"]]
         assert 0.0 < p < 1.0
         n = 200_000
-        ids = np.full(n, vocab.id_of("a"), dtype=np.int64), np.zeros(n, dtype=np.int64)
+        ids = np.full(n, vocab.word_ids["a"], dtype=np.int64), np.zeros(n, dtype=np.int64)
         kept, _ = subsample_ids(ids, probs, np.random.default_rng(7))
         observed = 1.0 - len(kept) / n
         sigma = math.sqrt(p * (1 - p) / n)
@@ -164,14 +170,14 @@ class TestCooccurrence:
     def test_window_one(self):
         vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
         counts = count_cooccurrences([["a", "b", "c"]], vocab, 1)
-        a, b, c = vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("c")
+        a, b, c = vocab.word_ids["a"], vocab.word_ids["b"], vocab.word_ids["c"]
         assert oracles.counts_dict(counts) == {(a, b): 1, (b, a): 1, (b, c): 1, (c, b): 1}
 
     def test_window_two_adds_skip_pair(self):
         vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
         d1 = oracles.counts_dict(count_cooccurrences([["a", "b", "c"]], vocab, 1))
         d2 = oracles.counts_dict(count_cooccurrences([["a", "b", "c"]], vocab, 2))
-        a, c = vocab.id_of("a"), vocab.id_of("c")
+        a, c = vocab.word_ids["a"], vocab.word_ids["c"]
         assert d2[(a, c)] == 1 and d2[(c, a)] == 1
         for key, value in d1.items():
             assert d2[key] == value
@@ -180,7 +186,7 @@ class TestCooccurrence:
         # the dropped middle token does not consume a window position
         vocab = build_vocabulary([["a", "b"]], min_count=1)
         counts = count_cooccurrences([["a", "zzz", "b"]], vocab, 1)
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.word_ids["a"], vocab.word_ids["b"]
         assert oracles.counts_dict(counts) == {(a, b): 1, (b, a): 1}
 
     def test_lines_are_boundaries(self):
@@ -272,7 +278,7 @@ class TestCooccurrence:
     def test_encode_drops_oov(self):
         vocab = build_vocabulary([["a", "b"]], min_count=1)
         tok, line = encode_lines([["a", "x", "b", "y"]]).ids(vocab)
-        assert tok.tolist() == [vocab.id_of("a"), vocab.id_of("b")]
+        assert tok.tolist() == [vocab.word_ids["a"], vocab.word_ids["b"]]
         assert line.tolist() == [0, 0]
 
 

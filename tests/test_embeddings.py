@@ -85,6 +85,15 @@ class TestLearningRate:
         assert learning_rate(0.025, 100, 100) == 0.025 * MIN_ALPHA_FRACTION
         assert learning_rate(0.025, 10**9, 100) == 0.025 * MIN_ALPHA_FRACTION
 
+    def test_array_of_updates_matches_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            alpha0, total = float(rng.uniform(1e-4, 1.0)), int(rng.integers(1, 10**6))
+            first = int(rng.integers(0, 2 * total))
+            updates = np.arange(first, first + int(rng.integers(1, 50)))
+            want = [learning_rate(alpha0, int(u), total) for u in updates]
+            assert learning_rate(alpha0, updates, total).tolist() == want
+
 
 class TestNoiseDistribution:
     def test_exponent_one_is_relative_frequency(self):
@@ -405,7 +414,7 @@ class TestSgnsTraining:
         emb = train_sgns(lines, vocab, cfg, progress=io.StringIO()).embeddings()
 
         def cos(a, b):
-            va, vb = emb.vector(a), emb.vector(b)
+            va, vb = emb.matrix[emb.word_ids[a]], emb.matrix[emb.word_ids[b]]
             return float(va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
 
         assert cos("x", "y") > cos("x", "z")
@@ -508,8 +517,8 @@ class TestContrastTraining:
                            progress=io.StringIO())
 
         def cos(model, a, b):
-            va = model.W[vocab.id_of(a)]
-            vb = model.W[vocab.id_of(b)]
+            va = model.W[vocab.word_ids[a]]
+            vb = model.W[vocab.word_ids[b]]
             return float(va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
 
         assert cos(tuned, "w0", "w1") > cos(plain, "w0", "w1")

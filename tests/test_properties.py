@@ -385,12 +385,14 @@ def wave_cases(draw):
 
     The lexicon is drawn as raw per-word sets, so a word can be among its own
     synonyms or antonyms and on both sides of another word; caps of 1 and 2
-    give sampled sets. The learning rates are distinct, as in the trainer.
+    give sampled sets. Sets of up to 12 members pad a wave's sides to eight
+    rows or more, where numpy would sum a contiguous d = 1 axis pairwise.
+    The learning rates are distinct, as in the trainer.
     """
-    n, d = draw(st.integers(3, 9)), draw(st.integers(1, 6))
+    n, d = draw(st.integers(3, 14)), draw(st.integers(1, 6))
     words = _words(n)
     vocab = Vocabulary.from_counts({w: n - i for i, w in enumerate(words)})
-    related = st.dictionaries(st.sampled_from(words), st.frozensets(st.sampled_from(words), min_size=1, max_size=4),
+    related = st.dictionaries(st.sampled_from(words), st.frozensets(st.sampled_from(words), min_size=1, max_size=12),
                               max_size=n)
     lex = ContrastLexicon(syn=draw(related), ant=draw(related))
     idx = sparse.csr_matrix(np.ones((n, n))) if draw(st.booleans()) else draw(holder_matrices(n, n))

@@ -107,7 +107,7 @@ class TestConventions:
         rng = np.random.default_rng(6)
         dense = rng.standard_normal((7, 4))
         result = truncated_svd(dense, 100, mode="dense")
-        assert result.dim == 4
+        assert result.row_vectors.shape[1] == 4
         assert result.row_vectors.shape == (7, 4)
         assert result.effective_rank <= 4
 

