@@ -21,6 +21,7 @@ import errno
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,6 +108,8 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
         if not key.endswith("?") and s[key] is None:
             raise ValueError(f"--{key} is required (flag or config file)")
     _require_files(*(s[key] for key in args.row.keys))
+    if set(_TRAIN) <= set(args.row.options):  # a row that trains: TrainingConfig checks the rest
+        _training_config(s)
     return s
 
 
@@ -304,16 +307,12 @@ def _write(path, result, meta: dict[str, str], as_json: bool = False) -> None:
     """Write one stage result after its header lines; a report without a path goes to stdout."""
     if isinstance(result, Report):
         meta = {**meta, **result.notes}
-        if as_json:
-            text = json.dumps({"meta": meta, **result.payload}, indent=2, sort_keys=True) + "\n"
-        else:
-            text = "".join(f"#{k}={v}\n" for k, v in meta.items())
-            text += "".join("\t".join(map(_fmt, row)) + "\n" for row in result.table)
-        if path is None:
-            sys.stdout.write(text)
-            return
-        with tsvio.atomic_writer(path) as fh:
-            fh.write(text)
+        with nullcontext(sys.stdout) if path is None else tsvio.atomic_writer(path) as fh:
+            if as_json:
+                fh.write(json.dumps({"meta": meta, **result.payload}, indent=2, sort_keys=True) + "\n")
+            else:
+                tsvio.write_meta(fh, meta)
+                fh.writelines("\t".join(map(_fmt, row)) + "\n" for row in result.table)
     elif isinstance(result, tuple):  # SVD vectors and their annotations
         write_embeddings(path, result[0], {**meta, **result[1]})
     else:
@@ -332,6 +331,8 @@ def run_stage(args: argparse.Namespace) -> None:
     for out in (args.out, getattr(args, "context_out", None)):  # a bad output path fails before the work
         if out is not None and not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "output directory not found", str(Path(out).parent))
+        if out is not None and Path(out).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
     # looked up at call time, so that a wrapper set on the module attribute is the one called
     stage = globals()["stage_" + row.name.replace("-", "_")]
     result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
@@ -349,7 +350,6 @@ def run_pipeline(args: argparse.Namespace) -> None:
     The corpus is read and encoded once; the vocabulary, the counts and both trainers take that `Corpus`.
     """
     s = _resolve(args)
-    _training_config(s)  # refuses a bad training option before anything is written
     workdir = Path(s["workdir"] or "pipeline-out")
     workdir.mkdir(parents=True, exist_ok=True)
     paths = {**s, **{key: str(workdir / f"{key}.tsv") for key in ("vocab", "counts", "lmi")}}
@@ -438,7 +438,8 @@ def main(argv=None) -> int:
     try:
         args.run(args)
     except OSError as exc:  # a file or directory: exit 2 when it is missing
-        print(f"error: {exc.strerror}: {exc.filename}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        target = exc.filename2 or exc.filename  # os.replace's target is the second name
+        print(f"error: {exc.strerror}: {target}" if target else f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, FileNotFoundError) else 1
     except ValueError as exc:  # every error type of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ updates, which always ends a batch, and after each epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 from scipy import sparse
@@ -322,29 +322,39 @@ def _apply_wave(W: np.ndarray, plan: _Waves, i: int) -> None:
     np.add.at(W, plan.scatter[h0 + r0:h1 + r1], update)
 
 
-# --- exact objective (test oracle, not used in the SGD loop)
+# --- exact objective, the --track-objective report (not used in the SGD loop)
+
+OBJECTIVE_BLOCK = 64  # targets per block of the exact objective; a block holds about this many vocabulary-long rows
 
 
-def sgns_objective(
-    model: EmbeddingModel,
-    pairs: Sequence[tuple[int, int, float]],
-    noise: NoiseDistribution,
-    k: int,
-) -> float:
-    """Exact counted-pair objective, with the negative expectation summed
-    over the whole vocabulary weighted by the noise distribution."""
+def sgns_objective(model: EmbeddingModel, targets: np.ndarray, contexts: np.ndarray, noise: NoiseDistribution,
+                   k: int) -> float:
+    """Exact counted-pair SGNS objective of a pair stream (Levy & Goldberg 2014):
+    the sum over distinct pairs (t, c) of #(t, c) * log sigma(W[t] . C[c]),
+    plus, for each target t with #(t) pairs in the stream,
+    k * #(t) * sum over the vocabulary of P_noise(x) * log sigma(-W[t] . C[x]).
+
+    The negative term runs over blocks of OBJECTIVE_BLOCK targets, the
+    positive one over blocks of OBJECTIVE_BLOCK * vocabulary / dim pairs, so
+    a block holds about OBJECTIVE_BLOCK * vocabulary floats and memory is
+    O(pairs + OBJECTIVE_BLOCK * vocabulary).
+    """
     W, C = model.W, model.C
-    if not pairs:
-        return 0.0
-    t = np.array([p[0] for p in pairs])
-    c = np.array([p[1] for p in pairs])
-    cnt = np.array([p[2] for p in pairs], dtype=np.float64)
-    positive = float(cnt @ log_sigmoid(np.einsum("ij,ij->i", W[t], C[c])))
-    targets, inverse = np.unique(t, return_inverse=True)
-    per_target = np.zeros(len(targets))
-    np.add.at(per_target, inverse, cnt)
-    expect = log_sigmoid(-(C @ W[targets].T)).T @ noise.probabilities
-    return positive + k * float(per_target @ expect)
+    n = len(W)
+    keys, counts = np.unique(targets.astype(np.int64) * n + contexts, return_counts=True)
+    dots = np.empty(len(keys))
+    step = max(1, OBJECTIVE_BLOCK * n // W.shape[1])
+    for lo in range(0, len(keys), step):
+        block = keys[lo:lo + step]
+        dots[lo:lo + step] = np.einsum("ij,ij->i", W[block // n], C[block % n])
+    per_target = np.bincount(targets, minlength=n).astype(np.float64)
+    hot = np.flatnonzero(per_target)
+    expect = np.empty(len(hot))
+    for lo in range(0, len(hot), OBJECTIVE_BLOCK):
+        block = hot[lo:lo + OBJECTIVE_BLOCK]
+        expect[lo:lo + OBJECTIVE_BLOCK] = log_sigmoid(-(C @ W[block].T)).T @ noise.probabilities
+    positive = float(counts.astype(np.float64) @ log_sigmoid(dots))
+    return positive + k * float(per_target[hot] @ expect)
 
 
 # --- pair extraction
@@ -363,15 +373,6 @@ def _epoch_pairs(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: Tra
     tok, line_id = ids
     keys = np.sort(window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok)))
     return tok[keys // len(tok)].astype(np.int32), tok[keys % len(tok)].astype(np.int32)
-
-
-def counted_pairs(targets: np.ndarray, contexts: np.ndarray) -> list[tuple[int, int, int]]:
-    """Aggregate a pair stream into (target, context, count) triples."""
-    if len(targets) == 0:
-        return []
-    n = int(max(targets.max(), contexts.max())) + 1
-    keys, counts = np.unique(targets.astype(np.int64) * n + contexts, return_counts=True)
-    return [(int(key // n), int(key % n), int(cnt)) for key, cnt in zip(keys, counts)]
 
 
 # --- contrast bookkeeping for the dLCE loop
@@ -597,9 +598,7 @@ def _train(
         model.validate(done)
         record = {"epoch": epoch, "pairs": n_pairs, "alpha": alpha_start}
         if cfg.track_objective:
-            record["objective"] = sgns_objective(
-                model, counted_pairs(targets, contexts), noise, cfg.negatives
-            )
+            record["objective"] = sgns_objective(model, targets, contexts, noise, cfg.negatives)
         model.history.append(record)
         if progress is not None:
             line = f"{epoch}\t{n_pairs}\t{alpha_start:.6f}"

@@ -301,20 +301,21 @@ def eval_spearman(vectors, pair_set: SimilarityPairSet) -> tuple[MetricReport, i
 # --- dataset files
 
 
+def _load_pairs(path, columns: dict, pair, pair_set):
+    """`pair_set` of one `pair` per row; the set's own errors get the path."""
+    pairs = tuple(map(pair, *tsvio.read_columns(path, columns, EvalError)))
+    try:
+        return pair_set(pairs)
+    except EvalError as exc:
+        raise EvalError(f"{path}: {exc}") from None
+
+
 def load_relation_pairs(path) -> RelationPairSet:
     """Read `word1<TAB>word2<TAB>SYN|ANT<TAB>ADJ|NOUN|VERB` rows."""
     columns = {"word1": str, "word2": str, "label": tsvio.one_of(LABELS), "class": tsvio.one_of(WORD_CLASSES)}
-    pairs = map(RelationPair, *tsvio.read_columns(path, columns, EvalError))
-    try:
-        return RelationPairSet(tuple(pairs))
-    except EvalError as exc:
-        raise EvalError(f"{path}: {exc}") from None
+    return _load_pairs(path, columns, RelationPair, RelationPairSet)
 
 
 def load_similarity_pairs(path) -> SimilarityPairSet:
     """Read `word1<TAB>word2<TAB>rating` rows."""
-    pairs = map(SimilarityPair, *tsvio.read_columns(path, {"word1": str, "word2": str, "rating": float}, EvalError))
-    try:
-        return SimilarityPairSet(tuple(pairs))
-    except EvalError as exc:
-        raise EvalError(f"{path}: {exc}") from None
+    return _load_pairs(path, {"word1": str, "word2": str, "rating": float}, SimilarityPair, SimilarityPairSet)

@@ -54,20 +54,12 @@ class ContrastLexicon:
         syn_set = {frozenset(p) for p in syn_pairs if p[0] != p[1]}
         ant_set = {frozenset(p) for p in ant_pairs if p[0] != p[1]}
         syn_set -= ant_set  # antonym reading wins on conflict
-        syn: dict[str, set[str]] = {}
-        ant: dict[str, set[str]] = {}
-        for pair in syn_set:
-            a, b = tuple(pair)
-            syn.setdefault(a, set()).add(b)
-            syn.setdefault(b, set()).add(a)
-        for pair in ant_set:
-            a, b = tuple(pair)
-            ant.setdefault(a, set()).add(b)
-            ant.setdefault(b, set()).add(a)
-        return cls(
-            syn={w: frozenset(s) for w, s in syn.items()},
-            ant={w: frozenset(s) for w, s in ant.items()},
-        )
+        sides: tuple[dict[str, set[str]], ...] = ({}, {})
+        for pairs, related in zip((syn_set, ant_set), sides):
+            for a, b in pairs:
+                related.setdefault(a, set()).add(b)
+                related.setdefault(b, set()).add(a)
+        return cls(*({w: frozenset(s) for w, s in related.items()} for related in sides))
 
 
 def _word(field: str) -> str:
@@ -76,15 +68,9 @@ def _word(field: str) -> str:
     return field
 
 
-def _relation(field: str) -> str:
-    if field not in _RELATIONS:
-        raise ValueError(f"unknown relation tag {field!r}")
-    return field
-
-
 def load_lexicon(path) -> ContrastLexicon:
     """Parse a relation TSV into a symmetrized, conflict-resolved lexicon."""
-    columns = {"word1": _word, "REL": _relation, "word2": _word}
+    columns = {"word1": _word, "REL": tsvio.one_of(_RELATIONS), "word2": _word}
     first, rel, second = tsvio.read_columns(path, columns, LexiconError)
     syn_pairs = {(w1, w2) for w1, r, w2 in zip(first, rel, second) if r == "SYN"}
     ant_pairs = {(w1, w2) for w1, r, w2 in zip(first, rel, second) if r == "ANT"}

@@ -39,11 +39,11 @@ class ReductionError(ValueError):
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Truncated factorization A ~ U diag(s) Vt plus the derived row vectors."""
+    """Truncated factorization A ~ U diag(s) Vt, held as the row vectors
+    U diag(s ** sigma_exponent), s and Vt."""
 
     row_vectors: np.ndarray  # U_d * diag(s_d ** sigma_exponent)
     singular_values: np.ndarray
-    left_vectors: np.ndarray  # U_d
     right_vectors: np.ndarray  # Vt_d
     effective_rank: int
     mode_used: str
@@ -103,12 +103,6 @@ def truncated_svd(
         u, s, vt = _randomized_svd(matrix.astype(np.float64), k, seed)
     tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
     effective_rank = int((s > tol).sum())
-    rows = u * (s ** sigma_exponent)
-    return SvdResult(
-        row_vectors=rows,
-        singular_values=s,
-        left_vectors=u,
-        right_vectors=vt,
-        effective_rank=effective_rank,
-        mode_used=mode,
-    )
+    u *= s ** sigma_exponent  # U becomes the row vectors in place
+    return SvdResult(row_vectors=u, singular_values=s, right_vectors=vt, effective_rank=effective_rank,
+                     mode_used=mode)

@@ -68,7 +68,7 @@ def write_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = N
             fh.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
 
 
-def read_embeddings(path, source: str = "") -> DenseEmbeddings:
+def read_embeddings(path) -> DenseEmbeddings:
     words: list[str] = []
     values: list[float] = []  # row after row: no list per row for the collector to scan
     with open(path, encoding="utf-8") as fh:
@@ -101,6 +101,6 @@ def read_embeddings(path, source: str = "") -> DenseEmbeddings:
         raise VectorsError(f"{path}: header claims {n_rows} rows, found {len(words)}")
     matrix = np.array(values, dtype=np.float64).reshape(len(words), n_cols)
     try:
-        return DenseEmbeddings(words, matrix, source=source)
+        return DenseEmbeddings(words, matrix)
     except VectorsError as exc:
         raise VectorsError(f"{path}: {exc}") from None

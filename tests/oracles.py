@@ -519,9 +519,7 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
             done += n_pairs
             record = {"epoch": epoch, "pairs": n_pairs, "alpha": alpha_start}
             if cfg.track_objective:
-                record["objective"] = emb.sgns_objective(
-                    model, emb.counted_pairs(targets, contexts), noise, cfg.negatives
-                )
+                record["objective"] = emb.sgns_objective(model, targets, contexts, noise, cfg.negatives)
             model.history.append(record)
     model.validate()
     return model
@@ -577,9 +575,7 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
                       "alpha": emb.learning_rate(cfg.learning_rate, done, total_updates)}
             done += len(targets)
             if cfg.track_objective:
-                record["objective"] = emb.sgns_objective(
-                    model, emb.counted_pairs(targets, contexts), noise, cfg.negatives
-                )
+                record["objective"] = emb.sgns_objective(model, targets, contexts, noise, cfg.negatives)
             model.history.append(record)
     model.validate()
     return model
@@ -726,8 +722,10 @@ def counts_csr(counts: CooccurrenceCounts) -> sparse.csr_matrix:
 
 
 def reconstruction(result) -> np.ndarray:
-    """U diag(s) Vt of an SvdResult."""
-    return (result.left_vectors * result.singular_values) @ result.right_vectors
+    """U diag(s) Vt of an SvdResult, as its row vectors times Vt. That is the
+    reconstruction at sigma_exponent=1, which every caller uses: the row
+    vectors are then U * s ** 1.0 == U * s, bit for bit."""
+    return result.row_vectors @ result.right_vectors
 
 
 def write_lexicon(path, lex, meta=None) -> None:

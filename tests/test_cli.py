@@ -88,6 +88,21 @@ class TestExitCodes:
         assert "error: output directory not found: missing" in capsys.readouterr().err
         assert not Path("sgns.txt").exists()
 
+    def test_out_that_is_a_directory_is_1_before_the_work(self, workspace, capsys, monkeypatch):
+        Path("adir").mkdir()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read although --out is a directory")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        assert main(["vocab", "--corpus", "corpus.txt", "--min-count", "1", "--out", "adir"]) == 1
+        assert capsys.readouterr().err == "error: Is a directory: adir\n"
+
+    def test_pipeline_artifact_that_is_a_directory_is_named(self, workspace, capsys):
+        Path("run/vocab.tsv").mkdir(parents=True)
+        assert main(PIPELINE) == 1
+        assert capsys.readouterr().err == "error: Is a directory: run/vocab.tsv\n"
+
     def test_workdir_that_is_a_file_is_1(self, workspace, capsys):
         Path("run").write_text("not a directory\n")
         assert main(PIPELINE) == 1
@@ -254,6 +269,26 @@ class TestOptionResolution:
             assert "threads must be 1, got 2" in capsys.readouterr().err
         assert not (workspace / "sgns.txt").exists() and not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train-sgns", "train-dlce"])
+    def test_bad_training_option_is_1_before_any_input_is_read(self, workspace, capsys, monkeypatch, command):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--min-count", "1"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--out", "counts.tsv"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read before the training options were checked")
+
+        for reader in (cli.corpus.read_corpus, cli.corpus.read_vocabulary, cli.lexicon.load_lexicon,
+                       cli.weighting.read_weighted):
+            monkeypatch.setattr(sys.modules[reader.__module__], reader.__name__, refuse)
+        capsys.readouterr()
+        inputs = ["--corpus", "corpus.txt", "--vocab", "vocab.tsv"]
+        if command == "train-dlce":
+            inputs += ["--lexicon", "lexicon.tsv", "--lmi", "lmi.tsv"]
+        assert main([command, *inputs, "--out", "out.txt", "--min-count", "1", "--learning-rate", "0"]) == 1
+        assert "learning rate must be > 0, got 0.0" in capsys.readouterr().err
+        assert not (workspace / "out.txt").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("ant_mean", "bogus"), ("svd_mode", "bogus"), ("seed", "-5"),
         ("svd_dim", "0"), ("sigma_exponent", "nan"), ("noise_exponent", "nan"),
@@ -383,6 +418,20 @@ class TestPipeline:
             assert main(["eval-spearman", "--vectors", vec, "--vocab", "run/vocab.tsv",
                          "--pairs", "sim.tsv", "--out", f"run/spearman_{name}.tsv"] + cfg) == 0
         assert _tree_bytes(workspace / "run") == whole
+
+    def test_track_objective_changes_only_the_progress_lines(self, workspace, capsys):
+        capsys.readouterr()
+        assert main(PIPELINE) == 0
+        plain, plain_log = _tree_bytes(workspace / "run"), capsys.readouterr().err.splitlines()
+        assert main([*PIPELINE, "--track-objective"]) == 0
+        tracked, tracked_log = _tree_bytes(workspace / "run"), capsys.readouterr().err.splitlines()
+        assert len(tracked) == 24 and tracked == plain
+        assert not any(b"track_objective" in data for data in tracked.values())
+        assert len(plain_log) == len(tracked_log) == 2  # one epoch of each trainer
+        for line, with_objective in zip(plain_log, tracked_log):
+            assert len(line.split("\t")) == 3
+            assert with_objective.rsplit("\t", 1)[0] == line
+            assert float(with_objective.rsplit("\t", 1)[1]) < 0
 
     def test_svd_artifact_annotations(self, workspace):
         main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv",

@@ -4,7 +4,7 @@ oracle, and behavioral properties of the two training loops."""
 
 import io
 import math
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from lexcontrast.embeddings import (
     batch_size,
     build_noise_distribution,
     contrast_gradients,
-    counted_pairs,
     learning_rate,
     log_sigmoid,
     sgns_objective,
@@ -264,6 +263,12 @@ def _objective_oracle(W, C, pairs, probs, k):
     return total
 
 
+def _stream(pairs):
+    """The pair stream in which each (target, context, count) triple occurs count times."""
+    t, c, cnt = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    return np.repeat(t, cnt), np.repeat(c, cnt)
+
+
 class TestObjective:
     def test_all_zero_vectors_closed_form(self):
         vocab = Vocabulary.from_counts({"a": 2, "b": 1})
@@ -271,7 +276,7 @@ class TestObjective:
         model = EmbeddingModel(np.zeros((2, 4)), np.zeros((2, 4)), vocab, cfg)
         noise = build_noise_distribution(vocab)
         pairs = [(0, 1, 5), (1, 0, 2)]
-        got = sgns_objective(model, pairs, noise, k=3)
+        got = sgns_objective(model, *_stream(pairs), noise, k=3)
         assert got == pytest.approx(math.log(0.5) * (7 + 3 * 7), abs=1e-12)
 
     def test_matches_scripted_oracle(self):
@@ -290,7 +295,7 @@ class TestObjective:
                 for _ in range(int(rng.integers(1, 12)))
             ]
             k = int(rng.integers(0, 4))
-            got = sgns_objective(model, pairs, noise, k)
+            got = sgns_objective(model, *_stream(pairs), noise, k)
             want = _objective_oracle(model.W, model.C, pairs, noise.probabilities, k)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -298,7 +303,25 @@ class TestObjective:
         vocab = Vocabulary.from_counts({"a": 1})
         cfg = TrainingConfig(dim=2, min_count=1)
         model = EmbeddingModel(np.zeros((1, 2)), np.zeros((1, 2)), vocab, cfg)
-        assert sgns_objective(model, [], build_noise_distribution(vocab), 5) == 0.0
+        empty = np.zeros(0, dtype=np.int32)
+        assert sgns_objective(model, empty, empty, build_noise_distribution(vocab), 5) == 0.0
+
+    def test_memory_is_bounded_by_blocks(self):
+        # every one of 3,000 words is a target: the whole logits matrix alone would take 72 MB
+        rng = np.random.default_rng(3)
+        n, d = 3000, 10
+        vocab = Vocabulary.from_counts({f"w{i}": int(rng.integers(1, 50)) for i in range(n)})
+        model = EmbeddingModel(rng.standard_normal((n, d)), rng.standard_normal((n, d)), vocab,
+                               TrainingConfig(dim=d, min_count=1))
+        noise = build_noise_distribution(vocab)
+        targets, contexts = rng.integers(0, n, (2, 100_000)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            sgns_objective(model, targets, contexts, noise, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestPairExtraction:
@@ -318,14 +341,6 @@ class TestPairExtraction:
         ids = np.array([1, 2], dtype=np.int64), np.array([0, 1], dtype=np.int64)
         t, c = self._stream(ids, window=5)
         assert len(t) == 0
-
-    def test_counted_pairs_matches_counter(self):
-        rng = np.random.default_rng(9)
-        t = rng.integers(0, 6, 500).astype(np.int32)
-        c = rng.integers(0, 6, 500).astype(np.int32)
-        got = {(a, b): n for a, b, n in counted_pairs(t, c)}
-        want = Counter(zip(t.tolist(), c.tolist()))
-        assert got == dict(want)
 
     def test_subsampled_epochs_differ_but_are_seeded(self):
         lines = [["the"] * 6 + ["cat", "sat"] for _ in range(30)]

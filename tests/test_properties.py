@@ -521,8 +521,9 @@ def test_trainer_stream_counts_equal_the_count_table(case, window):
     cfg = TrainingConfig(dim=2, min_count=1, window=window, subsample=None)
     targets, contexts = embeddings._epoch_pairs(encode_lines(lines).ids(vocab), vocab, cfg, 0)
     table = count_cooccurrences(lines, vocab, window)
-    want = list(zip(table.targets.tolist(), table.features.tolist(), table.counts.tolist()))
-    assert embeddings.counted_pairs(targets, contexts) == want
+    keys, counts = np.unique(targets.astype(np.int64) * len(vocab) + contexts, return_counts=True)
+    got = list(zip((keys // len(vocab)).tolist(), (keys % len(vocab)).tolist(), counts.tolist()))
+    assert got == list(zip(table.targets.tolist(), table.features.tolist(), table.counts.tolist()))
 
 
 # Tokens as str.split() yields them: any non-empty text without whitespace,

@@ -63,10 +63,10 @@ class TestSerialization:
         emb.matrix[1, 1] = -3.0000000000000004
         path = tmp_path / "vec.txt"
         write_embeddings(path, emb)
-        loaded = read_embeddings(path, source="test")
+        loaded = read_embeddings(path)
         assert loaded.words == emb.words
         np.testing.assert_array_equal(loaded.matrix, emb.matrix)
-        assert loaded.source == "test"
+        assert loaded.source == ""
 
     def test_leading_comment_lines_tolerated(self, tmp_path):
         path = tmp_path / "vec.txt"
