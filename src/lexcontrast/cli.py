@@ -21,13 +21,13 @@ import errno
 import hashlib
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__, corpus, embeddings, evaluation, lexicon, reduction, tsvio, weighting
 from .seeding import seed_sequence
-from .vectors import DenseEmbeddings, read_embeddings, write_embeddings
+from .vectors import DenseEmbeddings, read_embeddings, start_embeddings
 
 DEFAULTS: dict[str, object] = {
     "lowercase": True,
@@ -303,7 +303,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write(path, result, meta: dict[str, str], as_json: bool = False) -> None:
+def _write(writes: ExitStack, path, result, meta: dict[str, str], as_json: bool = False, last: bool = False) -> None:
     """Write one stage result after its header lines; a report without a path goes to stdout."""
     if isinstance(result, Report):
         meta = {**meta, **result.notes}
@@ -314,48 +314,67 @@ def _write(path, result, meta: dict[str, str], as_json: bool = False) -> None:
                 tsvio.write_meta(fh, meta)
                 fh.writelines("\t".join(map(_fmt, row)) + "\n" for row in result.table)
     elif isinstance(result, tuple):  # SVD vectors and their annotations
-        write_embeddings(path, result[0], {**meta, **result[1]})
+        write_embeddings_with_meta(path, result[0], {**meta, **result[1]}, writes, last)
+    elif isinstance(result, DenseEmbeddings):
+        write_embeddings_with_meta(path, result, meta, writes, last)
     else:
         writers = {corpus.Vocabulary: corpus.write_vocabulary, corpus.CooccurrenceCounts: corpus.write_counts,
                    weighting.WeightedMatrix: weighting.write_weighted}
-        writers.get(type(result), write_embeddings)(path, result, meta)
+        writers[type(result)](path, result, meta)
 
 
-# the vector writer under its former name, which the benchmark's tracer wraps
-write_embeddings_with_meta = write_embeddings
+def write_embeddings_with_meta(path, emb: DenseEmbeddings, meta: dict[str, str], writes: ExitStack,
+                               last: bool = False) -> None:
+    """Hand one vector file to a writer child, which `writes` reaps when it closes.
+
+    `last` marks a command's last vector file: `writes` is closed here, so that
+    every writer is reaped before this returns, and the benchmark's tracer, which
+    wraps this name, counts the wait for the writers as the vector writing it is.
+    """
+    writes.callback(start_embeddings(path, emb, meta).wait)
+    if last:
+        writes.close()
 
 
 def run_stage(args: argparse.Namespace) -> None:
     """One subcommand: resolve the options, load the inputs, run the stage, write its result."""
     row, s = args.row, _resolve(args)
-    for out in (args.out, getattr(args, "context_out", None)):  # a bad output path fails before the work
-        if out is not None and not Path(out).parent.is_dir():
+    outs = [out for out in (args.out, getattr(args, "context_out", None)) if out is not None]
+    for out in outs:  # a bad output path fails before the work
+        if not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "output directory not found", str(Path(out).parent))
-        if out is not None and Path(out).is_dir():
+        if Path(out).is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
+    if len({Path(out).resolve() for out in outs}) < len(outs):
+        raise ValueError(f"--out and --context-out name the same file: {outs[1]}")
     # looked up at call time, so that a wrapper set on the module attribute is the one called
     stage = globals()["stage_" + row.name.replace("-", "_")]
     result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
-    if "context_out" in row.flags:
-        _write(args.out, result[0], _meta(row, s))
-        if args.context_out:
-            _write(args.context_out, result[1], _meta(row, s, "-context"))
-    else:
-        _write(args.out, result, _meta(row, s), getattr(args, "json", False))
+    with ExitStack() as writes:
+        if "context_out" in row.flags:
+            _write(writes, args.out, result[0], _meta(row, s))
+            if args.context_out:
+                _write(writes, args.context_out, result[1], _meta(row, s, "-context"))
+        else:
+            _write(writes, args.out, result, _meta(row, s), getattr(args, "json", False))
 
 
 def run_pipeline(args: argparse.Namespace) -> None:
     """Every stage, chained in memory; each artifact is written as it comes, under its subcommand's header.
 
     The corpus is read and encoded once; the vocabulary, the counts and both trainers take that `Corpus`.
+    The four vector files are formatted by writer children while the stages go on; the last one's
+    write reaps them all, and each is renamed into place once its child has exited 0.
     """
     s = _resolve(args)
     workdir = Path(s["workdir"] or "pipeline-out")
     workdir.mkdir(parents=True, exist_ok=True)
     paths = {**s, **{key: str(workdir / f"{key}.tsv") for key in ("vocab", "counts", "lmi")}}
 
-    def save(stage: str, result, name: str, **inputs) -> None:
-        _write(str(workdir / name), result, _meta(STAGES[stage], {**paths, **inputs}))
+    writes = ExitStack()  # entered below: every vector writer is reaped before this returns, also on failure
+
+    def save(stage: str, result, name: str, last: bool = False, **inputs) -> None:
+        _write(writes, str(workdir / name), result, _meta(STAGES[stage], {**paths, **inputs}), last=last)
 
     relation = None if s["pairs"] is None else evaluation.load_relation_pairs(s["pairs"])
     similarity = None if s["simpairs"] is None else evaluation.load_similarity_pairs(s["simpairs"])
@@ -370,31 +389,32 @@ def run_pipeline(args: argparse.Namespace) -> None:
             save("eval-spearman", stage_eval_spearman(vectors, similarity, s), f"spearman_{name}.tsv",
                  vectors=at, pairs=s["simpairs"])
 
-    text = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
-    vocab = stage_vocab(text, s)
-    save("vocab", vocab, "vocab.tsv")
-    counts = stage_count(text, vocab, s)
-    save("count", counts, "counts.tsv")
-    lmi = stage_lmi(counts, vocab, s)
-    del counts
-    save("lmi", lmi, "lmi.tsv")
-    lex = lexicon.load_lexicon(s["lexicon"])
-    sa = stage_weight_sa(lmi, lex, vocab, s)
-    save("weight-sa", sa, "sa.tsv")
-    for name, weights, source in (("lmi_svd", lmi, "lmi.tsv"), ("sa_svd", sa, "sa.tsv")):
-        reduced = stage_svd(weights, vocab, s)
-        save("svd", reduced, f"{name}.txt", weights=str(workdir / source))
-        score(name, reduced[0])
-        del reduced, weights  # each vector set goes once scored
-    del sa
+    with writes:
+        text = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
+        vocab = stage_vocab(text, s)
+        save("vocab", vocab, "vocab.tsv")
+        counts = stage_count(text, vocab, s)
+        save("count", counts, "counts.tsv")
+        lmi = stage_lmi(counts, vocab, s)
+        del counts
+        save("lmi", lmi, "lmi.tsv")
+        lex = lexicon.load_lexicon(s["lexicon"])
+        sa = stage_weight_sa(lmi, lex, vocab, s)
+        save("weight-sa", sa, "sa.tsv")
+        for name, weights, source in (("lmi_svd", lmi, "lmi.tsv"), ("sa_svd", sa, "sa.tsv")):
+            reduced = stage_svd(weights, vocab, s)
+            save("svd", reduced, f"{name}.txt", weights=str(workdir / source))
+            score(name, reduced[0])
+            del reduced, weights  # each vector set goes once scored
+        del sa
 
-    vectors = stage_train_sgns(text, vocab, s)[0]
-    save("train-sgns", vectors, "sgns.txt")
-    score("sgns", vectors)
-    del vectors
-    vectors = stage_train_dlce(text, vocab, lex, lmi, s)[0]
-    save("train-dlce", vectors, "dlce.txt")
-    score("dlce", vectors)
+        vectors = stage_train_sgns(text, vocab, s)[0]
+        save("train-sgns", vectors, "sgns.txt")
+        score("sgns", vectors)
+        del vectors
+        vectors = stage_train_dlce(text, vocab, lex, lmi, s)[0]
+        score("dlce", vectors)  # before the save, whose wait for the writers ends the run
+        save("train-dlce", vectors, "dlce.txt", last=True)
 
 
 # --- parser

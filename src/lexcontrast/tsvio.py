@@ -7,6 +7,22 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
+def temp_path(path: str | os.PathLike) -> str:
+    """The temporary file that a write of `path` fills before it is renamed onto `path`."""
+    return f"{os.fspath(path)}.{os.getpid()}.tmp"
+
+
+@contextmanager
+def discard_on_error(tmp: str) -> Iterator[None]:
+    """Remove the temporary file `tmp` if the block raises."""
+    try:
+        yield
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 @contextmanager
 def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
     """Text file handle whose contents replace `path` only once complete.
@@ -15,15 +31,11 @@ def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
     renames onto `path` when the block ends; if the block raises, the
     temporary file is removed and `path` keeps its old contents.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
+    tmp = temp_path(path)
+    with discard_on_error(tmp):
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def write_meta(fh: TextIO, meta: dict[str, str] | None) -> None:

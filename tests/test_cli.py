@@ -9,10 +9,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 import lexcontrast
-from lexcontrast import cli
+from lexcontrast import cli, tsvio
 from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.vectors import read_embeddings
 
@@ -97,6 +98,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
         assert main(["vocab", "--corpus", "corpus.txt", "--min-count", "1", "--out", "adir"]) == 1
         assert capsys.readouterr().err == "error: Is a directory: adir\n"
+
+    def test_out_and_context_out_naming_one_file_are_1_before_the_work(self, workspace, capsys, monkeypatch):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        train = ["train-sgns", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--config", "run.cfg"]
+        assert main([*train, "--out", "words.txt", "--context-out", "contexts.txt"]) == 0
+        assert read_embeddings("words.txt") != read_embeddings("contexts.txt")
+        assert tsvio.read_meta("contexts.txt")["stage"] == "train-sgns-context"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read although both outputs name one file")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        capsys.readouterr()
+        assert main([*train, "--out", "same.txt", "--context-out", "./same.txt"]) == 1
+        assert capsys.readouterr().err == "error: --out and --context-out name the same file: ./same.txt\n"
+        assert not [p.name for p in workspace.iterdir() if p.name.startswith("same")]
 
     def test_pipeline_artifact_that_is_a_directory_is_named(self, workspace, capsys):
         Path("run/vocab.tsv").mkdir(parents=True)
@@ -419,6 +436,28 @@ class TestPipeline:
                          "--pairs", "sim.tsv", "--out", f"run/spearman_{name}.tsv"] + cfg) == 0
         assert _tree_bytes(workspace / "run") == whole
 
+    def test_failure_after_the_svd_keeps_its_artifacts_and_reaps_its_writers(self, workspace, monkeypatch):
+        assert main(PIPELINE) == 0
+        whole = _tree_bytes(workspace / "run")
+        for p in (workspace / "run").iterdir():
+            p.unlink()
+        started, start = [], cli.start_embeddings
+
+        def recorded(*args):
+            started.append(start(*args))
+            return started[-1]
+
+        def diverge(*args):
+            raise ValueError("training diverged")
+
+        monkeypatch.setattr(cli, "start_embeddings", recorded)
+        monkeypatch.setattr(cli, "stage_train_sgns", diverge)
+        assert main(PIPELINE) == 1
+        assert _tree_bytes(workspace / "run") == {
+            name: data for name, data in whole.items() if "sgns" not in name and "dlce" not in name}
+        assert [p.path for p in started] == ["run/lmi_svd.txt", "run/sa_svd.txt"]
+        assert all(p.proc.returncode == 0 for p in started)
+
     def test_track_objective_changes_only_the_progress_lines(self, workspace, capsys):
         capsys.readouterr()
         assert main(PIPELINE) == 0
@@ -499,6 +538,14 @@ class TestSurface:
         assert {p.name: _header_lines(p) for p in sorted(run.iterdir())} == golden["headers"]
         for name in ("vocab.tsv", "counts.tsv"):
             assert (run / name).read_bytes() == golden[name].encode("utf-8")
+
+    def test_vector_artifacts_are_the_oracle_writers_bytes(self, workspace):
+        # the golden file pins headers only; every row is checked here against the in-process writer
+        assert main(PIPELINE) == 0
+        for name in ("lmi_svd", "sa_svd", "sgns", "dlce"):
+            artifact, oracle = workspace / "run" / f"{name}.txt", workspace / f"{name}.oracle.txt"
+            oracles.write_embeddings_with_meta(oracle, read_embeddings(artifact), tsvio.read_meta(artifact))
+            assert artifact.read_bytes() == oracle.read_bytes()
 
     def test_options_match_snapshot(self):
         assert option_table() == json.loads(OPTIONS.read_text())

@@ -1,11 +1,14 @@
 """Dense embedding container and its text serialization."""
 
+import os
+import re
+
 import numpy as np
 import oracles
 import pytest
 
-from lexcontrast import tsvio
-from lexcontrast.vectors import DenseEmbeddings, VectorsError, read_embeddings, write_embeddings
+from lexcontrast import cli, tsvio
+from lexcontrast.vectors import DenseEmbeddings, VectorsError, read_embeddings, start_embeddings, write_embeddings
 
 
 def _sample(rng, n=5, d=4):
@@ -138,21 +141,10 @@ def _fails_after_one(first):
     raise OSError("disk full")
 
 
-class _HalfReadyEmbeddings:
-    """Two words whose second vector cannot be produced."""
-
-    words, dim = ["a", "b"], 1
-    matrix = property(lambda self: _fails_after_one(np.ones(1)))
-
-    def __len__(self):
-        return 2
-
-
 class TestAtomicWrites:
     @pytest.mark.parametrize("write", [
         lambda path: tsvio.write_rows(path, _fails_after_one(("b", 2))),
-        lambda path: write_embeddings(path, _HalfReadyEmbeddings()),
-    ], ids=["write_rows", "write_embeddings"])
+    ], ids=["write_rows"])
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, write):
         target = tmp_path / "artifact.txt"
         target.write_text("old contents\n")
@@ -160,6 +152,54 @@ class TestAtomicWrites:
             write(target)
         assert target.read_text() == "old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+    def test_failed_writer_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        tmp_path.joinpath("corpus.txt").write_text("a b a c\nb a c a\n")
+        assert cli.main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--min-count", "1"]) == 0
+        target = tmp_path / "artifact.txt"
+        target.write_text("old contents\n")
+        start = cli.start_embeddings
+
+        def killed(*args):  # the child dies before it writes a row, as under the OOM killer
+            pending = start(*args)
+            pending.proc.kill()
+            return pending
+
+        monkeypatch.setattr(cli, "start_embeddings", killed)
+        capsys.readouterr()
+        assert cli.main(["train-sgns", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
+                         "--out", "artifact.txt", "--min-count", "1", "--dim", "2", "--subsample", "0"]) == 1
+        assert capsys.readouterr().err.endswith("error: artifact.txt: vector writer failed: exit status -9\n")
+        assert target.read_text() == "old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.txt", "corpus.txt", "vocab.tsv"]
+
+    def test_writer_error_names_the_path_and_the_cause(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("lexcontrast.vectors._WRITER", "raise OSError(28, 'No space left on device')")
+        pending = start_embeddings(tmp_path / "vec.txt", _sample(np.random.default_rng(0)))
+        with pytest.raises(VectorsError, match=r"vec\.txt: vector writer failed: OSError: \[Errno 28\] No space"):
+            pending.wait()
+        assert pending.proc.returncode == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"), reason="the idle scheduling class is Linux only")
+    def test_writer_runs_in_the_idle_scheduling_class(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("lexcontrast.vectors._WRITER", "import time; time.sleep(60)")
+        pending = start_embeddings(tmp_path / "vec.txt", _sample(np.random.default_rng(0)))
+        try:
+            assert os.sched_getscheduler(pending.proc.pid) == os.SCHED_IDLE
+        finally:
+            pending.proc.kill()
+            with pytest.raises(VectorsError, match="exit status -9"):
+                pending.wait()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("word", ["a b", "a\nb", "a\rb", "end "])
+    def test_word_with_a_space_or_line_break_is_refused_before_any_byte(self, tmp_path, word):
+        emb = DenseEmbeddings(["ok", word], np.zeros((2, 2)))
+        with pytest.raises(VectorsError, match=re.escape(repr(word))):
+            write_embeddings(tmp_path / "vec.txt", emb)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriterFormat:
