@@ -3,8 +3,8 @@
 One table, STAGES, drives every subcommand: a row names its input path keys
 and option keys, and its pure stage function `stage_<name>` maps the loaded
 inputs and the options to the result, which the subcommand writes after its
-header. `pipeline` chains the same stage functions in memory, with the same
-bytes as the subcommands chained by hand.
+header. `pipeline` chains the same stages in memory (one ranking per vector
+set for its three per-class reports), with the bytes of the subcommands.
 
 Every artifact starts with comment lines recording the tool version, the
 resolved stage configuration (verbatim and as a sha256), and the root seed.
@@ -66,7 +66,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "fals
 def read_config_file(path) -> dict[str, object]:
     """Parse flat `key=value` lines; '#' starts a comment."""
     out: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
+    with tsvio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -186,19 +186,21 @@ def stage_train_dlce(text, vocab, lex, lmi, s) -> tuple[DenseEmbeddings, DenseEm
     return _trained(model, "dlce", s)
 
 
-def _per_class(report, *fields: str) -> Report:
-    rows = [[name, cm.n_total, cm.n_scored, cm.coverage, *(getattr(cm, f) for f in fields)]
-            for name, cm in sorted(report.classes.items())]
-    return Report([["class", "n_total", "n_scored", "coverage", *fields], *rows], report.to_json_dict())
+def _class_report(view: evaluation.View, ranked: evaluation.MetricReport) -> Report:
+    """The per-class report `view` of `ranked`, a result of `evaluation.rank_classes`."""
+    report = view.of(ranked)
+    rows = [[name, cm.n_total, cm.n_scored, cm.coverage, *(getattr(cm, f) for f in view.fields)]
+            for name, cm in report.classes.items()]
+    return Report([["class", "n_total", "n_scored", "coverage", *view.fields], *rows], report.to_json_dict(),
+                  view.notes)
 
 
 def stage_eval_ap(vectors, pairs, s) -> Report:
-    return _per_class(evaluation.eval_ap(vectors, pairs), "ap_syn", "ap_ant")
+    return _class_report(evaluation.AP, evaluation.rank_classes(vectors, pairs))
 
 
 def stage_eval_auc(vectors, pairs, s) -> Report:
-    report = _per_class(evaluation.eval_auc(vectors, pairs), "auc")
-    return report._replace(notes={"positives": "SYN by descending cosine; equals ANT detection on negated scores"})
+    return _class_report(evaluation.AUC, evaluation.rank_classes(vectors, pairs))
 
 
 def stage_eval_spearman(vectors, pairs, s) -> Report:
@@ -209,7 +211,7 @@ def stage_eval_spearman(vectors, pairs, s) -> Report:
 
 
 def stage_report_medians(vectors, pairs, s) -> Report:
-    return _per_class(evaluation.median_report(vectors, pairs), "median_syn", "median_ant")
+    return _class_report(evaluation.MEDIANS, evaluation.rank_classes(vectors, pairs))
 
 
 class Stage(NamedTuple):
@@ -380,11 +382,13 @@ def run_pipeline(args: argparse.Namespace) -> None:
     similarity = None if s["simpairs"] is None else evaluation.load_similarity_pairs(s["simpairs"])
 
     def score(name: str, vectors) -> None:
+        """The reports of one vector set; its relation pairs are scored and ranked once for all three."""
         at = str(workdir / f"{name}.txt")
         if relation is not None:
-            save("eval-ap", stage_eval_ap(vectors, relation, s), f"eval_ap_{name}.tsv", vectors=at)
-            save("eval-auc", stage_eval_auc(vectors, relation, s), f"eval_auc_{name}.tsv", vectors=at)
-            save("report-medians", stage_report_medians(vectors, relation, s), f"medians_{name}.tsv", vectors=at)
+            ranked = evaluation.rank_classes(vectors, relation)
+            for stage, view, prefix in (("eval-ap", evaluation.AP, "eval_ap"), ("eval-auc", evaluation.AUC, "eval_auc"),
+                                        ("report-medians", evaluation.MEDIANS, "medians")):
+                save(stage, _class_report(view, ranked), f"{prefix}_{name}.tsv", vectors=at)
         if similarity is not None:
             save("eval-spearman", stage_eval_spearman(vectors, similarity, s), f"spearman_{name}.tsv",
                  vectors=at, pairs=s["simpairs"])

@@ -105,7 +105,7 @@ def _as_corpus(lines: Corpus | TokenLines) -> Corpus:
 
 def read_corpus(path, lowercase: bool = True) -> Corpus:
     """Encode a one-document-per-line corpus file, lowercasing each token if asked."""
-    with open(path, encoding="utf-8") as fh:
+    with tsvio.open_text(path) as fh:
         return encode_lines([t.lower() for t in line.split()] if lowercase else line.split() for line in fh)
 
 

@@ -1,20 +1,19 @@
 """Ranking and correlation metrics over scored word pairs.
 
 Average precision and AUC grade how well cosine scores separate synonym
-pairs from antonym pairs; Spearman's rho grades agreement with graded
-similarity ratings; the median report summarizes the score distribution per
-relation label. Pairs with an unrepresented word are excluded from every
-metric but counted against coverage.
-
-Scoring maps each pair's words to rows once and takes all the cosines of a
-pair list in one vectorised call, for dense embeddings and sparse weighted
-rows alike; tied scores share their average rank.
+pairs from antonym pairs, and the median report summarizes the scores per
+relation label: all three are read off one ranking of each word class's pairs
+(`rank_classes`). Spearman's rho grades agreement with graded similarity
+ratings. Pairs with an unrepresented word are excluded from every metric but
+counted against coverage. Each pair list is scored in one vectorised call,
+for dense embeddings and sparse weighted rows alike.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,11 +59,15 @@ class RelationPairSet:
                 raise EvalError(f"duplicate pair {p.word1}/{p.word2} in class {p.word_class}")
             seen.add(key)
 
-    def by_class(self) -> dict[str, list[RelationPair]]:
+    @cached_property
+    def by_class(self) -> dict[str, tuple[list[RelationPair], np.ndarray]]:
+        """Each word class's pairs in input order, classes in name order, with
+        each pair's place in (word1, word2) order: the ranking's tie rule."""
         grouped: dict[str, list[RelationPair]] = {}
         for p in self.pairs:
             grouped.setdefault(p.word_class, []).append(p)
-        return grouped
+        return {word_class: (pairs, np.argsort(sorted(range(len(pairs)), key=lambda i: pairs[i][:2])))
+                for word_class, pairs in sorted(grouped.items())}
 
 
 @dataclass(frozen=True)
@@ -88,16 +91,8 @@ class SparseRowTable:
     def __init__(self, weights: WeightedMatrix, vocab: Vocabulary):
         if weights.shape[0] != len(vocab):
             raise EvalError("weighted matrix and vocabulary disagree on word count")
-        self.weights = weights
-        self.vocab = vocab
-
-    @property
-    def word_ids(self) -> dict[str, int]:
-        return self.vocab.word_ids
-
-    @property
-    def matrix(self):
-        return self.weights.matrix
+        self.weights, self.vocab = weights, vocab
+        self.word_ids, self.matrix = vocab.word_ids, weights.matrix
 
 
 def score_pairs(vectors, pairs: Iterable) -> list[tuple]:
@@ -119,18 +114,13 @@ def score_pairs(vectors, pairs: Iterable) -> list[tuple]:
 def average_precision(ranked: Sequence[str], relevant: str) -> float:
     """Mean of precision@k over the positions of relevant items.
 
-    `ranked` is the label sequence already ordered by descending score.
+    `ranked` is the label sequence already ordered by descending score; the
+    precisions are summed one after another, in rank order.
     """
-    total_relevant = sum(1 for lab in ranked if lab == relevant)
-    if total_relevant == 0:
+    positions = np.flatnonzero(np.asarray(ranked, dtype=str) == relevant) + 1
+    if not len(positions):
         raise EvalError(f"average precision undefined: no {relevant!r} items present")
-    hits = 0
-    precision_sum = 0.0
-    for k, lab in enumerate(ranked, start=1):
-        if lab == relevant:
-            hits += 1
-            precision_sum += hits / k
-    return precision_sum / total_relevant
+    return float(np.cumsum(np.arange(1, len(positions) + 1) / positions)[-1]) / len(positions)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -198,90 +188,86 @@ class MetricReport:
     spearman: float | None = None
 
     def to_json_dict(self) -> dict:
+        """The classes in name order, each without its unset fields, and rho if set."""
         out: dict = {"classes": {}}
         for name, cm in sorted(self.classes.items()):
-            entry = {
-                "n_total": cm.n_total,
-                "n_scored": cm.n_scored,
-                "coverage": cm.coverage,
-                "oov": [list(p) for p in cm.oov],
-            }
-            for key in ("ap_syn", "ap_ant", "auc", "median_syn", "median_ant"):
-                value = getattr(cm, key)
-                if value is not None:
-                    entry[key] = value
-            out["classes"][name] = entry
+            entry = {key: value for key, value in vars(cm).items() if value is not None}
+            out["classes"][name] = {**entry, "coverage": cm.coverage, "oov": [list(p) for p in cm.oov]}
         if self.spearman is not None:
             out["spearman"] = self.spearman
         return out
 
 
-def _per_class(vectors, pair_set: RelationPairSet, fill, omit_unscored: bool = True) -> MetricReport:
-    """Score each word class's pairs and build its ClassMetrics, which
-    `fill(word_class, metrics, present)` completes from the scored pairs.
+def rank_classes(vectors, pair_set: RelationPairSet) -> MetricReport:
+    """Every per-class field, read off one ranking of each class's scored pairs.
 
-    A class with no scored pair is left out when omit_unscored is set.
+    A class's pairs are scored once and ranked by descending cosine, ties broken
+    by ascending (word1, word2), so the order of the pairs does not matter. AP
+    reads the labels in rank order, AUC gives tied cosines their average rank,
+    and a metric that a class cannot define (a label with no scored pair) is None.
     """
     report = MetricReport()
-    for word_class, pairs in sorted(pair_set.by_class().items()):
+    for word_class, (pairs, tie) in pair_set.by_class.items():
         scored = score_pairs(vectors, pairs)
-        present = [(p, s) for p, s in scored if s is not None]
-        if not present and omit_unscored:
-            warnings.warn(f"class {word_class}: no scorable pairs, omitted")
-            continue
-        cm = ClassMetrics(n_total=len(pairs), n_scored=len(present),
-                          oov=[(p.word1, p.word2) for p, s in scored if s is None])
-        fill(word_class, cm, present)
-        report.classes[word_class] = cm
+        cos = np.array([np.nan if s is None else s for _, s in scored])  # NaN: an unrepresented word
+        known = np.flatnonzero(cos == cos)
+        order = known[np.lexsort((tie[known], -cos[known]))]
+        labels = np.array([p.label for p in pairs])[order]
+        scores, syn = cos[order], labels == "SYN"
+        has_syn, has_ant = syn.any(), not syn.all()
+        report.classes[word_class] = ClassMetrics(
+            n_total=len(pairs), n_scored=len(order), oov=[(p.word1, p.word2) for p, s in scored if s is None],
+            ap_syn=average_precision(labels, "SYN") if has_syn else None,
+            ap_ant=average_precision(labels, "ANT") if has_ant else None,
+            auc=auc(scores, syn) if has_syn and has_ant else None,
+            median_syn=float(np.median(scores[syn])) if has_syn else None,
+            median_ant=float(np.median(scores[~syn])) if has_ant else None,
+        )
     return report
 
 
+class View(NamedTuple):
+    """One per-class report read off `rank_classes`."""
+
+    fields: tuple[str, ...]
+    blank: str  # the warning for a field left blank; {0} is the field's label
+    keep_unscored: bool = False  # list a class with no scored pair
+    notes: dict[str, str] = {}  # header lines of the report
+
+    def of(self, ranked: MetricReport) -> MetricReport:
+        """The report's classes with only its fields, warning about each one left blank."""
+        report = MetricReport()
+        for word_class, cm in ranked.classes.items():
+            if not cm.n_scored and not self.keep_unscored:
+                warnings.warn(f"class {word_class}: no scorable pairs, omitted")
+                continue
+            kept = {name: getattr(cm, name) for name in self.fields}
+            for name in (name for name, value in kept.items() if value is None):
+                warnings.warn(f"class {word_class}: " + self.blank.format(name[-3:].upper()))
+            report.classes[word_class] = ClassMetrics(cm.n_total, cm.n_scored, cm.oov, **kept)
+        return report
+
+
+AP = View(("ap_syn", "ap_ant"), "no {0} pairs, AP_{0} unset")
+AUC = View(("auc",), "single-label class, AUC unset",
+           notes={"positives": "SYN by descending cosine; equals ANT detection on negated scores"})
+MEDIANS = View(("median_syn", "median_ant"), "no scored {0} pairs, median blank", keep_unscored=True)
+
+
 def eval_ap(vectors, pair_set: RelationPairSet) -> MetricReport:
-    """Average precision per word class, ranking by descending cosine.
-
-    Ties are broken by ascending (word1, word2) so results are
-    order-independent. A label absent from a class leaves that AP unset.
-    """
-    def fill(word_class, cm, present):
-        ordered = sorted(present, key=lambda ps: (-ps[1], ps[0].word1, ps[0].word2))
-        ranked = [p.label for p, _ in ordered]
-        for label, attr in (("SYN", "ap_syn"), ("ANT", "ap_ant")):
-            if label in ranked:
-                setattr(cm, attr, average_precision(ranked, label))
-            else:
-                warnings.warn(f"class {word_class}: no {label} pairs, AP_{label} unset")
-
-    return _per_class(vectors, pair_set, fill)
+    """Average precision of SYN and of ANT per word class."""
+    return AP.of(rank_classes(vectors, pair_set))
 
 
 def eval_auc(vectors, pair_set: RelationPairSet) -> MetricReport:
-    """Per-class AUC for separating synonym pairs from antonym pairs.
-
-    The single number serves both orientations: it is the probability that a
-    synonym pair gets the higher cosine, which equals antonym detection with
-    negated scores.
-    """
-    def fill(word_class, cm, present):
-        labels = [p.label for p, _ in present]
-        if "SYN" in labels and "ANT" in labels:
-            cm.auc = auc([s for _, s in present], [label == "SYN" for label in labels])
-        else:
-            warnings.warn(f"class {word_class}: single-label class, AUC unset")
-
-    return _per_class(vectors, pair_set, fill)
+    """Per-class AUC: the probability that a synonym pair gets the higher
+    cosine, which equals antonym detection with negated scores."""
+    return AUC.of(rank_classes(vectors, pair_set))
 
 
 def median_report(vectors, pair_set: RelationPairSet) -> MetricReport:
     """Median cosine per (word class, label) cell; empty cells stay blank."""
-    def fill(word_class, cm, present):
-        for label, attr in (("SYN", "median_syn"), ("ANT", "median_ant")):
-            values = [s for p, s in present if p.label == label]
-            if values:
-                setattr(cm, attr, float(np.median(values)))
-            else:
-                warnings.warn(f"class {word_class}: no scored {label} pairs, median blank")
-
-    return _per_class(vectors, pair_set, fill, omit_unscored=False)
+    return MEDIANS.of(rank_classes(vectors, pair_set))
 
 
 def eval_spearman(vectors, pair_set: SimilarityPairSet) -> tuple[MetricReport, int, int]:

@@ -35,12 +35,6 @@ class ContrastLexicon:
     def synonyms(self, word: str) -> frozenset[str]:
         return self.syn.get(word, frozenset())
 
-    def antonyms(self, word: str) -> frozenset[str]:
-        return self.ant.get(word, frozenset())
-
-    def enriched_antonyms(self, word: str) -> frozenset[str]:
-        return self.ant_enriched.get(word, frozenset())
-
     def words(self) -> set[str]:
         return set(self.syn) | set(self.ant)
 

@@ -38,6 +38,21 @@ def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
         os.replace(tmp, path)
 
 
+@contextmanager
+def open_text(path: str | os.PathLike) -> Iterator[TextIO]:
+    """`path` opened for reading as UTF-8 text. Every reader of the package
+    opens its file here, so a byte that is not UTF-8 raises ValueError naming
+    the path and the line, instead of the codec's message alone."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # a line break is never part of a UTF-8 sequence
+            line = next((n for n, raw in enumerate(fh, 1) if raw.decode("utf-8", "ignore").encode() != raw), None)
+        where = path if line is None else f"{path}:{line}"
+        raise ValueError(f"{where}: not UTF-8 text ({exc.reason})") from None
+
+
 def write_meta(fh: TextIO, meta: dict[str, str] | None) -> None:
     if not meta:
         return
@@ -69,7 +84,7 @@ def read_columns(
     """
     width = len(columns)
     lines, flat = [], []  # flat holds the fields row after row: no list per row for the collector to scan
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -117,7 +132,7 @@ def one_of(choices: Sequence[str]) -> Callable[[str], str]:
 def read_meta(path: str | os.PathLike) -> dict[str, str]:
     """Parse leading `#key=value` comment lines."""
     meta: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             if not line.startswith("#"):
                 break

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tsvio import discard_on_error, temp_path, write_meta
+from .tsvio import discard_on_error, open_text, temp_path, write_meta
 
 
 class VectorsError(ValueError):
@@ -152,7 +152,7 @@ def write_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = N
 def read_embeddings(path) -> DenseEmbeddings:
     words: list[str] = []
     values: list[float] = []  # row after row: no list per row for the collector to scan
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = None
         for line in fh:
             if line.startswith("#"):  # tolerate annotated files

@@ -178,7 +178,7 @@ def _lexicon_ids(lex, vocab):
             continue
         syn[wid] = sorted(ids[u] for u in lex.synonyms(word) if u in ids)
         pairs: list[tuple[int, int]] = []
-        for opp in sorted(lex.enriched_antonyms(word)):
+        for opp in sorted(lex.ant_enriched.get(word, frozenset())):
             oid = ids.get(opp)
             if oid is None:
                 continue
@@ -285,7 +285,7 @@ class ContrastState:
             if wid is None:
                 continue
             syn = tuple(sorted(ids[u] for u in lex.synonyms(word) if u in ids))
-            ant = tuple(sorted(ids[v] for v in lex.antonyms(word) if v in ids))
+            ant = tuple(sorted(ids[v] for v in lex.ant.get(word, frozenset()) if v in ids))
             if syn:
                 self.syn[wid] = syn
             if ant:

@@ -211,7 +211,7 @@ def _sa_oracle(lmi_dense, lex, vocab, ant_mean):
             syn_vals = [cos(w, u) for u in syns if u in holders]
             term1 = float(np.mean(syn_vals)) if syn_vals else 0.0
             pooled, grouped = [], []
-            for opp in lex.enriched_antonyms(word):
+            for opp in lex.ant_enriched.get(word, frozenset()):
                 if opp not in ids:
                     continue
                 vals = [

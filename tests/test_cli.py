@@ -13,7 +13,7 @@ import oracles
 import pytest
 
 import lexcontrast
-from lexcontrast import cli, tsvio
+from lexcontrast import cli, evaluation, tsvio
 from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.vectors import read_embeddings
 
@@ -219,6 +219,20 @@ class TestExitCodes:
         assert "bad.tsv" in capsys.readouterr().err
         assert not Path("out.tsv").exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["vocab", "--corpus", "bad.txt", "--min-count", "1", "--out", "vocab.tsv"], "bad.txt"),
+        (["eval-ap", "--vectors", str(DATA / "toy_vectors.txt"), "--pairs", "bad.tsv", "--out", "out.tsv"],
+         "bad.tsv"),
+    ])
+    def test_input_that_is_not_utf8_is_1_and_names_the_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                                                     argv, name):
+        monkeypatch.chdir(tmp_path)
+        rows = b"hot\tcold\tANT\tADJ\n" if name.endswith(".tsv") else b"hot cold\n"
+        Path(name).write_bytes(rows + rows.replace(b"hot", b"caf\xe9"))  # a Latin-1 byte on line 2
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {name}:2: not UTF-8 text (invalid continuation byte)\n"
+        assert not Path(argv[-1]).exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -369,6 +383,19 @@ class TestFrozenReport:
         assert "ap_syn" not in noun
         assert noun["coverage"] == 0.5
 
+    @pytest.mark.parametrize("command, own", [
+        ("eval-ap", "no SYN pairs, AP_SYN unset"),
+        ("eval-auc", "single-label class, AUC unset"),
+        ("report-medians", "no scored SYN pairs, median blank"),
+    ])
+    def test_each_relation_report_warns_only_about_itself(self, monkeypatch, capsys, command, own):
+        # the NOUN class has one scored pair, an ANT pair: each report leaves a different field blank
+        monkeypatch.chdir(DATA)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--vectors", "toy_vectors.txt", "--pairs", "toy_pairs.tsv"]) == 0
+        assert [str(w.message) for w in caught] == [f"class NOUN: {own}"]
+
     def test_eval_auc_stdout_names_orientation(self, monkeypatch, capsys):
         monkeypatch.chdir(DATA)
         with warnings.catch_warnings():
@@ -435,6 +462,19 @@ class TestPipeline:
             assert main(["eval-spearman", "--vectors", vec, "--vocab", "run/vocab.tsv",
                          "--pairs", "sim.tsv", "--out", f"run/spearman_{name}.tsv"] + cfg) == 0
         assert _tree_bytes(workspace / "run") == whole
+
+    def test_relation_pairs_are_scored_once_per_vector_set_and_word_class(self, workspace, monkeypatch):
+        classes, score = [], evaluation.score_pairs
+
+        def counted(vectors, pairs):
+            pairs = list(pairs)
+            if all(isinstance(p, evaluation.RelationPair) for p in pairs):
+                classes.append({p.word_class for p in pairs})
+            return score(vectors, pairs)
+
+        monkeypatch.setattr(evaluation, "score_pairs", counted)
+        assert main(PIPELINE) == 0
+        assert classes == [{"ADJ"}, {"NOUN"}] * 4  # lmi_svd, sa_svd, sgns, dlce
 
     def test_failure_after_the_svd_keeps_its_artifacts_and_reaps_its_writers(self, workspace, monkeypatch):
         assert main(PIPELINE) == 0

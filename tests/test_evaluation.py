@@ -2,6 +2,7 @@
 oracles and scipy's reference implementations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lexcontrast.evaluation import (
     load_relation_pairs,
     load_similarity_pairs,
     median_report,
+    rank_classes,
     score_pairs,
     spearman,
 )
@@ -90,6 +92,19 @@ class TestAveragePrecision:
                     continue
                 got = average_precision(ranked, label)
                 assert got == pytest.approx(_ap_oracle(ranked, label), abs=1e-12)
+
+    def test_precisions_are_summed_in_rank_order(self):
+        # report bytes depend on the last bits: the sum must be the sequential one
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            ranked = ["SYN" if x else "ANT" for x in rng.random(int(rng.integers(1, 3000))) < 0.3]
+            ranked[0] = "SYN"
+            hits, total = 0, 0.0
+            for k, label in enumerate(ranked, start=1):
+                if label == "SYN":
+                    hits += 1
+                    total += hits / k
+            assert average_precision(ranked, "SYN") == total / hits
 
     def test_random_ranking_scores_near_class_prior(self):
         # uninformative rankings average out near the relevant-class
@@ -388,6 +403,31 @@ class TestReports:
         want = (0.0 + 1.0 / math.sqrt(2.0)) / 2.0
         assert report.classes["ADJ"].median_syn == pytest.approx(want, abs=1e-12)
         assert report.classes["ADJ"].median_ant is None
+
+    def test_every_report_is_a_view_of_one_ranking(self):
+        emb = _embeddings()
+        pairs = RelationPairSet(
+            (
+                RelationPair("hot", "cold", "ANT", "ADJ"),
+                RelationPair("hot", "warm", "SYN", "ADJ"),
+                RelationPair("warm", "cold", "ANT", "ADJ"),
+                RelationPair("wet", "missing", "SYN", "ADJ"),
+                RelationPair("wet", "hot", "ANT", "NOUN"),
+                RelationPair("gone", "missing", "SYN", "VERB"),
+            )
+        )
+        ranked = rank_classes(emb, pairs)
+        assert list(ranked.classes) == ["ADJ", "NOUN", "VERB"]
+        adj = ranked.classes["ADJ"]
+        assert (adj.n_total, adj.n_scored, adj.oov) == (4, 3, [("wet", "missing")])
+        assert adj.ap_syn == adj.auc == 1.0 and adj.median_syn == pytest.approx(0.9 / math.sqrt(0.82))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            views = [eval_ap(emb, pairs), eval_auc(emb, pairs), median_report(emb, pairs)]
+        assert [list(v.classes) for v in views] == [["ADJ", "NOUN"], ["ADJ", "NOUN"], ["ADJ", "NOUN", "VERB"]]
+        for view in views:
+            for name, cm in view.classes.items():
+                assert {k: v for k, v in vars(cm).items() if v is not None}.items() <= vars(ranked.classes[name]).items()
 
     def test_eval_spearman_coverage(self):
         emb = _embeddings()

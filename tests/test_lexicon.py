@@ -29,7 +29,7 @@ class TestLoading:
         path.write_text("hot\tSYN\twarm\nhot\tANT\tcold\n")
         lex = load_lexicon(path)
         assert lex.synonyms("warm") == {"hot"}
-        assert lex.antonyms("cold") == {"hot"}
+        assert lex.ant.get("cold", frozenset()) == {"hot"}
 
     def test_duplicates_and_reversals_collapse(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -43,16 +43,16 @@ class TestLoading:
         path.write_text("a\tSYN\ta\nb\tANT\tb\na\tSYN\tb\n")
         lex = load_lexicon(path)
         assert lex.synonyms("a") == {"b"}
-        assert lex.antonyms("a") == frozenset()
-        assert lex.antonyms("b") == frozenset()
+        assert lex.ant.get("a", frozenset()) == frozenset()
+        assert lex.ant.get("b", frozenset()) == frozenset()
 
     def test_conflicting_pair_reads_as_antonym(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("big\tSYN\tlarge\nlarge\tANT\tbig\n")
         lex = load_lexicon(path)
         assert lex.synonyms("big") == frozenset()
-        assert lex.antonyms("big") == {"large"}
-        assert lex.antonyms("large") == {"big"}
+        assert lex.ant.get("big", frozenset()) == {"large"}
+        assert lex.ant.get("large", frozenset()) == {"big"}
 
     def test_unknown_tag_rejected_with_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -70,7 +70,7 @@ class TestLoading:
         path = tmp_path / "lex.tsv"
         path.write_text("# header\n\na\tANT\tb\n")
         lex = load_lexicon(path)
-        assert lex.antonyms("a") == {"b"}
+        assert lex.ant.get("a", frozenset()) == {"b"}
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -92,9 +92,9 @@ class TestEnrichment:
                 ant_pairs=[("good", "bad"), ("good", "evil")],
             )
         )
-        assert lex.enriched_antonyms("good") == {"bad", "evil", "awful"}
+        assert lex.ant_enriched.get("good", frozenset()) == {"bad", "evil", "awful"}
         # symmetrized direction: A(bad) = {good}, S(good) = {} here
-        assert lex.enriched_antonyms("bad") == {"good"}
+        assert lex.ant_enriched.get("bad", frozenset()) == {"good"}
 
     def test_own_synonyms_excluded(self):
         # u is both a synonym of w and a synonym of w's antonym; the
@@ -105,13 +105,13 @@ class TestEnrichment:
                 ant_pairs=[("w", "x")],
             )
         )
-        assert lex.enriched_antonyms("w") == {"x"}
+        assert lex.ant_enriched.get("w", frozenset()) == {"x"}
 
     def test_word_without_antonyms_gets_empty_set(self):
         lex = enrich_antonyms(
             ContrastLexicon.from_pairs(syn_pairs=[("a", "b")], ant_pairs=[])
         )
-        assert lex.enriched_antonyms("a") == frozenset()
+        assert lex.ant_enriched.get("a", frozenset()) == frozenset()
         assert not lex.ant_enriched
 
     def test_direct_antonyms_always_contained(self):
@@ -120,7 +120,7 @@ class TestEnrichment:
             lex, words = _random_lexicon(rng)
             enriched = enrich_antonyms(lex)
             for w in words:
-                assert lex.antonyms(w) <= enriched.enriched_antonyms(w)
+                assert lex.ant.get(w, frozenset()) <= enriched.ant_enriched.get(w, frozenset())
 
     def test_enriched_set_invariants(self):
         rng = np.random.default_rng(2)
@@ -128,11 +128,11 @@ class TestEnrichment:
             lex, words = _random_lexicon(rng)
             enriched = enrich_antonyms(lex)
             for w in words:
-                star = enriched.enriched_antonyms(w)
+                star = enriched.ant_enriched.get(w, frozenset())
                 assert w not in star
                 assert not (star & lex.synonyms(w))
                 assert w not in lex.synonyms(w)
-                assert w not in lex.antonyms(w)
+                assert w not in lex.ant.get(w, frozenset())
 
     def test_relations_are_symmetric(self):
         rng = np.random.default_rng(3)
@@ -141,8 +141,8 @@ class TestEnrichment:
             for w in words:
                 for s in lex.synonyms(w):
                     assert w in lex.synonyms(s)
-                for a in lex.antonyms(w):
-                    assert w in lex.antonyms(a)
+                for a in lex.ant.get(w, frozenset()):
+                    assert w in lex.ant.get(a, frozenset())
 
     def test_monotone_under_nonincident_additions(self):
         # adding a pair that neither touches w nor conflicts with an
@@ -164,10 +164,10 @@ class TestEnrichment:
                 syn_pairs.add(tuple(sorted((a, b))))
             else:
                 ant_pairs.add(tuple(sorted((a, b))))
-            before = enrich_antonyms(lex).enriched_antonyms(w)
+            before = enrich_antonyms(lex).ant_enriched.get(w, frozenset())
             after = enrich_antonyms(
                 ContrastLexicon.from_pairs(syn_pairs, ant_pairs)
-            ).enriched_antonyms(w)
+            ).ant_enriched.get(w, frozenset())
             assert before <= after
             trials += 1
 
@@ -177,11 +177,11 @@ class TestEnrichment:
         base = ContrastLexicon.from_pairs(
             syn_pairs=[("x", "u")], ant_pairs=[("w", "x")]
         )
-        assert enrich_antonyms(base).enriched_antonyms("w") == {"x", "u"}
+        assert enrich_antonyms(base).ant_enriched.get("w", frozenset()) == {"x", "u"}
         grown = ContrastLexicon.from_pairs(
             syn_pairs=[("x", "u"), ("w", "u")], ant_pairs=[("w", "x")]
         )
-        assert enrich_antonyms(grown).enriched_antonyms("w") == {"x"}
+        assert enrich_antonyms(grown).ant_enriched.get("w", frozenset()) == {"x"}
 
     def test_reenrichment_fixed_point_on_synset_cliques(self):
         # when synonym sets are disjoint cliques, feeding A* back in as the
@@ -215,7 +215,7 @@ class TestEnrichment:
                 ContrastLexicon(syn=lex.syn, ant=dict(lex.ant_enriched))
             )
             for w in lex.ant_enriched:
-                assert again.enriched_antonyms(w) == lex.enriched_antonyms(w)
+                assert again.ant_enriched.get(w, frozenset()) == lex.ant_enriched.get(w, frozenset())
 
     def test_reenrichment_grows_under_chained_synonyms(self):
         # counterexample to the unrestricted fixed point: a-b-c chain synonymy
@@ -225,12 +225,12 @@ class TestEnrichment:
                 syn_pairs=[("a", "b"), ("b", "c")], ant_pairs=[("w", "a")]
             )
         )
-        assert lex.enriched_antonyms("w") == {"a", "b"}
+        assert lex.ant_enriched.get("w", frozenset()) == {"a", "b"}
         again = enrich_antonyms(ContrastLexicon(syn=lex.syn, ant=dict(lex.ant_enriched)))
-        assert again.enriched_antonyms("w") == {"a", "b", "c"}
+        assert again.ant_enriched.get("w", frozenset()) == {"a", "b", "c"}
 
     def test_has_entries(self):
         lex = ContrastLexicon.from_pairs([("a", "b")], [("c", "d")])
         assert lex.words() == {"a", "b", "c", "d"}
-        assert lex.synonyms("a") == {"b"} and lex.antonyms("d") == {"c"}
-        assert not lex.synonyms("zzz") and not lex.antonyms("zzz")
+        assert lex.synonyms("a") == {"b"} and lex.ant.get("d", frozenset()) == {"c"}
+        assert not lex.synonyms("zzz") and not lex.ant.get("zzz", frozenset())

@@ -167,7 +167,7 @@ def _sa_oracle(lmi_dense, lex, vocab, ant_mean):
             term1 = float(np.mean(syn_vals)) if syn_vals else 0.0
             pooled = []
             grouped = []
-            for opp in lex.enriched_antonyms(word):
+            for opp in lex.ant_enriched.get(word, frozenset()):
                 if opp not in ids:
                     continue
                 a = ids[opp]
