@@ -34,6 +34,11 @@ rows are summed in order. A hit therefore rounds the same in any wave, as
 `contrast_gradients` rounds it alone, and W is bit-identical to the hits
 applied one at a time. W and C are checked for NaN and Inf every CHECK_EVERY
 updates, which always ends a batch, and after each epoch.
+
+Training holds every epoch's (target, context) stream, 8 bytes a pair, and
+one block of about PLAN_PAIRS pairs, a whole number of batches: each block
+draws its negatives as the next rows of its epoch's generator, which equal
+one whole draw, and builds its own collision mask, rates and contrast waves.
 """
 
 from __future__ import annotations
@@ -529,34 +534,6 @@ def _sgns_step(W, C, targets, rows, keep, labels, alphas) -> None:
     _scatter_add(W, targets, alphas, g_w)
 
 
-def _run_epoch(model, targets, rows, labels, first, total_updates, contrast, batch) -> None:
-    """SGD over one epoch's pair stream, `batch` pairs per SGNS step.
-
-    rows[i] is pair i's true context, then its negatives; `first` is the
-    update index of the epoch's first pair, which fixes every pair's rate.
-    After each step, the batch's contrast hits update W wave by wave; the
-    waves are planned for `span` pairs, a whole number of batches, at a time.
-    """
-    W, C, n = model.W, model.C, len(targets)
-    keep = rows != rows[:, :1]
-    keep[:, 0] = True
-    alphas = learning_rate(model.config.learning_rate, np.arange(first, first + n), total_updates)
-    span = batch * max(1, PLAN_PAIRS // batch)
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, batch):
-            hi = min(lo + batch, n)
-            if contrast is not None and lo % span == 0:
-                block = slice(lo, lo + span)
-                plan, starts = contrast.waves(targets[block], rows[block, 0], alphas[block], batch)
-            _sgns_step(W, C, targets[lo:hi], rows[lo:hi], keep[lo:hi], labels, alphas[lo:hi])
-            if contrast is not None:
-                b = lo % span // batch
-                for v in range(starts[b], starts[b + 1]):
-                    _apply_wave(W, plan, v)
-            if (first + lo) // CHECK_EVERY < (first + hi) // CHECK_EVERY:
-                model.validate(first + hi)
-
-
 def _train(
     lines: Corpus | TokenLines,
     vocab: Vocabulary,
@@ -567,9 +544,7 @@ def _train(
     if len(vocab) == 0:
         raise TrainingError("empty vocabulary")
     if int(vocab.counts.min()) < cfg.min_count:
-        raise TrainingError(
-            "vocabulary/config mismatch: vocabulary holds words below min_count"
-        )
+        raise TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
     ids = _as_corpus(lines).ids(vocab)
     if len(ids[0]) == 0:
         raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
@@ -577,22 +552,40 @@ def _train(
     epoch_streams = [_epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)
     if total_updates == 0:
-        raise TrainingError("no training pairs survive windowing/subsampling")
+        raise TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
+                            f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
 
     n, d = len(vocab), cfg.dim
-    W = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d
+    W, C = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d, np.zeros((n, d))
     noise = build_noise_distribution(vocab, cfg.noise_exponent)
     labels = np.zeros(cfg.negatives + 1)
     labels[0] = 1.0
 
-    model = EmbeddingModel(W=W, C=np.zeros((n, d)), vocab=vocab, config=cfg)
+    model = EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
     batch = batch_size(noise, cfg.negatives)
+    span = batch * max(1, PLAN_PAIRS // batch)  # pairs per block, a whole number of batches
     done = 0
     for epoch, (targets, contexts) in enumerate(epoch_streams):
         n_pairs = len(targets)
-        negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
-        _run_epoch(model, targets, np.column_stack((contexts, negs)), labels, done,
-                   total_updates, contrast, batch)
+        rng = rng_for(cfg.seed, "negatives", epoch)  # blocks of its rows equal one (n_pairs, k) draw
+        with np.errstate(over="ignore"):
+            for lo in range(0, n_pairs, span):
+                first, t, c = done + lo, targets[lo:lo + span], contexts[lo:lo + span]
+                rows = np.column_stack((c, noise.sample(rng, (len(t), cfg.negatives))))
+                keep = rows != rows[:, :1]
+                keep[:, 0] = True
+                alphas = learning_rate(cfg.learning_rate, np.arange(first, first + len(t)), total_updates)
+                if contrast is not None:
+                    plan, starts = contrast.waves(t, c, alphas, batch)
+                for b, i in enumerate(range(0, len(t), batch)):
+                    j = slice(i, i + batch)
+                    _sgns_step(W, C, t[j], rows[j], keep[j], labels, alphas[j])
+                    if contrast is not None:
+                        for v in range(starts[b], starts[b + 1]):
+                            _apply_wave(W, plan, v)
+                    hi = first + min(i + batch, len(t))
+                    if (first + i) // CHECK_EVERY < hi // CHECK_EVERY:
+                        model.validate(hi)
         alpha_start = float(learning_rate(cfg.learning_rate, done, total_updates))
         done += n_pairs
         model.validate(done)

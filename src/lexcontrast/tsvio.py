@@ -40,11 +40,12 @@ def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
 
 @contextmanager
 def open_text(path: str | os.PathLike) -> Iterator[TextIO]:
-    """`path` opened for reading as UTF-8 text. Every reader of the package
-    opens its file here, so a byte that is not UTF-8 raises ValueError naming
-    the path and the line, instead of the codec's message alone."""
+    """`path` opened for reading as UTF-8 text, without a leading byte-order
+    mark. Every reader of the package opens its file here, so a byte that is
+    not UTF-8 raises ValueError naming the path and the line, instead of the
+    codec's message alone, and a BOM never joins the first word or key."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:  # a line break is never part of a UTF-8 sequence

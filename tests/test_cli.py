@@ -15,6 +15,8 @@ import pytest
 import lexcontrast
 from lexcontrast import cli, evaluation, tsvio
 from lexcontrast.cli import build_parser, main, read_config_file
+from lexcontrast.corpus import read_corpus, read_counts
+from lexcontrast.lexicon import load_lexicon
 from lexcontrast.vectors import read_embeddings
 
 DATA = Path(__file__).parent / "data"
@@ -232,6 +234,34 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {name}:2: not UTF-8 text (invalid continuation byte)\n"
         assert not Path(argv[-1]).exists()
+
+    @pytest.mark.parametrize("name, read", [
+        ("corpus.txt", read_corpus), ("lexicon.tsv", load_lexicon), ("vectors.txt", read_embeddings),
+        ("counts.tsv", read_counts)])
+    def test_a_leading_byte_order_mark_reads_as_no_mark(self, workspace, name, read):
+        """A UTF-8 BOM joins neither the first word nor the first `#` header."""
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--out", "counts.tsv", "--config", "run.cfg"])
+        Path("vectors.txt").write_bytes((DATA / "toy_vectors.txt").read_bytes())
+        Path(f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + Path(name).read_bytes())
+
+        def fields(obj):
+            return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                    for key, value in vars(obj).items()}
+
+        assert fields(read(f"bom_{name}")) == fields(read(name))
+
+    def test_no_training_pairs_names_the_tokens_window_and_threshold(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.txt").write_text("hot cold warm cool\ncool warm hot cold\nwarm hot cool cold\ncold cool warm hot\n")
+        Path("lexicon.tsv").write_text("hot\tSYN\twarm\ncold\tSYN\tcool\nhot\tANT\tcold\n")
+        argv = ["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "run",
+                "--min-count", "1", "--window", "2", "--dim", "4", "--svd-dim", "2", "--negatives", "2"]
+        assert main(argv) == 1  # the default subsample threshold, 1e-5, discards nearly every token
+        assert capsys.readouterr().err == ("error: no training pairs survive windowing/subsampling: "
+                                           "16 in-vocabulary tokens, window 2, subsample 1e-05\n")
+        assert main([*argv, "--subsample", "0"]) == 0
+        assert len(list(Path("run").iterdir())) == 8
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

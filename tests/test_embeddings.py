@@ -456,7 +456,8 @@ class TestSgnsTraining:
         cfg = TrainingConfig(dim=2, min_count=1, subsample=None)
         with pytest.raises(CorpusError, match="empty corpus"):
             train_sgns([["zzz"]], vocab, cfg)
-        with pytest.raises(TrainingError, match="no training pairs"):
+        with pytest.raises(TrainingError, match="no training pairs survive windowing/subsampling: "
+                                                "2 in-vocabulary tokens, window 5, subsample off$"):
             train_sgns([["a"], ["b"]], vocab, cfg)
         with pytest.raises(TrainingError, match="empty vocabulary"):
             train_sgns([], Vocabulary.from_counts({}), cfg)
@@ -619,3 +620,32 @@ class TestContrastTraining:
         lex = ContrastLexicon.from_pairs([("a", "b")], [])
         with pytest.raises(TrainingError, match="shape"):
             _ContrastState(lex, vocab, _full_index(4), TrainingConfig(dim=2, min_count=1))
+
+
+class TestTrainingMemory:
+    def test_peak_grows_by_the_pair_stream_not_by_the_negatives(self):
+        """An epoch's stream is 8 B a pair. Its negatives, rows, collision
+        mask and rates, about 300 B a pair at k = 15, live one block at a
+        time, so the tracemalloc peak of either trainer grows by less than
+        64 B for each pair a larger corpus adds."""
+        cfg = TrainingConfig(dim=2, negatives=15, window=5, subsample=None, min_count=5)
+        pairs, peaks = [], []
+        for sentences in (6_000, 24_000):
+            world = build_world(1, n_concepts=300, sentences=sentences)
+            lines = encode_lines(world.lines)
+            vocab = build_vocabulary(lines, 5)
+            idx = build_feature_index(compute_lmi(count_cooccurrences(lines, vocab, 5), vocab))
+            pairs.append(len(_epoch_pairs(lines.ids(vocab), vocab, cfg, 0)[0]))
+            peak = []
+            for train in (lambda: train_sgns(lines, vocab, cfg),
+                          lambda: train_dlce(lines, vocab, cfg, world.lexicon, idx)):
+                tracemalloc.start()
+                try:
+                    train()
+                    peak.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks.append(peak)
+        assert pairs[1] - pairs[0] > 300_000
+        for small, large in zip(*peaks):
+            assert (large - small) / (pairs[1] - pairs[0]) < 64

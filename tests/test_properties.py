@@ -242,22 +242,24 @@ def test_trainers_follow_the_batch_rule(case, batch):
 @settings(max_examples=40, deadline=None)
 @given(training_cases(), st.sampled_from([1, 2, 7, 250]), st.integers(1, 30))
 def test_dlce_does_not_depend_on_the_plan_span(case, batch, plan_pairs):
-    """Planning the contrast waves a few pairs at a time gives the same bits."""
+    """Drawing the negatives and planning the contrast waves a few pairs at a
+    time gives the same bits, in both trainers."""
     lines, vocab, cfg, lex, idx = case
-    runs = []
     with mock.patch.object(embeddings, "batch_size", lambda noise, negatives: batch):
-        for pairs in (plan_pairs, embeddings.PLAN_PAIRS):
-            with mock.patch.object(embeddings, "PLAN_PAIRS", pairs):
-                try:
-                    runs.append(train_dlce(lines, vocab, cfg, lex, idx))
-                except TrainingError as exc:
-                    runs.append(str(exc))
-    got, want = runs
-    if isinstance(want, str):
-        assert got == want
-    else:
-        _same_bits(got.W, want.W)
-        _same_bits(got.C, want.C)
+        for args in ((), (lex, idx)):
+            runs = []
+            for pairs in (plan_pairs, embeddings.PLAN_PAIRS):
+                with mock.patch.object(embeddings, "PLAN_PAIRS", pairs):
+                    try:
+                        runs.append((train_dlce if args else train_sgns)(lines, vocab, cfg, *args))
+                    except TrainingError as exc:
+                        runs.append(str(exc))
+            got, want = runs
+            if isinstance(want, str):
+                assert got == want
+            else:
+                _same_bits(got.W, want.W)
+                _same_bits(got.C, want.C)
 
 
 @settings(max_examples=60, deadline=None)
