@@ -396,6 +396,8 @@ def run_pipeline(args: argparse.Namespace) -> None:
     with writes:
         text = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
         vocab = stage_vocab(text, s)
+        if not len(vocab):  # before any artifact is written
+            raise corpus.CorpusError(f"empty vocabulary: no word occurs min_count={s['min_count']} times")
         save("vocab", vocab, "vocab.tsv")
         counts = stage_count(text, vocab, s)
         save("count", counts, "counts.tsv")

@@ -215,7 +215,7 @@ def write_vocabulary(path, vocab: Vocabulary, meta: dict[str, str] | None = None
 
 def read_vocabulary(path) -> Vocabulary:
     columns = {"word": str, "id": int, "count": tsvio.bounded(int, 1, math.inf, "count below 1")}
-    entries = sorted(zip(*tsvio.read_columns(path, columns, CorpusError)), key=lambda e: e[1])
+    entries = sorted(zip(*tsvio.read_columns(path, columns, CorpusError, comments=False)), key=lambda e: e[1])
     if [wid for _, wid, _ in entries] != list(range(len(entries))):
         raise CorpusError(f"{path}: ids are not dense 0..n-1")
     vocab = Vocabulary(tuple(w for w, _, _ in entries), np.array([c for _, _, c in entries], dtype=np.int64))

@@ -75,9 +75,13 @@ def read_columns(
     path: str | os.PathLike,
     columns: dict[str, Callable[[str], object]],
     error: type[ValueError],
+    comments: bool = True,
 ) -> list[list]:
     """The data rows of `path`, skipping comments and blanks, as one list per
     column, each field parsed by its column's parser.
+
+    With `comments` false, only a `#` line without a tab is skipped: a row
+    holds tabs, a `#key=value` header none, so a first field may start with `#`.
 
     A row whose field count differs from len(columns), or a field whose
     parser raises ValueError, raises `error` naming the path, the line and
@@ -88,7 +92,7 @@ def read_columns(
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            if not line or line.startswith("#") and (comments or "\t" not in line):
                 continue
             fields = line.split("\t")
             if len(fields) != width:

@@ -127,6 +127,19 @@ class TestExitCodes:
         assert main(PIPELINE) == 1
         assert "error: File exists: run" in capsys.readouterr().err
 
+    def test_hashtag_words_pass_from_vocab_to_count(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.txt").write_text("#tbt hot cold\nhot #tbt warm\ncold warm #tbt\n")
+        assert main(["vocab", "--corpus", "corpus.txt", "--min-count", "1", "--out", "v.tsv"]) == 0
+        assert "#tbt\t0\t3" in Path("v.tsv").read_text().splitlines()
+        assert main(["count", "--corpus", "corpus.txt", "--vocab", "v.tsv", "--window", "2", "--out", "c.tsv"]) == 0
+        assert read_counts("c.tsv").n_words == 4
+
+    def test_pipeline_with_an_empty_vocabulary_is_1_before_any_artifact(self, workspace, capsys):
+        assert main([*PIPELINE, "--min-count", "100000"]) == 1
+        assert capsys.readouterr().err == "error: empty vocabulary: no word occurs min_count=100000 times\n"
+        assert list(Path("run").iterdir()) == []
+
     def test_missing_required_option_is_1(self, tmp_path, capsys):
         code = main(["vocab", "--out", str(tmp_path / "v.tsv")])
         assert code == 1
@@ -621,17 +634,21 @@ class TestSurface:
         assert option_table() == json.loads(OPTIONS.read_text())
 
     @staticmethod
-    def _loaded_by_cli_import(module: str) -> bool:
-        """Whether importing the CLI in a fresh interpreter loads `module`."""
+    def _loaded_by_import(package: str, *modules: str) -> list[str]:
+        """Those of `modules` that importing `package` in a fresh interpreter loads."""
         src = str(Path(lexcontrast.__file__).resolve().parents[1])
-        code = f"import sys, lexcontrast.cli; print({module!r} in sys.modules)"
+        code = f"import sys, {package}; print(*[m for m in {modules!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": src}, check=True)
-        return proc.stdout.strip() == "True"
+        return proc.stdout.split()
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        assert not self._loaded_by_cli_import("scipy.stats")
+        assert self._loaded_by_import("lexcontrast.cli", "scipy.stats") == []
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         # the randomized SVD imports it when it runs
-        assert not self._loaded_by_cli_import("scipy.linalg")
+        assert self._loaded_by_import("lexcontrast.cli", "scipy.linalg") == []
+
+    def test_package_import_leaves_numpy_and_scipy_unloaded(self):
+        # every name lives in its own module; the package root re-exports none
+        assert self._loaded_by_import("lexcontrast", "numpy", "scipy") == []

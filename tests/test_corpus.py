@@ -85,6 +85,14 @@ class TestVocabulary:
         assert loaded.word_ids == vocab.word_ids
         assert loaded.total_tokens == vocab.total_tokens
 
+    def test_round_trip_of_words_that_start_with_a_hash(self, tmp_path):
+        # a row holds tabs and a `#key=value` header none, so a hashtag is a word, not a comment
+        vocab = build_vocabulary([["#tbt", "hot", "cold"], ["hot", "#tbt", "#", "#a=b"]], min_count=1)
+        path = tmp_path / "vocab.tsv"
+        write_vocabulary(path, vocab, meta={"note": "test"})
+        assert path.read_text().splitlines()[:2] == ["#note=test", "#tbt\t0\t2"]
+        assert read_vocabulary(path) == vocab
+
     def test_read_rejects_gapped_ids(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("a\t0\t5\nb\t2\t3\n")
