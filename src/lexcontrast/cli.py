@@ -398,6 +398,7 @@ def run_pipeline(args: argparse.Namespace) -> None:
         vocab = stage_vocab(text, s)
         if not len(vocab):  # before any artifact is written
             raise corpus.CorpusError(f"empty vocabulary: no word occurs min_count={s['min_count']} times")
+        embeddings.require_pairs(text.ids(vocab), vocab, _training_config(s))  # and so is a corpus with no pair
         save("vocab", vocab, "vocab.tsv")
         counts = stage_count(text, vocab, s)
         save("count", counts, "counts.tsv")

@@ -38,7 +38,8 @@ updates, which always ends a batch, and after each epoch.
 Training holds every epoch's (target, context) stream, 8 bytes a pair, and
 one block of about PLAN_PAIRS pairs, a whole number of batches: each block
 draws its negatives as the next rows of its epoch's generator, which equal
-one whole draw, and builds its own collision mask, rates and contrast waves.
+one whole draw of its guide table, and builds its own collision mask, rates,
+contrast waves and scatter plan: each step's products need no sort.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import TextIO
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .corpus import (
     Corpus,
@@ -140,6 +142,7 @@ class NoiseDistribution:
 
     probabilities: np.ndarray
     cumulative: np.ndarray = field(init=False, repr=False)
+    guide: np.ndarray = field(init=False, repr=False)  # guide[i]: the count of cumulative <= i / (len - 1)
 
     def __post_init__(self):
         p = self.probabilities
@@ -148,10 +151,20 @@ class NoiseDistribution:
         if not (p > 0).all():
             raise TrainingError("every vocabulary word needs positive noise probability")
         object.__setattr__(self, "cumulative", np.cumsum(p))
+        m = 1 << (4 * len(p) - 1).bit_length()  # at least 4 grid points per word, a power of two
+        object.__setattr__(self, "guide", self.cumulative.searchsorted(np.arange(m + 1) / m, "right").astype(np.int32))
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        draws = np.searchsorted(self.cumulative, rng.random(shape), side="right")
-        return np.minimum(draws, len(self.probabilities) - 1).astype(np.int32)
+        """min(count of cumulative <= u, n - 1) for uniforms u, by a guide table (Chen & Asau 1974):
+        u * m is exact, m a power of two, so guide[floor(u * m)] <= the count. One step of a walk
+        finishes most draws, binary search the rest, whose bucket holds two or more values <= u."""
+        u = rng.random(int(np.prod(shape)))  # the draws of rng.random(shape), flat
+        draws = self.guide[(u * (len(self.guide) - 1)).astype(np.int32)]
+        late = np.flatnonzero(self.cumulative.take(draws, mode="clip") <= u)
+        draws[late] += 1
+        late = late[self.cumulative.take(draws[late], mode="clip") <= u[late]]
+        draws[late] = np.searchsorted(self.cumulative, u[late], side="right")
+        return np.minimum(draws, len(self.probabilities) - 1, dtype=np.int32).reshape(shape)
 
 
 def build_noise_distribution(vocab: Vocabulary, exponent: float = 0.75) -> NoiseDistribution:
@@ -372,12 +385,23 @@ def _epoch_pairs(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: Tra
 
     The window keys of token positions, sorted, are that order.
     """
-    if cfg.subsample is not None:
-        discard = discard_probabilities(vocab, cfg.subsample)
-        ids = subsample_ids(ids, discard, rng_for(cfg.seed, "subsample", epoch))
-    tok, line_id = ids
+    tok, line_id = _kept(ids, vocab, cfg, epoch)
     keys = np.sort(window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok)))
     return tok[keys // len(tok)].astype(np.int32), tok[keys % len(tok)].astype(np.int32)
+
+
+def _kept(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig, epoch: int):
+    """The tokens of `ids` that the epoch's subsample draw keeps, and their lines."""
+    return ids if cfg.subsample is None else subsample_ids(
+        ids, discard_probabilities(vocab, cfg.subsample), rng_for(cfg.seed, "subsample", epoch))
+
+
+def require_pairs(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig) -> None:
+    """Raise TrainingError unless some epoch has a pair, found without a pair
+    stream: one exists iff a line keeps two tokens after the epoch's draw."""
+    if not any((line[1:] == line[:-1]).any() for _, line in (_kept(ids, vocab, cfg, e) for e in range(cfg.epochs))):
+        raise TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
+                            f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
 
 
 # --- contrast bookkeeping for the dLCE loop
@@ -494,7 +518,7 @@ def _wave_levels(batch_of: np.ndarray, targets: np.ndarray, members: np.ndarray,
 CHECK_EVERY = 10_000  # updates between finiteness checks of W and C
 MAX_BATCH = 500  # most pairs in one batched SGNS step
 NOISE_REUSE = 10.0  # bound on the expected draws of the likeliest noise word per batch
-PLAN_PAIRS = 10_000  # about this many pairs' contrast waves are planned at once, which bounds the plan's memory
+PLAN_PAIRS = 5_000  # about this many pairs' negatives, scatter plan and contrast waves are built at once
 
 
 def batch_size(noise: NoiseDistribution, negatives: int) -> int:
@@ -509,29 +533,45 @@ def batch_size(noise: NoiseDistribution, negatives: int) -> int:
     return next(b for b in range(max(cap, 1), 0, -1) if CHECK_EVERY % b == 0)
 
 
-def _scatter_add(M: np.ndarray, rows: np.ndarray, weights: np.ndarray, X: np.ndarray) -> None:
-    """M[rows[j]] += weights[j] * X[j] for every j, with repeated rows summed
-    exactly once: a stable sort groups them (as np.unique does), and one
-    sparse-times-dense product sums each group in stream order."""
-    order = np.argsort(rows, kind="stable")
-    srt = rows[order]
-    starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
-    S = sparse.csr_matrix((weights[order], order, np.append(starts, len(srt))), shape=(len(starts), len(X)))
-    M[srt[starts]] += S @ X
+def _plan_scatter(rows: np.ndarray, per_batch: int, n: int) -> list:
+    """Per batch of `per_batch` entries of `rows` (ids below n), its entries grouped by row, stably: the
+    CSR indptr and indices (places in the batch) of S in `_scatter_add`, and each group's row. The
+    order sorts batch * n + row stably, an LSD radix sort over 16-bit digits: numpy radix-sorts uint16."""
+    top = (len(rows) - 1) // per_batch * n + n  # every key lies below it
+    key = np.arange(len(rows), dtype=np.int32 if top < 2**31 else np.int64) // per_batch * n + rows
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, (top - 1).bit_length(), 16):
+        order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
+    key = key[order]
+    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True]))).astype(np.int32)
+    rows, firsts = (key[heads[:-1]] % n).astype(np.int32), range(0, len(key) + per_batch, per_batch)
+    bounds = np.searchsorted(heads, firsts).tolist()  # each batch's first group
+    return [(heads[g0:g1 + 1] - np.int32(e0), (order[e0:e0 + per_batch] - e0).astype(np.int32), rows[g0:g1])
+            for e0, g0, g1 in zip(firsts, bounds, bounds[1:])]
 
 
-def _sgns_step(W, C, targets, rows, keep, labels, alphas) -> None:
+def _scatter_add(M: np.ndarray, groups: tuple, weights: np.ndarray, X: np.ndarray) -> None:
+    """M[rows[j]] += weights[j] * X[j] for the entries j of a batch, repeated rows summed in stream order
+    by S @ X, the CSR matrix S of the batch's `_plan_scatter` groups with weights, through its kernel."""
+    indptr, indices, rows = groups
+    out = np.zeros((len(rows), X.shape[1]))
+    _sparsetools.csr_matvecs(len(rows), len(X), X.shape[1], indptr, indices, weights[indices], X.ravel(), out.ravel())
+    M[rows] += out
+
+
+def _sgns_step(W, C, targets, rows, keep, labels, alphas, groups) -> None:
     """One SGD step over a batch of B pairs, gradients at the batch-start W and C.
 
     rows is (B, k+1): each pair's true context, then its negatives; keep is
     False where a negative collides with the true context, which then
-    contributes nothing. Only the summing of repeated rows differs from
-    applying each pair's update in turn to the same W and C.
+    contributes nothing; `groups` plans the scatter of rows, then targets.
+    Only the summing of repeated rows differs from applying each pair's
+    update in turn to the same W and C.
     """
     B, k1 = rows.shape
     g_w, g_c = sgns_pair_gradients(W.take(targets, axis=0), C.take(rows, axis=0), labels, keep)
-    _scatter_add(C, rows.ravel(), np.repeat(alphas, k1), g_c.reshape(B * k1, -1))
-    _scatter_add(W, targets, alphas, g_w)
+    _scatter_add(C, groups[0], np.repeat(alphas, k1), g_c.reshape(B * k1, -1))
+    _scatter_add(W, groups[1], alphas, g_w)
 
 
 def _train(
@@ -549,11 +589,9 @@ def _train(
     if len(ids[0]) == 0:
         raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
 
+    require_pairs(ids, vocab, cfg)
     epoch_streams = [_epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)
-    if total_updates == 0:
-        raise TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
-                            f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
 
     n, d = len(vocab), cfg.dim
     W, C = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d, np.zeros((n, d))
@@ -575,11 +613,12 @@ def _train(
                 keep = rows != rows[:, :1]
                 keep[:, 0] = True
                 alphas = learning_rate(cfg.learning_rate, np.arange(first, first + len(t)), total_updates)
+                groups = zip(_plan_scatter(rows.ravel(), batch * rows.shape[1], n), _plan_scatter(t, batch, n))
                 if contrast is not None:
                     plan, starts = contrast.waves(t, c, alphas, batch)
                 for b, i in enumerate(range(0, len(t), batch)):
                     j = slice(i, i + batch)
-                    _sgns_step(W, C, t[j], rows[j], keep[j], labels, alphas[j])
+                    _sgns_step(W, C, t[j], rows[j], keep[j], labels, alphas[j], next(groups))
                     if contrast is not None:
                         for v in range(starts[b], starts[b + 1]):
                             _apply_wave(W, plan, v)

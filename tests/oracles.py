@@ -8,7 +8,9 @@ per-pair SGD loop from before training was batched, the batch rule spelled
 out one pair at a time, the vector writer from before it took the header
 lines itself, the table writers that formatted cell by cell, co-occurrence
 counting with separate target and feature chunks, subsampling with one draw
-call per line, the randomized SVD that took a QR after every product of
+call per line, the SGNS step that sorted each batch's rows and built a CSR
+matrix to sum them, noise sampling by one binary search per draw, the
+randomized SVD that took a QR after every product of
 its subspace iteration, and the corpus as token lists: a `Counter`
 vocabulary and one id array per line. They stay here, unchanged in
 behaviour, as oracles for the property tests. The one exception is the
@@ -434,6 +436,34 @@ def sgns_pair_update(W, C, w, rows, labels, alpha, has_dupes):
     W[w] = w_vec + alpha * g_w
 
 
+def scatter_add(M, rows, weights, X) -> None:
+    """M[rows[j]] += weights[j] * X[j] for every j, with repeated rows summed
+    exactly once: a stable sort groups them (as np.unique does), and one
+    sparse-times-dense product sums each group in stream order."""
+    order = np.argsort(rows, kind="stable")
+    srt = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
+    S = sparse.csr_matrix((weights[order], order, np.append(starts, len(srt))), shape=(len(starts), len(X)))
+    M[srt[starts]] += S @ X
+
+
+def sgns_step(W, C, targets, rows, keep, labels, alphas, groups=None) -> None:
+    """embeddings._sgns_step with each batch's scatter sorted and built in the
+    step by `scatter_add`; the planned `groups` are ignored."""
+    B, k1 = rows.shape
+    g_w, g_c = emb.sgns_pair_gradients(W.take(targets, axis=0), C.take(rows, axis=0), labels, keep)
+    scatter_add(C, rows.ravel(), np.repeat(alphas, k1), g_c.reshape(B * k1, -1))
+    scatter_add(W, targets, alphas, g_w)
+
+
+def sample_noise(noise, rng, shape) -> np.ndarray:
+    """NoiseDistribution.sample by its definition: each uniform's count of
+    cumulative probabilities at or below it, found by binary search, capped
+    at the last word."""
+    draws = np.searchsorted(noise.cumulative, rng.random(shape), side="right")
+    return np.minimum(draws, len(noise.probabilities) - 1).astype(np.int32)
+
+
 def _run_shard(
     W,
     C,
@@ -505,7 +535,7 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
     with np.errstate(over="ignore"):
         for epoch, (targets, contexts) in enumerate(epoch_streams):
             n_pairs = len(targets)
-            negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
+            negs = sample_noise(noise, rng_for(cfg.seed, "negatives", epoch), (n_pairs, cfg.negatives))
             stacked = np.column_stack((contexts, negs))
             srt = np.sort(stacked, axis=1)
             has_dupes = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
@@ -552,7 +582,7 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
     done = 0
     with np.errstate(over="ignore"):
         for epoch, (targets, contexts) in enumerate(epoch_streams):
-            negs = noise.sample(rng_for(cfg.seed, "negatives", epoch), (len(targets), cfg.negatives))
+            negs = sample_noise(noise, rng_for(cfg.seed, "negatives", epoch), (len(targets), cfg.negatives))
             for lo in range(0, len(targets), batch):
                 block = range(lo, min(lo + batch, len(targets)))
                 dW, dC = np.zeros_like(W), np.zeros_like(C)

@@ -276,6 +276,24 @@ class TestExitCodes:
         assert main([*argv, "--subsample", "0"]) == 0
         assert len(list(Path("run").iterdir())) == 8
 
+    @pytest.mark.parametrize("text, flags, tokens, subsample", [
+        ("hot cold warm cool\ncool warm hot cold\nwarm hot cool cold\ncold cool warm hot\n", [], 16, "1e-05"),
+        ("hot\ncold\nwarm\ncool\nhot\n", ["--subsample", "0"], 5, "off"),
+    ], ids=["subsampled-away", "one-token-lines"])
+    def test_untrainable_pipeline_is_1_before_any_artifact(self, tmp_path, monkeypatch, capsys, text, flags,
+                                                            tokens, subsample):
+        """No line keeps two tokens in any epoch: the trainer's refusal comes
+        before the vocabulary, counts, weights and SVDs are written."""
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.txt").write_text(text)
+        Path("lexicon.tsv").write_text("hot\tSYN\twarm\ncold\tSYN\tcool\nhot\tANT\tcold\n")
+        assert main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "run",
+                     "--min-count", "1", "--window", "2", "--dim", "4", "--svd-dim", "2", "--negatives", "2",
+                     *flags]) == 1
+        assert capsys.readouterr().err == ("error: no training pairs survive windowing/subsampling: "
+                                           f"{tokens} in-vocabulary tokens, window 2, subsample {subsample}\n")
+        assert list(Path("run").iterdir()) == []
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

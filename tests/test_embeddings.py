@@ -135,12 +135,64 @@ class TestNoiseDistribution:
             sigma = math.sqrt(p * (1 - p) / len(draws))
             assert abs(observed - p) < 4 * sigma
 
+    @pytest.mark.parametrize("probabilities", [
+        np.array([1.0]),  # one word
+        np.array([0.5, 0.25, 0.125, 0.125]),  # every cumulative value on a grid point
+        np.array([0.5, 0.5 - 1e-10]),  # the last cumulative value below 1: keys above it
+        np.r_[1 - 999e-12, np.full(999, 1e-12)],  # 999 cumulative values in the last grid bucket
+        0.5 ** np.arange(1, 61) / (1 - 0.5 ** 60),  # geometric: ever more values per bucket
+        np.full(1000, 1e-3),
+    ], ids=["one-word", "on-grid", "short-sum", "skewed", "geometric", "uniform"])
+    def test_sampling_equals_searchsorted_on_the_same_draws(self, probabilities):
+        """The guide-table draws are min(searchsorted(cumulative, u, "right"),
+        n - 1), on keys at and beside every grid point and every cumulative
+        value, and from a generator's state."""
+
+        class Uniforms:  # a generator whose draws are the given keys
+            def random(self, shape):
+                return keys.reshape(shape)
+
+        noise = NoiseDistribution(probabilities)
+        m = len(noise.guide) - 1
+        marks = np.concatenate((np.arange(m + 1) / m, noise.cumulative))
+        keys = np.concatenate((marks, np.nextafter(marks, 0), np.nextafter(marks, 1), [0.0, np.nextafter(1.0, 0)]))
+        keys = keys[keys < 1]
+        got, want = noise.sample(Uniforms(), len(keys)), oracles.sample_noise(noise, Uniforms(), len(keys))
+        assert got.dtype == want.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+        for shape in (10_000, (300, 7)):
+            np.testing.assert_array_equal(noise.sample(np.random.default_rng(9), shape),
+                                          oracles.sample_noise(noise, np.random.default_rng(9), shape))
+
     def test_sampling_deterministic(self):
         vocab = Vocabulary.from_counts({"a": 5, "b": 2})
         noise = build_noise_distribution(vocab)
         a = noise.sample(np.random.default_rng(4), (10, 3))
         b = noise.sample(np.random.default_rng(4), (10, 3))
         np.testing.assert_array_equal(a, b)
+
+
+class TestScatterKernel:
+    def test_csr_matvecs_gives_the_bits_of_the_csr_product(self):
+        """The SGNS step calls scipy's private `_sparsetools.csr_matvecs`, the
+        kernel behind csr_matrix @ X, with int32 indices; the trainers are
+        bit-identical to their sorting form only while the two agree."""
+        import scipy
+
+        try:
+            from scipy.sparse._sparsetools import csr_matvecs
+        except ImportError as exc:
+            pytest.fail(f"scipy {scipy.__version__} has no sparse._sparsetools.csr_matvecs: {exc}")
+        rng = np.random.default_rng(17)
+        for rows, cols, d in ((1, 1, 1), (40, 90, 1), (40, 90, 2), (300, 1500, 50)):
+            S = sparse.csr_matrix(rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.2))
+            X = rng.standard_normal((cols, d))
+            out = np.zeros((rows, d))
+            csr_matvecs(rows, cols, d, S.indptr.astype(np.int32), S.indices.astype(np.int32), S.data, X.ravel(),
+                        out.ravel())
+            assert np.array_equal(out.view(np.uint64), (S @ X).view(np.uint64)), (
+                f"scipy {scipy.__version__}: _sparsetools.csr_matvecs no longer sums as csr_matrix @ X "
+                f"(shape {rows}x{cols}, {d} columns)")
 
 
 class TestBatchSize:

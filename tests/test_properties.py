@@ -2,7 +2,9 @@
 ranks against the loop implementations they replaced; the trainer's contrast
 sets against the per-key frozenset form; the batched SGNS/dLCE trainers
 against the batch rule spelled out pair by pair and, at batch size 1, step by
-step against the per-pair loop they replaced; sigmoid and contrast gradients
+step against the per-pair loop they replaced, and bit for bit against the
+per-batch sorting scatter and searchsorted noise draws; the planned scatter
+against that sort per batch; sigmoid and contrast gradients
 against that loop's versions bit for bit, and the contrast gradients within
 rounding of their BLAS form; the contrast step against its old form, the
 contrast waves against the same hits applied one at a time,
@@ -21,6 +23,7 @@ hand-made feature-holder matrices.
 """
 
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -277,11 +280,11 @@ def test_trainers_match_per_pair_loop_at_batch_one(case):
     step = embeddings._sgns_step
     steps = []
 
-    def checked_step(W, C, targets, rows, keep, labels, alphas):
+    def checked_step(W, C, targets, rows, keep, labels, alphas, groups):
         want_W, want_C = W.copy(), C.copy()
         r = rows[0][np.concatenate(([True], rows[0, 1:] != rows[0, 0]))]
         oracles.sgns_pair_update(want_W, want_C, targets[0], r, labels[: len(r)], alphas[0], True)
-        step(W, C, targets, rows, keep, labels, alphas)
+        step(W, C, targets, rows, keep, labels, alphas, groups)
         _assert_close(W, want_W)
         _assert_close(C, want_C)
         steps.append(float(alphas[0]))
@@ -299,6 +302,67 @@ def test_trainers_match_per_pair_loop_at_batch_one(case):
             assert steps == [embeddings.learning_rate(cfg.learning_rate, i, len(steps)) for i in range(len(steps))]
             for g, w in zip(got.history, want.history, strict=True):  # objectives differ by rounding
                 assert {k: g[k] for k in ("epoch", "pairs", "alpha")} == {k: w[k] for k in ("epoch", "pairs", "alpha")}
+
+
+@st.composite
+def scatter_cases(draw):
+    """One block's scatter rows, a batch size and the id bound n.
+
+    Ids come from a small pool, so rows repeat within a batch; a one-id pool
+    makes every row equal. With n = 70,000 the pool reaches past 65,535, the
+    radix sort's second digit, also with ids equal in their low 16 bits.
+    Batches of one entry and a short last batch are drawn too.
+    """
+    n = draw(st.sampled_from([1, 2, 9, 300, 70_000]))
+    edge = [i for i in (0, 1, 5, 65_535, 65_536, 65_541, n - 1) if i < n]
+    pool = draw(st.lists(st.one_of(st.integers(0, n - 1), st.sampled_from(edge)), min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80)), dtype=np.int32)
+    return rows, draw(st.sampled_from([1, 2, 3, 7, 16, 100])), n, np.random.default_rng(seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scatter_cases(), st.integers(1, 5))
+def test_planned_scatter_equals_the_sorting_scatter_bit_for_bit(case, d):
+    """Each batch's sums through its planned groups are the bits of the sort
+    and CSR matrix that the step built before."""
+    rows, per_batch, n, rng = case
+    plans = embeddings._plan_scatter(rows, per_batch, n)
+    assert len(plans) == -(-len(rows) // per_batch)
+    got = rng.standard_normal((n, d))
+    want = got.copy()
+    for b, groups in enumerate(plans):
+        batch_rows = rows[b * per_batch:(b + 1) * per_batch]
+        X, weights = rng.standard_normal((len(batch_rows), d)), rng.random(len(batch_rows))
+        embeddings._scatter_add(got, groups, weights, X)
+        oracles.scatter_add(want, batch_rows, weights, X)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(training_cases(), st.sampled_from([1, 2, 7, 250]))
+def test_trainers_equal_the_sorting_scatter_and_searchsorted_draws(case, batch):
+    """Both trainers give the bytes of W and C they gave with the step that
+    sorted and built a CSR matrix per batch and noise drawn by searchsorted.
+    Unlike a golden digest, this holds on any machine."""
+    lines, vocab, cfg, lex, idx = case
+    with mock.patch.object(embeddings, "batch_size", lambda noise, negatives: batch):
+        for args in ((), (lex, idx)):
+            runs = []
+            for patches in ((), ((embeddings, "_sgns_step", oracles.sgns_step),
+                                 (embeddings.NoiseDistribution, "sample", oracles.sample_noise))):
+                with ExitStack() as stack:
+                    for target, name, new in patches:
+                        stack.enter_context(mock.patch.object(target, name, new))
+                    try:
+                        runs.append((train_dlce if args else train_sgns)(lines, vocab, cfg, *args))
+                    except TrainingError as exc:
+                        runs.append(str(exc))
+            got, want = runs
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.W.tobytes() == want.W.tobytes() and got.C.tobytes() == want.C.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
