@@ -17,6 +17,7 @@ An option comes from its flag, else the config file, else the default, and is ch
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import hashlib
 import json
@@ -56,8 +57,8 @@ DEFAULTS: dict[str, object] = {
 # the values a string option may take, from a flag or a config file alike
 _CHOICES = {"ant_mean": ("pooled", "per-antonym"), "svd_mode": ("auto", "dense", "randomized")}
 # lower bounds of numeric options; NaN fails them too
-_MINIMUM = {"min_count": 1, "window": 1, "dim": 1, "svd_dim": 1, "negatives": 1, "epochs": 1,
-            "seed": 0, "noise_exponent": 0, "beta": 0, "sigma_exponent": 0}
+_MINIMUM = {"min_count": 1, "window": 1, "dim": 1, "svd_dim": 1, "negatives": 1, "epochs": 1, "seed": 0,
+            "noise_exponent": 0, "beta": 0, "sigma_exponent": 0, "subsample": 0, "max_contrast_neighbors": 0}
 # keys naming input files or the pipeline's output directory; they have no default
 _PATH_KEYS = ("corpus", "counts", "lexicon", "lmi", "pairs", "simpairs", "vectors", "vocab", "weights", "workdir")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
@@ -102,7 +103,7 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
             raise ValueError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
         if key in _MINIMUM and not value >= _MINIMUM[key]:
             raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
-        off = key in ("subsample", "max_contrast_neighbors") and value <= 0  # at or below zero, it is off
+        off = key in ("subsample", "max_contrast_neighbors") and value == 0  # 0 switches it off
         s[key] = None if off else value
     for key in args.row.inputs:
         if not key.endswith("?") and s[key] is None:
@@ -125,9 +126,9 @@ def _require_files(*paths) -> None:
 
 
 def _training_config(s: dict) -> embeddings.TrainingConfig:
-    same = ("dim", "negatives", "window", "learning_rate", "epochs", "subsample", "min_count",
-            "max_contrast_neighbors", "noise_exponent", "seed", "threads", "track_objective")
-    return embeddings.TrainingConfig(contrast_coefficient=s["beta"], **{key: s[key] for key in same})
+    """Every TrainingConfig field that is a resolved key, and beta as its contrast coefficient."""
+    names = (f.name for f in dataclasses.fields(embeddings.TrainingConfig))
+    return embeddings.TrainingConfig(contrast_coefficient=s["beta"], **{key: s[key] for key in names if key in s})
 
 
 # --- stage functions: loaded inputs in, in the row's input order, then the resolved options
@@ -378,6 +379,7 @@ def run_pipeline(args: argparse.Namespace) -> None:
     def save(stage: str, result, name: str, last: bool = False, **inputs) -> None:
         _write(writes, str(workdir / name), result, _meta(STAGES[stage], {**paths, **inputs}), last=last)
 
+    lex = lexicon.load_lexicon(s["lexicon"])
     relation = None if s["pairs"] is None else evaluation.load_relation_pairs(s["pairs"])
     similarity = None if s["simpairs"] is None else evaluation.load_similarity_pairs(s["simpairs"])
 
@@ -396,16 +398,13 @@ def run_pipeline(args: argparse.Namespace) -> None:
     with writes:
         text = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
         vocab = stage_vocab(text, s)
-        if not len(vocab):  # before any artifact is written
-            raise corpus.CorpusError(f"empty vocabulary: no word occurs min_count={s['min_count']} times")
-        embeddings.require_pairs(text.ids(vocab), vocab, _training_config(s))  # and so is a corpus with no pair
+        embeddings.require_trainable(text.ids(vocab), vocab, _training_config(s))  # before any artifact
         save("vocab", vocab, "vocab.tsv")
         counts = stage_count(text, vocab, s)
         save("count", counts, "counts.tsv")
         lmi = stage_lmi(counts, vocab, s)
         del counts
         save("lmi", lmi, "lmi.tsv")
-        lex = lexicon.load_lexicon(s["lexicon"])
         sa = stage_weight_sa(lmi, lex, vocab, s)
         save("weight-sa", sa, "sa.tsv")
         for name, weights, source in (("lmi_svd", lmi, "lmi.tsv"), ("sa_svd", sa, "sa.tsv")):

@@ -396,9 +396,16 @@ def _kept(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingCo
         ids, discard_probabilities(vocab, cfg.subsample), rng_for(cfg.seed, "subsample", epoch))
 
 
-def require_pairs(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig) -> None:
-    """Raise TrainingError unless some epoch has a pair, found without a pair
-    stream: one exists iff a line keeps two tokens after the epoch's draw."""
+def require_trainable(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig) -> None:
+    """Raise the trainers' first refusal that holds, before any work: an empty vocabulary or one with words
+    below cfg.min_count, no token in `ids` (as `Corpus.ids` gives them), or no pair in any epoch, found
+    without a pair stream: one exists iff a line keeps two tokens after the epoch's draw."""
+    if len(vocab) == 0:
+        raise TrainingError(f"empty vocabulary: no word occurs min_count={cfg.min_count} times")
+    if int(vocab.counts.min()) < cfg.min_count:
+        raise TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
+    if len(ids[0]) == 0:
+        raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
     if not any((line[1:] == line[:-1]).any() for _, line in (_kept(ids, vocab, cfg, e) for e in range(cfg.epochs))):
         raise TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
                             f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
@@ -578,18 +585,12 @@ def _train(
     lines: Corpus | TokenLines,
     vocab: Vocabulary,
     cfg: TrainingConfig,
-    contrast: _ContrastState | None,
+    lexicon: tuple[ContrastLexicon, sparse.csr_matrix] | None,
     progress: TextIO | None,
 ) -> EmbeddingModel:
-    if len(vocab) == 0:
-        raise TrainingError("empty vocabulary")
-    if int(vocab.counts.min()) < cfg.min_count:
-        raise TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
     ids = _as_corpus(lines).ids(vocab)
-    if len(ids[0]) == 0:
-        raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
-
-    require_pairs(ids, vocab, cfg)
+    require_trainable(ids, vocab, cfg)
+    contrast = None if lexicon is None else _ContrastState(lexicon[0], vocab, lexicon[1], cfg)
     epoch_streams = [_epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)
 
@@ -647,7 +648,7 @@ def train_sgns(
     progress: TextIO | None = None,
 ) -> EmbeddingModel:
     """Train plain skip-gram negative-sampling embeddings."""
-    return _train(lines, vocab, cfg, contrast=None, progress=progress)
+    return _train(lines, vocab, cfg, lexicon=None, progress=progress)
 
 
 def train_dlce(
@@ -664,5 +665,4 @@ def train_dlce(
     With an empty lexicon this is bit-identical to train_sgns under the same
     seed.
     """
-    contrast = _ContrastState(lex, vocab, idx, cfg)
-    return _train(lines, vocab, cfg, contrast=contrast, progress=progress)
+    return _train(lines, vocab, cfg, lexicon=(lex, idx), progress=progress)

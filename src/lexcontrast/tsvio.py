@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
+from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
-def temp_path(path: str | os.PathLike) -> str:
-    """The temporary file that a write of `path` fills before it is renamed onto `path`."""
-    return f"{os.fspath(path)}.{os.getpid()}.tmp"
+def open_temp(path: str | os.PathLike) -> tuple[str, TextIO]:
+    """The name of a new temporary file beside `path`, for one write of `path` alone, and the file opened
+    as UTF-8 text; it gets the permission bits of open(path, "w"), and is renamed onto `path` when full."""
+    for n in count():
+        tmp = f"{os.fspath(path)}.{os.getpid()}.{n}.tmp"
+        with suppress(FileExistsError):
+            return tmp, open(tmp, "x", encoding="utf-8")
 
 
 @contextmanager
@@ -31,9 +36,9 @@ def atomic_writer(path: str | os.PathLike) -> Iterator[TextIO]:
     renames onto `path` when the block ends; if the block raises, the
     temporary file is removed and `path` keeps its old contents.
     """
-    tmp = temp_path(path)
+    tmp, fh = open_temp(path)
     with discard_on_error(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
 

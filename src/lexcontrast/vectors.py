@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tsvio import discard_on_error, open_text, temp_path, write_meta
+from .tsvio import discard_on_error, open_temp, open_text, write_meta
 
 
 class VectorsError(ValueError):
@@ -123,9 +123,9 @@ def start_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = N
     if " " in words or "\r" in words or words.count("\n") != len(emb):
         bad = next(word for word in emb.words if any(c in word for c in " \n\r"))
         raise VectorsError(f"word {bad!r} contains a space or a line break")
-    tmp = temp_path(path)
+    tmp, fh = open_temp(path)
     with discard_on_error(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with fh:
             write_meta(fh, meta)
             fh.write(f"{len(emb)} {emb.dim}\n")
         # the payload is a copy, so the caller may change the matrix at once

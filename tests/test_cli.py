@@ -2,6 +2,7 @@
 formats, and byte-level reproducibility of the pipeline."""
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import lexcontrast
 from lexcontrast import cli, evaluation, tsvio
 from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.corpus import read_corpus, read_counts
+from lexcontrast.embeddings import TrainingConfig
 from lexcontrast.lexicon import load_lexicon
 from lexcontrast.vectors import read_embeddings
 
@@ -294,6 +296,40 @@ class TestExitCodes:
                                            f"{tokens} in-vocabulary tokens, window 2, subsample {subsample}\n")
         assert list(Path("run").iterdir()) == []
 
+    @pytest.mark.parametrize("text, min_count, flags, pipeline_flags", [
+        (None, "100000", ["--config", "run.cfg"], ["--pairs", "pairs.tsv", "--simpairs", "sim.tsv"]),
+        ("hot cold warm cool\ncool warm hot cold\nwarm hot cool cold\ncold cool warm hot\n", "1",
+         ["--window", "2", "--dim", "4", "--negatives", "2"], ["--svd-dim", "2"]),
+        ("hot\ncold\nwarm\ncool\nhot\n", "1", ["--window", "2", "--dim", "4", "--negatives", "2", "--subsample", "0"],
+         ["--svd-dim", "2"]),
+    ], ids=["empty-vocabulary", "subsampled-away", "one-token-lines"])
+    def test_pipeline_and_the_trainers_refuse_with_one_text(self, workspace, capsys, text, min_count, flags,
+                                                            pipeline_flags):
+        """The inputs of the two tests above: `pipeline`, and `train-sgns` and `train-dlce` on the
+        vocabulary and LMI that their subcommands write, print the same refusal."""
+        if text is not None:
+            Path("corpus.txt").write_text(text)
+        train = [*flags, "--min-count", min_count]
+        assert main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "run",
+                     *pipeline_flags, *train]) == 1
+        refusal = capsys.readouterr().err
+        assert refusal.startswith("error: ") and refusal.count("\n") == 1
+        assert main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--min-count", min_count]) == 0
+        assert main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--out", "counts.tsv"]) == 0
+        assert main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"]) == 0
+        for command, inputs in (("train-sgns", []), ("train-dlce", ["--lexicon", "lexicon.tsv", "--lmi", "lmi.tsv"])):
+            assert main([command, "--corpus", "corpus.txt", "--vocab", "vocab.tsv", *inputs, "--out", "out.txt",
+                         *train]) == 1
+            assert capsys.readouterr().err == refusal
+        assert not Path("out.txt").exists()
+
+    def test_bad_lexicon_row_is_1_before_any_artifact(self, workspace, capsys):
+        Path("lex.tsv").write_text("hot\tSYN\twarm\ncold\tFOO\tcool\n")
+        argv = [("lex.tsv" if arg == "lexicon.tsv" else arg) for arg in PIPELINE]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: lex.tsv:2: 'FOO' is not one of SYN, ANT (bad REL in column 2)\n"
+        assert list(Path("run").iterdir()) == []
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -392,6 +428,30 @@ class TestOptionResolution:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("key, value, shown", [("subsample", "-1e-5", "-1e-05"),
+                                                   ("max_contrast_neighbors", "-1", "-1")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_value_of_an_option_that_0_switches_off_is_1(self, workspace, capsys, monkeypatch, key, value,
+                                                                  shown, source):
+        """0 switches subsample and max_contrast_neighbors off; a negative value is a typo, not off."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read before the options were checked")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        (workspace / "neg.cfg").write_text(f"min_count=1\n{key}={value}\n")
+        option = [f"{cli._flag(key)}={value}"] if source == "flag" else ["--config", "neg.cfg"]
+        assert main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "out",
+                     *option]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= 0, got {shown}\n"
+        assert not (workspace / "out").exists()
+
+    def test_training_defaults_are_the_training_config_defaults(self):
+        """DEFAULTS keeps the training defaults as literals for the help text and the config file's
+        types; each equals its TrainingConfig field's, where beta is contrast_coefficient and 0 is None."""
+        for f in dataclasses.fields(TrainingConfig):
+            default = cli.DEFAULTS["beta" if f.name == "contrast_coefficient" else f.name]
+            assert (None if f.name == "max_contrast_neighbors" and default == 0 else default) == f.default, f.name
 
     @pytest.mark.parametrize("command", ["vocab", "count"])
     def test_negative_seed_flag_is_1(self, workspace, capsys, command):

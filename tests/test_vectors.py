@@ -153,6 +153,31 @@ class TestAtomicWrites:
         assert target.read_text() == "old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
 
+    def test_two_pending_writes_of_one_path_each_have_their_own_temp(self, tmp_path):
+        """The slower write is waited for first; both land in turn, the last-waited one stays."""
+        path = tmp_path / "vec.txt"
+        big = DenseEmbeddings([f"a{i}" for i in range(3000)], np.ones((3000, 4)))
+        small = _sample(np.random.default_rng(0), n=10)
+        first, second = start_embeddings(path, big), start_embeddings(path, small)
+        first.wait()
+        second.wait()
+        got = read_embeddings(path)
+        assert got.words == small.words and np.array_equal(got.matrix, small.matrix)
+        assert [p.name for p in tmp_path.iterdir()] == ["vec.txt"]
+
+    def test_nested_writes_of_one_path_each_have_their_own_temp(self, tmp_path):
+        path, plain = tmp_path / "artifact.txt", tmp_path / "plain.txt"
+        with tsvio.atomic_writer(path) as outer:
+            outer.write("outer\n")
+            with tsvio.atomic_writer(path) as inner:
+                inner.write("inner\n")
+            assert path.read_text() == "inner\n"
+        assert path.read_text() == "outer\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+        with open(plain, "w"):
+            pass
+        assert path.stat().st_mode == plain.stat().st_mode  # not a private temporary file's 0600
+
     def test_failed_writer_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         tmp_path.joinpath("corpus.txt").write_text("a b a c\nb a c a\n")
