@@ -21,6 +21,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import sys
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
@@ -56,7 +57,7 @@ DEFAULTS: dict[str, object] = {
 
 # the values a string option may take, from a flag or a config file alike
 _CHOICES = {"ant_mean": ("pooled", "per-antonym"), "svd_mode": ("auto", "dense", "randomized")}
-# lower bounds of numeric options; NaN fails them too
+# lower bounds of numeric options, checked once a float option is known to be finite
 _MINIMUM = {"min_count": 1, "window": 1, "dim": 1, "svd_dim": 1, "negatives": 1, "epochs": 1, "seed": 0,
             "noise_exponent": 0, "beta": 0, "sigma_exponent": 0, "subsample": 0, "max_contrast_neighbors": 0}
 # keys naming input files or the pipeline's output directory; they have no default
@@ -101,6 +102,8 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
         value = flag if flag is not None else config.get(key, DEFAULTS.get(key))
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ValueError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
         if key in _MINIMUM and not value >= _MINIMUM[key]:
             raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
         off = key in ("subsample", "max_contrast_neighbors") and value == 0  # 0 switches it off
@@ -342,14 +345,17 @@ def write_embeddings_with_meta(path, emb: DenseEmbeddings, meta: dict[str, str],
 def run_stage(args: argparse.Namespace) -> None:
     """One subcommand: resolve the options, load the inputs, run the stage, write its result."""
     row, s = args.row, _resolve(args)
-    outs = [out for out in (args.out, getattr(args, "context_out", None)) if out is not None]
-    for out in outs:  # a bad output path fails before the work
+    outs = {key: getattr(args, key) for key in ("out", "context_out") if getattr(args, key, None) is not None}
+    inputs = {Path(s[key]).resolve(): key for key in row.keys + row.flags if key in _PATH_KEYS and s[key] is not None}
+    for key, out in outs.items():  # a bad output path fails before the work
         if not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "output directory not found", str(Path(out).parent))
         if Path(out).is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
-    if len({Path(out).resolve() for out in outs}) < len(outs):
-        raise ValueError(f"--out and --context-out name the same file: {outs[1]}")
+        if Path(out).resolve() in inputs:
+            raise ValueError(f"{_flag(key)} names the {_flag(inputs[Path(out).resolve()])} input: {out}")
+    if len({Path(out).resolve() for out in outs.values()}) < len(outs):
+        raise ValueError(f"--out and --context-out name the same file: {outs['context_out']}")
     # looked up at call time, so that a wrapper set on the module attribute is the one called
     stage = globals()["stage_" + row.name.replace("-", "_")]
     result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)

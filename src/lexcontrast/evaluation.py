@@ -5,8 +5,8 @@ pairs from antonym pairs, and the median report summarizes the scores per
 relation label: all three are read off one ranking of each word class's pairs
 (`rank_classes`). Spearman's rho grades agreement with graded similarity
 ratings. Pairs with an unrepresented word are excluded from every metric but
-counted against coverage. Each pair list is scored in one vectorised call,
-for dense embeddings and sparse weighted rows alike.
+counted against coverage. An undefined metric is left blank with a warning.
+Each pair list is scored in one vectorised call, dense or sparse rows alike.
 """
 
 from __future__ import annotations
@@ -231,19 +231,16 @@ class View(NamedTuple):
 
     fields: tuple[str, ...]
     blank: str  # the warning for a field left blank; {0} is the field's label
-    keep_unscored: bool = False  # list a class with no scored pair
     notes: dict[str, str] = {}  # header lines of the report
 
     def of(self, ranked: MetricReport) -> MetricReport:
-        """The report's classes with only its fields, warning about each one left blank."""
+        """Every class with only the report's fields; one warning per blank field, or per unscored class."""
         report = MetricReport()
         for word_class, cm in ranked.classes.items():
-            if not cm.n_scored and not self.keep_unscored:
-                warnings.warn(f"class {word_class}: no scorable pairs, omitted")
-                continue
             kept = {name: getattr(cm, name) for name in self.fields}
-            for name in (name for name, value in kept.items() if value is None):
-                warnings.warn(f"class {word_class}: " + self.blank.format(name[-3:].upper()))
+            blank = [self.blank.format(name[-3:].upper()) for name, value in kept.items() if value is None]
+            for why in blank if cm.n_scored else ["no scorable pairs, fields blank"]:
+                warnings.warn(f"class {word_class}: {why}")
             report.classes[word_class] = ClassMetrics(cm.n_total, cm.n_scored, cm.oov, **kept)
         return report
 
@@ -251,7 +248,7 @@ class View(NamedTuple):
 AP = View(("ap_syn", "ap_ant"), "no {0} pairs, AP_{0} unset")
 AUC = View(("auc",), "single-label class, AUC unset",
            notes={"positives": "SYN by descending cosine; equals ANT detection on negated scores"})
-MEDIANS = View(("median_syn", "median_ant"), "no scored {0} pairs, median blank", keep_unscored=True)
+MEDIANS = View(("median_syn", "median_ant"), "no scored {0} pairs, median blank")
 
 
 def eval_ap(vectors, pair_set: RelationPairSet) -> MetricReport:
@@ -273,15 +270,17 @@ def median_report(vectors, pair_set: RelationPairSet) -> MetricReport:
 def eval_spearman(vectors, pair_set: SimilarityPairSet) -> tuple[MetricReport, int, int]:
     """Spearman's rho between cosine scores and gold ratings.
 
-    Returns (report, n_scored, n_total); unrepresented pairs are excluded.
+    Returns (report, n_scored, n_total); unrepresented pairs are excluded. Rho
+    is None where `spearman` cannot define it, with its reason as the warning.
     """
     scored = score_pairs(vectors, pair_set.pairs)
     present = [(p, s) for p, s in scored if s is not None]
-    if len(present) < 2:
-        raise EvalError("need at least two scorable pairs for rank correlation")
-    rho = spearman([s for _, s in present], [p.rating for p, _ in present])
-    report = MetricReport(spearman=rho)
-    return report, len(present), len(scored)
+    try:
+        rho = spearman([s for _, s in present], [p.rating for p, _ in present])
+    except EvalError as exc:
+        warnings.warn(f"{exc}, rho unset")
+        rho = None
+    return MetricReport(spearman=rho), len(present), len(scored)
 
 
 # --- dataset files

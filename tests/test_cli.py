@@ -119,6 +119,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: --out and --context-out name the same file: ./same.txt\n"
         assert not [p.name for p in workspace.iterdir() if p.name.startswith("same")]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["lmi", "--counts", "counts.tsv", "--vocab", "vocab.tsv", "--out", "counts.tsv"],
+         "--out names the --counts input: counts.tsv"),
+        (["svd", "--weights", "lmi.tsv", "--vocab", "vocab.tsv", "--out", "./vocab.tsv"],
+         "--out names the --vocab input: ./vocab.tsv"),
+        (["eval-ap", "--vectors", "lmi.tsv", "--vocab", "vocab.tsv", "--pairs", "pairs.tsv", "--out", "vocab.tsv"],
+         "--out names the --vocab input: vocab.tsv"),
+    ], ids=["lmi-counts", "svd-vocab", "eval-ap-vocab"])
+    def test_out_that_names_an_input_is_1_before_the_work(self, workspace, capsys, monkeypatch, argv, error):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--out", "counts.tsv", "--config", "run.cfg"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+        before = _tree_bytes(workspace)
+
+        def refuse(*args):
+            raise AssertionError("an input was read although --out names one of them")
+
+        monkeypatch.setattr(cli, "_load", refuse)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert _tree_bytes(workspace) == before
+
     def test_pipeline_artifact_that_is_a_directory_is_named(self, workspace, capsys):
         Path("run/vocab.tsv").mkdir(parents=True)
         assert main(PIPELINE) == 1
@@ -420,6 +443,8 @@ class TestOptionResolution:
     @pytest.mark.parametrize("key, value", [
         ("ant_mean", "bogus"), ("svd_mode", "bogus"), ("seed", "-5"),
         ("svd_dim", "0"), ("sigma_exponent", "nan"), ("noise_exponent", "nan"),
+        ("learning_rate", "inf"), ("beta", "inf"), ("noise_exponent", "inf"), ("sigma_exponent", "inf"),
+        ("subsample", "inf"),
     ])
     def test_bad_config_value_is_1_before_any_work(self, workspace, capsys, key, value):
         (workspace / "bad.cfg").write_text(f"min_count=1\n{key}={value}\n")
@@ -427,6 +452,17 @@ class TestOptionResolution:
                      "--workdir", "out", "--config", "bad.cfg"])
         assert code == 1
         assert key in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("noise_exponent", "inf"), ("learning_rate", "-inf")])
+    def test_non_finite_flag_is_1_before_any_input_is_read(self, workspace, capsys, monkeypatch, key, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read before the options were checked")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        assert main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "out",
+                     f"{cli._flag(key)}={value}"]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("key, value, shown", [("subsample", "-1e-5", "-1e-05"),
@@ -516,6 +552,21 @@ class TestFrozenReport:
             warnings.simplefilter("always")
             assert main([command, "--vectors", "toy_vectors.txt", "--pairs", "toy_pairs.tsv"]) == 0
         assert [str(w.message) for w in caught] == [f"class NOUN: {own}"]
+
+    @pytest.mark.parametrize("command, fields", [("eval-ap", 2), ("eval-auc", 1), ("report-medians", 2)])
+    def test_unscored_class_is_listed_with_blank_fields(self, tmp_path, capsys, command, fields):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_bytes((DATA / "toy_pairs.tsv").read_bytes() + b"gone\tmissing\tSYN\tVERB\n")
+        argv = [command, "--vectors", str(DATA / "toy_vectors.txt"), "--pairs", str(pairs)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+            tsv = capsys.readouterr().out
+            assert main([*argv, "--json"]) == 0
+        assert tsv.splitlines()[-1].split("\t") == ["VERB", "1", "0", "0.000000", *[""] * fields]
+        assert json.loads(capsys.readouterr().out)["classes"]["VERB"] == {
+            "n_total": 1, "n_scored": 0, "coverage": 0.0, "oov": [["gone", "missing"]]}
+        assert [str(w.message) for w in caught].count("class VERB: no scorable pairs, fields blank") == 2
 
     def test_eval_auc_stdout_names_orientation(self, monkeypatch, capsys):
         monkeypatch.chdir(DATA)
@@ -618,6 +669,31 @@ class TestPipeline:
             name: data for name, data in whole.items() if "sgns" not in name and "dlce" not in name}
         assert [p.path for p in started] == ["run/lmi_svd.txt", "run/sa_svd.txt"]
         assert all(p.proc.returncode == 0 for p in started)
+
+    @pytest.mark.parametrize("lexicon, pairs, sim, rows", [
+        ("hot\tSYN\twarm\ncold\tSYN\tcool\nhot\tANT\tcold\n", "big\tlarge\tSYN\tADJ\nbig\tsmall\tANT\tADJ\n",
+         "big\tlarge\t9.0\nbig\tsmall\t1.0\n",
+         dict.fromkeys(("lmi_svd", "sa_svd", "sgns", "dlce"), "\t0\t2\t0.000000")),
+        ("zzz\tSYN\tyyy\n", "hot\tcold\tANT\tADJ\nhot\twarm\tSYN\tADJ\ncold\tcool\tSYN\tADJ\n",
+         "hot\tcold\t1.0\nhot\twarm\t9.0\ncold\tcool\t8.0\n", {"sa_svd": "\t3\t3\t1.000000"}),
+    ], ids=["pairs-out-of-vocabulary", "lexicon-out-of-vocabulary"])
+    def test_undefined_metrics_are_blank_and_the_run_completes(self, tmp_path, monkeypatch, lexicon, pairs, sim,
+                                                              rows):
+        """No scorable pair, or only the all-zero rows that SA leaves when no lexicon word is in the
+        vocabulary: rho is blank, with a warning, and every artifact is written."""
+        monkeypatch.chdir(tmp_path)
+        Path("four.txt").write_text("hot cold warm cool\ncool warm hot cold\nwarm hot cool cold\ncold cool warm hot\n")
+        for name, text in (("lexicon.tsv", lexicon), ("pairs.tsv", pairs), ("sim.tsv", sim)):
+            Path(name).write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pipeline", "--corpus", "four.txt", "--lexicon", "lexicon.tsv", "--pairs", "pairs.tsv",
+                         "--simpairs", "sim.tsv", "--workdir", "run", "--min-count", "1", "--window", "2",
+                         "--dim", "4", "--svd-dim", "2", "--negatives", "2", "--subsample", "0"]) == 0
+        assert len(list(Path("run").iterdir())) == 24 and not list(Path("run").glob("*.tmp"))
+        assert sum(str(w.message).endswith(", rho unset") for w in caught) == len(rows)
+        for name, row in rows.items():
+            assert Path(f"run/spearman_{name}.tsv").read_text().splitlines()[-1] == row
 
     def test_track_objective_changes_only_the_progress_lines(self, workspace, capsys):
         capsys.readouterr()

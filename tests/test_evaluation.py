@@ -349,7 +349,7 @@ class TestReports:
         assert adj.coverage == 0.5
         assert adj.oov == [("hot", "missing")]
 
-    def test_eval_ap_empty_class_omitted(self):
+    def test_eval_ap_empty_class_listed_with_blank_fields(self):
         emb = _embeddings()
         pairs = RelationPairSet(
             (
@@ -359,9 +359,12 @@ class TestReports:
         )
         with pytest.warns(UserWarning) as record:
             report = eval_ap(emb, pairs)
-        assert "VERB" not in report.classes
-        messages = [str(w.message) for w in record]
-        assert any("VERB" in m and "omitted" in m for m in messages)
+        verb = report.classes["VERB"]
+        assert (verb.n_total, verb.n_scored, verb.coverage, verb.oov) == (1, 0, 0.0, [("gone", "missing")])
+        assert verb.ap_syn is None and verb.ap_ant is None
+        # one warning per blank field of a scored class, one per unscored class
+        assert [str(w.message) for w in record] == ["class ADJ: no ANT pairs, AP_ANT unset",
+                                                    "class VERB: no scorable pairs, fields blank"]
 
     def test_eval_auc_matches_direct_metric(self):
         emb = _embeddings()
@@ -424,7 +427,7 @@ class TestReports:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             views = [eval_ap(emb, pairs), eval_auc(emb, pairs), median_report(emb, pairs)]
-        assert [list(v.classes) for v in views] == [["ADJ", "NOUN"], ["ADJ", "NOUN"], ["ADJ", "NOUN", "VERB"]]
+        assert [list(v.classes) for v in views] == [["ADJ", "NOUN", "VERB"]] * 3
         for view in views:
             for name, cm in view.classes.items():
                 assert {k: v for k, v in vars(cm).items() if v is not None}.items() <= vars(ranked.classes[name]).items()
@@ -444,16 +447,23 @@ class TestReports:
         got = [1.0, -1.0, 0.0]  # cosines in input order
         assert report.spearman == pytest.approx(spearman(got, [9.0, 1.0, 3.0]), abs=1e-15)
 
-    def test_eval_spearman_needs_two_scorable(self):
+    def test_eval_spearman_undefined_rho_is_none_with_a_warning(self):
+        """Where `spearman` raises, rho is unset and its reason is the warning:
+        fewer than two scored pairs, constant cosines, constant ratings."""
         emb = _embeddings()
-        sim = SimilarityPairSet(
-            (
-                SimilarityPair("hot", "missing", 5.0),
-                SimilarityPair("hot", "warm", 9.0),
-            )
-        )
-        with pytest.raises(EvalError, match="two scorable"):
-            eval_spearman(emb, sim)
+        emb = DenseEmbeddings([*emb.words, "nil", "void"], np.vstack([emb.matrix, np.zeros((2, 3))]))  # zero rows
+        constant = "undefined: constant ranking"
+        cases = [
+            ([("hot", "missing", 5.0), ("hot", "warm", 9.0)], 1, "needs at least two pairs"),
+            ([("nil", "hot", 5.0), ("void", "warm", 9.0), ("nil", "void", 1.0)], 3, constant),  # every cosine 0
+            ([("hot", "warm", 5.0), ("hot", "cold", 5.0), ("warm", "wet", 5.0)], 3, constant),
+        ]
+        for rows, n_scored, reason in cases:
+            with pytest.warns(UserWarning) as record:
+                report, scored, total = eval_spearman(emb, SimilarityPairSet(tuple(SimilarityPair(*r) for r in rows)))
+            assert report.spearman is None and "spearman" not in report.to_json_dict()
+            assert (scored, total) == (n_scored, len(rows))
+            assert [str(w.message) for w in record] == [f"rank correlation {reason}, rho unset"]
 
     def test_json_shape(self):
         report = MetricReport(
