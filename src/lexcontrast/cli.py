@@ -22,7 +22,9 @@ import errno
 import hashlib
 import json
 import math
+import os
 import sys
+import warnings
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import NamedTuple
@@ -78,6 +80,8 @@ def read_config_file(path) -> dict[str, object]:
             key, _, raw = (part.strip() for part in text.partition("="))
             if key not in DEFAULTS and key not in _PATH_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in out:  # the last value would win unseen
+                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
             kind = type(DEFAULTS.get(key, ""))  # the type of the default; paths are strings
             try:
                 out[key] = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
@@ -143,6 +147,14 @@ class Report(NamedTuple):
     table: list[list]
     payload: dict
     notes: dict[str, str] = {}  # header lines after the stage's own
+    warned: tuple[str, ...] = ()  # the stage's warnings, which `_write` issues under the report's path
+
+
+def _warned(make, *args) -> tuple[object, tuple[str, ...]]:
+    """`make(*args)`, and the texts of the warnings it issued, held back for `_write`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return make(*args), tuple(str(w.message) for w in caught)
 
 
 def stage_vocab(text, s) -> corpus.Vocabulary:
@@ -192,11 +204,11 @@ def stage_train_dlce(text, vocab, lex, lmi, s) -> tuple[DenseEmbeddings, DenseEm
 
 def _class_report(view: evaluation.View, ranked: evaluation.MetricReport) -> Report:
     """The per-class report `view` of `ranked`, a result of `evaluation.rank_classes`."""
-    report = view.of(ranked)
+    report, warned = _warned(view.of, ranked)
     rows = [[name, cm.n_total, cm.n_scored, cm.coverage, *(getattr(cm, f) for f in view.fields)]
             for name, cm in report.classes.items()]
     return Report([["class", "n_total", "n_scored", "coverage", *view.fields], *rows], report.to_json_dict(),
-                  view.notes)
+                  view.notes, warned)
 
 
 def stage_eval_ap(vectors, pairs, s) -> Report:
@@ -208,10 +220,10 @@ def stage_eval_auc(vectors, pairs, s) -> Report:
 
 
 def stage_eval_spearman(vectors, pairs, s) -> Report:
-    report, n_scored, n_total = evaluation.eval_spearman(vectors, pairs)
+    (report, n_scored, n_total), warned = _warned(evaluation.eval_spearman, vectors, pairs)
     row = [report.spearman, n_scored, n_total, n_scored / n_total if n_total else 0.0]
     payload = {**report.to_json_dict(), "n_scored": n_scored, "n_total": n_total}
-    return Report([["spearman", "n_scored", "n_total", "coverage"], row], payload)
+    return Report([["spearman", "n_scored", "n_total", "coverage"], row], payload, {}, warned)
 
 
 def stage_report_medians(vectors, pairs, s) -> Report:
@@ -270,7 +282,7 @@ _HELP = {
 
 
 def _load(row: Stage, key: str, s: dict):
-    """Open one input of a subcommand; the readers resolve at call time, like the stage functions."""
+    """Open one input of a command; the readers resolve at call time, like the stage functions."""
     path = s[key]
     if key == "corpus":
         return corpus.read_corpus(path, lowercase=s["lowercase"])
@@ -279,10 +291,10 @@ def _load(row: Stage, key: str, s: dict):
             raise evaluation.EvalError("sparse weighted vectors need --vocab for word lookup")
         _require_files(s["vocab"])
         return evaluation.SparseRowTable(weighting.read_weighted(path), corpus.read_vocabulary(s["vocab"]))
-    if key == "pairs" and row.name == "eval-spearman":
-        return evaluation.load_similarity_pairs(path)
+    key = "simpairs" if key == "pairs" and row.name == "eval-spearman" else key  # its pairs are ratings
     readers = {"vocab": corpus.read_vocabulary, "counts": corpus.read_counts, "lexicon": lexicon.load_lexicon,
-               "pairs": evaluation.load_relation_pairs, "vectors": read_embeddings}
+               "pairs": evaluation.load_relation_pairs, "simpairs": evaluation.load_similarity_pairs,
+               "vectors": read_embeddings}
     # lmi and weights: an LMI input's scheme is checked by the feature index its stage builds
     return readers.get(key, weighting.read_weighted)(path)
 
@@ -312,6 +324,8 @@ def _fmt(value) -> str:
 def _write(writes: ExitStack, path, result, meta: dict[str, str], as_json: bool = False, last: bool = False) -> None:
     """Write one stage result after its header lines; a report without a path goes to stdout."""
     if isinstance(result, Report):
+        for text in result.warned:
+            warnings.warn(text if path is None else f"{path}: {text}", stacklevel=2)
         meta = {**meta, **result.notes}
         with nullcontext(sys.stdout) if path is None else tsvio.atomic_writer(path) as fh:
             if as_json:
@@ -342,20 +356,30 @@ def write_embeddings_with_meta(path, emb: DenseEmbeddings, meta: dict[str, str],
         writes.close()
 
 
-def run_stage(args: argparse.Namespace) -> None:
-    """One subcommand: resolve the options, load the inputs, run the stage, write its result."""
-    row, s = args.row, _resolve(args)
-    outs = {key: getattr(args, key) for key in ("out", "context_out") if getattr(args, key, None) is not None}
-    inputs = {Path(s[key]).resolve(): key for key in row.keys + row.flags if key in _PATH_KEYS and s[key] is not None}
-    for key, out in outs.items():  # a bad output path fails before the work
+def _check_outputs(args: argparse.Namespace, s: dict, outs: dict[str, str]) -> None:
+    """Before any input is read: each of `outs` (label: path) must be in a directory (else exit 2), and be
+    no directory, no input of the command (its --config file included) and no other output (else exit 1)."""
+    named = {"config": args.config, **{key: s[key] for key in args.row.keys + args.row.flags if key in _PATH_KEYS}}
+    inputs = {os.path.realpath(path): _flag(key) for key, path in named.items() if path is not None}
+    seen = {}
+    for label, out in outs.items():
         if not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "output directory not found", str(Path(out).parent))
-        if Path(out).is_dir():
+        if os.path.isdir(out):
             raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
-        if Path(out).resolve() in inputs:
-            raise ValueError(f"{_flag(key)} names the {_flag(inputs[Path(out).resolve()])} input: {out}")
-    if len({Path(out).resolve() for out in outs.values()}) < len(outs):
-        raise ValueError(f"--out and --context-out name the same file: {outs['context_out']}")
+        target = os.path.realpath(out)  # the string Path.resolve gives, at less cost per path
+        if target in inputs:
+            raise ValueError(f"{label} names the {inputs[target]} input: {out}")
+        if target in seen:
+            raise ValueError(f"{seen[target]} and {label} name the same file: {out}")
+        seen[target] = label
+
+
+def run_stage(args: argparse.Namespace) -> None:
+    """One subcommand: resolve the options, check the outputs, load the inputs, run the stage, write its result."""
+    row, s = args.row, _resolve(args)
+    _check_outputs(args, s, {_flag(key): getattr(args, key) for key in ("out", "context_out")
+                             if getattr(args, key, None) is not None})
     # looked up at call time, so that a wrapper set on the module attribute is the one called
     stage = globals()["stage_" + row.name.replace("-", "_")]
     result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
@@ -371,38 +395,40 @@ def run_stage(args: argparse.Namespace) -> None:
 def run_pipeline(args: argparse.Namespace) -> None:
     """Every stage, chained in memory; each artifact is written as it comes, under its subcommand's header.
 
+    Every artifact path is checked, as a subcommand checks its --out, before any input is read.
     The corpus is read and encoded once; the vocabulary, the counts and both trainers take that `Corpus`.
     The four vector files are formatted by writer children while the stages go on; the last one's
     write reaps them all, and each is renamed into place once its child has exited 0.
     """
     s = _resolve(args)
     workdir = Path(s["workdir"] or "pipeline-out")
-    workdir.mkdir(parents=True, exist_ok=True)
-    paths = {**s, **{key: str(workdir / f"{key}.tsv") for key in ("vocab", "counts", "lmi")}}
+    workdir.mkdir(parents=True, exist_ok=True)  # a new one holds nothing that the check below refuses
+    sets = ("lmi_svd", "sa_svd", "sgns", "dlce")  # each scored by every report whose pairs are given
+    reports = [row for row in (  # stage, view (None: rho), file prefix, the pairs read
+        ("eval-ap", evaluation.AP, "eval_ap", "pairs"), ("eval-auc", evaluation.AUC, "eval_auc", "pairs"),
+        ("report-medians", evaluation.MEDIANS, "medians", "pairs"), ("eval-spearman", None, "spearman", "simpairs"),
+    ) if s[row[3]] is not None]
+    names = ("vocab.tsv", "counts.tsv", "lmi.tsv", "sa.tsv", *(f"{v}.txt" for v in sets),
+             *(f"{prefix}_{v}.tsv" for _, _, prefix, _ in reports for v in sets))
+    artifacts = {name: str(workdir / name) for name in names}  # every file of the run; `save` reads its path here
+    _check_outputs(args, s, {f"artifact {name}": path for name, path in artifacts.items()})
+    lex, relation, similarity, text = (None if s[key] is None else _load(PIPELINE, key, s)
+                                       for key in ("lexicon", "pairs", "simpairs", "corpus"))
+    paths = {**s, **{key: artifacts[f"{key}.tsv"] for key in ("vocab", "counts", "lmi")}}
 
     writes = ExitStack()  # entered below: every vector writer is reaped before this returns, also on failure
 
     def save(stage: str, result, name: str, last: bool = False, **inputs) -> None:
-        _write(writes, str(workdir / name), result, _meta(STAGES[stage], {**paths, **inputs}), last=last)
-
-    lex = lexicon.load_lexicon(s["lexicon"])
-    relation = None if s["pairs"] is None else evaluation.load_relation_pairs(s["pairs"])
-    similarity = None if s["simpairs"] is None else evaluation.load_similarity_pairs(s["simpairs"])
+        _write(writes, artifacts[name], result, _meta(STAGES[stage], {**paths, **inputs}), last=last)
 
     def score(name: str, vectors) -> None:
         """The reports of one vector set; its relation pairs are scored and ranked once for all three."""
-        at = str(workdir / f"{name}.txt")
-        if relation is not None:
-            ranked = evaluation.rank_classes(vectors, relation)
-            for stage, view, prefix in (("eval-ap", evaluation.AP, "eval_ap"), ("eval-auc", evaluation.AUC, "eval_auc"),
-                                        ("report-medians", evaluation.MEDIANS, "medians")):
-                save(stage, _class_report(view, ranked), f"{prefix}_{name}.tsv", vectors=at)
-        if similarity is not None:
-            save("eval-spearman", stage_eval_spearman(vectors, similarity, s), f"spearman_{name}.tsv",
-                 vectors=at, pairs=s["simpairs"])
+        ranked = None if relation is None else evaluation.rank_classes(vectors, relation)
+        for stage, view, prefix, key in reports:
+            result = _class_report(view, ranked) if view else stage_eval_spearman(vectors, similarity, s)
+            save(stage, result, f"{prefix}_{name}.tsv", vectors=artifacts[f"{name}.txt"], pairs=s[key])
 
     with writes:
-        text = corpus.read_corpus(s["corpus"], lowercase=s["lowercase"])
         vocab = stage_vocab(text, s)
         embeddings.require_trainable(text.ids(vocab), vocab, _training_config(s))  # before any artifact
         save("vocab", vocab, "vocab.tsv")
@@ -415,7 +441,7 @@ def run_pipeline(args: argparse.Namespace) -> None:
         save("weight-sa", sa, "sa.tsv")
         for name, weights, source in (("lmi_svd", lmi, "lmi.tsv"), ("sa_svd", sa, "sa.tsv")):
             reduced = stage_svd(weights, vocab, s)
-            save("svd", reduced, f"{name}.txt", weights=str(workdir / source))
+            save("svd", reduced, f"{name}.txt", weights=artifacts[source])
             score(name, reduced[0])
             del reduced, weights  # each vector set goes once scored
         del sa

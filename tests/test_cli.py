@@ -142,10 +142,64 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert _tree_bytes(workspace) == before
 
+    @pytest.mark.parametrize("argv, error", [
+        (["vocab", "--corpus", "corpus.txt", "--out", "run.cfg", "--config", "run.cfg"],
+         "--out names the --config input: run.cfg"),
+        (["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", ".", "--config", "sa.tsv"],
+         "artifact sa.tsv names the --config input: sa.tsv"),
+    ], ids=["vocab", "pipeline"])
+    def test_output_that_names_the_config_file_is_1_before_the_work(self, workspace, capsys, monkeypatch, argv,
+                                                                    error):
+        Path("sa.tsv").write_bytes(Path("run.cfg").read_bytes())
+        before = _tree_bytes(workspace)
+
+        def refuse(*args):
+            raise AssertionError("an input was read although an output names the config file")
+
+        monkeypatch.setattr(cli, "_load", refuse)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert _tree_bytes(workspace) == before
+
+    def test_pipeline_input_in_its_workdir_under_an_artifact_name_is_1_before_the_work(self, workspace, capsys,
+                                                                                       monkeypatch):
+        Path("run").mkdir()
+        Path("run/counts.tsv").write_bytes(Path("corpus.txt").read_bytes())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read although an artifact would replace the corpus")
+
+        monkeypatch.setattr(cli, "_load", refuse)
+        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        argv = ["pipeline", "--corpus", "run/counts.tsv", "--lexicon", "lexicon.tsv", "--workdir", "run",
+                "--config", "run.cfg"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: artifact counts.tsv names the --corpus input: run/counts.tsv\n"
+        assert Path("run/counts.tsv").read_bytes() == Path("corpus.txt").read_bytes()
+        assert [p.name for p in Path("run").iterdir()] == ["counts.tsv"]
+
     def test_pipeline_artifact_that_is_a_directory_is_named(self, workspace, capsys):
         Path("run/vocab.tsv").mkdir(parents=True)
         assert main(PIPELINE) == 1
         assert capsys.readouterr().err == "error: Is a directory: run/vocab.tsv\n"
+        assert [p.name for p in Path("run").iterdir()] == ["vocab.tsv"]
+
+    def test_pipeline_artifact_that_is_a_directory_is_1_before_any_input_is_read(self, workspace, capsys,
+                                                                                monkeypatch):
+        """A directory where the last vector file goes is found before the SVDs and the trainers run."""
+        Path("run/sgns.txt").mkdir(parents=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read although an artifact path is a directory")
+
+        monkeypatch.setattr(cli, "_load", refuse)
+        for reader in (cli.corpus.read_corpus, cli.lexicon.load_lexicon, cli.evaluation.load_relation_pairs,
+                       cli.evaluation.load_similarity_pairs):
+            monkeypatch.setattr(sys.modules[reader.__module__], reader.__name__, refuse)
+        assert main(PIPELINE) == 1
+        assert capsys.readouterr().err == "error: Is a directory: run/sgns.txt\n"
+        assert [p.name for p in Path("run").iterdir()] == ["sgns.txt"]
+        assert not list(Path("run/sgns.txt").iterdir())
 
     def test_workdir_that_is_a_file_is_1(self, workspace, capsys):
         Path("run").write_text("not a directory\n")
@@ -400,6 +454,20 @@ class TestOptionResolution:
         with pytest.raises(ValueError) as err:
             read_config_file(cfg)
         assert str(err.value) == f"{cfg}:3: config key {key}: expected {kind}, got {value!r}"
+
+    def test_repeated_config_key_is_1_and_names_file_line_and_key(self, workspace, capsys, monkeypatch):
+        (workspace / "twice.cfg").write_text("min_count=1\n# the second value used to win\nmin_count=100000\n")
+        with pytest.raises(ValueError) as err:
+            read_config_file("twice.cfg")
+        assert str(err.value) == "twice.cfg:3: repeated config key 'min_count'"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read although the config file repeats a key")
+
+        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        assert main(["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--config", "twice.cfg"]) == 1
+        assert capsys.readouterr().err == "error: twice.cfg:3: repeated config key 'min_count'\n"
+        assert not (workspace / "v.tsv").exists()
 
     def test_unknown_config_key_is_1(self, workspace, capsys):
         (workspace / "typo.cfg").write_text("min_count=1\ndimm=7\n")
@@ -694,6 +762,25 @@ class TestPipeline:
         assert sum(str(w.message).endswith(", rho unset") for w in caught) == len(rows)
         for name, row in rows.items():
             assert Path(f"run/spearman_{name}.tsv").read_text().splitlines()[-1] == row
+
+    def test_each_blank_field_warning_names_its_artifact(self, tmp_path, monkeypatch):
+        """Under Python's default filter, which shows each text once, every report's warnings show."""
+        monkeypatch.chdir(tmp_path)
+        Path("four.txt").write_text("hot cold warm cool\ncool warm hot cold\nwarm hot cool cold\ncold cool warm hot\n")
+        Path("lexicon.tsv").write_text("hot\tSYN\twarm\ncold\tSYN\tcool\nhot\tANT\tcold\n")
+        Path("pairs.tsv").write_text("big\tlarge\tSYN\tADJ\nbig\tsmall\tANT\tADJ\n")
+        Path("sim.tsv").write_text("big\tlarge\t9.0\nbig\tsmall\t1.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert main(["pipeline", "--corpus", "four.txt", "--lexicon", "lexicon.tsv", "--pairs", "pairs.tsv",
+                         "--simpairs", "sim.tsv", "--workdir", "run", "--min-count", "1", "--window", "2",
+                         "--dim", "4", "--svd-dim", "2", "--negatives", "2", "--subsample", "0"]) == 0
+        expected = []
+        for name in ("lmi_svd", "sa_svd", "sgns", "dlce"):
+            expected += [f"run/{prefix}_{name}.tsv: class ADJ: no scorable pairs, fields blank"
+                         for prefix in ("eval_ap", "eval_auc", "medians")]
+            expected.append(f"run/spearman_{name}.tsv: rank correlation needs at least two pairs, rho unset")
+        assert [str(w.message) for w in caught] == expected
 
     def test_track_objective_changes_only_the_progress_lines(self, workspace, capsys):
         capsys.readouterr()
