@@ -6,10 +6,10 @@ inputs and the options to the result, which the subcommand writes after its
 header. `pipeline` chains the same stages in memory (one ranking per vector
 set for its three per-class reports), with the bytes of the subcommands.
 
-Every artifact starts with comment lines recording the tool version, the
-resolved stage configuration (verbatim and as a sha256), and the root seed.
-Randomness flows from that single root seed, salted per stage, so a rerun
-with the same config file is byte-identical.
+Every artifact starts with comment lines recording the tool version, the resolved stage configuration (verbatim
+and as a sha256), and the root seed. Randomness flows from that single root seed, salted per stage, so a rerun
+with the same config file is byte-identical. Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
+set, for the process and its children, so the SVD's bytes do not depend on the host's core count.
 
 An option comes from its flag, else the config file, else the default, and is checked before any work.
 """
@@ -29,6 +29,7 @@ from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before the imports below load numpy; a value already set wins
 from . import __version__, corpus, embeddings, evaluation, lexicon, reduction, tsvio, weighting
 from .seeding import seed_sequence
 from .vectors import DenseEmbeddings, read_embeddings, start_embeddings

@@ -11,6 +11,7 @@ never crossed when windowing.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ class Vocabulary:
 
     words: tuple[str, ...]
     counts: np.ndarray  # int64, aligned with words
+    min_count: int | None = None  # the one it was built with, if known
     total_tokens: int = field(init=False)
     word_ids: dict[str, int] = field(init=False, repr=False)
 
@@ -60,9 +62,8 @@ class Vocabulary:
     def from_counts(cls, counts: Mapping[str, int], min_count: int = 1) -> "Vocabulary":
         if min_count < 1:
             raise CorpusError(f"min_count must be >= 1, got {min_count}")
-        kept = [(w, int(c)) for w, c in counts.items() if c >= min_count]
-        kept.sort(key=lambda item: (-item[1], item[0]))
-        return cls(tuple(w for w, _ in kept), np.array([c for _, c in kept], dtype=np.int64))
+        kept = sorted(((w, int(c)) for w, c in counts.items() if c >= min_count), key=lambda e: (-e[1], e[0]))
+        return cls(tuple(w for w, _ in kept), np.array([c for _, c in kept], dtype=np.int64), min_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +219,8 @@ def read_vocabulary(path) -> Vocabulary:
     entries = sorted(zip(*tsvio.read_columns(path, columns, CorpusError, comments=False)), key=lambda e: e[1])
     if [wid for _, wid, _ in entries] != list(range(len(entries))):
         raise CorpusError(f"{path}: ids are not dense 0..n-1")
-    vocab = Vocabulary(tuple(w for w, _, _ in entries), np.array([c for _, _, c in entries], dtype=np.int64))
+    built = re.findall(r" min_count=(\d+)$", tsvio.read_meta(path).get("config", ""))  # [] or what `vocab` recorded
+    vocab = Vocabulary(tuple(w for w, _, _ in entries), np.array([c for *_, c in entries], np.int64), *map(int, built))
     if len(vocab.word_ids) < len(vocab):
         raise CorpusError(f"{path}: duplicate surface forms")
     return vocab

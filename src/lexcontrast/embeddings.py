@@ -400,8 +400,9 @@ def require_trainable(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg
     """Raise the trainers' first refusal that holds, before any work: an empty vocabulary or one with words
     below cfg.min_count, no token in `ids` (as `Corpus.ids` gives them), or no pair in any epoch, found
     without a pair stream: one exists iff a line keeps two tokens after the epoch's draw."""
-    if len(vocab) == 0:
-        raise TrainingError(f"empty vocabulary: no word occurs min_count={cfg.min_count} times")
+    if len(vocab) == 0:  # the text names the min_count that built the vocabulary, if known, not cfg's
+        raise TrainingError("empty vocabulary" if vocab.min_count is None else
+                            f"empty vocabulary: no word occurs min_count={vocab.min_count} times")
     if int(vocab.counts.min()) < cfg.min_count:
         raise TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
     if len(ids[0]) == 0:

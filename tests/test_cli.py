@@ -219,6 +219,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: empty vocabulary: no word occurs min_count=100000 times\n"
         assert list(Path("run").iterdir()) == []
 
+    def test_empty_loaded_vocabulary_names_the_min_count_it_was_built_with(self, workspace, capsys):
+        """The one in the vocabulary file's header, not the trainer's own (100 by default), or none at all."""
+        assert main(["vocab", "--corpus", "corpus.txt", "--min-count", "100000", "--out", "v.tsv"]) == 0
+        assert main(["train-sgns", "--corpus", "corpus.txt", "--vocab", "v.tsv", "--out", "sgns.txt"]) == 1
+        assert capsys.readouterr().err == "error: empty vocabulary: no word occurs min_count=100000 times\n"
+        Path("bare.tsv").write_text("")  # no header: the min_count it was built with is unknown
+        assert main(["train-sgns", "--corpus", "corpus.txt", "--vocab", "bare.tsv", "--out", "sgns.txt"]) == 1
+        assert capsys.readouterr().err == "error: empty vocabulary\n"
+        assert not Path("sgns.txt").exists()
+
     def test_missing_required_option_is_1(self, tmp_path, capsys):
         code = main(["vocab", "--out", str(tmp_path / "v.tsv")])
         assert code == 1
@@ -796,6 +806,24 @@ class TestPipeline:
             assert with_objective.rsplit("\t", 1)[0] == line
             assert float(with_objective.rsplit("\t", 1)[1]) < 0
 
+    def test_only_svd_artifacts_depend_on_the_blas_thread_count(self, workspace):
+        """The CLI's default is OPENBLAS_NUM_THREADS=1 byte for byte; two threads may move the SVD vectors
+        and their reports, and nothing else. Each child's environment is built here: importing cli in
+        this process has set the variable, which children would inherit."""
+        src = str(Path(lexcontrast.__file__).resolve().parents[1])
+        runs = {}
+        for threads in (None, "1", "2"):
+            env = {"PYTHONPATH": src, **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads})}
+            subprocess.run([sys.executable, "-m", "lexcontrast.cli", *PIPELINE], env=env, capture_output=True,
+                           check=True)
+            runs[threads] = _tree_bytes(workspace / "run")
+            (workspace / "run").rename(workspace / f"run-{threads}")  # the next run writes the same paths
+        assert len(runs[None]) == 24 and runs[None] == runs["1"]
+        svd = {name for name in runs[None] if "_svd." in name}  # lmi_svd.txt, sa_svd.txt and their reports
+        assert len(svd) == 10
+        assert {k: v for k, v in runs["2"].items() if k not in svd} == {
+            k: v for k, v in runs[None].items() if k not in svd}
+
     def test_svd_artifact_annotations(self, workspace):
         main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv",
               "--workdir", "run", "--config", "run.cfg"])
@@ -882,6 +910,30 @@ class TestSurface:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": src}, check=True)
         return proc.stdout.split()
+
+    @staticmethod
+    def _blas_threads_at_numpy_import(module: str, env: dict[str, str]) -> str:
+        """OPENBLAS_NUM_THREADS as numpy's first lookup sees it, when a fresh interpreter whose
+        environment is `env` alone imports `module`."""
+        src = str(Path(lexcontrast.__file__).resolve().parents[1])
+        code = ("import os, sys\n"
+                "class Probe:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name == 'numpy':\n"
+                "            print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                "            sys.meta_path.remove(self)\n"
+                f"sys.meta_path.insert(0, Probe())\nimport {module}\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": src, **env}, check=True)
+        return proc.stdout.strip()
+
+    @pytest.mark.parametrize("module, env, seen", [
+        ("lexcontrast.cli", {}, "1"),
+        ("lexcontrast.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+        ("lexcontrast.weighting", {}, "None"),
+    ], ids=["cli-default", "cli-user-setting-wins", "library-unchanged"])
+    def test_numpy_loads_under_one_blas_thread_through_the_cli_only(self, module, env, seen):
+        assert self._blas_threads_at_numpy_import(module, env) == seen
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         assert self._loaded_by_import("lexcontrast.cli", "scipy.stats") == []

@@ -85,6 +85,15 @@ class TestVocabulary:
         assert loaded.word_ids == vocab.word_ids
         assert loaded.total_tokens == vocab.total_tokens
 
+    @pytest.mark.parametrize("meta, built", [
+        ({"config": "corpus=a min_count=2.txt lowercase=True min_count=7"}, 7), ({"note": "test"}, None), (None, None),
+    ], ids=["vocab-header", "other-header", "no-header"])
+    def test_read_keeps_the_min_count_that_its_header_records(self, tmp_path, meta, built):
+        vocab = build_vocabulary([["b", "a", "b", "c", "b", "a"]], min_count=2)
+        assert vocab.min_count == 2
+        write_vocabulary(tmp_path / "vocab.tsv", vocab, meta=meta)
+        assert read_vocabulary(tmp_path / "vocab.tsv").min_count == built
+
     def test_round_trip_of_words_that_start_with_a_hash(self, tmp_path):
         # a row holds tabs and a `#key=value` header none, so a hashtag is a word, not a comment
         vocab = build_vocabulary([["#tbt", "hot", "cold"], ["hot", "#tbt", "#", "#a=b"]], min_count=1)
