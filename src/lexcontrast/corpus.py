@@ -227,25 +227,12 @@ def read_vocabulary(path) -> Vocabulary:
 
 
 def write_counts(path, counts: CooccurrenceCounts, meta: dict[str, str] | None = None) -> None:
-    full_meta = {"n_words": str(counts.n_words), "window": str(counts.window)}
-    if meta:
-        full_meta.update(meta)
-    tsvio.write_rows(path, zip(counts.targets.tolist(), counts.features.tolist(), counts.counts.tolist()), full_meta)
+    header = {"n_words": counts.n_words, "window": counts.window}
+    tsvio.write_table(path, header, meta, counts.targets, counts.features, counts.counts.tolist())
 
 
 def read_counts(path) -> CooccurrenceCounts:
-    meta = tsvio.read_meta(path)
-    try:
-        n_words = int(meta["n_words"])
-        window = int(meta["window"])
-    except KeyError as exc:
-        raise CorpusError(f"{path}: missing {exc.args[0]} header") from None
-    word_id = tsvio.bounded(int, 0, n_words - 1, f"id out of range for n_words={n_words}")
-    columns = {"target": word_id, "feature": word_id, "count": tsvio.bounded(int, 1, math.inf, "count below 1")}
-    targets, features, values = (np.array(c, dtype=np.int64) for c in tsvio.read_columns(path, columns, CorpusError))
-    if len(np.unique(targets * n_words + features)) < len(targets):
-        raise CorpusError(f"{path}: duplicate (target, feature) rows")
-    order = np.lexsort((features, targets))
-    return CooccurrenceCounts(
-        n_words, window, targets[order], features[order], values[order]
-    )
+    header = {"window": tsvio.bounded(int, 1, math.inf, "window below 1")}
+    value = {"count": tsvio.bounded(int, 1, math.inf, "count below 1")}
+    *table, counts = tsvio.read_table(path, ("n_words", "n_words"), header, value, CorpusError)
+    return CooccurrenceCounts(*table, counts.astype(np.int64))

@@ -1,4 +1,4 @@
-"""Shared TSV plumbing: `#`-comment headers plus tab-separated rows."""
+"""Shared TSV plumbing: `#`-comment headers plus tab-separated rows, sparse tables among them."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import os
 from contextlib import contextmanager, suppress
 from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 
 def open_temp(path: str | os.PathLike) -> tuple[str, TextIO]:
@@ -151,3 +153,33 @@ def read_meta(path: str | os.PathLike) -> dict[str, str]:
                 key, value = body.split("=", 1)
                 meta[key.strip()] = value.strip()
     return meta
+
+
+def write_table(path: str | os.PathLike, header: dict[str, object], meta: dict[str, str] | None,
+                rows: np.ndarray, cols: np.ndarray, values: Iterable[object]) -> None:
+    """Write the `header` lines, then `meta`'s, then one row<TAB>column<TAB>value line per cell."""
+    write_rows(path, zip(rows.tolist(), cols.tolist(), values), {**header, **(meta or {})})
+
+
+def read_table(path: str | os.PathLike, shape: tuple[str, str], header: dict[str, Callable[[str], object]],
+               value: dict[str, Callable[[str], object]], error: type[ValueError]) -> tuple:
+    """The header values of a `write_table` file (the `shape` sizes, then `header`'s) and its cells by (row, column):
+    int64 ids below their sizes, and the values. A bad or missing header, bad row or repeated cell raises `error`."""
+    sizes = {key: bounded(int, 0, 2**31 - 1, "size outside 0..2^31-1") for key in shape}
+    meta, parsed = read_meta(path), {}
+    for key, parse in {**sizes, **header}.items():
+        if key not in meta:
+            raise error(f"{path}: missing {key} header")
+        try:
+            parsed[key] = parse(meta[key])
+        except ValueError as exc:
+            raise error(f"{path}: bad {key} header: {exc}") from None
+    outside = "id out of range for " + ", ".join(f"{key}={parsed[key]}" for key in sizes)
+    row_id, col_id = (bounded(int, 0, parsed[key] - 1, outside) for key in shape)
+    rows, cols, values = read_columns(path, {"target": row_id, "feature": col_id, **value}, error)
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    keys = rows * parsed[shape[1]] + cols  # below 2^62, as sizes are below 2^31, like the int32 ids of a Corpus
+    order = np.argsort(keys, kind="stable")  # linear on cells in order, as the writers write them
+    if (np.diff(keys[order]) == 0).any():
+        raise error(f"{path}: duplicate (target, feature) cells")
+    return (*parsed.values(), rows[order], cols[order], np.array(values)[order])

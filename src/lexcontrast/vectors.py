@@ -11,8 +11,7 @@ to one `python -I -S` child through an unnamed temporary file, and returns a
 `PendingWrite` at once. The child is put in the idle scheduling class, so
 it runs on CPU the caller leaves idle, and appends the rows to the temporary
 file, reading one row at a time. `PendingWrite.wait` reaps it and renames the temporary
-file onto the path only if the child exited 0. `write_embeddings` does both
-and returns once the file is in place.
+file onto the path only if the child exited 0.
 """
 
 from __future__ import annotations
@@ -141,12 +140,6 @@ def start_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = N
             with suppress(OSError):
                 os.sched_setscheduler(proc.pid, os.SCHED_IDLE, os.sched_param(0))
         return PendingWrite(os.fspath(path), tmp, proc)
-
-
-def write_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = None) -> None:
-    """Write the word2vec text layout, after one `#key=value` line per meta entry,
-    and return once the file is in place: `start_embeddings`, then its `wait`."""
-    start_embeddings(path, emb, meta).wait()
 
 
 def read_embeddings(path) -> DenseEmbeddings:

@@ -193,8 +193,9 @@ def compute_weight_sa(
         raise WeightingError(f"ant_mean must be 'pooled' or 'per-antonym', got {ant_mean!r}")
     if lex.ant and not lex.ant_enriched:
         raise WeightingError("lexicon has antonyms but no enriched sets; run enrich_antonyms first")
-    if idx.shape != lmi.shape:
-        raise WeightingError(f"feature index has shape {idx.shape}, the LMI matrix {lmi.shape}")
+    if idx.shape != lmi.shape or lmi.shape[0] != len(vocab):
+        raise WeightingError(f"feature index has shape {idx.shape}, the LMI matrix {lmi.shape}, "
+                             f"the vocabulary {len(vocab)} words")
 
     matrix = lmi.matrix
     ids = vocab.word_ids
@@ -228,29 +229,15 @@ def compute_weight_sa(
 
 
 def write_weighted(path, wm: WeightedMatrix, meta: dict[str, str] | None = None) -> None:
-    full_meta = {"scheme": wm.scheme, "n_words": str(wm.shape[0]), "n_features": str(wm.shape[1])}
-    if meta:
-        full_meta.update(meta)
-    rows, cols = _cells(wm.matrix)
-    tsvio.write_rows(path, zip(rows.tolist(), cols.tolist(), map(repr, wm.matrix.data.tolist())), full_meta)
+    header = {"scheme": wm.scheme, "n_words": wm.shape[0], "n_features": wm.shape[1]}
+    tsvio.write_table(path, header, meta, *_cells(wm.matrix), map(repr, wm.matrix.data.tolist()))
 
 
 def read_weighted(path) -> WeightedMatrix:
-    meta = tsvio.read_meta(path)
-    try:
-        scheme = meta["scheme"]
-        n_words = int(meta["n_words"])
-        n_features = int(meta["n_features"])
-    except KeyError as exc:
-        raise WeightingError(f"{path}: missing {exc.args[0]} header") from None
-    outside = f"id out of range for n_words={n_words}, n_features={n_features}"
-    columns = {"target": tsvio.bounded(int, 0, n_words - 1, outside),
-               "feature": tsvio.bounded(int, 0, n_features - 1, outside),
-               "weight": tsvio.bounded(float, -sys.float_info.max, sys.float_info.max, "weight is NaN or infinite")}
-    rows, cols, vals = tsvio.read_columns(path, columns, WeightingError)
-    wm = WeightedMatrix(scheme, sparse.coo_matrix((vals, (rows, cols)), shape=(n_words, n_features)).tocsr())
-    if len(wm) < len(vals):  # converting to CSR summed repeated cells
-        raise WeightingError(f"{path}: duplicate (target, feature) cells")
+    header = {"scheme": tsvio.one_of((SCHEME_LMI, SCHEME_SA))}
+    value = {"weight": tsvio.bounded(float, -sys.float_info.max, sys.float_info.max, "weight is NaN or infinite")}
+    *shape, scheme, rows, cols, vals = tsvio.read_table(path, ("n_words", "n_features"), header, value, WeightingError)
+    wm = WeightedMatrix(scheme, sparse.csr_matrix((vals, (rows, cols)), shape=tuple(shape)))
     if scheme == SCHEME_LMI:
         try:
             wm.validate()

@@ -6,9 +6,10 @@ operations, the frozenset feature index and the per-key contrast sets from
 before both routes read one sparse holder matrix, the single-threaded
 per-pair SGD loop from before training was batched, the batch rule spelled
 out one pair at a time, the vector writer from before it took the header
-lines itself, the table writers that formatted cell by cell, co-occurrence
-counting with separate target and feature chunks, subsampling with one draw
-call per line, the SGNS step that sorted each batch's rows and built a CSR
+lines itself, the table writers that formatted cell by cell, the table
+readers that parsed their own headers and found repeated cells each its own
+way, co-occurrence counting with separate target and feature chunks,
+subsampling with one draw call per line, the SGNS step that sorted each batch's rows and built a CSR
 matrix to sum them, noise sampling by one binary search per draw, the
 randomized SVD that took a QR after every product of
 its subspace iteration, and the corpus as token lists: a `Counter`
@@ -25,6 +26,8 @@ reconstruction and the lexicon writer.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,8 +38,8 @@ from lexcontrast import embeddings as emb
 from lexcontrast.corpus import CooccurrenceCounts, CorpusError, Vocabulary
 from lexcontrast.reduction import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS
 from lexcontrast.seeding import rng_for
-from lexcontrast.tsvio import atomic_writer, write_rows
-from lexcontrast.weighting import SCHEME_SA, WeightedMatrix, pair_cosines
+from lexcontrast.tsvio import atomic_writer, bounded, read_columns, read_meta, write_rows
+from lexcontrast.weighting import SCHEME_LMI, SCHEME_SA, WeightedMatrix, WeightingError, pair_cosines
 
 
 # --- the corpus as token lists
@@ -646,6 +649,51 @@ def _write_rows(path, rows, meta) -> None:
             fh.write(f"#{key}={value}\n")
         for row in rows:
             fh.write("\t".join(str(field) for field in row) + "\n")
+
+
+# --- the table readers that parsed their own headers
+
+
+def read_counts(path) -> CooccurrenceCounts:
+    """The count-table reader that parsed its headers with int() and found repeated cells with np.unique."""
+    meta = read_meta(path)
+    try:
+        n_words = int(meta["n_words"])
+        window = int(meta["window"])
+    except KeyError as exc:
+        raise CorpusError(f"{path}: missing {exc.args[0]} header") from None
+    word_id = bounded(int, 0, n_words - 1, f"id out of range for n_words={n_words}")
+    columns = {"target": word_id, "feature": word_id, "count": bounded(int, 1, math.inf, "count below 1")}
+    targets, features, values = (np.array(c, dtype=np.int64) for c in read_columns(path, columns, CorpusError))
+    if len(np.unique(targets * n_words + features)) < len(targets):
+        raise CorpusError(f"{path}: duplicate (target, feature) rows")
+    order = np.lexsort((features, targets))
+    return CooccurrenceCounts(n_words, window, targets[order], features[order], values[order])
+
+
+def read_weighted(path) -> WeightedMatrix:
+    """The weighted-matrix reader that took any scheme and found repeated cells by converting to CSR."""
+    meta = read_meta(path)
+    try:
+        scheme = meta["scheme"]
+        n_words = int(meta["n_words"])
+        n_features = int(meta["n_features"])
+    except KeyError as exc:
+        raise WeightingError(f"{path}: missing {exc.args[0]} header") from None
+    outside = f"id out of range for n_words={n_words}, n_features={n_features}"
+    columns = {"target": bounded(int, 0, n_words - 1, outside),
+               "feature": bounded(int, 0, n_features - 1, outside),
+               "weight": bounded(float, -sys.float_info.max, sys.float_info.max, "weight is NaN or infinite")}
+    rows, cols, vals = read_columns(path, columns, WeightingError)
+    wm = WeightedMatrix(scheme, sparse.coo_matrix((vals, (rows, cols)), shape=(n_words, n_features)).tocsr())
+    if len(wm) < len(vals):
+        raise WeightingError(f"{path}: duplicate (target, feature) cells")
+    if scheme == SCHEME_LMI:
+        try:
+            wm.validate()
+        except WeightingError as exc:
+            raise WeightingError(f"{path}: {exc}") from None
+    return wm
 
 
 # --- the randomized SVD

@@ -294,6 +294,43 @@ class TestExitCodes:
         assert f"bad.tsv:{first + 1}: id out of range" in capsys.readouterr().err
         assert not Path("out.txt").exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("lmi", "n_words", "abc"), ("lmi", "n_words", "-1"), ("lmi", "window", "0"), ("lmi", "window", None),
+        ("svd", "n_words", "x"), ("svd", "n_features", "-1"), ("svd", "scheme", "banana"), ("svd", "scheme", None),
+        ("weight-sa", "n_features", "3.5"), ("weight-sa", "scheme", "banana"),
+    ])
+    def test_bad_table_header_is_1_and_names_the_file_and_key(self, workspace, capsys, command, key, value):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
+              "--out", "counts.tsv", "--config", "run.cfg"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+        table = "counts.tsv" if command == "lmi" else "lmi.tsv"
+        lines = [line for line in Path(table).read_text().splitlines(keepends=True)
+                 if not line.startswith(f"#{key}=")]
+        Path("bad.tsv").write_text("".join(lines if value is None else [f"#{key}={value}\n", *lines]))
+        inputs = {"lmi": ["--counts", "bad.tsv"], "svd": ["--weights", "bad.tsv", "--vocab", "vocab.tsv"],
+                  "weight-sa": ["--lmi", "bad.tsv", "--lexicon", "lexicon.tsv", "--vocab", "vocab.tsv"]}
+        capsys.readouterr()
+        assert main([command, *inputs[command], "--out", "out.tsv"]) == 1
+        err = capsys.readouterr().err
+        assert f"bad.tsv: {'missing' if value is None else 'bad'} {key} header" in err
+        assert not Path("out.tsv").exists()
+
+    def test_weight_sa_vocabulary_of_another_size_is_1_and_names_both_sizes(self, workspace, capsys):
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
+              "--out", "counts.tsv", "--config", "run.cfg"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+        n_words = read_counts("counts.tsv").n_words
+        Path("short.tsv").write_text("".join(Path("vocab.tsv").read_text().splitlines(keepends=True)[:-1]))
+        capsys.readouterr()
+        code = main(["weight-sa", "--lmi", "lmi.tsv", "--lexicon", "lexicon.tsv", "--vocab", "short.tsv",
+                     "--out", "out.tsv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"the LMI matrix ({n_words}, {n_words}), the vocabulary {n_words - 1} words" in err
+        assert not Path("out.tsv").exists()
+
     @pytest.mark.parametrize("fault", ["duplicate word", "nan vector", "nan weight", "negative count"])
     def test_bad_input_rows_are_1_and_named(self, workspace, capsys, fault):
         main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])

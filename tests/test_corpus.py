@@ -286,6 +286,19 @@ class TestCooccurrence:
         with pytest.raises(CorpusError, match=where):
             read_counts(path)
 
+    @pytest.mark.parametrize("header, where", [
+        ("#n_words=abc\n#window=2\n", "bad n_words header: invalid literal"),
+        ("#n_words=-1\n#window=2\n", "bad n_words header: size outside 0"),
+        ("#n_words=3\n#window=0\n", "bad window header: window below 1"),
+        ("#n_words=3\n#window=2.0\n", "bad window header: invalid literal"),
+        ("#n_words=3\n", "missing window header"),
+    ])
+    def test_read_counts_bad_headers_name_the_file_and_key(self, tmp_path, header, where):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"{header}0\t1\t2\n")
+        with pytest.raises(CorpusError, match=rf"counts\.tsv: {where}"):
+            read_counts(path)
+
     def test_read_counts_rejects_duplicate_cells(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("#n_words=3\n#window=2\n0\t1\t2\n1\t0\t2\n0\t1\t3\n")

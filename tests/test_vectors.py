@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from lexcontrast import cli, tsvio
-from lexcontrast.vectors import DenseEmbeddings, VectorsError, read_embeddings, start_embeddings, write_embeddings
+from lexcontrast.vectors import DenseEmbeddings, VectorsError, read_embeddings, start_embeddings
 
 
 def _sample(rng, n=5, d=4):
@@ -65,7 +65,7 @@ class TestSerialization:
         emb.matrix[0, 0] = 1e-17
         emb.matrix[1, 1] = -3.0000000000000004
         path = tmp_path / "vec.txt"
-        write_embeddings(path, emb)
+        start_embeddings(path, emb).wait()
         loaded = read_embeddings(path)
         assert loaded.words == emb.words
         np.testing.assert_array_equal(loaded.matrix, emb.matrix)
@@ -223,7 +223,7 @@ class TestAtomicWrites:
     def test_word_with_a_space_or_line_break_is_refused_before_any_byte(self, tmp_path, word):
         emb = DenseEmbeddings(["ok", word], np.zeros((2, 2)))
         with pytest.raises(VectorsError, match=re.escape(repr(word))):
-            write_embeddings(tmp_path / "vec.txt", emb)
+            start_embeddings(tmp_path / "vec.txt", emb).wait()
         assert list(tmp_path.iterdir()) == []
 
 
@@ -234,7 +234,7 @@ class TestWriterFormat:
         matrix = rng.standard_normal((5, 4)) * np.logspace(-300, 300, 4)
         matrix[0] = [0.0, -0.0, 5e-324, 1.0]
         emb = DenseEmbeddings([f"w{i}" for i in range(5)], matrix)
-        write_embeddings(tmp_path / "new.txt", emb, meta)
+        start_embeddings(tmp_path / "new.txt", emb, meta).wait()
         oracles.write_embeddings_with_meta(tmp_path / "old.txt", emb, meta or {})
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
         if meta is None:

@@ -8,7 +8,14 @@ import oracles
 import pytest
 from scipy import sparse
 
-from lexcontrast.corpus import CooccurrenceCounts, Vocabulary, build_vocabulary, count_cooccurrences, write_counts
+from lexcontrast.corpus import (
+    CooccurrenceCounts,
+    Vocabulary,
+    build_vocabulary,
+    count_cooccurrences,
+    read_counts,
+    write_counts,
+)
 from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
 from lexcontrast.weighting import (
     SCHEME_LMI,
@@ -410,6 +417,52 @@ class TestWeightedIo:
             old(tmp_path / "old.tsv", table, meta)
             assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
         assert len(sa) > len(lmi) // 2
+
+    def test_readers_match_the_former_readers(self, tmp_path):
+        rng = np.random.default_rng(37)
+        words = [f"w{i}" for i in range(40)]
+        lines = [[words[i] for i in rng.integers(0, 40, int(rng.integers(1, 30)))] for _ in range(200)]
+        vocab = build_vocabulary(lines, min_count=1)
+        counts = count_cooccurrences(lines, vocab, 3)
+        lmi = compute_lmi(counts, vocab)
+        lex = enrich_antonyms(ContrastLexicon.from_pairs(
+            [(words[a], words[b]) for a, b in rng.integers(0, 40, (30, 2))],
+            [(words[a], words[b]) for a, b in rng.integers(0, 40, (20, 2))]))
+        sa = compute_weight_sa(lmi, build_feature_index(lmi), lex, vocab, ant_mean="per-antonym", fallback_lmi=True)
+        meta = {"tool": "lexcontrast", "stage": "test"}
+        oracles.write_counts(tmp_path / "counts.tsv", counts, meta)
+        for wm in (lmi, sa):
+            oracles.write_weighted(tmp_path / f"{wm.scheme}.tsv", wm, meta)
+        # rows out of order, a wide SA table, and tables without cells
+        (tmp_path / "shuffled.tsv").write_text("#n_words=3\n#window=1\n2\t0\t4\n0\t2\t1\n0\t1\t7\n")
+        (tmp_path / "wide.tsv").write_text("#scheme=SA\n#n_words=2\n#n_features=5\n1\t4\t-0.0\n0\t3\t5e-324\n1\t0\t-1.5\n")
+        (tmp_path / "no_counts.tsv").write_text("#n_words=0\n#window=2\n")
+        (tmp_path / "no_weights.tsv").write_text("#scheme=LMI\n#n_words=4\n#n_features=4\n")
+        for name in ("counts", "shuffled", "no_counts"):
+            new, old = read_counts(tmp_path / f"{name}.tsv"), oracles.read_counts(tmp_path / f"{name}.tsv")
+            assert (new.n_words, new.window) == (old.n_words, old.window)
+            for field in ("targets", "features", "counts"):
+                got, want = getattr(new, field), getattr(old, field)
+                assert got.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+        for name in ("LMI", "SA", "wide", "no_weights"):
+            new, old = read_weighted(tmp_path / f"{name}.tsv"), oracles.read_weighted(tmp_path / f"{name}.tsv")
+            assert (new.scheme, new.shape) == (old.scheme, old.shape)
+            for field in ("indptr", "indices", "data"):
+                got, want = getattr(new.matrix, field), getattr(old.matrix, field)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("n_words", "abc", "invalid literal"), ("n_words", "-1", "size outside 0"),
+        ("n_features", "2.0", "invalid literal"), ("scheme", "banana", "'banana' is not one of LMI, SA")])
+    def test_bad_header_is_named(self, tmp_path, key, value, error):
+        lines = {"scheme": "#scheme=SA", "n_words": "#n_words=2", "n_features": "#n_features=2"}
+        lines[key] = f"#{key}={value}"
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join(lines.values()) + "\n0\t1\t0.5\n")
+        with pytest.raises(WeightingError, match=f"bad.tsv: bad {key} header: {error}"):
+            read_weighted(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
