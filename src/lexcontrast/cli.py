@@ -179,8 +179,7 @@ def stage_weight_sa(lmi, lex, vocab, s) -> weighting.WeightedMatrix:
 
 def stage_svd(weights, vocab, s) -> tuple[DenseEmbeddings, dict[str, str]]:
     """Reduced row vectors, and the header lines that annotate them."""
-    if weights.shape[0] != len(vocab):
-        raise reduction.ReductionError("weighted matrix and vocabulary disagree on word count")
+    vocab.check_rows(f"the {weights.scheme} matrix", weights.shape, reduction.ReductionError)
     result = reduction.truncated_svd(weights.matrix, s["svd_dim"], mode=s["svd_mode"],
                                      seed=_stage_seed(s["seed"], "svd"), sigma_exponent=s["sigma_exponent"])
     vectors = DenseEmbeddings(list(vocab.words), result.row_vectors, source="svd")
@@ -398,6 +397,8 @@ def run_pipeline(args: argparse.Namespace) -> None:
 
     Every artifact path is checked, as a subcommand checks its --out, before any input is read.
     The corpus is read and encoded once; the vocabulary, the counts and both trainers take that `Corpus`.
+    SGNS trains right after the vocabulary, so its refusal of an input that cannot train comes before any
+    artifact is written; dLCE trains last, on the LMI table.
     The four vector files are formatted by writer children while the stages go on; the last one's
     write reaps them all, and each is renamed into place once its child has exited 0.
     """
@@ -431,8 +432,11 @@ def run_pipeline(args: argparse.Namespace) -> None:
 
     with writes:
         vocab = stage_vocab(text, s)
-        embeddings.require_trainable(text.ids(vocab), vocab, _training_config(s))  # before any artifact
+        vectors = stage_train_sgns(text, vocab, s)[0]  # the trainer's refusal comes before any artifact
         save("vocab", vocab, "vocab.tsv")
+        save("train-sgns", vectors, "sgns.txt")
+        score("sgns", vectors)
+        del vectors
         counts = stage_count(text, vocab, s)
         save("count", counts, "counts.tsv")
         lmi = stage_lmi(counts, vocab, s)
@@ -446,11 +450,6 @@ def run_pipeline(args: argparse.Namespace) -> None:
             score(name, reduced[0])
             del reduced, weights  # each vector set goes once scored
         del sa
-
-        vectors = stage_train_sgns(text, vocab, s)[0]
-        save("train-sgns", vectors, "sgns.txt")
-        score("sgns", vectors)
-        del vectors
         vectors = stage_train_dlce(text, vocab, lex, lmi, s)[0]
         score("dlce", vectors)  # before the save, whose wait for the writers ends the run
         save("train-dlce", vectors, "dlce.txt", last=True)

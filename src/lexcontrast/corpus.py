@@ -58,6 +58,12 @@ class Vocabulary:
     def __contains__(self, word: str) -> bool:
         return word in self.word_ids
 
+    def check_rows(self, table: str, shape: tuple[int, int], error: type[ValueError], square: bool = False) -> None:
+        """Refuse `table` unless it has one row per word (and, if `square`, one column per word), naming
+        both sizes: `table shape and vocabulary disagree: the LMI matrix (616, 616), the vocabulary 615 words`."""
+        if shape[0] != len(self) or square and shape[1] != len(self):
+            raise error(f"table shape and vocabulary disagree: {table} {shape}, the vocabulary {len(self)} words")
+
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], min_count: int = 1) -> "Vocabulary":
         if min_count < 1:

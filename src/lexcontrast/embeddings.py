@@ -380,36 +380,17 @@ def sgns_objective(model: EmbeddingModel, targets: np.ndarray, contexts: np.ndar
 
 def _epoch_pairs(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig, epoch: int):
     """One epoch's positive (target, context) pairs in corpus-scan order:
-    each kept token in turn, with its contexts left to right. `ids` is the
-    (token id, line) pair of `Corpus.ids`.
+    each token that the epoch's subsample draw keeps in turn, with its
+    contexts left to right. `ids` is the (token id, line) pair of
+    `Corpus.ids`.
 
     The window keys of token positions, sorted, are that order.
     """
-    tok, line_id = _kept(ids, vocab, cfg, epoch)
+    if cfg.subsample is not None:
+        ids = subsample_ids(ids, discard_probabilities(vocab, cfg.subsample), rng_for(cfg.seed, "subsample", epoch))
+    tok, line_id = ids
     keys = np.sort(window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok)))
     return tok[keys // len(tok)].astype(np.int32), tok[keys % len(tok)].astype(np.int32)
-
-
-def _kept(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig, epoch: int):
-    """The tokens of `ids` that the epoch's subsample draw keeps, and their lines."""
-    return ids if cfg.subsample is None else subsample_ids(
-        ids, discard_probabilities(vocab, cfg.subsample), rng_for(cfg.seed, "subsample", epoch))
-
-
-def require_trainable(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: TrainingConfig) -> None:
-    """Raise the trainers' first refusal that holds, before any work: an empty vocabulary or one with words
-    below cfg.min_count, no token in `ids` (as `Corpus.ids` gives them), or no pair in any epoch, found
-    without a pair stream: one exists iff a line keeps two tokens after the epoch's draw."""
-    if len(vocab) == 0:  # the text names the min_count that built the vocabulary, if known, not cfg's
-        raise TrainingError("empty vocabulary" if vocab.min_count is None else
-                            f"empty vocabulary: no word occurs min_count={vocab.min_count} times")
-    if int(vocab.counts.min()) < cfg.min_count:
-        raise TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
-    if len(ids[0]) == 0:
-        raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
-    if not any((line[1:] == line[:-1]).any() for _, line in (_kept(ids, vocab, cfg, e) for e in range(cfg.epochs))):
-        raise TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
-                            f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
 
 
 # --- contrast bookkeeping for the dLCE loop
@@ -429,8 +410,7 @@ class _ContrastState:
 
     def __init__(self, lex: ContrastLexicon, vocab: Vocabulary, idx: sparse.csr_matrix, cfg: TrainingConfig):
         self.n = len(vocab)
-        if idx.shape != (self.n, self.n):
-            raise TrainingError(f"feature index has shape {idx.shape}, the vocabulary {self.n} words")
+        vocab.check_rows("the feature index", idx.shape, TrainingError, square=True)
         self.relations = sparse.hstack((relation_matrix(lex, "syn", vocab), relation_matrix(lex, "ant", vocab)),
                                        format="csr")
         held_by = sparse.csr_matrix(idx.T)  # row c: the words that hold feature c
@@ -589,11 +569,22 @@ def _train(
     lexicon: tuple[ContrastLexicon, sparse.csr_matrix] | None,
     progress: TextIO | None,
 ) -> EmbeddingModel:
+    """Both trainers. Its refusals are the one check of whether a run can train; the last reads the
+    epoch streams it trains on."""
+    if len(vocab) == 0:  # the text names the min_count that built the vocabulary, if known, not cfg's
+        raise TrainingError("empty vocabulary" if vocab.min_count is None else
+                            f"empty vocabulary: no word occurs min_count={vocab.min_count} times")
+    if int(vocab.counts.min()) < cfg.min_count:
+        raise TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
     ids = _as_corpus(lines).ids(vocab)
-    require_trainable(ids, vocab, cfg)
-    contrast = None if lexicon is None else _ContrastState(lexicon[0], vocab, lexicon[1], cfg)
+    if len(ids[0]) == 0:
+        raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
     epoch_streams = [_epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
     total_updates = sum(len(t) for t, _ in epoch_streams)
+    if total_updates == 0:
+        raise TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
+                            f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
+    contrast = None if lexicon is None else _ContrastState(lexicon[0], vocab, lexicon[1], cfg)
 
     n, d = len(vocab), cfg.dim
     W, C = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d, np.zeros((n, d))

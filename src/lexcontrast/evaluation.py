@@ -89,8 +89,7 @@ class SparseRowTable:
     """A WeightedMatrix with the word -> row map the scorers use."""
 
     def __init__(self, weights: WeightedMatrix, vocab: Vocabulary):
-        if weights.shape[0] != len(vocab):
-            raise EvalError("weighted matrix and vocabulary disagree on word count")
+        vocab.check_rows(f"the {weights.scheme} matrix", weights.shape, EvalError)
         self.weights, self.vocab = weights, vocab
         self.word_ids, self.matrix = vocab.word_ids, weights.matrix
 

@@ -81,11 +81,9 @@ def compute_lmi(counts: CooccurrenceCounts, vocab: Vocabulary | None = None) -> 
     total pair count and marginals taken over the pair table itself.
     Cells with LMI <= 0 are dropped.
     """
-    if vocab is not None and counts.n_words != len(vocab):
-        raise WeightingError("counts were built against a different vocabulary")
     n = counts.n_words
-    if len(counts) == 0:
-        return WeightedMatrix(SCHEME_LMI, sparse.csr_matrix((n, n)))
+    if vocab is not None:
+        vocab.check_rows("the count table", (n, n), WeightingError)
     t = counts.targets
     f = counts.features
     c = counts.counts.astype(np.float64)
@@ -193,9 +191,9 @@ def compute_weight_sa(
         raise WeightingError(f"ant_mean must be 'pooled' or 'per-antonym', got {ant_mean!r}")
     if lex.ant and not lex.ant_enriched:
         raise WeightingError("lexicon has antonyms but no enriched sets; run enrich_antonyms first")
-    if idx.shape != lmi.shape or lmi.shape[0] != len(vocab):
-        raise WeightingError(f"feature index has shape {idx.shape}, the LMI matrix {lmi.shape}, "
-                             f"the vocabulary {len(vocab)} words")
+    vocab.check_rows("the LMI matrix", lmi.shape, WeightingError)
+    if idx.shape != lmi.shape:
+        raise WeightingError(f"feature index has shape {idx.shape}, the LMI matrix {lmi.shape}")
 
     matrix = lmi.matrix
     ids = vocab.word_ids

@@ -4,8 +4,9 @@ These are the per-pair and per-cell loops the package used before pair
 scoring, the contrast transform and tie-averaged ranking became whole-array
 operations, the frozenset feature index and the per-key contrast sets from
 before both routes read one sparse holder matrix, the single-threaded
-per-pair SGD loop from before training was batched, the batch rule spelled
-out one pair at a time, the vector writer from before it took the header
+per-pair SGD loop from before training was batched, the trainers' check
+before any work that found a training pair without a pair stream, the batch
+rule spelled out one pair at a time, the vector writer from before it took the header
 lines itself, the table writers that formatted cell by cell, the table
 readers that parsed their own headers and found repeated cells each its own
 way, co-occurrence counting with separate target and feature chunks,
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from lexcontrast import corpus
 from lexcontrast import embeddings as emb
 from lexcontrast.corpus import CooccurrenceCounts, CorpusError, Vocabulary
 from lexcontrast.reduction import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS
@@ -556,6 +558,28 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
             model.history.append(record)
     model.validate()
     return model
+
+
+# --- the trainers' refusals, checked before any work
+
+
+def require_trainable(ids, vocab, cfg) -> None:
+    """Raise the trainers' first refusal that holds, before any work: an empty vocabulary or one with words
+    below cfg.min_count, no token in `ids` (as `Corpus.ids` gives them), or no pair in any epoch, found
+    without a pair stream: one exists iff a line keeps two tokens after the epoch's draw."""
+    if len(vocab) == 0:  # the text names the min_count that built the vocabulary, if known, not cfg's
+        raise emb.TrainingError("empty vocabulary" if vocab.min_count is None else
+                                f"empty vocabulary: no word occurs min_count={vocab.min_count} times")
+    if int(vocab.counts.min()) < cfg.min_count:
+        raise emb.TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
+    if len(ids[0]) == 0:
+        raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
+    kept = (ids if cfg.subsample is None else corpus.subsample_ids(
+        ids, corpus.discard_probabilities(vocab, cfg.subsample), rng_for(cfg.seed, "subsample", e))
+        for e in range(cfg.epochs))
+    if not any((line[1:] == line[:-1]).any() for _, line in kept):
+        raise emb.TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
+                                f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
 
 
 # --- the batch rule, one pair at a time

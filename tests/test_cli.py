@@ -14,7 +14,7 @@ import oracles
 import pytest
 
 import lexcontrast
-from lexcontrast import cli, evaluation, tsvio
+from lexcontrast import cli, corpus, embeddings, evaluation, tsvio
 from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.corpus import read_corpus, read_counts
 from lexcontrast.embeddings import TrainingConfig
@@ -329,6 +329,29 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert f"the LMI matrix ({n_words}, {n_words}), the vocabulary {n_words - 1} words" in err
+        assert not Path("out.tsv").exists()
+
+    @pytest.mark.parametrize("command, table", [
+        ("svd", "the LMI matrix"), ("eval-ap", "the LMI matrix"), ("lmi", "the count table"),
+        ("weight-sa", "the LMI matrix"), ("train-dlce", "the feature index"),
+    ])
+    def test_vocabulary_one_word_short_is_1_and_names_both_sizes(self, workspace, capsys, command, table):
+        """Every command that reads a table against a vocabulary refuses one of another size with one
+        text, which names the table's shape and the vocabulary's size, before any output."""
+        main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--config", "run.cfg"])
+        main(["count", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
+              "--out", "counts.tsv", "--config", "run.cfg"])
+        main(["lmi", "--counts", "counts.tsv", "--out", "lmi.tsv"])
+        n = read_counts("counts.tsv").n_words
+        Path("short.tsv").write_text("".join(Path("vocab.tsv").read_text().splitlines(keepends=True)[:-1]))
+        inputs = {"svd": ["--weights", "lmi.tsv"], "eval-ap": ["--vectors", "lmi.tsv", "--pairs", "pairs.tsv"],
+                  "lmi": ["--counts", "counts.tsv"], "weight-sa": ["--lmi", "lmi.tsv", "--lexicon", "lexicon.tsv"],
+                  "train-dlce": ["--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--lmi", "lmi.tsv",
+                                 "--config", "run.cfg"]}
+        capsys.readouterr()
+        assert main([command, *inputs[command], "--vocab", "short.tsv", "--out", "out.tsv"]) == 1
+        assert capsys.readouterr().err == (f"error: table shape and vocabulary disagree: {table} ({n}, {n}), "
+                                           f"the vocabulary {n - 1} words\n")
         assert not Path("out.tsv").exists()
 
     @pytest.mark.parametrize("fault", ["duplicate word", "nan vector", "nan weight", "negative count"])
@@ -750,6 +773,26 @@ class TestPipeline:
                          "--pairs", "sim.tsv", "--out", f"run/spearman_{name}.tsv"] + cfg) == 0
         assert _tree_bytes(workspace / "run") == whole
 
+    def test_each_trainer_encodes_and_draws_its_epochs_once(self, workspace, monkeypatch):
+        """Two epochs: `Corpus.ids` runs once for counting and once per trainer, and each trainer draws
+        each epoch's subsample once. A check of its own before training would add to both counts."""
+        calls = {"ids": 0, "draws": 0}
+        ids, draw = corpus.Corpus.ids, corpus.subsample_ids
+
+        def counted_ids(*args):
+            calls["ids"] += 1
+            return ids(*args)
+
+        def counted_draw(*args):
+            calls["draws"] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(corpus.Corpus, "ids", counted_ids)
+        for module in (corpus, embeddings):  # every module attribute that holds the function
+            monkeypatch.setattr(module, "subsample_ids", counted_draw)
+        assert main([*PIPELINE, "--epochs", "2", "--subsample", "0.05"]) == 0
+        assert calls == {"ids": 3, "draws": 4}
+
     def test_relation_pairs_are_scored_once_per_vector_set_and_word_class(self, workspace, monkeypatch):
         classes, score = [], evaluation.score_pairs
 
@@ -763,7 +806,8 @@ class TestPipeline:
         assert main(PIPELINE) == 0
         assert classes == [{"ADJ"}, {"NOUN"}] * 4  # lmi_svd, sa_svd, sgns, dlce
 
-    def test_failure_after_the_svd_keeps_its_artifacts_and_reaps_its_writers(self, workspace, monkeypatch):
+    def _fail_in(self, workspace, monkeypatch, stage: str) -> tuple[dict[str, bytes], list]:
+        """The bytes of a whole run, then a rerun in which `stage` raises, and the writers that rerun started."""
         assert main(PIPELINE) == 0
         whole = _tree_bytes(workspace / "run")
         for p in (workspace / "run").iterdir():
@@ -778,12 +822,21 @@ class TestPipeline:
             raise ValueError("training diverged")
 
         monkeypatch.setattr(cli, "start_embeddings", recorded)
-        monkeypatch.setattr(cli, "stage_train_sgns", diverge)
+        monkeypatch.setattr(cli, stage, diverge)
         assert main(PIPELINE) == 1
-        assert _tree_bytes(workspace / "run") == {
-            name: data for name, data in whole.items() if "sgns" not in name and "dlce" not in name}
-        assert [p.path for p in started] == ["run/lmi_svd.txt", "run/sa_svd.txt"]
+        return whole, started
+
+    def test_failure_after_the_svd_keeps_its_artifacts_and_reaps_its_writers(self, workspace, monkeypatch):
+        """dLCE trains last: its failure keeps every other artifact."""
+        whole, started = self._fail_in(workspace, monkeypatch, "stage_train_dlce")
+        assert _tree_bytes(workspace / "run") == {name: data for name, data in whole.items() if "dlce" not in name}
+        assert [p.path for p in started] == ["run/sgns.txt", "run/lmi_svd.txt", "run/sa_svd.txt"]
         assert all(p.proc.returncode == 0 for p in started)
+
+    def test_sgns_failure_leaves_the_work_directory_empty(self, workspace, monkeypatch):
+        """SGNS trains right after the vocabulary, before any artifact is written."""
+        _, started = self._fail_in(workspace, monkeypatch, "stage_train_sgns")
+        assert list((workspace / "run").iterdir()) == [] and started == []
 
     @pytest.mark.parametrize("lexicon, pairs, sim, rows", [
         ("hot\tSYN\twarm\ncold\tSYN\tcool\nhot\tANT\tcold\n", "big\tlarge\tSYN\tADJ\nbig\tsmall\tANT\tADJ\n",
@@ -823,7 +876,7 @@ class TestPipeline:
                          "--simpairs", "sim.tsv", "--workdir", "run", "--min-count", "1", "--window", "2",
                          "--dim", "4", "--svd-dim", "2", "--negatives", "2", "--subsample", "0"]) == 0
         expected = []
-        for name in ("lmi_svd", "sa_svd", "sgns", "dlce"):
+        for name in ("sgns", "lmi_svd", "sa_svd", "dlce"):
             expected += [f"run/{prefix}_{name}.tsv: class ADJ: no scorable pairs, fields blank"
                          for prefix in ("eval_ap", "eval_auc", "medians")]
             expected.append(f"run/spearman_{name}.tsv: rank correlation needs at least two pairs, rho unset")

@@ -3,8 +3,9 @@ ranks against the loop implementations they replaced; the trainer's contrast
 sets against the per-key frozenset form; the batched SGNS/dLCE trainers
 against the batch rule spelled out pair by pair and, at batch size 1, step by
 step against the per-pair loop they replaced, and bit for bit against the
-per-batch sorting scatter and searchsorted noise draws; the planned scatter
-against that sort per batch; sigmoid and contrast gradients
+per-batch sorting scatter and searchsorted noise draws; the trainers'
+refusals against the pre-check that found a pair without a pair stream; the
+planned scatter against that sort per batch; sigmoid and contrast gradients
 against that loop's versions bit for bit, and the contrast gradients within
 rounding of their BLAS form; the contrast step against its old form, the
 contrast waves against the same hits applied one at a time,
@@ -363,6 +364,59 @@ def test_trainers_equal_the_sorting_scatter_and_searchsorted_draws(case, batch):
                 assert got == want
             else:
                 assert got.W.tobytes() == want.W.tobytes() and got.C.tobytes() == want.C.tobytes()
+
+
+@st.composite
+def trainability_cases(draw):
+    """A tiny corpus at the edge of trainability, and a config.
+
+    Lines are empty, one token or a few long; the vocabulary is built with a
+    drawn min_count, which may keep no word or leave words out, from the
+    training lines or from other lines, and the config's min_count may exceed
+    it. Thresholds down to 1e-5 make draws that keep no token of an epoch.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = _words(draw(st.integers(1, 4)))
+
+    def some_lines():
+        return [list(rng.choice(words, size=int(rng.integers(0, 6)))) for _ in range(draw(st.integers(0, 8)))]
+
+    lines = some_lines()
+    vocab = build_vocabulary(lines if draw(st.booleans()) else some_lines(), draw(st.integers(1, 2)))
+    cfg = TrainingConfig(dim=2, negatives=2, window=draw(st.integers(1, 3)), epochs=draw(st.integers(1, 3)),
+                         subsample=draw(st.sampled_from([None, 1e-5, 0.01, 0.1, 0.3])),
+                         min_count=draw(st.integers(1, 2)), seed=draw(st.integers(0, 1000)))
+    pair = st.tuples(st.sampled_from(words), st.sampled_from(words))
+    lex = enrich_antonyms(ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=4)),
+                                                     draw(st.lists(pair, max_size=4))))
+    return lines, vocab, cfg, lex
+
+
+@settings(max_examples=300, deadline=None)
+@given(trainability_cases())
+def test_trainers_refuse_exactly_when_the_former_check_does(case):
+    """The trainers refuse, with the former pre-check's text, exactly when it
+    refuses; otherwise both train, and dLCE with an empty lexicon gives the
+    bits of SGNS."""
+    lines, vocab, cfg, lex = case
+    try:
+        oracles.require_trainable(encode_lines(lines).ids(vocab), vocab, cfg)
+        refusal = None
+    except ValueError as exc:
+        refusal = (type(exc), str(exc))
+    idx = sparse.csr_matrix(np.ones((len(vocab), len(vocab))))
+    runs = []
+    for train in (lambda: train_sgns(lines, vocab, cfg), lambda: train_dlce(lines, vocab, cfg, lex, idx),
+                  lambda: train_dlce(lines, vocab, cfg, ContrastLexicon.from_pairs([], []), idx)):
+        try:
+            runs.append(train())
+        except ValueError as exc:
+            runs.append((type(exc), str(exc)))
+    assert [run if isinstance(run, tuple) else None for run in runs] == [refusal] * 3
+    if refusal is None:
+        sgns, _, empty = runs
+        _same_bits(empty.W, sgns.W)
+        _same_bits(empty.C, sgns.C)
 
 
 @settings(max_examples=300, deadline=None)

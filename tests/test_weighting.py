@@ -2,6 +2,7 @@
 dense double-loop oracle that shares no code with the implementation."""
 
 import math
+import warnings
 
 import numpy as np
 import oracles
@@ -101,6 +102,24 @@ class TestLmi:
         vocab = Vocabulary.from_counts({"a": 1, "b": 1, "c": 1})
         with pytest.raises(WeightingError):
             compute_lmi(_counts_from_dict(2, {(0, 1): 2}), vocab)
+
+    @pytest.mark.parametrize("source", ["cells", "one-token lines", "file"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_empty_count_table_gives_an_empty_lmi_matrix(self, tmp_path, source, n):
+        """No cell: an empty (n, n) float64 LMI matrix, without a warning, whatever made the table."""
+        if source == "cells":
+            counts = _counts_from_dict(n, {})
+        else:
+            lines = [[f"w{i}"] for i in range(n)]
+            counts = count_cooccurrences(lines, build_vocabulary(lines, min_count=1), 2)
+            if source == "file":
+                write_counts(tmp_path / "c.tsv", counts)
+                counts = read_counts(tmp_path / "c.tsv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lmi = compute_lmi(counts)
+        assert (lmi.scheme, lmi.shape, lmi.matrix.nnz, lmi.matrix.dtype) == (SCHEME_LMI, (n, n), 0, np.float64)
+        assert lmi.matrix.format == "csr"
 
 
 class TestCosine:
