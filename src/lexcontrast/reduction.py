@@ -15,6 +15,14 @@ singular values at a fraction of the dense cost (Halko, Martinsson & Tropp
 - the small SVD is taken of the tall B^T = A^T Q rather than of the wide
   B = Q^T A, which LAPACK factors faster; A ~ (Q Ub) diag(s) Vt follows.
 
+Either mode factors only the block of rows and columns that hold a nonzero
+value and writes its U rows and Vt columns back into zeros of the full
+shape. Empty rows and columns lie in the null space, so the truncated SVD
+is the same, and the row of a word with no weight (in SA, a word without a
+lexicon entry) is exactly 0 instead of rounding noise. The block's sketch
+is its rows of the whole matrix's sketch, "auto" picks the mode from the
+full shape, and a matrix with no empty row or column is factored whole.
+
 scipy.linalg supplies the LU. It is imported on the randomized path only,
 so that importing the package, and the dense path, do not pay for it.
 """
@@ -49,20 +57,18 @@ class SvdResult:
     mode_used: str
 
 
-def _dense_svd(matrix: np.ndarray, k: int):
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
-
-
-def _randomized_svd(matrix, k: int, seed: int):
+def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
+    """The sketch is drawn for the whole matrix of `shape` and rank k, and
+    `cols` picks its rows for the columns that `matrix` holds (a slice for
+    the whole). Returns min(k, min(matrix.shape)) components."""
     from scipy.linalg import lu, qr, svd  # one BLAS pool for every factorization here
 
     def normalized(block):
         return lu(block, permute_l=True, check_finite=False)[0]
 
-    n, m = matrix.shape
+    n, m = shape
     sketch = min(k + DEFAULT_OVERSAMPLE, min(n, m))
-    y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))
+    y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))[cols]
     for _ in range(DEFAULT_POWER_ITERS):
         y = matrix @ normalized(matrix.T @ normalized(y))
     q = qr(y, mode="economic", check_finite=False)[0]
@@ -70,6 +76,34 @@ def _randomized_svd(matrix, k: int, seed: int):
     # B^T = A^T Q = V diag(s) Ub^T, so A ~ Q B = (Q Ub) diag(s) V^T
     v, s, ubt = svd(matrix.T @ q, full_matrices=False, check_finite=False)
     return q @ ubt[:k].T, s[:k].copy(), v[:, :k].T.copy()
+
+
+def _factor(matrix, k: int, mode: str, seed: int, shape: tuple[int, int], cols):
+    """U, s and Vt of `matrix`, cut at rank k; `shape` and `cols` place it in the whole matrix."""
+    if mode == "randomized":
+        return _randomized_svd(matrix.astype(np.float64), k, seed, shape, cols)
+    dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix)
+    u, s, vt = np.linalg.svd(dense.astype(np.float64), full_matrices=False)
+    return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
+
+
+def _block(matrix, rows: np.ndarray, cols: np.ndarray):
+    """A copy of the submatrix at `rows` and `cols`, sparse if `matrix` is."""
+    if sparse.issparse(matrix):
+        return matrix.tocsr()[rows][:, cols]
+    return np.asarray(matrix)[np.ix_(rows, cols)]
+
+
+def _nonempty(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the rows and of the columns that hold a nonzero value; a stored 0 is empty."""
+    n, m = matrix.shape
+    if sparse.issparse(matrix):
+        coo = matrix.tocoo()
+        nonzero = coo.data != 0
+        return (np.flatnonzero(np.bincount(coo.row[nonzero], minlength=n)),
+                np.flatnonzero(np.bincount(coo.col[nonzero], minlength=m)))
+    nonzero = np.asarray(matrix) != 0
+    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
 
 
 def truncated_svd(
@@ -82,9 +116,12 @@ def truncated_svd(
     """Rank-`dim` truncated SVD with row vectors U_d * diag(s_d ** exponent).
 
     mode: "dense" forces the exact factorization, "randomized" the sketched
-    one, "auto" picks dense below DENSE_CUTOFF. If dim exceeds min(shape) the
-    factorization is truncated there; effective_rank counts the singular
-    values that are numerically nonzero, which can be smaller still.
+    one, "auto" picks dense below DENSE_CUTOFF of the full shape. If dim
+    exceeds min(shape) the factorization is truncated there; effective_rank
+    counts the singular values that are numerically nonzero, which can be
+    smaller still. Only the block of nonzero rows and columns is factored:
+    empty rows and columns get exact zeros, and so do components beyond the
+    block's size, with singular value 0. `matrix` is never modified.
     """
     if dim < 1:
         raise ReductionError(f"dim must be >= 1, got {dim}")
@@ -96,11 +133,15 @@ def truncated_svd(
     k = min(dim, n, m)
     if mode == "auto":
         mode = "dense" if max(n, m) < DENSE_CUTOFF else "randomized"
-    if mode == "dense":
-        dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix)
-        u, s, vt = _dense_svd(dense.astype(np.float64), k)
-    else:
-        u, s, vt = _randomized_svd(matrix.astype(np.float64), k, seed)
+    rows, cols = _nonempty(matrix)
+    if len(rows) == n and len(cols) == m:
+        u, s, vt = _factor(matrix, k, mode, seed, (n, m), slice(None))
+    else:  # an all-zero matrix needs no factorization
+        factors = _factor(_block(matrix, rows, cols), k, mode, seed, (n, m), cols) if len(rows) else ()
+        u, s, vt = np.zeros((n, k)), np.zeros(k), np.zeros((k, m))  # after the factorization, out of its peak
+        if factors:
+            r = len(factors[1])
+            u[rows, :r], s[:r], vt[:r, cols] = factors
     tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
     effective_rank = int((s > tol).sum())
     u *= s ** sigma_exponent  # U becomes the row vectors in place

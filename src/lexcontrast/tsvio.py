@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
-from itertools import count
+from itertools import count, starmap
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -72,10 +72,13 @@ def write_rows(
     path: str | os.PathLike,
     rows: Iterable[Sequence[object]],
     meta: dict[str, str] | None = None,
+    line: str | None = None,
 ) -> None:
+    """Write the `meta` header lines, then one line per row: its fields joined by tabs, or
+    `line.format(*row)`, which formats rows of one known width faster, with the same text."""
     with atomic_writer(path) as fh:
         write_meta(fh, meta)
-        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(starmap(line.format, rows) if line else ("\t".join(map(str, row)) + "\n" for row in rows))
 
 
 def read_columns(
@@ -158,7 +161,7 @@ def read_meta(path: str | os.PathLike) -> dict[str, str]:
 def write_table(path: str | os.PathLike, header: dict[str, object], meta: dict[str, str] | None,
                 rows: np.ndarray, cols: np.ndarray, values: Iterable[object]) -> None:
     """Write the `header` lines, then `meta`'s, then one row<TAB>column<TAB>value line per cell."""
-    write_rows(path, zip(rows.tolist(), cols.tolist(), values), {**header, **(meta or {})})
+    write_rows(path, zip(rows.tolist(), cols.tolist(), values), {**header, **(meta or {})}, "{}\t{}\t{}\n")
 
 
 def read_table(path: str | os.PathLike, shape: tuple[str, str], header: dict[str, Callable[[str], object]],

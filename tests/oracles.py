@@ -13,7 +13,8 @@ way, co-occurrence counting with separate target and feature chunks,
 subsampling with one draw call per line, the SGNS step that sorted each batch's rows and built a CSR
 matrix to sum them, noise sampling by one binary search per draw, the
 randomized SVD that took a QR after every product of
-its subspace iteration, and the corpus as token lists: a `Counter`
+its subspace iteration, the truncated SVD that factored the whole matrix,
+empty rows and columns included, and the corpus as token lists: a `Counter`
 vocabulary and one id array per line. They stay here, unchanged in
 behaviour, as oracles for the property tests. The one exception is the
 per-pair loop's contrast gradients: their dot products and norms are
@@ -38,7 +39,7 @@ from scipy import sparse
 from lexcontrast import corpus
 from lexcontrast import embeddings as emb
 from lexcontrast.corpus import CooccurrenceCounts, CorpusError, Vocabulary
-from lexcontrast.reduction import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS
+from lexcontrast.reduction import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS, DENSE_CUTOFF, ReductionError, SvdResult
 from lexcontrast.seeding import rng_for
 from lexcontrast.tsvio import atomic_writer, bounded, read_columns, read_meta, write_rows
 from lexcontrast.weighting import SCHEME_LMI, SCHEME_SA, WeightedMatrix, WeightingError, pair_cosines
@@ -738,6 +739,55 @@ def randomized_svd(matrix, k: int, seed: int):
         b = np.asarray(b.todense())
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return (q @ ub)[:, :k], s[:k], vt[:k]
+
+
+# --- the truncated SVD that factored the whole matrix
+
+
+def lu_randomized_svd(matrix, k: int, seed: int):
+    """The LU-normalized subspace iteration, sketched and run on all of `matrix`."""
+    from scipy.linalg import lu, qr, svd
+
+    def normalized(block):
+        return lu(block, permute_l=True, check_finite=False)[0]
+
+    n, m = matrix.shape
+    sketch = min(k + DEFAULT_OVERSAMPLE, min(n, m))
+    y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))
+    for _ in range(DEFAULT_POWER_ITERS):
+        y = matrix @ normalized(matrix.T @ normalized(y))
+    q = qr(y, mode="economic", check_finite=False)[0]
+    del y
+    v, s, ubt = svd(matrix.T @ q, full_matrices=False, check_finite=False)
+    return q @ ubt[:k].T, s[:k].copy(), v[:, :k].T.copy()
+
+
+def whole_matrix_svd(matrix, dim: int, mode: str = "auto", seed: int = 0, sigma_exponent: float = 1.0,
+                     randomized=lu_randomized_svd) -> SvdResult:
+    """`truncated_svd` as it was before it factored only the block of nonzero
+    rows and columns: empty rows come out of it as rounding noise. Its
+    randomized mode runs `randomized(matrix, k, seed)`."""
+    if dim < 1:
+        raise ReductionError(f"dim must be >= 1, got {dim}")
+    if not sigma_exponent >= 0:
+        raise ReductionError("sigma exponent must be >= 0")
+    if mode not in ("auto", "dense", "randomized"):
+        raise ReductionError(f"unknown svd mode {mode!r}")
+    n, m = matrix.shape
+    k = min(dim, n, m)
+    if mode == "auto":
+        mode = "dense" if max(n, m) < DENSE_CUTOFF else "randomized"
+    if mode == "dense":
+        dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix)
+        u, s, vt = np.linalg.svd(dense.astype(np.float64), full_matrices=False)
+        u, s, vt = u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
+    else:
+        u, s, vt = randomized(matrix.astype(np.float64), k, seed)
+    tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
+    effective_rank = int((s > tol).sum())
+    u *= s ** sigma_exponent
+    return SvdResult(row_vectors=u, singular_values=s, right_vectors=vt, effective_rank=effective_rank,
+                     mode_used=mode)
 
 
 # --- co-occurrence counting

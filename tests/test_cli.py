@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from scipy import sparse
 
 import lexcontrast
-from lexcontrast import cli, corpus, embeddings, evaluation, tsvio
+from lexcontrast import cli, corpus, embeddings, evaluation, reduction, tsvio, weighting
 from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.corpus import read_corpus, read_counts
 from lexcontrast.embeddings import TrainingConfig
@@ -944,6 +945,34 @@ class TestPipeline:
                     assert dense_payload["classes"][cls][key] == pytest.approx(
                         cm[key], abs=1e-9
                     )
+
+
+class TestEmptyRows:
+    """A word with no contrast weight has an empty SA row, and its SVD row is
+    exactly 0, not rounding noise that a cosine would scale up to +-1."""
+
+    @pytest.mark.parametrize("mode", ["dense", "randomized"])
+    def test_empty_rows_are_written_as_zeros_and_score_zero(self, tmp_path, mode):
+        rng = np.random.default_rng(5)
+        n, dim = 400, 50
+        filled = np.sort(rng.choice(n, 60, replace=False))
+        dense = np.zeros((n, n))
+        dense[filled] = rng.uniform(-1, 1, (60, n)) * (rng.random((60, n)) < 0.1)
+        sa = weighting.WeightedMatrix(weighting.SCHEME_SA, sparse.csr_matrix(dense))
+        vocab = corpus.Vocabulary(tuple(f"w{i:03d}" for i in range(n)), np.ones(n, dtype=np.int64))
+        empty = np.setdiff1d(np.arange(n), filled)
+        assert (reduction.truncated_svd(sa.matrix, dim, mode=mode).row_vectors[empty] == 0).all()
+
+        weighting.write_weighted(tmp_path / "sa.tsv", sa)
+        corpus.write_vocabulary(tmp_path / "vocab.tsv", vocab)
+        out = tmp_path / "sa_svd.txt"
+        assert main(["svd", "--weights", str(tmp_path / "sa.tsv"), "--vocab", str(tmp_path / "vocab.tsv"),
+                     "--out", str(out), "--svd-dim", str(dim), "--svd-mode", mode]) == 0
+        rows = dict(line.split(" ", 1) for line in out.read_text().splitlines()[-n:])
+        assert all(rows[vocab.words[i]] == " ".join(["0.0"] * dim) for i in empty)
+        pairs = [evaluation.RelationPair(vocab.words[a], vocab.words[b], "SYN", "ADJ")
+                 for a, b in zip(empty[:-1], empty[1:])]
+        assert [score for _, score in evaluation.score_pairs(read_embeddings(out), pairs)] == [0.0] * len(pairs)
 
 
 def _header_lines(path: Path) -> list[str]:

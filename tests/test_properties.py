@@ -12,7 +12,8 @@ contrast waves against the same hits applied one at a time,
 co-occurrence counting against its chunked form and against the trainer's
 pair stream, subsampling against one draw call per line, a corpus file's
 encoding against the Counter vocabulary and per-line id arrays of its token
-lists, and the LU-normalized randomized SVD against the QR-normalized one
+lists, the SVD of the nonzero block against the whole-matrix SVD it
+replaced, and the LU-normalized randomized SVD against the QR-normalized one
 (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
@@ -683,7 +684,8 @@ def test_subsampling_matches_per_line_oracle(case, seed):
     _same_bits(got_rng.random(3), want_rng.random(3))  # both consumed the same draws
 
 
-# --- the randomized SVD against the QR-normalized subspace iteration
+# --- the block SVD against the whole-matrix one, and the randomized SVD
+# against the QR-normalized subspace iteration
 
 
 @st.composite
@@ -692,7 +694,9 @@ def svd_cases(draw):
 
     Rank-deficient matrices are exactly so: every row is a power-of-two
     multiple of one of r < 4 continuous rows, so their rank sits below the
-    sketch width and their nonzero singular values are distinct.
+    sketch width and their nonzero singular values are distinct. Up to three
+    rows and three columns are emptied, and a sparse matrix may store zeros,
+    which count as empty.
     """
     n, m = draw(st.integers(1, 50)), draw(st.integers(1, 50))
     kind = draw(st.sampled_from(["full", "rank-deficient", "zero"]))
@@ -706,8 +710,46 @@ def svd_cases(draw):
     else:
         dense = np.zeros((n, m))
     dense[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
-    matrix = sparse.csr_matrix(dense) if draw(st.booleans()) else dense
+    dense[:, draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
+    if draw(st.booleans()):
+        stored = (dense != 0) | (rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1, 0.5])))
+        matrix = sparse.csr_matrix((dense[stored], np.nonzero(stored)), shape=(n, m))
+    else:
+        matrix = dense.copy()
     return dense, matrix, kind, draw(st.integers(1, min(n, m) + 2)), draw(st.integers(0, 1000))
+
+
+def _storage(matrix) -> list[np.ndarray]:
+    return [matrix.data, matrix.indices, matrix.indptr] if sparse.issparse(matrix) else [matrix]
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(svd_cases(), st.sampled_from(["dense", "randomized"]))
+def test_block_svd_matches_whole_matrix_oracle(case, mode):
+    dense, matrix, kind, dim, seed = case
+    before = [array.copy() for array in _storage(matrix)]
+    got = reduction.truncated_svd(matrix, dim, mode=mode, seed=seed)
+    for array, copy in zip(_storage(matrix), before):
+        _same_bits(array, copy)  # the caller's matrix, stored zeros included
+    want = oracles.whole_matrix_svd(matrix, dim, mode=mode, seed=seed)
+    empty_rows, empty_cols = ~(dense != 0).any(axis=1), ~(dense != 0).any(axis=0)
+    assert (got.row_vectors[empty_rows] == 0).all() and (got.right_vectors[:, empty_cols] == 0).all()
+    assert got.mode_used == want.mode_used
+    if kind != "full":
+        assert got.effective_rank == want.effective_rank
+    if not empty_rows.any() and not empty_cols.any():
+        for array, oracle in ((got.row_vectors, want.row_vectors), (got.singular_values, want.singular_values),
+                              (got.right_vectors, want.right_vectors)):
+            assert array.shape == oracle.shape and np.array_equal(_bits(array), _bits(oracle))
+        return
+    scale = max(1.0, want.singular_values[0])
+    np.testing.assert_allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(oracles.reconstruction(got), oracles.reconstruction(want),
+                               rtol=0, atol=1e-9 * np.linalg.norm(dense))
 
 
 @settings(max_examples=300, deadline=None)
@@ -715,8 +757,7 @@ def svd_cases(draw):
 def test_randomized_svd_matches_qr_oracle(case):
     dense, matrix, kind, dim, seed = case
     got = reduction.truncated_svd(matrix, dim, mode="randomized", seed=seed)
-    with mock.patch.object(reduction, "_randomized_svd", oracles.randomized_svd):
-        want = reduction.truncated_svd(matrix, dim, mode="randomized", seed=seed)
+    want = oracles.whole_matrix_svd(matrix, dim, mode="randomized", seed=seed, randomized=oracles.randomized_svd)
     scale = max(1.0, want.singular_values[0])
     np.testing.assert_allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-10 * scale)
     np.testing.assert_allclose(oracles.reconstruction(got), oracles.reconstruction(want),

@@ -1,5 +1,8 @@
 """Truncated SVD: exactness on small matrices, near-optimality of the
-randomized path, and the derived row-vector conventions."""
+randomized path, the derived row-vector conventions, and the memory of a
+matrix whose nonzero block is small."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,3 +164,21 @@ class TestConventions:
         a = truncated_svd(dense, 3, mode="dense")
         b = truncated_svd(sparse.csr_matrix(dense), 3, mode="dense")
         np.testing.assert_array_equal(a.row_vectors, b.row_vectors)
+
+
+class TestNonemptyBlock:
+    def test_dense_mode_densifies_only_the_nonempty_block(self):
+        # one dense copy of the whole 1500 x 1500 matrix is 18 MB
+        rng = np.random.default_rng(12)
+        n = 1500
+        rows, cols = rng.choice(n, 40, replace=False), rng.choice(n, 60, replace=False)
+        matrix = sparse.csr_matrix((rng.standard_normal(40 * 60), (np.repeat(rows, 60), np.tile(cols, 40))),
+                                   shape=(n, n))
+        tracemalloc.start()
+        try:
+            result = truncated_svd(matrix, 10, mode="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10
+        assert result.effective_rank == 10
