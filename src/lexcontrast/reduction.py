@@ -23,6 +23,16 @@ lexicon entry) is exactly 0 instead of rounding noise. The block's sketch
 is its rows of the whole matrix's sketch, "auto" picks the mode from the
 full shape, and a matrix with no empty row or column is factored whole.
 
+Every dense block of the randomized path is n x (k + DEFAULT_OVERSAMPLE),
+the sketch's size, and is a product that the function owns: LU, QR and the
+final SVD factor it in place (overwrite_a, with QR and SVD handed Fortran
+order so that LAPACK makes no copy of its own), and each block is released
+once the next product has read it. The peak is about three such blocks,
+reached in the final SVD, which holds Q, B^T and V. The arithmetic, and so
+every bit, is that of factoring copies. The SVDs set a `pipeline` run's peak
+memory, and the LMI matrix's, with no empty row or column, has the largest
+blocks.
+
 scipy.linalg supplies the LU. It is imported on the randomized path only,
 so that importing the package, and the dense path, do not pay for it.
 """
@@ -60,22 +70,32 @@ class SvdResult:
 def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
     """The sketch is drawn for the whole matrix of `shape` and rank k, and
     `cols` picks its rows for the columns that `matrix` holds (a slice for
-    the whole). Returns min(k, min(matrix.shape)) components."""
+    the whole). Returns min(k, min(matrix.shape)) components.
+
+    Every dense block is a product made here, so each factorization may
+    overwrite it, and each is released as soon as the next product has read it.
+    """
     from scipy.linalg import lu, qr, svd  # one BLAS pool for every factorization here
 
     def normalized(block):
-        return lu(block, permute_l=True, check_finite=False)[0]
+        return lu(block, permute_l=True, overwrite_a=True, check_finite=False)[0]
 
     n, m = shape
     sketch = min(k + DEFAULT_OVERSAMPLE, min(n, m))
     y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))[cols]
     for _ in range(DEFAULT_POWER_ITERS):
-        y = matrix @ normalized(matrix.T @ normalized(y))
-    q = qr(y, mode="economic", check_finite=False)[0]
-    del y  # the block is as large as q; keep it out of the final SVD's peak
+        y = normalized(y)
+        y = matrix.T @ y
+        y = normalized(y)
+        y = matrix @ y
+    y = np.asfortranarray(y)  # LAPACK's layout, so that qr and svd factor the block where it lies
+    q = qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    del y  # QR overwrote it with q
     # B^T = A^T Q = V diag(s) Ub^T, so A ~ Q B = (Q Ub) diag(s) V^T
-    v, s, ubt = svd(matrix.T @ q, full_matrices=False, check_finite=False)
-    return q @ ubt[:k].T, s[:k].copy(), v[:, :k].T.copy()
+    v, s, ubt = svd(np.asfortranarray(matrix.T @ q), full_matrices=False, overwrite_a=True, check_finite=False)
+    vt = v[:, :k].T.copy()
+    del v
+    return q @ ubt[:k].T, s[:k].copy(), vt
 
 
 def _factor(matrix, k: int, mode: str, seed: int, shape: tuple[int, int], cols):
@@ -83,7 +103,7 @@ def _factor(matrix, k: int, mode: str, seed: int, shape: tuple[int, int], cols):
     if mode == "randomized":
         return _randomized_svd(matrix.astype(np.float64), k, seed, shape, cols)
     dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix)
-    u, s, vt = np.linalg.svd(dense.astype(np.float64), full_matrices=False)
+    u, s, vt = np.linalg.svd(dense.astype(np.float64, copy=False), full_matrices=False)
     return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
 
 

@@ -745,7 +745,8 @@ def randomized_svd(matrix, k: int, seed: int):
 
 
 def lu_randomized_svd(matrix, k: int, seed: int):
-    """The LU-normalized subspace iteration, sketched and run on all of `matrix`."""
+    """The LU-normalized subspace iteration, sketched and run on all of
+    `matrix`; every factorization works on a copy of its block."""
     from scipy.linalg import lu, qr, svd
 
     def normalized(block):

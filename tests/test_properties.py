@@ -13,8 +13,8 @@ co-occurrence counting against its chunked form and against the trainer's
 pair stream, subsampling against one draw call per line, a corpus file's
 encoding against the Counter vocabulary and per-line id arrays of its token
 lists, the SVD of the nonzero block against the whole-matrix SVD it
-replaced, and the LU-normalized randomized SVD against the QR-normalized one
-(tests/oracles.py).
+replaced, in every sparse and dense input layout, and the LU-normalized
+randomized SVD against the QR-normalized one (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
 they are continuous: a contrast weight is then exactly 0 only where both of
@@ -689,38 +689,49 @@ def test_subsampling_matches_per_line_oracle(case, seed):
 
 
 @st.composite
-def svd_cases(draw):
+def svd_cases(draw, whole=False):
     """A wide or tall matrix, dense or sparse, with a rank to cut it at.
 
     Rank-deficient matrices are exactly so: every row is a power-of-two
     multiple of one of r < 4 continuous rows, so their rank sits below the
     sketch width and their nonzero singular values are distinct. Up to three
     rows and three columns are emptied, and a sparse matrix may store zeros,
-    which count as empty.
+    which count as empty. A sparse matrix is CSR, CSC or COO, and a dense
+    one C- or Fortran-ordered. A `whole` matrix has no empty row or column:
+    nothing is emptied, and a full one gets a nonzero wrapped diagonal.
     """
     n, m = draw(st.integers(1, 50)), draw(st.integers(1, 50))
-    kind = draw(st.sampled_from(["full", "rank-deficient", "zero"]))
+    kind = draw(st.sampled_from(["full", "rank-deficient"] + ([] if whole else ["zero"])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "full":
         dense = rng.standard_normal((n, m)) * (rng.random((n, m)) < draw(st.sampled_from([0.2, 1.0])))
+        if whole:
+            diagonal = np.arange(max(n, m))
+            dense[diagonal % n, diagonal % m] = rng.standard_normal(len(diagonal))
     elif kind == "rank-deficient":
         basis = rng.standard_normal((draw(st.integers(1, 3)), m))
         scale = 2.0 ** rng.integers(-2, 3, n) * rng.choice([-1.0, 1.0], n)
         dense = scale[:, None] * basis[rng.integers(0, len(basis), n)]
     else:
         dense = np.zeros((n, m))
-    dense[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
-    dense[:, draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
+    if not whole:
+        dense[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+        dense[:, draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
     if draw(st.booleans()):
         stored = (dense != 0) | (rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1, 0.5])))
-        matrix = sparse.csr_matrix((dense[stored], np.nonzero(stored)), shape=(n, m))
+        layout = draw(st.sampled_from([sparse.csr_matrix, sparse.csc_matrix, sparse.coo_matrix]))
+        matrix = layout((dense[stored], np.nonzero(stored)), shape=(n, m))
     else:
-        matrix = dense.copy()
+        matrix = dense.copy(order=draw(st.sampled_from("CF")))
     return dense, matrix, kind, draw(st.integers(1, min(n, m) + 2)), draw(st.integers(0, 1000))
 
 
 def _storage(matrix) -> list[np.ndarray]:
-    return [matrix.data, matrix.indices, matrix.indptr] if sparse.issparse(matrix) else [matrix]
+    if not sparse.issparse(matrix):
+        return [matrix]
+    if matrix.format == "coo":
+        return [matrix.data, matrix.row, matrix.col]
+    return [matrix.data, matrix.indices, matrix.indptr]
 
 
 def _bits(array: np.ndarray) -> np.ndarray:
@@ -728,7 +739,7 @@ def _bits(array: np.ndarray) -> np.ndarray:
 
 
 @settings(max_examples=300, deadline=None)
-@given(svd_cases(), st.sampled_from(["dense", "randomized"]))
+@given(st.one_of(svd_cases(), svd_cases(whole=True)), st.sampled_from(["dense", "randomized"]))
 def test_block_svd_matches_whole_matrix_oracle(case, mode):
     dense, matrix, kind, dim, seed = case
     before = [array.copy() for array in _storage(matrix)]
