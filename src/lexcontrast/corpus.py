@@ -6,6 +6,12 @@ tokenized. `encode_lines` turns token lines into a `Corpus` in one pass, the
 only pass over the tokens; everything downstream, the vocabulary, the count
 table and both trainers, reads its flat int arrays. Document boundaries are
 never crossed when windowing.
+
+Windowing turns each (center, context) pair into one integer key,
+center * n + context, in the narrowest type that holds n**2: uint32 while n,
+the vocabulary size or an epoch's token count, is at most 65,536, int64
+above. Counting sorts the keys in place and reads each count off the length
+of a run of equal keys.
 """
 
 from __future__ import annotations
@@ -180,40 +186,58 @@ def count_cooccurrences(
     they leave. With dynamic_window=True, each target position draws an
     effective window size uniformly from 1..window (word2vec-style); the
     default is the fixed window. Each (target, feature) occurrence becomes
-    one int64 key target * n + feature, and counting the distinct keys
-    yields the table in (target, feature) order.
+    one key target * n + feature, uint32 for n <= 65,536 and int64 above
+    (`window_keys`); sorting the keys in place and counting the length of
+    each run of equal keys yields the table in (target, feature) order.
     """
     if window < 1:
         raise CorpusError(f"window must be >= 1, got {window}")
     n = len(vocab)
     tok, line_id = _as_corpus(lines).ids(vocab)
     eff = np.random.default_rng(seed).integers(1, window + 1, size=len(tok)) if dynamic_window else None
-    keys, counts = np.unique(window_keys(tok, line_id, window, n, eff), return_counts=True)
-    return CooccurrenceCounts(n, window, keys // n, keys % n, counts.astype(np.int64))
+    keys = window_keys(tok, line_id, window, n, eff)
+    keys.sort()
+    head = np.empty(len(keys), dtype=bool)  # True where a run of equal keys starts
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    counts = np.diff(np.append(heads, len(keys)))
+    keys = keys[heads].astype(np.int64)
+    return CooccurrenceCounts(n, window, keys // n, keys % n, counts)
 
 
 def window_keys(tok: np.ndarray, line_id: np.ndarray, window: int, scale: int,
                 eff: np.ndarray | None = None) -> np.ndarray:
     """The key center * scale + context of every (center, context) pair of
-    the symmetric window over `tok`, one key per pair, as int64.
+    the symmetric window over `tok`, one key per pair, in the narrowest type
+    that holds scale**2: uint32 for scale <= 65,536, else int64.
 
-    tok holds one value per token and line_id the line of each; no pair
-    crosses lines. eff, when given, is each center's own window size (at
-    most `window`), else every center sees `window` tokens on each side.
+    tok holds one value per token, each below `scale`, and line_id the line
+    of each; no pair crosses lines. eff, when given, is each center's own
+    window size (at most `window`), else every center sees `window` tokens
+    on each side. The keys fill one array, offset by offset: for each
+    offset, the pairs with the center on the left, then on the right.
     """
-    chunks = [np.zeros(0, dtype=np.int64)]
-    for off in range(1, min(window, len(tok) - 1) + 1):
+    dtype = np.uint32 if scale <= 2**16 else np.int64
+    tok, scale = tok.astype(dtype), dtype(scale)  # an int64 tok, or an int64 scale under NEP 50, widens the keys
+    offsets = range(1, min(window, len(tok) - 1) + 1)
+
+    def sides(off: int):
+        """(mask, centers, contexts) at `off`, for the center on the left token, then on the right."""
         same_line = line_id[:-off] == line_id[off:]
         left, right = tok[:-off], tok[off:]
         if eff is None:
-            left, right = left[same_line], right[same_line]
-            chunks += [left * scale + right, right * scale + left]
-            continue
-        mask = same_line & (eff[:-off] >= off)  # center on the left token, context `off` to its right
-        chunks.append(left[mask] * scale + right[mask])
-        mask = same_line & (eff[off:] >= off)  # center on the right token, context `off` to its left
-        chunks.append(right[mask] * scale + left[mask])
-    return np.concatenate(chunks)
+            return (same_line, left, right), (same_line, right, left)
+        return (same_line & (eff[:-off] >= off), left, right), (same_line & (eff[off:] >= off), right, left)
+
+    keys = np.empty(sum(int(np.count_nonzero(side[0])) for off in offsets for side in sides(off)), dtype=dtype)
+    at = 0
+    for off in offsets:
+        for mask, center, context in sides(off):
+            key = center * scale
+            key += context
+            at += len(np.compress(mask, key, out=keys[at:at + np.count_nonzero(mask)]))
+    return keys
 
 
 def write_vocabulary(path, vocab: Vocabulary, meta: dict[str, str] | None = None) -> None:

@@ -198,7 +198,7 @@ class EmbeddingModel:
 # --- pure gradients: the SGNS pair term and the contrast term
 
 
-def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray, keep=None):
+def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndarray, keep=None, out=(None, None)):
     """Ascent gradients of one pair's log-likelihood, the sum over its rows
     of log sigma(dot) for label 1 and log sigma(-dot) for label 0, wrt w and
     each context row.
@@ -206,11 +206,14 @@ def sgns_pair_gradients(w_vec: np.ndarray, ctx_rows: np.ndarray, labels: np.ndar
     Takes one pair, or a stack of pairs along leading axes; matmul runs the
     same BLAS call for each pair of a stack as for that pair alone. Rows
     where `keep` is False get zero error and so add to neither gradient.
+    `out`, if given, holds the arrays of shapes (..., 1, d) and
+    (..., k+1, d) that the two gradients are written into.
     """
     err = labels - sigmoid(np.matmul(ctx_rows, w_vec[..., None])[..., 0])
     if keep is not None:
         err = np.where(keep, err, 0.0)
-    return np.matmul(err[..., None, :], ctx_rows)[..., 0, :], err[..., None] * w_vec[..., None, :]
+    g_w = np.matmul(err[..., None, :], ctx_rows, out=out[0])[..., 0, :]
+    return g_w, np.multiply(err[..., None], w_vec[..., None, :], out=out[1])
 
 
 def contrast_gradients(W: np.ndarray, w: int, syn_ids, ant_ids):
@@ -538,28 +541,52 @@ def _plan_scatter(rows: np.ndarray, per_batch: int, n: int) -> list:
             for e0, g0, g1 in zip(firsts, bounds, bounds[1:])]
 
 
-def _scatter_add(M: np.ndarray, groups: tuple, weights: np.ndarray, X: np.ndarray) -> None:
+@dataclass(frozen=True)
+class _StepWork:
+    """The arrays `_sgns_step` works in, for batches of up to `batch` pairs, made once per run: fresh
+    ones every batch cost their pages' faults again each time the allocator returns them."""
+
+    w: np.ndarray  # (batch, d): the targets' rows of W
+    ctx: np.ndarray  # (batch, k+1, d): the rows of C
+    g_w: np.ndarray  # (batch, 1, d)
+    g_c: np.ndarray  # (batch, k+1, d)
+    scatter: np.ndarray  # (2, batch * (k+1), d): `_scatter_add`'s sums and the rows of M they add to
+
+    @classmethod
+    def of(cls, batch: int, k1: int, d: int) -> "_StepWork":
+        return cls(np.empty((batch, d)), np.empty((batch, k1, d)), np.empty((batch, 1, d)),
+                   np.empty((batch, k1, d)), np.empty((2, batch * k1, d)))
+
+
+def _scatter_add(M: np.ndarray, groups: tuple, weights: np.ndarray, X: np.ndarray, work: np.ndarray) -> None:
     """M[rows[j]] += weights[j] * X[j] for the entries j of a batch, repeated rows summed in stream order
-    by S @ X, the CSR matrix S of the batch's `_plan_scatter` groups with weights, through its kernel."""
+    by S @ X, the CSR matrix S of the batch's `_plan_scatter` groups with weights, through its kernel.
+    `work` is two arrays of at least len(X) rows of M's width, for the sums and the rows they add to."""
     indptr, indices, rows = groups
-    out = np.zeros((len(rows), X.shape[1]))
-    _sparsetools.csr_matvecs(len(rows), len(X), X.shape[1], indptr, indices, weights[indices], X.ravel(), out.ravel())
-    M[rows] += out
+    sums, held = work[:, :len(rows)]
+    sums.fill(0.0)
+    _sparsetools.csr_matvecs(len(rows), len(X), X.shape[1], indptr, indices, weights[indices], X.ravel(), sums.ravel())
+    M.take(rows, axis=0, mode="clip", out=held)
+    held += sums
+    M[rows] = held
 
 
-def _sgns_step(W, C, targets, rows, keep, labels, alphas, groups) -> None:
+def _sgns_step(W, C, targets, rows, keep, labels, alphas, groups, work: _StepWork) -> None:
     """One SGD step over a batch of B pairs, gradients at the batch-start W and C.
 
     rows is (B, k+1): each pair's true context, then its negatives; keep is
     False where a negative collides with the true context, which then
     contributes nothing; `groups` plans the scatter of rows, then targets.
     Only the summing of repeated rows differs from applying each pair's
-    update in turn to the same W and C.
+    update in turn to the same W and C. Every (B, ., d) array is a view of
+    `work`; `take` writes into its `out` directly only with mode="clip"
+    (the default mode buffers it), which is safe because rows are ids.
     """
     B, k1 = rows.shape
-    g_w, g_c = sgns_pair_gradients(W.take(targets, axis=0), C.take(rows, axis=0), labels, keep)
-    _scatter_add(C, groups[0], np.repeat(alphas, k1), g_c.reshape(B * k1, -1))
-    _scatter_add(W, groups[1], alphas, g_w)
+    w, ctx = W.take(targets, axis=0, mode="clip", out=work.w[:B]), C.take(rows, axis=0, mode="clip", out=work.ctx[:B])
+    g_w, g_c = sgns_pair_gradients(w, ctx, labels, keep, out=(work.g_w[:B], work.g_c[:B]))
+    _scatter_add(C, groups[0], np.repeat(alphas, k1), g_c.reshape(B * k1, -1), work.scatter)
+    _scatter_add(W, groups[1], alphas, g_w, work.scatter)
 
 
 def _train(
@@ -594,6 +621,7 @@ def _train(
 
     model = EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
     batch = batch_size(noise, cfg.negatives)
+    work = _StepWork.of(batch, cfg.negatives + 1, d)
     span = batch * max(1, PLAN_PAIRS // batch)  # pairs per block, a whole number of batches
     done = 0
     for epoch, (targets, contexts) in enumerate(epoch_streams):
@@ -611,7 +639,7 @@ def _train(
                     plan, starts = contrast.waves(t, c, alphas, batch)
                 for b, i in enumerate(range(0, len(t), batch)):
                     j = slice(i, i + batch)
-                    _sgns_step(W, C, t[j], rows[j], keep[j], labels, alphas[j], next(groups))
+                    _sgns_step(W, C, t[j], rows[j], keep[j], labels, alphas[j], next(groups), work)
                     if contrast is not None:
                         for v in range(starts[b], starts[b + 1]):
                             _apply_wave(W, plan, v)

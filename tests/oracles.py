@@ -9,7 +9,9 @@ before any work that found a training pair without a pair stream, the batch
 rule spelled out one pair at a time, the vector writer from before it took the header
 lines itself, the table writers that formatted cell by cell, the table
 readers that parsed their own headers and found repeated cells each its own
-way, co-occurrence counting with separate target and feature chunks,
+way, co-occurrence counting with separate target and feature chunks, the
+window keys as int64 chunks joined by one concatenation and the trainer's
+pair stream sorted from them,
 subsampling with one draw call per line, the SGNS step that sorted each batch's rows and built a CSR
 matrix to sum them, noise sampling by one binary search per draw, the
 randomized SVD that took a QR after every product of
@@ -453,9 +455,10 @@ def scatter_add(M, rows, weights, X) -> None:
     M[srt[starts]] += S @ X
 
 
-def sgns_step(W, C, targets, rows, keep, labels, alphas, groups=None) -> None:
-    """embeddings._sgns_step with each batch's scatter sorted and built in the
-    step by `scatter_add`; the planned `groups` are ignored."""
+def sgns_step(W, C, targets, rows, keep, labels, alphas, groups=None, work=None) -> None:
+    """embeddings._sgns_step with fresh arrays and each batch's scatter sorted
+    and built in the step by `scatter_add`; the planned `groups` and the
+    reused `work` arrays are ignored."""
     B, k1 = rows.shape
     g_w, g_c = emb.sgns_pair_gradients(W.take(targets, axis=0), C.take(rows, axis=0), labels, keep)
     scatter_add(C, rows.ravel(), np.repeat(alphas, k1), g_c.reshape(B * k1, -1))
@@ -842,6 +845,30 @@ def count_cooccurrences(lines, vocab, window, dynamic_window=False, seed=0) -> C
     uniq, counts = np.unique(keys, return_counts=True)
     t, f, c = uniq // len(vocab), uniq % len(vocab), counts.astype(np.int64)
     return CooccurrenceCounts(len(vocab), window, t, f, c)
+
+
+def window_keys(tok, line_id, window, scale, eff=None) -> np.ndarray:
+    """corpus.window_keys as int64 keys, one chunk per offset and side, concatenated."""
+    tok = tok.astype(np.int64)
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for off in range(1, min(window, len(tok) - 1) + 1):
+        same_line = line_id[:-off] == line_id[off:]
+        left, right = tok[:-off], tok[off:]
+        mask = same_line if eff is None else same_line & (eff[:-off] >= off)
+        chunks.append(left[mask] * scale + right[mask])
+        mask = same_line if eff is None else same_line & (eff[off:] >= off)
+        chunks.append(right[mask] * scale + left[mask])
+    return np.concatenate(chunks)
+
+
+def epoch_pairs(ids, vocab, cfg, epoch):
+    """embeddings._epoch_pairs from the int64 `window_keys` of token positions, sorted."""
+    if cfg.subsample is not None:
+        ids = corpus.subsample_ids(ids, corpus.discard_probabilities(vocab, cfg.subsample),
+                                   rng_for(cfg.seed, "subsample", epoch))
+    tok, line_id = ids
+    keys = np.sort(window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok)))
+    return tok[keys // len(tok)].astype(np.int32), tok[keys % len(tok)].astype(np.int32)
 
 
 # --- helpers that only tests use

@@ -1,6 +1,7 @@
 """Vocabulary building, subsampling, and windowed co-occurrence counting."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,12 +19,14 @@ from lexcontrast.corpus import (
     read_counts,
     read_vocabulary,
     subsample_ids,
+    window_keys,
     write_counts,
     write_vocabulary,
 )
-from lexcontrast.embeddings import TrainingConfig, train_dlce, train_sgns
+from lexcontrast.embeddings import TrainingConfig, _epoch_pairs, train_dlce, train_sgns
 from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
 from lexcontrast.weighting import build_feature_index, compute_lmi
+from synthcorpus import build_world
 
 
 def _random_lines(rng, n_tokens, vocab_size, max_line=40):
@@ -251,6 +254,21 @@ class TestCooccurrence:
         with pytest.raises(CorpusError):
             count_cooccurrences([["a", "b"]], vocab, 0)
 
+    @pytest.mark.parametrize("window, bound", [(2, 48), (5, 56)])
+    def test_counting_memory_per_token_is_bounded(self, window, bound):
+        # tracemalloc peak of one call, in bytes per corpus token (204,887 tokens, 7,195 words):
+        # 41 at window 2 and 46 at window 5 with uint32 keys filled into one array and sorted
+        # in place; 66 and 87 with int64 keys, their chunks and np.unique's sorted copy
+        text = encode_lines(build_world(5, n_concepts=300, sentences=41_000).lines)
+        vocab = build_vocabulary(text, 5)
+        tracemalloc.start()
+        try:
+            count_cooccurrences(text, vocab, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(text.tok) < bound
+
     def test_counts_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         lines = _random_lines(rng, 800, 9)
@@ -310,6 +328,48 @@ class TestCooccurrence:
         tok, line = encode_lines([["a", "x", "b", "y"]]).ids(vocab)
         assert tok.tolist() == [vocab.word_ids["a"], vocab.word_ids["b"]]
         assert line.tolist() == [0, 0]
+
+
+class TestKeyWidth:
+    """Window keys are uint32 up to a scale of 65,536, whose largest key is
+    (n-1) * n + n-1 = 2**32 - 1, and int64 above it."""
+
+    @pytest.mark.parametrize("scale, dtype", [(65_536, np.uint32), (65_537, np.int64)])
+    def test_window_keys_take_the_narrowest_type(self, scale, dtype):
+        rng = np.random.default_rng(scale)
+        tok = rng.integers(0, scale, 5_000)
+        tok[:2] = scale - 1
+        line_id = np.repeat(np.arange(500), 10)
+        for eff in (None, rng.integers(1, 4, len(tok))):
+            got = window_keys(tok, line_id, 3, scale, eff)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, oracles.window_keys(tok, line_id, 3, scale, eff))
+            assert int(got.max()) == scale**2 - 1
+
+    @pytest.mark.parametrize("n", [65_536, 65_537])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_counts_match_the_oracle_across_the_width(self, n, dynamic):
+        rng = np.random.default_rng(n)
+        words = [f"w{i:05d}" for i in range(n)]  # ids in this order: every count is 1
+        vocab = Vocabulary.from_counts(dict.fromkeys(words, 1))
+        lines = [[words[i] for i in rng.integers(0, n, int(rng.integers(1, 30)))] for _ in range(3_000)]
+        lines.append([words[-1], words[-1], "oov", words[0], words[-1]])
+        got = count_cooccurrences(lines, vocab, 3, dynamic_window=dynamic, seed=9)
+        want = oracles.count_cooccurrences(lines, vocab, 3, dynamic_window=dynamic, seed=9)
+        for field in ("targets", "features", "counts"):
+            assert getattr(got, field).dtype == np.int64
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert (got.targets[-1], got.features[-1]) == (n - 1, n - 1)  # the largest key
+
+    @pytest.mark.parametrize("n_tokens", [65_536, 65_537])
+    def test_epoch_pairs_match_the_int64_oracle(self, n_tokens):
+        rng = np.random.default_rng(n_tokens)
+        vocab = Vocabulary.from_counts({f"w{i}": 1 for i in range(16)})
+        ids = rng.integers(0, 16, n_tokens), np.sort(rng.integers(0, 2_000, n_tokens))
+        cfg = TrainingConfig(dim=2, min_count=1, subsample=None, window=3)
+        for got, want in zip(_epoch_pairs(ids, vocab, cfg, 0), oracles.epoch_pairs(ids, vocab, cfg, 0), strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEncodedCorpus:

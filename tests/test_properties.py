@@ -282,11 +282,11 @@ def test_trainers_match_per_pair_loop_at_batch_one(case):
     step = embeddings._sgns_step
     steps = []
 
-    def checked_step(W, C, targets, rows, keep, labels, alphas, groups):
+    def checked_step(W, C, targets, rows, keep, labels, alphas, groups, work):
         want_W, want_C = W.copy(), C.copy()
         r = rows[0][np.concatenate(([True], rows[0, 1:] != rows[0, 0]))]
         oracles.sgns_pair_update(want_W, want_C, targets[0], r, labels[: len(r)], alphas[0], True)
-        step(W, C, targets, rows, keep, labels, alphas, groups)
+        step(W, C, targets, rows, keep, labels, alphas, groups, work)
         _assert_close(W, want_W)
         _assert_close(C, want_C)
         steps.append(float(alphas[0]))
@@ -333,10 +333,11 @@ def test_planned_scatter_equals_the_sorting_scatter_bit_for_bit(case, d):
     assert len(plans) == -(-len(rows) // per_batch)
     got = rng.standard_normal((n, d))
     want = got.copy()
+    work = np.full((2, per_batch, d), np.nan)  # shared by the batches, as in a run; holds no zeros to start
     for b, groups in enumerate(plans):
         batch_rows = rows[b * per_batch:(b + 1) * per_batch]
         X, weights = rng.standard_normal((len(batch_rows), d)), rng.random(len(batch_rows))
-        embeddings._scatter_add(got, groups, weights, X)
+        embeddings._scatter_add(got, groups, weights, X, work)
         oracles.scatter_add(want, batch_rows, weights, X)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
