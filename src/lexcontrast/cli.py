@@ -11,7 +11,9 @@ and as a sha256), and the root seed. Randomness flows from that single root seed
 with the same config file is byte-identical. Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
 set, for the process and its children, so the SVD's bytes do not depend on the host's core count.
 
-An option comes from its flag, else the config file, else the default, and is checked before any work.
+An option comes from its flag, else the config file, else the default, and is checked before any work. numpy
+and scipy load only after that: `--version`, `--help`, and every refusal of an option, a config file, an input
+that is missing or an output that clashes, exit before the stage modules are imported (`_bind`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import dataclasses
 import errno
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -29,10 +32,15 @@ from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before the imports below load numpy; a value already set wins
-from . import __version__, corpus, embeddings, evaluation, lexicon, reduction, tsvio, weighting
-from .seeding import seed_sequence
-from .vectors import DenseEmbeddings, read_embeddings, start_embeddings
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before anything loads numpy; a value already set wins
+from . import __version__, tsvio
+from .config import TrainingConfig
+
+# the names that `_bind` gives this module, each with the module it comes from (the name itself: a stage module);
+# they load numpy, so a command binds them only once its options and outputs are checked
+_STAGE_NAMES = {"corpus": "corpus", "embeddings": "embeddings", "evaluation": "evaluation", "lexicon": "lexicon",
+                "reduction": "reduction", "weighting": "weighting", "seed_sequence": "seeding",
+                "DenseEmbeddings": "vectors", "read_embeddings": "vectors", "start_embeddings": "vectors"}
 
 DEFAULTS: dict[str, object] = {
     "lowercase": True,
@@ -133,10 +141,29 @@ def _require_files(*paths) -> None:
             raise FileNotFoundError(errno.ENOENT, "input file not found", p)
 
 
-def _training_config(s: dict) -> embeddings.TrainingConfig:
+def _training_config(s: dict) -> TrainingConfig:
     """Every TrainingConfig field that is a resolved key, and beta as its contrast coefficient."""
-    names = (f.name for f in dataclasses.fields(embeddings.TrainingConfig))
-    return embeddings.TrainingConfig(contrast_coefficient=s["beta"], **{key: s[key] for key in names if key in s})
+    names = (f.name for f in dataclasses.fields(TrainingConfig))
+    return TrainingConfig(contrast_coefficient=s["beta"], **{key: s[key] for key in names if key in s})
+
+
+def _bind() -> None:
+    """Give this module the names of `_STAGE_NAMES`, importing their modules, and so numpy. A name already
+    bound stays, so that a stand-in set on this module before a command ran is the one the command calls."""
+    where = globals()
+    for name, module in _STAGE_NAMES.items():
+        if name not in where:
+            loaded = importlib.import_module(f"{__package__}.{module}")
+            where[name] = loaded if name == module else getattr(loaded, name)
+
+
+def __getattr__(name: str):
+    """A name of `_STAGE_NAMES` looked up from outside before any command bound it: `cli.corpus` and the rest
+    reach the modules whose attributes the commands call, and a stand-in set there is the one called."""
+    if name not in _STAGE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind()
+    return globals()[name]
 
 
 # --- stage functions: loaded inputs in, in the row's input order, then the resolved options
@@ -380,6 +407,7 @@ def run_stage(args: argparse.Namespace) -> None:
     row, s = args.row, _resolve(args)
     _check_outputs(args, s, {_flag(key): getattr(args, key) for key in ("out", "context_out")
                              if getattr(args, key, None) is not None})
+    _bind()
     # looked up at call time, so that a wrapper set on the module attribute is the one called
     stage = globals()["stage_" + row.name.replace("-", "_")]
     result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
@@ -406,14 +434,15 @@ def run_pipeline(args: argparse.Namespace) -> None:
     workdir = Path(s["workdir"] or "pipeline-out")
     workdir.mkdir(parents=True, exist_ok=True)  # a new one holds nothing that the check below refuses
     sets = ("lmi_svd", "sa_svd", "sgns", "dlce")  # each scored by every report whose pairs are given
-    reports = [row for row in (  # stage, view (None: rho), file prefix, the pairs read
-        ("eval-ap", evaluation.AP, "eval_ap", "pairs"), ("eval-auc", evaluation.AUC, "eval_auc", "pairs"),
-        ("report-medians", evaluation.MEDIANS, "medians", "pairs"), ("eval-spearman", None, "spearman", "simpairs"),
+    reports = [row for row in (  # stage, view in evaluation (None: rho), file prefix, the pairs read
+        ("eval-ap", "AP", "eval_ap", "pairs"), ("eval-auc", "AUC", "eval_auc", "pairs"),
+        ("report-medians", "MEDIANS", "medians", "pairs"), ("eval-spearman", None, "spearman", "simpairs"),
     ) if s[row[3]] is not None]
     names = ("vocab.tsv", "counts.tsv", "lmi.tsv", "sa.tsv", *(f"{v}.txt" for v in sets),
              *(f"{prefix}_{v}.tsv" for _, _, prefix, _ in reports for v in sets))
     artifacts = {name: str(workdir / name) for name in names}  # every file of the run; `save` reads its path here
     _check_outputs(args, s, {f"artifact {name}": path for name, path in artifacts.items()})
+    _bind()
     lex, relation, similarity, text = (None if s[key] is None else _load(PIPELINE, key, s)
                                        for key in ("lexicon", "pairs", "simpairs", "corpus"))
     paths = {**s, **{key: artifacts[f"{key}.tsv"] for key in ("vocab", "counts", "lmi")}}
@@ -427,7 +456,8 @@ def run_pipeline(args: argparse.Namespace) -> None:
         """The reports of one vector set; its relation pairs are scored and ranked once for all three."""
         ranked = None if relation is None else evaluation.rank_classes(vectors, relation)
         for stage, view, prefix, key in reports:
-            result = _class_report(view, ranked) if view else stage_eval_spearman(vectors, similarity, s)
+            result = _class_report(getattr(evaluation, view), ranked) if view else stage_eval_spearman(
+                vectors, similarity, s)
             save(stage, result, f"{prefix}_{name}.tsv", vectors=artifacts[f"{name}.txt"], pairs=s[key])
 
     with writes:

@@ -89,8 +89,8 @@ class Corpus:
 
     def ids(self, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
         """The vocabulary id of every in-vocabulary token, in corpus order, and
-        its line; out-of-vocabulary tokens are dropped."""
-        table = np.array([vocab.word_ids.get(t, -1) for t in self.types], dtype=np.int64)
+        its line, both C int like `tok`; out-of-vocabulary tokens are dropped."""
+        table = np.array([vocab.word_ids.get(t, -1) for t in self.types], dtype=np.intc)
         ids = table[self.tok]
         kept = ids >= 0
         return ids[kept], self.line[kept]

@@ -51,6 +51,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
+from .config import TrainingConfig, TrainingError
 from .corpus import (
     Corpus,
     CorpusError,
@@ -67,49 +68,6 @@ from .vectors import DenseEmbeddings
 from .weighting import relation_matrix
 
 MIN_ALPHA_FRACTION = 1e-4  # floor of the linear decay, as a fraction of alpha0
-
-
-class TrainingError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """Knobs for both trainers; contrast fields are inert for plain SGNS."""
-
-    dim: int = 500
-    negatives: int = 15
-    window: int = 5
-    learning_rate: float = 0.025
-    epochs: int = 1
-    subsample: float | None = 1e-5  # None disables the frequency cut
-    min_count: int = 100
-    contrast_coefficient: float = 1.0
-    max_contrast_neighbors: int | None = None
-    noise_exponent: float = 0.75
-    seed: int = 0
-    threads: int = 1  # only 1 is accepted; the field keeps configs that set it working
-    track_objective: bool = False
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise TrainingError(f"dim must be >= 1, got {self.dim}")
-        if self.negatives < 1:
-            raise TrainingError(f"negatives must be >= 1, got {self.negatives}")
-        if not self.learning_rate > 0:
-            raise TrainingError(f"learning rate must be > 0, got {self.learning_rate}")
-        if not self.contrast_coefficient >= 0:
-            raise TrainingError("contrast coefficient must be >= 0")
-        if self.epochs < 1 or self.window < 1 or self.min_count < 1:
-            raise TrainingError("epochs, window, min_count must all be >= 1")
-        if self.threads != 1:
-            raise TrainingError(f"threads must be 1, got {self.threads}: training runs in one thread")
-        if self.subsample is not None and not self.subsample > 0:
-            raise TrainingError("subsample threshold must be > 0 or None")
-        if not self.noise_exponent >= 0:
-            raise TrainingError("noise exponent must be >= 0")
-        if self.max_contrast_neighbors is not None and self.max_contrast_neighbors < 1:
-            raise TrainingError("max_contrast_neighbors must be >= 1 or None")
 
 
 def sigmoid(x):

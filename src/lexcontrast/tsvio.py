@@ -5,9 +5,10 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager, suppress
 from itertools import count, starmap
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def open_temp(path: str | os.PathLike) -> tuple[str, TextIO]:
@@ -168,6 +169,8 @@ def read_table(path: str | os.PathLike, shape: tuple[str, str], header: dict[str
                value: dict[str, Callable[[str], object]], error: type[ValueError]) -> tuple:
     """The header values of a `write_table` file (the `shape` sizes, then `header`'s) and its cells by (row, column):
     int64 ids below their sizes, and the values. A bad or missing header, bad row or repeated cell raises `error`."""
+    import numpy as np  # here, not at the top: the command line opens its config file through this module
+
     sizes = {key: bounded(int, 0, 2**31 - 1, "size outside 0..2^31-1") for key in shape}
     meta, parsed = read_meta(path), {}
     for key, parse in {**sizes, **header}.items():

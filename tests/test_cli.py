@@ -1022,45 +1022,118 @@ class TestSurface:
         assert option_table() == json.loads(OPTIONS.read_text())
 
     @staticmethod
-    def _loaded_by_import(package: str, *modules: str) -> list[str]:
-        """Those of `modules` that importing `package` in a fresh interpreter loads."""
+    def _loaded_by_import(package: str, *modules: str, then: str = "") -> list[str]:
+        """Those of `modules` that importing `package`, then running the statement `then`, loads in a fresh
+        interpreter."""
         src = str(Path(lexcontrast.__file__).resolve().parents[1])
-        code = f"import sys, {package}; print(*[m for m in {modules!r} if m in sys.modules])"
+        code = f"import sys, {package}\n{then}\nprint(*[m for m in {modules!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": src}, check=True)
         return proc.stdout.split()
 
     @staticmethod
-    def _blas_threads_at_numpy_import(module: str, env: dict[str, str]) -> str:
+    def _blas_threads_at_numpy_import(code: str, env: dict[str, str], cwd: Path) -> str:
         """OPENBLAS_NUM_THREADS as numpy's first lookup sees it, when a fresh interpreter whose
-        environment is `env` alone imports `module`."""
+        environment is `env` alone runs `code` in `cwd`."""
         src = str(Path(lexcontrast.__file__).resolve().parents[1])
-        code = ("import os, sys\n"
-                "class Probe:\n"
-                "    def find_spec(self, name, path=None, target=None):\n"
-                "        if name == 'numpy':\n"
-                "            print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-                "            sys.meta_path.remove(self)\n"
-                f"sys.meta_path.insert(0, Probe())\nimport {module}\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={"PYTHONPATH": src, **env}, check=True)
+        probe = ("import os, sys\n"
+                 "class Probe:\n"
+                 "    def find_spec(self, name, path=None, target=None):\n"
+                 "        if name == 'numpy':\n"
+                 "            print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                 "            sys.meta_path.remove(self)\n"
+                 "sys.meta_path.insert(0, Probe())\n")
+        proc = subprocess.run([sys.executable, "-c", probe + code], capture_output=True, text=True,
+                              env={"PYTHONPATH": src, **env}, cwd=cwd, check=True)
         return proc.stdout.strip()
 
-    @pytest.mark.parametrize("module, env, seen", [
-        ("lexcontrast.cli", {}, "1"),
-        ("lexcontrast.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
-        ("lexcontrast.weighting", {}, "None"),
-    ], ids=["cli-default", "cli-user-setting-wins", "library-unchanged"])
-    def test_numpy_loads_under_one_blas_thread_through_the_cli_only(self, module, env, seen):
-        assert self._blas_threads_at_numpy_import(module, env) == seen
+    # importing cli loads no numpy: a command that does work loads it
+    VOCAB = ("import lexcontrast.cli\n"
+             "lexcontrast.cli.main(['vocab', '--corpus', 'c.txt', '--min-count', '1', '--out', 'v.tsv'])")
+
+    @pytest.mark.parametrize("code, env, seen", [
+        (VOCAB, {}, "1"),
+        (VOCAB, {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+        ("import lexcontrast.weighting", {}, "None"),
+        ("import lexcontrast.cli, lexcontrast.corpus", {}, "1"),  # the benchmark's in-process import order
+    ], ids=["cli-default", "cli-user-setting-wins", "library-unchanged", "cli-then-stage-module"])
+    def test_numpy_loads_under_one_blas_thread_through_the_cli_only(self, tmp_path, code, env, seen):
+        (tmp_path / "c.txt").write_text("a b a\n")
+        assert self._blas_threads_at_numpy_import(code, env, tmp_path) == seen
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        assert self._loaded_by_import("lexcontrast.cli", "scipy.stats") == []
+        # nor does binding the stage modules, which every command that does work imports
+        assert self._loaded_by_import("lexcontrast.cli", "scipy.stats", then="lexcontrast.cli._bind()") == []
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
         # the randomized SVD imports it when it runs
-        assert self._loaded_by_import("lexcontrast.cli", "scipy.linalg") == []
+        assert self._loaded_by_import("lexcontrast.cli", "scipy.linalg", then="lexcontrast.cli._bind()") == []
 
     def test_package_import_leaves_numpy_and_scipy_unloaded(self):
-        # every name lives in its own module; the package root re-exports none
-        assert self._loaded_by_import("lexcontrast", "numpy", "scipy") == []
+        # every name lives in its own module, and the package root re-exports none; the CLI, and the modules
+        # it reads its options and config file through, load numpy only once a command has work to do
+        for module in ("lexcontrast", "lexcontrast.cli", "lexcontrast.config", "lexcontrast.lexicon",
+                       "lexcontrast.tsvio"):
+            assert self._loaded_by_import(module, "numpy", "scipy") == [], module
+
+    # one of each refusal that comes before any input is read, with --version and every --help
+    BEFORE_WORK = {
+        "version": ["--version"],
+        "help": ["--help"],
+        **{f"{name}-help": [name, "--help"] for name in (*cli.STAGES, "pipeline")},
+        "usage": ["vocab", "--corpus", "corpus.txt"],
+        "unknown-key": ["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--config", "unknown.cfg"],
+        "repeated-key": ["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--config", "repeated.cfg"],
+        "key-type": ["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--config", "typed.cfg"],
+        "key-choice": ["weight-sa", "--lmi", "lmi.tsv", "--lexicon", "lexicon.tsv", "--vocab", "vocab.tsv",
+                       "--out", "sa.tsv", "--config", "choice.cfg"],
+        "config-missing": ["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--config", "nope.cfg"],
+        "non-finite": ["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--beta", "nan"],
+        "below-minimum": ["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--min-count", "0"],
+        "learning-rate": ["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--learning-rate", "0"],
+        "threads": ["train-sgns", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--out", "s.txt",
+                    "--threads", "2"],
+        "input-required": ["lmi", "--out", "lmi.tsv"],
+        "input-missing": ["vocab", "--corpus", "nope.txt", "--out", "v.tsv"],
+        "output-directory-missing": ["vocab", "--corpus", "corpus.txt", "--out", "nodir/v.tsv"],
+        "output-is-a-directory": ["vocab", "--corpus", "corpus.txt", "--out", "run"],
+        "output-names-an-input": ["vocab", "--corpus", "corpus.txt", "--out", "corpus.txt", "--config", "run.cfg"],
+        "outputs-clash": ["train-sgns", "--corpus", "corpus.txt", "--vocab", "vocab.tsv", "--out", "s.txt",
+                          "--context-out", "s.txt", "--config", "run.cfg"],
+    }
+
+    @pytest.mark.parametrize("case", BEFORE_WORK)
+    def test_refusals_and_help_finish_before_numpy_loads(self, workspace, capsys, monkeypatch, case):
+        """A fresh interpreter that cannot import numpy or scipy gives this process's exit code, stdout and
+        stderr: every option, config file, input path and output path is checked before they load."""
+        for name, text in {"unknown.cfg": "colour=red\n", "repeated.cfg": "window=2\nwindow=3\n",
+                           "typed.cfg": "window=two\n", "choice.cfg": "ant_mean=median\n",
+                           "vocab.tsv": "", "lmi.tsv": ""}.items():
+            (workspace / name).write_text(text)
+        (workspace / "run").mkdir()
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help text to, here and in the child
+        argv = self.BEFORE_WORK[case]
+        code = ("import contextlib, io, json, sys\n"
+                "class Refuse:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name.partition('.')[0] in ('numpy', 'scipy'):\n"
+                "            raise ImportError(f'{name} refused')\n"
+                "sys.meta_path.insert(0, Refuse())\n"
+                "from lexcontrast.cli import main\n"
+                "out, err = io.StringIO(), io.StringIO()\n"
+                "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                "    try:\n"
+                "        status = main(sys.argv[1:])\n"
+                "    except SystemExit as exc:\n"
+                "        status = exc.code\n"
+                "print(json.dumps([status, out.getvalue(), err.getvalue()]))\n")
+        src = str(Path(lexcontrast.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
+                               env={"PYTHONPATH": src, "COLUMNS": "80"}, cwd=workspace)
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        here = capsys.readouterr()
+        assert json.loads(child.stdout) == [status, here.out, here.err]
+        assert (status == 0) == (case == "version" or case.endswith("help"))

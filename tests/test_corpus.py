@@ -329,6 +329,11 @@ class TestCooccurrence:
         assert tok.tolist() == [vocab.word_ids["a"], vocab.word_ids["b"]]
         assert line.tolist() == [0, 0]
 
+    def test_ids_are_int32_like_the_lines(self):
+        # 4 bytes a token, as Corpus.tok: counting and both trainers hold these arrays for the whole corpus
+        tok, line = encode_lines([["a", "x", "b"], ["b", "a"]]).ids(build_vocabulary([["a", "b"]], min_count=1))
+        assert tok.dtype == line.dtype == np.int32
+
 
 class TestKeyWidth:
     """Window keys are uint32 up to a scale of 65,536, whose largest key is
