@@ -11,9 +11,10 @@ and as a sha256), and the root seed. Randomness flows from that single root seed
 with the same config file is byte-identical. Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
 set, for the process and its children, so the SVD's bytes do not depend on the host's core count.
 
-An option comes from its flag, else the config file, else the default, and is checked before any work. numpy
-and scipy load only after that: `--version`, `--help`, and every refusal of an option, a config file, an input
-that is missing or an output that clashes, exit before the stage modules are imported (`_bind`).
+An option comes from its flag, else the config file, else the default, and every command checks every option
+before any work: the training options by `TrainingConfig`, the rest here. numpy and scipy load only after that:
+`--version`, `--help`, and every refusal of an option, a config file, an input that is missing or an output that
+clashes, exit before `_bind` imports the stage modules.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import dataclasses
 import errno
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -35,12 +35,6 @@ from typing import NamedTuple
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before anything loads numpy; a value already set wins
 from . import __version__, tsvio
 from .config import TrainingConfig
-
-# the names that `_bind` gives this module, each with the module it comes from (the name itself: a stage module);
-# they load numpy, so a command binds them only once its options and outputs are checked
-_STAGE_NAMES = {"corpus": "corpus", "embeddings": "embeddings", "evaluation": "evaluation", "lexicon": "lexicon",
-                "reduction": "reduction", "weighting": "weighting", "seed_sequence": "seeding",
-                "DenseEmbeddings": "vectors", "read_embeddings": "vectors", "start_embeddings": "vectors"}
 
 DEFAULTS: dict[str, object] = {
     "lowercase": True,
@@ -68,9 +62,10 @@ DEFAULTS: dict[str, object] = {
 
 # the values a string option may take, from a flag or a config file alike
 _CHOICES = {"ant_mean": ("pooled", "per-antonym"), "svd_mode": ("auto", "dense", "randomized")}
-# lower bounds of numeric options, checked once a float option is known to be finite
-_MINIMUM = {"min_count": 1, "window": 1, "dim": 1, "svd_dim": 1, "negatives": 1, "epochs": 1, "seed": 0,
-            "noise_exponent": 0, "beta": 0, "sigma_exponent": 0, "subsample": 0, "max_contrast_neighbors": 0}
+# lower bounds that TrainingConfig does not state in these words, checked once a float option is known to be
+# finite: seed and the SVD options, which it does not bound, beta (its contrast_coefficient), and the two
+# options that 0 switches off, which reach it as None
+_MINIMUM = {"svd_dim": 1, "seed": 0, "sigma_exponent": 0, "beta": 0, "subsample": 0, "max_contrast_neighbors": 0}
 # keys naming input files or the pipeline's output directory; they have no default
 _PATH_KEYS = ("corpus", "counts", "lexicon", "lmi", "pairs", "simpairs", "vectors", "vocab", "weights", "workdir")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
@@ -102,7 +97,8 @@ def read_config_file(path) -> dict[str, object]:
 def _resolve(args: argparse.Namespace) -> dict[str, object]:
     """Every path key and option: flag beats config file beats default.
 
-    Values, required inputs and input files are all checked here, so that a
+    Values (the training options by the TrainingConfig that every command
+    builds), required inputs and input files are all checked here, so that a
     bad one fails before any input is read or any artifact written.
     """
     config: dict[str, object] = {}
@@ -121,12 +117,11 @@ def _resolve(args: argparse.Namespace) -> dict[str, object]:
             raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
         off = key in ("subsample", "max_contrast_neighbors") and value == 0  # 0 switches it off
         s[key] = None if off else value
+    _training_config(s)
     for key in args.row.inputs:
         if not key.endswith("?") and s[key] is None:
             raise ValueError(f"--{key} is required (flag or config file)")
     _require_files(*(s[key] for key in args.row.keys))
-    if set(_TRAIN) <= set(args.row.options):  # a row that trains: TrainingConfig checks the rest
-        _training_config(s)
     return s
 
 
@@ -148,22 +143,13 @@ def _training_config(s: dict) -> TrainingConfig:
 
 
 def _bind() -> None:
-    """Give this module the names of `_STAGE_NAMES`, importing their modules, and so numpy. A name already
-    bound stays, so that a stand-in set on this module before a command ran is the one the command calls."""
-    where = globals()
-    for name, module in _STAGE_NAMES.items():
-        if name not in where:
-            loaded = importlib.import_module(f"{__package__}.{module}")
-            where[name] = loaded if name == module else getattr(loaded, name)
-
-
-def __getattr__(name: str):
-    """A name of `_STAGE_NAMES` looked up from outside before any command bound it: `cli.corpus` and the rest
-    reach the modules whose attributes the commands call, and a stand-in set there is the one called."""
-    if name not in _STAGE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind()
-    return globals()[name]
+    """Import the stage modules, and so numpy, into this module. Every command calls this once its options and
+    outputs are checked; a stand-in set on a stage module's attribute before then is the one the command calls."""
+    global corpus, embeddings, evaluation, lexicon, reduction, weighting, \
+        seed_sequence, DenseEmbeddings, read_embeddings, start_embeddings
+    from . import corpus, embeddings, evaluation, lexicon, reduction, weighting
+    from .seeding import seed_sequence
+    from .vectors import DenseEmbeddings, read_embeddings, start_embeddings
 
 
 # --- stage functions: loaded inputs in, in the row's input order, then the resolved options

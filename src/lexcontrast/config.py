@@ -32,21 +32,17 @@ class TrainingConfig:
     track_objective: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise TrainingError(f"dim must be >= 1, got {self.dim}")
-        if self.negatives < 1:
-            raise TrainingError(f"negatives must be >= 1, got {self.negatives}")
+        for name, low in (("min_count", 1), ("window", 1), ("dim", 1), ("negatives", 1), ("epochs", 1),
+                          ("noise_exponent", 0)):
+            if not getattr(self, name) >= low:  # a NaN fails too
+                raise TrainingError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise TrainingError(f"learning rate must be > 0, got {self.learning_rate}")
         if not self.contrast_coefficient >= 0:
             raise TrainingError("contrast coefficient must be >= 0")
-        if self.epochs < 1 or self.window < 1 or self.min_count < 1:
-            raise TrainingError("epochs, window, min_count must all be >= 1")
         if self.threads != 1:
             raise TrainingError(f"threads must be 1, got {self.threads}: training runs in one thread")
         if self.subsample is not None and not self.subsample > 0:
             raise TrainingError("subsample threshold must be > 0 or None")
-        if not self.noise_exponent >= 0:
-            raise TrainingError("noise exponent must be >= 0")
         if self.max_contrast_neighbors is not None and self.max_contrast_neighbors < 1:
             raise TrainingError("max_contrast_neighbors must be >= 1 or None")

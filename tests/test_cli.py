@@ -15,12 +15,12 @@ import pytest
 from scipy import sparse
 
 import lexcontrast
-from lexcontrast import cli, corpus, embeddings, evaluation, reduction, tsvio, weighting
+from lexcontrast import cli, corpus, embeddings, evaluation, lexicon, reduction, tsvio, weighting
 from lexcontrast.cli import build_parser, main, read_config_file
 from lexcontrast.corpus import read_corpus, read_counts
 from lexcontrast.embeddings import TrainingConfig
 from lexcontrast.lexicon import load_lexicon
-from lexcontrast.vectors import read_embeddings
+from lexcontrast.vectors import read_embeddings, start_embeddings
 
 DATA = Path(__file__).parent / "data"
 # header lines of the 24 pipeline artifacts of `workspace`, plus the full vocab and counts files
@@ -100,7 +100,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read although --out is a directory")
 
-        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
         assert main(["vocab", "--corpus", "corpus.txt", "--min-count", "1", "--out", "adir"]) == 1
         assert capsys.readouterr().err == "error: Is a directory: adir\n"
 
@@ -114,7 +114,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read although both outputs name one file")
 
-        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
         capsys.readouterr()
         assert main([*train, "--out", "same.txt", "--context-out", "./same.txt"]) == 1
         assert capsys.readouterr().err == "error: --out and --context-out name the same file: ./same.txt\n"
@@ -171,7 +171,7 @@ class TestExitCodes:
             raise AssertionError("an input was read although an artifact would replace the corpus")
 
         monkeypatch.setattr(cli, "_load", refuse)
-        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
         argv = ["pipeline", "--corpus", "run/counts.tsv", "--lexicon", "lexicon.tsv", "--workdir", "run",
                 "--config", "run.cfg"]
         assert main(argv) == 1
@@ -194,8 +194,8 @@ class TestExitCodes:
             raise AssertionError("an input was read although an artifact path is a directory")
 
         monkeypatch.setattr(cli, "_load", refuse)
-        for reader in (cli.corpus.read_corpus, cli.lexicon.load_lexicon, cli.evaluation.load_relation_pairs,
-                       cli.evaluation.load_similarity_pairs):
+        for reader in (corpus.read_corpus, lexicon.load_lexicon, evaluation.load_relation_pairs,
+                       evaluation.load_similarity_pairs):
             monkeypatch.setattr(sys.modules[reader.__module__], reader.__name__, refuse)
         assert main(PIPELINE) == 1
         assert capsys.readouterr().err == "error: Is a directory: run/sgns.txt\n"
@@ -535,7 +535,7 @@ class TestOptionResolution:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read although the config file repeats a key")
 
-        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
         assert main(["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--config", "twice.cfg"]) == 1
         assert capsys.readouterr().err == "error: twice.cfg:3: repeated config key 'min_count'\n"
         assert not (workspace / "v.tsv").exists()
@@ -568,8 +568,8 @@ class TestOptionResolution:
         def refuse(*args, **kwargs):
             raise AssertionError("an input was read before the training options were checked")
 
-        for reader in (cli.corpus.read_corpus, cli.corpus.read_vocabulary, cli.lexicon.load_lexicon,
-                       cli.weighting.read_weighted):
+        for reader in (corpus.read_corpus, corpus.read_vocabulary, lexicon.load_lexicon,
+                       weighting.read_weighted):
             monkeypatch.setattr(sys.modules[reader.__module__], reader.__name__, refuse)
         capsys.readouterr()
         inputs = ["--corpus", "corpus.txt", "--vocab", "vocab.tsv"]
@@ -598,7 +598,7 @@ class TestOptionResolution:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read before the options were checked")
 
-        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
         assert main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "out",
                      f"{cli._flag(key)}={value}"]) == 1
         assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
@@ -613,13 +613,63 @@ class TestOptionResolution:
         def refuse(*args, **kwargs):
             raise AssertionError("the corpus was read before the options were checked")
 
-        monkeypatch.setattr(cli.corpus, "read_corpus", refuse)
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
         (workspace / "neg.cfg").write_text(f"min_count=1\n{key}={value}\n")
         option = [f"{cli._flag(key)}={value}"] if source == "flag" else ["--config", "neg.cfg"]
         assert main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "out",
                      *option]) == 1
         assert capsys.readouterr().err == f"error: {key} must be >= 0, got {shown}\n"
         assert not (workspace / "out").exists()
+
+    # every bounded option, its bound and the value just below it: the training options' bounds are
+    # TrainingConfig's, the rest the command line's own, and both print one text
+    BOUNDED = [("min_count", 1, "0"), ("window", 1, "0"), ("dim", 1, "0"), ("svd_dim", 1, "0"),
+               ("negatives", 1, "0"), ("epochs", 1, "0"), ("seed", 0, "-1"), ("noise_exponent", 0, "-0.001"),
+               ("beta", 0, "-0.001"), ("sigma_exponent", 0, "-0.001"), ("subsample", 0, "-0.001"),
+               ("max_contrast_neighbors", 0, "-1")]
+
+    # from a flag where the command has one (vocab: min_count and seed), and from a config file
+    BELOW = [pytest.param(command, source, *bounded, id=f"{command}-{source}-{bounded[0]}")
+             for bounded in BOUNDED for command in ("pipeline", "vocab") for source in ("flag", "config")
+             if source == "config" or command == "pipeline" or bounded[0] in ("min_count", "seed")]
+
+    @pytest.mark.parametrize("command, source, key, low, value", BELOW)
+    def test_value_below_its_bound_is_1_with_its_own_text(self, workspace, capsys, monkeypatch, command, source, key,
+                                                          low, value):
+        """Whichever of the two owns the bound, and whether or not the command trains."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read before the options were checked")
+
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
+        (workspace / "low.cfg").write_text(f"{key}={value}\n")
+        option = [f"{cli._flag(key)}={value}"] if source == "flag" else ["--config", "low.cfg"]
+        outputs = ["--lexicon", "lexicon.tsv", "--workdir", "out"] if command == "pipeline" else ["--out", "out"]
+        assert main([command, "--corpus", "corpus.txt", *outputs, *option]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= {low}, got {value}\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("setting, error", [("learning_rate=0", "learning rate must be > 0, got 0.0"),
+                                                ("threads=2", "threads must be 1, got 2: training runs in one thread")],
+                             ids=["learning_rate", "threads"])
+    def test_training_option_in_the_config_of_a_command_that_does_not_train_is_1(self, workspace, capsys,
+                                                                                 monkeypatch, setting, error):
+        """A config file shared with the trainers is checked whole by every command that reads it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read before the options were checked")
+
+        monkeypatch.setattr(corpus, "read_corpus", refuse)
+        (workspace / "train.cfg").write_text(f"min_count=1\n{setting}\n")
+        assert main(["vocab", "--corpus", "corpus.txt", "--out", "v.tsv", "--config", "train.cfg"]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (workspace / "v.tsv").exists()
+
+    @pytest.mark.parametrize("inputs", [["--corpus", "missing.txt", "--vocab", "missing.tsv"], []],
+                             ids=["input_file_not_found", "input_not_given"])
+    def test_bad_training_option_is_refused_before_the_inputs_are_checked(self, workspace, capsys, inputs):
+        """Option values are checked first: a missing input that would exit 2 alone gives way to exit 1."""
+        assert main(["train-sgns", *inputs, "--out", "out.txt", "--learning-rate", "0"]) == 1
+        assert capsys.readouterr().err == "error: learning rate must be > 0, got 0.0\n"
+        assert not (workspace / "out.txt").exists()
 
     def test_training_defaults_are_the_training_config_defaults(self):
         """DEFAULTS keeps the training defaults as literals for the help text and the config file's
@@ -813,7 +863,7 @@ class TestPipeline:
         whole = _tree_bytes(workspace / "run")
         for p in (workspace / "run").iterdir():
             p.unlink()
-        started, start = [], cli.start_embeddings
+        started, start = [], start_embeddings
 
         def recorded(*args):
             started.append(start(*args))
@@ -822,7 +872,7 @@ class TestPipeline:
         def diverge(*args):
             raise ValueError("training diverged")
 
-        monkeypatch.setattr(cli, "start_embeddings", recorded)
+        monkeypatch.setattr("lexcontrast.vectors.start_embeddings", recorded)
         monkeypatch.setattr(cli, stage, diverge)
         assert main(PIPELINE) == 1
         return whole, started

@@ -542,10 +542,23 @@ class TestSgnsTraining:
                 TrainingConfig(dim=6, min_count=1, threads=threads)
         assert TrainingConfig(dim=6, min_count=1, threads=1).threads == 1
 
-    @pytest.mark.parametrize("field", ["noise_exponent", "contrast_coefficient"])
-    def test_nan_knobs_are_refused(self, field):
-        with pytest.raises(TrainingError, match=field.replace("_", " ")):
+    @pytest.mark.parametrize("field, named", [("noise_exponent", "noise_exponent"),
+                                              ("contrast_coefficient", "contrast coefficient")],
+                             ids=["noise_exponent", "contrast_coefficient"])
+    def test_nan_knobs_are_refused(self, field, named):
+        with pytest.raises(TrainingError, match=named):
             TrainingConfig(dim=6, min_count=1, **{field: float("nan")})
+
+    @pytest.mark.parametrize("field, low, below", [("min_count", 1, 0), ("window", 1, 0), ("dim", 1, 0),
+                                                   ("negatives", 1, 0), ("epochs", 1, 0),
+                                                   ("noise_exponent", 0, -0.25)])
+    @pytest.mark.parametrize("nan", [False, True], ids=["below", "nan"])
+    def test_each_bounded_field_is_refused_in_its_own_words(self, field, low, below, nan):
+        """One text per field, the one the command line prints: no field shares a refusal with another."""
+        value = float("nan") if nan else below
+        with pytest.raises(TrainingError) as err:
+            TrainingConfig(**{"dim": 6, "min_count": 1, field: value})
+        assert str(err.value) == f"{field} must be >= {low}, got {value}"
 
     def test_embeddings_export(self):
         lines = _toy_corpus(np.random.default_rng(15), n_lines=20)

@@ -184,14 +184,14 @@ class TestAtomicWrites:
         assert cli.main(["vocab", "--corpus", "corpus.txt", "--out", "vocab.tsv", "--min-count", "1"]) == 0
         target = tmp_path / "artifact.txt"
         target.write_text("old contents\n")
-        start = cli.start_embeddings
+        start = start_embeddings
 
         def killed(*args):  # the child dies before it writes a row, as under the OOM killer
             pending = start(*args)
             pending.proc.kill()
             return pending
 
-        monkeypatch.setattr(cli, "start_embeddings", killed)
+        monkeypatch.setattr("lexcontrast.vectors.start_embeddings", killed)
         capsys.readouterr()
         assert cli.main(["train-sgns", "--corpus", "corpus.txt", "--vocab", "vocab.tsv",
                          "--out", "artifact.txt", "--min-count", "1", "--dim", "2", "--subsample", "0"]) == 1
