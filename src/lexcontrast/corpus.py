@@ -61,9 +61,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_ids
-
     def check_rows(self, table: str, shape: tuple[int, int], error: type[ValueError], square: bool = False) -> None:
         """Refuse `table` unless it has one row per word (and, if `square`, one column per word), naming
         both sizes: `table shape and vocabulary disagree: the LMI matrix (616, 616), the vocabulary 615 words`."""
@@ -117,9 +114,9 @@ def _as_corpus(lines: Corpus | TokenLines) -> Corpus:
 
 
 def read_corpus(path, lowercase: bool = True) -> Corpus:
-    """Encode a one-document-per-line corpus file, lowercasing each token if asked."""
+    """Encode a one-document-per-line corpus file, lowercasing each line if asked."""
     with tsvio.open_text(path) as fh:
-        return encode_lines([t.lower() for t in line.split()] if lowercase else line.split() for line in fh)
+        return encode_lines((line.lower() if lowercase else line).split() for line in fh)
 
 
 def build_vocabulary(lines: Corpus | TokenLines, min_count: int) -> Vocabulary:
@@ -131,12 +128,9 @@ def build_vocabulary(lines: Corpus | TokenLines, min_count: int) -> Vocabulary:
 
 def discard_probabilities(vocab: Vocabulary, threshold: float) -> np.ndarray:
     """Per-id discard probability max(0, 1 - sqrt(t / f(w))), f(w) the
-    word's share of the vocabulary's tokens."""
+    word's share of the vocabulary's tokens, which is > 0: every count is >= 1."""
     freqs = vocab.counts / float(vocab.total_tokens)
-    probs = np.zeros(len(vocab))
-    nz = freqs > 0
-    probs[nz] = 1.0 - np.sqrt(threshold / freqs[nz])
-    return np.clip(probs, 0.0, 1.0)
+    return np.clip(1.0 - np.sqrt(threshold / freqs), 0.0, 1.0)
 
 
 def subsample_ids(
@@ -168,9 +162,6 @@ class CooccurrenceCounts:
     targets: np.ndarray  # int64
     features: np.ndarray  # int64
     counts: np.ndarray  # int64
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 def count_cooccurrences(

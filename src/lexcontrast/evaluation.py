@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,24 +90,22 @@ class SparseRowTable:
 
     def __init__(self, weights: WeightedMatrix, vocab: Vocabulary):
         vocab.check_rows(f"the {weights.scheme} matrix", weights.shape, EvalError)
-        self.weights, self.vocab = weights, vocab
-        self.word_ids, self.matrix = vocab.word_ids, weights.matrix
+        self.weights, self.word_ids, self.matrix = weights, vocab.word_ids, weights.matrix
 
 
-def score_pairs(vectors, pairs: Iterable) -> list[tuple]:
-    """Cosine per pair; None marks a pair with an unrepresented word.
+def score_pairs(vectors, pairs: Sequence) -> np.ndarray:
+    """Cosine per pair, NaN where a word is unrepresented; no other pair scores NaN.
 
     `vectors` is dense embeddings or a SparseRowTable over a weighted matrix:
     anything with a `word_ids` map onto the rows of its `matrix`. A word with
     an all-zero row is represented and scores 0.
     """
-    pairs = list(pairs)
     ids = vectors.word_ids
     known = [i for i, p in enumerate(pairs) if p.word1 in ids and p.word2 in ids]
-    left = [ids[pairs[i].word1] for i in known]
-    right = [ids[pairs[i].word2] for i in known]
-    scores = dict(zip(known, pair_cosines(vectors.matrix, left, right).tolist()))
-    return [(p, scores.get(i)) for i, p in enumerate(pairs)]
+    scores = np.full(len(pairs), np.nan)
+    scores[known] = pair_cosines(vectors.matrix, [ids[pairs[i].word1] for i in known],
+                                 [ids[pairs[i].word2] for i in known])
+    return scores
 
 
 def average_precision(ranked: Sequence[str], relevant: str) -> float:
@@ -207,15 +205,15 @@ def rank_classes(vectors, pair_set: RelationPairSet) -> MetricReport:
     """
     report = MetricReport()
     for word_class, (pairs, tie) in pair_set.by_class.items():
-        scored = score_pairs(vectors, pairs)
-        cos = np.array([np.nan if s is None else s for _, s in scored])  # NaN: an unrepresented word
-        known = np.flatnonzero(cos == cos)
+        cos = score_pairs(vectors, pairs)
+        unscored = np.isnan(cos)
+        known = np.flatnonzero(~unscored)
         order = known[np.lexsort((tie[known], -cos[known]))]
         labels = np.array([p.label for p in pairs])[order]
         scores, syn = cos[order], labels == "SYN"
         has_syn, has_ant = syn.any(), not syn.all()
         report.classes[word_class] = ClassMetrics(
-            n_total=len(pairs), n_scored=len(order), oov=[(p.word1, p.word2) for p, s in scored if s is None],
+            n_total=len(pairs), n_scored=len(order), oov=[pairs[i][:2] for i in np.flatnonzero(unscored)],
             ap_syn=average_precision(labels, "SYN") if has_syn else None,
             ap_ant=average_precision(labels, "ANT") if has_ant else None,
             auc=auc(scores, syn) if has_syn and has_ant else None,
@@ -272,14 +270,14 @@ def eval_spearman(vectors, pair_set: SimilarityPairSet) -> tuple[MetricReport, i
     Returns (report, n_scored, n_total); unrepresented pairs are excluded. Rho
     is None where `spearman` cannot define it, with its reason as the warning.
     """
-    scored = score_pairs(vectors, pair_set.pairs)
-    present = [(p, s) for p, s in scored if s is not None]
+    scores = score_pairs(vectors, pair_set.pairs)
+    known = ~np.isnan(scores)
     try:
-        rho = spearman([s for _, s in present], [p.rating for p, _ in present])
+        rho = spearman(scores[known], np.array([p.rating for p in pair_set.pairs])[known])
     except EvalError as exc:
         warnings.warn(f"{exc}, rho unset")
         rho = None
-    return MetricReport(spearman=rho), len(present), len(scored)
+    return MetricReport(spearman=rho), int(known.sum()), len(scores)
 
 
 # --- dataset files

@@ -102,28 +102,17 @@ def _factor(matrix, k: int, mode: str, seed: int, shape: tuple[int, int], cols):
     """U, s and Vt of `matrix`, cut at rank k; `shape` and `cols` place it in the whole matrix."""
     if mode == "randomized":
         return _randomized_svd(matrix.astype(np.float64), k, seed, shape, cols)
-    dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix)
-    u, s, vt = np.linalg.svd(dense.astype(np.float64, copy=False), full_matrices=False)
+    u, s, vt = np.linalg.svd(matrix.toarray().astype(np.float64, copy=False), full_matrices=False)
     return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
-
-
-def _block(matrix, rows: np.ndarray, cols: np.ndarray):
-    """A copy of the submatrix at `rows` and `cols`, sparse if `matrix` is."""
-    if sparse.issparse(matrix):
-        return matrix.tocsr()[rows][:, cols]
-    return np.asarray(matrix)[np.ix_(rows, cols)]
 
 
 def _nonempty(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the rows and of the columns that hold a nonzero value; a stored 0 is empty."""
     n, m = matrix.shape
-    if sparse.issparse(matrix):
-        coo = matrix.tocoo()
-        nonzero = coo.data != 0
-        return (np.flatnonzero(np.bincount(coo.row[nonzero], minlength=n)),
-                np.flatnonzero(np.bincount(coo.col[nonzero], minlength=m)))
-    nonzero = np.asarray(matrix) != 0
-    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    coo = matrix.tocoo()
+    nonzero = coo.data != 0
+    return (np.flatnonzero(np.bincount(coo.row[nonzero], minlength=n)),
+            np.flatnonzero(np.bincount(coo.col[nonzero], minlength=m)))
 
 
 def truncated_svd(
@@ -135,13 +124,15 @@ def truncated_svd(
 ) -> SvdResult:
     """Rank-`dim` truncated SVD with row vectors U_d * diag(s_d ** exponent).
 
-    mode: "dense" forces the exact factorization, "randomized" the sketched
-    one, "auto" picks dense below DENSE_CUTOFF of the full shape. If dim
-    exceeds min(shape) the factorization is truncated there; effective_rank
-    counts the singular values that are numerically nonzero, which can be
-    smaller still. Only the block of nonzero rows and columns is factored:
-    empty rows and columns get exact zeros, and so do components beyond the
-    block's size, with singular value 0. `matrix` is never modified.
+    `matrix` is a scipy sparse matrix; a dense array is refused with
+    ReductionError. mode: "dense" forces the exact factorization,
+    "randomized" the sketched one, "auto" picks dense below DENSE_CUTOFF of
+    the full shape. If dim exceeds min(shape) the factorization is truncated
+    there; effective_rank counts the singular values that are numerically
+    nonzero, which can be smaller still. Only the block of nonzero rows and
+    columns is factored: empty rows and columns get exact zeros, and so do
+    components beyond the block's size, with singular value 0. `matrix` is
+    never modified.
     """
     if dim < 1:
         raise ReductionError(f"dim must be >= 1, got {dim}")
@@ -149,6 +140,8 @@ def truncated_svd(
         raise ReductionError("sigma exponent must be >= 0")
     if mode not in ("auto", "dense", "randomized"):
         raise ReductionError(f"unknown svd mode {mode!r}")
+    if not sparse.issparse(matrix):
+        raise ReductionError(f"matrix must be scipy sparse, got {type(matrix).__name__}")
     n, m = matrix.shape
     k = min(dim, n, m)
     if mode == "auto":
@@ -157,7 +150,7 @@ def truncated_svd(
     if len(rows) == n and len(cols) == m:
         u, s, vt = _factor(matrix, k, mode, seed, (n, m), slice(None))
     else:  # an all-zero matrix needs no factorization
-        factors = _factor(_block(matrix, rows, cols), k, mode, seed, (n, m), cols) if len(rows) else ()
+        factors = _factor(matrix.tocsr()[rows][:, cols], k, mode, seed, (n, m), cols) if len(rows) else ()
         u, s, vt = np.zeros((n, k)), np.zeros(k), np.zeros((k, m))  # after the factorization, out of its peak
         if factors:
             r = len(factors[1])

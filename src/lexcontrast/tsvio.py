@@ -69,17 +69,11 @@ def write_meta(fh: TextIO, meta: dict[str, str] | None) -> None:
         fh.write(f"#{key}={value}\n")
 
 
-def write_rows(
-    path: str | os.PathLike,
-    rows: Iterable[Sequence[object]],
-    meta: dict[str, str] | None = None,
-    line: str | None = None,
-) -> None:
-    """Write the `meta` header lines, then one line per row: its fields joined by tabs, or
-    `line.format(*row)`, which formats rows of one known width faster, with the same text."""
+def write_rows(path: str | os.PathLike, rows: Iterable[Sequence[object]], meta: dict[str, str] | None = None) -> None:
+    """Write the `meta` header lines, then one line per row of three fields, joined by tabs."""
     with atomic_writer(path) as fh:
         write_meta(fh, meta)
-        fh.writelines(starmap(line.format, rows) if line else ("\t".join(map(str, row)) + "\n" for row in rows))
+        fh.writelines(starmap("{}\t{}\t{}\n".format, rows))
 
 
 def read_columns(
@@ -162,7 +156,7 @@ def read_meta(path: str | os.PathLike) -> dict[str, str]:
 def write_table(path: str | os.PathLike, header: dict[str, object], meta: dict[str, str] | None,
                 rows: np.ndarray, cols: np.ndarray, values: Iterable[object]) -> None:
     """Write the `header` lines, then `meta`'s, then one row<TAB>column<TAB>value line per cell."""
-    write_rows(path, zip(rows.tolist(), cols.tolist(), values), {**header, **(meta or {})}, "{}\t{}\t{}\n")
+    write_rows(path, zip(rows.tolist(), cols.tolist(), values), {**header, **(meta or {})})
 
 
 def read_table(path: str | os.PathLike, shape: tuple[str, str], header: dict[str, Callable[[str], object]],

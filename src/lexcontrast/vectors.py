@@ -69,9 +69,6 @@ class DenseEmbeddings:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_ids
-
 
 # The writer child, stdlib only. argv: the temporary file, the row count and the
 # column count; stdin: a file holding the words, one per line, then the rows as

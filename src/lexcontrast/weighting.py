@@ -52,9 +52,6 @@ class WeightedMatrix:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def __len__(self) -> int:
-        return int(self.matrix.nnz)
-
     def validate(self) -> None:
         """Check the value invariants of a pure-scheme matrix.
 
@@ -100,9 +97,13 @@ def pair_cosines(matrix, a, b) -> np.ndarray:
     """Cosine between rows a[i] and b[i] of a dense array or a sparse matrix.
 
     Only the rows the pairs name are read, and all the pair dot products are
-    taken in one call. Each cosine is the raw dot product over the product
-    of the two norms, so parallel rows score exactly +-1 when the
-    arithmetic allows it; a row of norm 0 scores 0 against any row.
+    taken in one call. Each row is first scaled by 2**-e, e the frexp exponent
+    of its largest |value|: no square overflows or underflows, and a power of
+    two scales exactly short of subnormal results, so a cosine that did not
+    overflow or underflow unscaled keeps its bits.
+    Each cosine is the dot product over the product of the two norms, so
+    parallel rows score exactly +-1 when the arithmetic allows it; a row of
+    norm 0 scores 0 against any row.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -112,10 +113,15 @@ def pair_cosines(matrix, a, b) -> np.ndarray:
     left, right = inverse[: len(a)], inverse[len(a) :]
     sub = matrix[rows]
     if sparse.issparse(sub):
+        sub = sub.tocsr()
+        if sub.nnz:  # a new data array: `matrix` keeps its values
+            peak = abs(sub).max(axis=1).toarray().ravel()
+            sub.data = np.ldexp(sub.data, -np.repeat(np.frexp(peak)[1], np.diff(sub.indptr)))
         norms = np.sqrt(np.asarray(sub.multiply(sub).sum(axis=1)).ravel())
         dots = np.asarray(sub[left].multiply(sub[right]).sum(axis=1)).ravel()
     else:
         sub = np.asarray(sub, dtype=np.float64)
+        sub = np.ldexp(sub, -np.frexp(np.abs(sub).max(axis=1, initial=0.0))[1][:, None])
         norms = np.linalg.norm(sub, axis=1)
         dots = np.einsum("ij,ij->i", sub[left], sub[right])
     return _ratio(dots, norms[left] * norms[right])

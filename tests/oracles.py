@@ -714,7 +714,7 @@ def read_weighted(path) -> WeightedMatrix:
                "weight": bounded(float, -sys.float_info.max, sys.float_info.max, "weight is NaN or infinite")}
     rows, cols, vals = read_columns(path, columns, WeightingError)
     wm = WeightedMatrix(scheme, sparse.coo_matrix((vals, (rows, cols)), shape=(n_words, n_features)).tocsr())
-    if len(wm) < len(vals):
+    if wm.matrix.nnz < len(vals):
         raise WeightingError(f"{path}: duplicate (target, feature) cells")
     if scheme == SCHEME_LMI:
         try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,9 @@ def build_world(
         add(_member(c, "b", 0), _member(c, "b", 1), 8.0)
         add(_member(c, "a", 0), _member(c, "b", pole_size - 1), 1.0)
         add(_member(c, "a", 1), _member(c, "b", 1), 1.0)
+    cross = math.comb(n_concepts, 2) * (2 * pole_size) ** 2  # distinct cross-concept pairs
+    if 4 * n_concepts + n_mid_pairs - len(sims) > cross:
+        raise ValueError(f"n_mid_pairs={n_mid_pairs} asks for more than the {cross} cross-concept pairs")
     while len(sims) < 4 * n_concepts + n_mid_pairs:
         c1, c2 = rng.choice(n_concepts, size=2, replace=False)
         add(

@@ -4,6 +4,7 @@ formats, and byte-level reproducibility of the pipeline."""
 import argparse
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -729,6 +730,21 @@ class TestFrozenReport:
         assert "ap_syn" not in noun
         assert noun["coverage"] == 0.5
 
+    def test_vectors_far_from_one_are_scored_or_oov(self, tmp_path, monkeypatch, capsys):
+        # the squares of 1e200 overflow and those of 1e-200 underflow
+        monkeypatch.chdir(tmp_path)
+        Path("vec.txt").write_text("3 2\na 1e+200 1e+200\nb 1e+200 1e+200\nc 1e-200 3e-200\n")
+        Path("pairs.tsv").write_text("a\tb\tSYN\tADJ\na\tc\tANT\tADJ\nb\tc\tANT\tADJ\na\tzzz\tSYN\tADJ\n")
+        Path("sim.tsv").write_text("a\tb\t9.0\na\tc\t2.0\nb\tc\t1.0\na\tzzz\t5.0\n")
+        assert main(["eval-ap", "--vectors", "vec.txt", "--pairs", "pairs.tsv", "--json"]) == 0
+        adj = json.loads(capsys.readouterr().out)["classes"]["ADJ"]
+        assert adj["n_scored"] + len(adj["oov"]) == adj["n_total"] == 4
+        assert (adj["oov"], adj["ap_syn"], adj["ap_ant"]) == ([["a", "zzz"]], 1.0, pytest.approx(7 / 12))
+        assert main(["eval-spearman", "--vectors", "vec.txt", "--pairs", "sim.tsv", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["n_scored"], payload["n_total"]) == (3, 4)
+        assert payload["spearman"] == pytest.approx(math.sqrt(3) / 2)
+
     @pytest.mark.parametrize("command, own", [
         ("eval-ap", "no SYN pairs, AP_SYN unset"),
         ("eval-auc", "single-label class, AUC unset"),
@@ -1022,7 +1038,7 @@ class TestEmptyRows:
         assert all(rows[vocab.words[i]] == " ".join(["0.0"] * dim) for i in empty)
         pairs = [evaluation.RelationPair(vocab.words[a], vocab.words[b], "SYN", "ADJ")
                  for a, b in zip(empty[:-1], empty[1:])]
-        assert [score for _, score in evaluation.score_pairs(read_embeddings(out), pairs)] == [0.0] * len(pairs)
+        assert evaluation.score_pairs(read_embeddings(out), pairs).tolist() == [0.0] * len(pairs)
 
 
 def _header_lines(path: Path) -> list[str]:

@@ -136,6 +136,14 @@ class TestVocabulary:
             reader(path)
 
 
+class TestSyntheticWorld:
+    def test_more_mid_pairs_than_cross_concept_pairs_is_refused(self):
+        # 3 concepts of 2 x 2 members have 3 * 4**2 = 48 cross-concept pairs, fewer than 60
+        with pytest.raises(ValueError, match="n_mid_pairs=60 asks for more than the 48 cross-concept pairs"):
+            build_world(0, n_concepts=3, pole_size=2, sentences=10)
+        assert len(build_world(0, n_concepts=3, pole_size=2, sentences=10, n_mid_pairs=48).similarity_pairs.pairs) == 60
+
+
 class TestSubsampling:
     def test_discard_probability_formula(self):
         # f(w) = 1e-3 at threshold 1e-5 discards with probability 1 - 0.1

@@ -233,9 +233,9 @@ class TestScoring:
             RelationPair("hot", "missing", "SYN", "ADJ"),
         ]
         scored = score_pairs(emb, pairs)
-        assert scored[0][1] == pytest.approx(1.0)
-        assert scored[1][1] == pytest.approx(-1.0)
-        assert scored[2][1] is None
+        assert scored[0] == pytest.approx(1.0)
+        assert scored[1] == pytest.approx(-1.0)
+        assert np.isnan(scored[2])
 
     def test_sparse_table_matches_dense(self):
         rng = np.random.default_rng(10)
@@ -253,11 +253,7 @@ class TestScoring:
         ]
         got = score_pairs(table, pairs)
         want = score_pairs(emb, pairs)
-        for (_, g), (_, w) in zip(got, want):
-            if w is None:
-                assert g is None
-            else:
-                assert g == pytest.approx(w, abs=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)  # NaN where `want` has NaN
 
     def test_sparse_table_shape_check(self):
         vocab = Vocabulary.from_counts({"a": 1})
@@ -377,7 +373,7 @@ class TestReports:
         )
         report = eval_auc(emb, pairs)
         scored = score_pairs(emb, pairs.pairs)
-        want = auc([s for _, s in scored], [p.label == "SYN" for p, _ in scored])
+        want = auc(scored, [p.label == "SYN" for p in pairs.pairs])
         assert report.classes["ADJ"].auc == pytest.approx(want, abs=1e-15)
 
     def test_eval_auc_single_label_unset(self):
@@ -431,6 +427,25 @@ class TestReports:
         for view in views:
             for name, cm in view.classes.items():
                 assert {k: v for k, v in vars(cm).items() if v is not None}.items() <= vars(ranked.classes[name]).items()
+
+    @pytest.mark.parametrize("value", [1e308, 1e200, 1e-200])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_rows_far_from_one_are_scored(self, value, layout):
+        """A pair of finite rows always scores; only an unrepresented word leaves it unscored."""
+        words = ["a", "b", "c"]
+        matrix = np.array([[value, value], [value, value], [value, 0.0]])
+        vocab = Vocabulary.from_counts({w: 3 - i for i, w in enumerate(words)})
+        vectors = (DenseEmbeddings(words, matrix) if layout == "dense"
+                   else SparseRowTable(WeightedMatrix(SCHEME_LMI, sparse.csr_matrix(matrix)), vocab))
+        pairs = [RelationPair("a", "b", "SYN", "ADJ"), RelationPair("a", "c", "ANT", "ADJ"),
+                 RelationPair("b", "c", "ANT", "ADJ"), RelationPair("a", "zzz", "SYN", "ADJ")]
+        cm = rank_classes(vectors, RelationPairSet(tuple(pairs))).classes["ADJ"]
+        assert cm.n_scored + len(cm.oov) == cm.n_total == 4
+        assert (cm.oov, cm.ap_syn, cm.auc) == ([("a", "zzz")], 1.0, 1.0)
+        ratings = SimilarityPairSet(tuple(SimilarityPair(*p[:2], r) for p, r in zip(pairs, [9.0, 2.0, 1.0, 5.0])))
+        report, n_scored, n_total = eval_spearman(vectors, ratings)
+        assert (n_scored, n_total) == (3, 4)
+        assert report.spearman == pytest.approx(math.sqrt(3) / 2, abs=1e-15)  # a-c and b-c tie
 
     def test_eval_spearman_coverage(self):
         emb = _embeddings()

@@ -1,6 +1,7 @@
 """Property tests: the vectorised scorer, contrast transform and tie-averaged
-ranks against the loop implementations they replaced; the trainer's contrast
-sets against the per-key frozenset form; the batched SGNS/dLCE trainers
+ranks against the loop implementations they replaced, and the scorer's bits
+under power-of-two row scaling; the trainer's contrast sets against the
+per-key frozenset form; the batched SGNS/dLCE trainers
 against the batch rule spelled out pair by pair and, at batch size 1, step by
 step against the per-pair loop they replaced, and bit for bit against the
 per-batch sorting scatter and searchsorted noise draws; the trainers'
@@ -12,9 +13,10 @@ contrast waves against the same hits applied one at a time,
 co-occurrence counting against its chunked form and against the trainer's
 pair stream, subsampling against one draw call per line, a corpus file's
 encoding against the Counter vocabulary and per-line id arrays of its token
-lists, the SVD of the nonzero block against the whole-matrix SVD it
-replaced, in every sparse and dense input layout, and the LU-normalized
-randomized SVD against the QR-normalized one (tests/oracles.py).
+lists, and its lowercasing by line against lowercasing by token, the SVD of
+the nonzero block against the whole-matrix SVD it replaced, in every sparse
+input layout, and the LU-normalized randomized SVD against the QR-normalized
+one (tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
 they are continuous: a contrast weight is then exactly 0 only where both of
@@ -138,14 +140,30 @@ def test_score_pairs_matches_per_pair_oracle(case):
     for vectors in (table, DenseEmbeddings(words, dense)):
         got = score_pairs(vectors, pairs)
         want = oracles.score_pairs(vectors, pairs)
-        assert [p for p, _ in got] == pairs
-        for (pair, g), (_, w) in zip(got, want):
+        assert len(got) == len(pairs)
+        for pair, g, (_, w) in zip(pairs, got, want):
             if "oov" in (pair.word1, pair.word2):
-                assert g is None and w is None
+                assert np.isnan(g) and w is None
             else:
                 assert abs(g - w) <= TOL
                 if not (dense[words.index(pair.word1)].any() and dense[words.index(pair.word2)].any()):
-                    assert g == 0.0  # an in-vocabulary empty row scores 0, not None
+                    assert g == 0.0  # an in-vocabulary empty row scores 0, not NaN
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_cases(), st.data())
+def test_scores_keep_their_bits_when_rows_scale_by_powers_of_two(case, data):
+    # values near 2**1020 square to inf and values near 2**-1000 square to 0; each row's
+    # scaling to its own largest value makes both score as the unscaled rows do
+    dense, words, pairs = case
+    exponents = data.draw(st.lists(st.integers(-1000, 1020), min_size=len(words), max_size=len(words)))
+    scaled = np.ldexp(dense, np.array(exponents)[:, None])
+    vocab = Vocabulary.from_counts({w: len(words) - i for i, w in enumerate(words)})
+    for make in (lambda m: SparseRowTable(WeightedMatrix(SCHEME_LMI, sparse.csr_matrix(m)), vocab),
+                 lambda m: DenseEmbeddings(words, m)):
+        want, got = score_pairs(make(dense), pairs), score_pairs(make(scaled), pairs)
+        assert np.array_equal(np.isnan(got), ["oov" in pair[:2] for pair in pairs])
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -669,6 +687,29 @@ def test_read_corpus_matches_per_line_oracle(lines, lowercase, min_count):
     np.testing.assert_array_equal(got[1], want[1])  # line numbers, int32 against int64
 
 
+# Lowercasing whose result depends on the neighbours (a final sigma, a sigma
+# before a case-ignorable mark), that changes the length (İ), that has no
+# single-letter lower form (ß stays), and seven kinds of whitespace.
+context_text = st.text(st.one_of(
+    st.sampled_from(["Σ", "σ", "ς", "İ", "ß", "ẞ", "A", "a", "'", ".", "\u0301", "\u00ad",
+                     " ", "\t", "\x0b", "\x0c", "\x85", "\xa0", "\u3000"]),
+    st.characters(blacklist_categories=("Cs",))), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(context_text)
+def test_read_corpus_lowers_each_line_as_it_lowered_each_token(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.txt"
+        path.write_text(text, encoding="utf-8")
+        got = read_corpus(path)
+        with open(path, encoding="utf-8-sig") as fh:
+            want = encode_lines([[t.lower() for t in line.split()] for line in fh])
+    assert got.types == want.types
+    _same_bits(got.tok, want.tok)
+    _same_bits(got.line, want.line)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(0, n - 1), max_size=12), max_size=15),
@@ -691,15 +732,15 @@ def test_subsampling_matches_per_line_oracle(case, seed):
 
 @st.composite
 def svd_cases(draw, whole=False):
-    """A wide or tall matrix, dense or sparse, with a rank to cut it at.
+    """A wide or tall sparse matrix, with a rank to cut it at.
 
     Rank-deficient matrices are exactly so: every row is a power-of-two
     multiple of one of r < 4 continuous rows, so their rank sits below the
     sketch width and their nonzero singular values are distinct. Up to three
-    rows and three columns are emptied, and a sparse matrix may store zeros,
-    which count as empty. A sparse matrix is CSR, CSC or COO, and a dense
-    one C- or Fortran-ordered. A `whole` matrix has no empty row or column:
-    nothing is emptied, and a full one gets a nonzero wrapped diagonal.
+    rows and three columns are emptied, and the matrix may store zeros, which
+    count as empty. It is CSR, CSC or COO. A `whole` matrix has no empty row
+    or column: nothing is emptied, and a full one gets a nonzero wrapped
+    diagonal.
     """
     n, m = draw(st.integers(1, 50)), draw(st.integers(1, 50))
     kind = draw(st.sampled_from(["full", "rank-deficient"] + ([] if whole else ["zero"])))
@@ -718,18 +759,13 @@ def svd_cases(draw, whole=False):
     if not whole:
         dense[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
         dense[:, draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
-    if draw(st.booleans()):
-        stored = (dense != 0) | (rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1, 0.5])))
-        layout = draw(st.sampled_from([sparse.csr_matrix, sparse.csc_matrix, sparse.coo_matrix]))
-        matrix = layout((dense[stored], np.nonzero(stored)), shape=(n, m))
-    else:
-        matrix = dense.copy(order=draw(st.sampled_from("CF")))
+    stored = (dense != 0) | (rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1, 0.5])))
+    layout = draw(st.sampled_from([sparse.csr_matrix, sparse.csc_matrix, sparse.coo_matrix]))
+    matrix = layout((dense[stored], np.nonzero(stored)), shape=(n, m))
     return dense, matrix, kind, draw(st.integers(1, min(n, m) + 2)), draw(st.integers(0, 1000))
 
 
 def _storage(matrix) -> list[np.ndarray]:
-    if not sparse.issparse(matrix):
-        return [matrix]
     if matrix.format == "coo":
         return [matrix.data, matrix.row, matrix.col]
     return [matrix.data, matrix.indices, matrix.indptr]

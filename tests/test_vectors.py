@@ -20,7 +20,7 @@ def _sample(rng, n=5, d=4):
 class TestContainer:
     def test_lookup(self):
         emb = _sample(np.random.default_rng(0))
-        assert "w2" in emb and "nope" not in emb
+        assert "w2" in emb.word_ids and "nope" not in emb.word_ids
         np.testing.assert_array_equal(emb.matrix[emb.word_ids["w2"]], emb.matrix[2])
         assert emb.dim == 4 and len(emb) == 5
 
@@ -143,7 +143,7 @@ def _fails_after_one(first):
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("write", [
-        lambda path: tsvio.write_rows(path, _fails_after_one(("b", 2))),
+        lambda path: tsvio.write_rows(path, _fails_after_one(("b", 2, 3))),
     ], ids=["write_rows"])
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, write):
         target = tmp_path / "artifact.txt"

@@ -61,12 +61,12 @@ class TestLmi:
         # all four cells equal: every ratio inside the log is 1
         cells = {(0, 0): 3, (0, 1): 3, (1, 0): 3, (1, 1): 3}
         lmi = compute_lmi(_counts_from_dict(2, cells))
-        assert len(lmi) == 0
+        assert lmi.matrix.nnz == 0
         assert lmi.shape == (2, 2)
 
     def test_single_cell_scores_zero_and_is_dropped(self):
         lmi = compute_lmi(_counts_from_dict(2, {(0, 1): 5}))
-        assert len(lmi) == 0
+        assert lmi.matrix.nnz == 0
 
     def test_association_beats_chance(self):
         # (0,1) co-occurs more than independence predicts, (0,2) less
@@ -130,6 +130,19 @@ class TestCosine:
             got = pair_cosines(matrix, [0, 0, 2, 4], [0, 1, 3, 0])
             np.testing.assert_allclose(got, [1.0, -1.0, 0.0, 0.0], rtol=0, atol=1e-15)
         assert len(pair_cosines(rows, [], [])) == 0
+
+    def test_rows_without_columns_score_zero(self):
+        for matrix in (np.zeros((3, 0)), sparse.csr_matrix((3, 0))):
+            assert pair_cosines(matrix, [0, 1], [1, 2]).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("value", [1e308, 1e200, 1e-200, 5e-324])
+    def test_rows_far_from_one_score_their_direction(self, value):
+        # the squares of these values overflow to inf or underflow to 0
+        rows = np.array([[value, value], [value, value], [value, -value], [value, 0.0]])
+        for matrix in (rows.copy(), sparse.csr_matrix(rows)):
+            got = pair_cosines(matrix, [0, 0, 0], [1, 2, 3])
+            np.testing.assert_allclose(got, [1.0, 0.0, math.sqrt(0.5)], rtol=0, atol=1e-15)
+            assert np.array_equal(matrix.toarray() if sparse.issparse(matrix) else matrix, rows)
 
 
 class TestFeatureIndex:
@@ -317,7 +330,7 @@ class TestContrastWeighting:
         dense, wm, _, vocab = _random_instance(rng)
         empty = ContrastLexicon.from_pairs([], [])
         sa = compute_weight_sa(wm, build_feature_index(wm), empty, vocab)
-        assert len(sa) == 0
+        assert sa.matrix.nnz == 0
         assert sa.scheme == SCHEME_SA
 
     def test_fallback_keeps_lmi_rows_for_uncovered_words(self):
@@ -396,7 +409,7 @@ class TestContrastWeighting:
         sa = compute_weight_sa(wm, build_feature_index(wm), lex, vocab)
         # "a" is in the lexicon but all terms are empty -> all weights 0.0,
         # which are not stored; "b" is uncovered -> no row either
-        assert len(sa) == 0
+        assert sa.matrix.nnz == 0
 
 
 class TestWeightedIo:
@@ -435,7 +448,7 @@ class TestWeightedIo:
             new(tmp_path / "new.tsv", table, meta)
             old(tmp_path / "old.tsv", table, meta)
             assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
-        assert len(sa) > len(lmi) // 2
+        assert sa.matrix.nnz > lmi.matrix.nnz // 2
 
     def test_readers_match_the_former_readers(self, tmp_path):
         rng = np.random.default_rng(37)
