@@ -135,13 +135,12 @@ def build_noise_distribution(vocab: Vocabulary, exponent: float = 0.75) -> Noise
 
 @dataclass
 class EmbeddingModel:
-    """Target matrix W, context matrix C, and the run that produced them."""
+    """Target matrix W, context matrix C, and the per-epoch history of the run that made them."""
 
     W: np.ndarray
     C: np.ndarray
     vocab: Vocabulary
-    config: TrainingConfig
-    history: list[dict] = field(default_factory=list)
+    history: list[dict] = field(default_factory=list, init=False)
 
     def embeddings(self, source: str = "sgns", average_contexts: bool = False) -> DenseEmbeddings:
         matrix = (self.W + self.C) / 2.0 if average_contexts else self.W.copy()
@@ -350,8 +349,9 @@ def _epoch_pairs(ids: tuple[np.ndarray, np.ndarray], vocab: Vocabulary, cfg: Tra
     if cfg.subsample is not None:
         ids = subsample_ids(ids, discard_probabilities(vocab, cfg.subsample), rng_for(cfg.seed, "subsample", epoch))
     tok, line_id = ids
-    keys = np.sort(window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok)))
-    return tok[keys // len(tok)].astype(np.int32), tok[keys % len(tok)].astype(np.int32)
+    keys = window_keys(np.arange(len(tok)), line_id, cfg.window, len(tok))
+    keys.sort()
+    return tok[keys // len(tok)].astype(np.int32, copy=False), tok[keys % len(tok)].astype(np.int32, copy=False)
 
 
 # --- contrast bookkeeping for the dLCE loop
@@ -577,7 +577,7 @@ def _train(
     labels = np.zeros(cfg.negatives + 1)
     labels[0] = 1.0
 
-    model = EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
+    model = EmbeddingModel(W=W, C=C, vocab=vocab)
     batch = batch_size(noise, cfg.negatives)
     work = _StepWork.of(batch, cfg.negatives + 1, d)
     span = batch * max(1, PLAN_PAIRS // batch)  # pairs per block, a whole number of batches

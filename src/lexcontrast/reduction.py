@@ -13,15 +13,17 @@ singular values at a fraction of the dense cost (Halko, Martinsson & Tropp
   of the cost (Li et al. 2017, "Algorithm 971", arXiv:1412.3510);
 - one economic QR of the final Y gives the orthonormal basis Q;
 - the small SVD is taken of the tall B^T = A^T Q rather than of the wide
-  B = Q^T A, which LAPACK factors faster; A ~ (Q Ub) diag(s) Vt follows.
+  B = Q^T A, which LAPACK factors faster: A ~ (Q Ub) diag(s) Vt, U = Q Ub.
 
-Either mode factors only the block of rows and columns that hold a nonzero
-value and writes its U rows and Vt columns back into zeros of the full
-shape. Empty rows and columns lie in the null space, so the truncated SVD
-is the same, and the row of a word with no weight (in SA, a word without a
-lexicon entry) is exactly 0 instead of rounding noise. The block's sketch
-is its rows of the whole matrix's sketch, "auto" picks the mode from the
-full shape, and a matrix with no empty row or column is factored whole.
+Only U and s are kept, since a word's vector is its row of U diag(s)^sigma:
+either mode drops Vt as LAPACK returns it. Either mode factors only the
+block of rows and columns that hold a nonzero value and writes its U rows
+back into zeros of the full shape. Empty rows and columns lie in the null
+space, so the truncated SVD is the same, and the row of a word with no
+weight (in SA, a word without a lexicon entry) is exactly 0 instead of
+rounding noise. The block's sketch is its rows of the whole matrix's
+sketch, "auto" picks the mode from the full shape, and a matrix with no
+empty row or column is factored whole.
 
 Every dense block of the randomized path is n x (k + DEFAULT_OVERSAMPLE),
 the sketch's size, and is a product that the function owns: LU, QR and the
@@ -58,11 +60,10 @@ class ReductionError(ValueError):
 @dataclass(frozen=True)
 class SvdResult:
     """Truncated factorization A ~ U diag(s) Vt, held as the row vectors
-    U diag(s ** sigma_exponent), s and Vt."""
+    U diag(s ** sigma_exponent) and s; Vt is not kept."""
 
     row_vectors: np.ndarray  # U_d * diag(s_d ** sigma_exponent)
     singular_values: np.ndarray
-    right_vectors: np.ndarray  # Vt_d
     effective_rank: int
     mode_used: str
 
@@ -70,7 +71,7 @@ class SvdResult:
 def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
     """The sketch is drawn for the whole matrix of `shape` and rank k, and
     `cols` picks its rows for the columns that `matrix` holds (a slice for
-    the whole). Returns min(k, min(matrix.shape)) components.
+    the whole). Returns U and s, min(k, min(matrix.shape)) components.
 
     Every dense block is a product made here, so each factorization may
     overwrite it, and each is released as soon as the next product has read it.
@@ -92,18 +93,16 @@ def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
     q = qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
     del y  # QR overwrote it with q
     # B^T = A^T Q = V diag(s) Ub^T, so A ~ Q B = (Q Ub) diag(s) V^T
-    v, s, ubt = svd(np.asfortranarray(matrix.T @ q), full_matrices=False, overwrite_a=True, check_finite=False)
-    vt = v[:, :k].T.copy()
-    del v
-    return q @ ubt[:k].T, s[:k].copy(), vt
+    s, ubt = svd(np.asfortranarray(matrix.T @ q), full_matrices=False, overwrite_a=True, check_finite=False)[1:]
+    return q @ ubt[:k].T, s[:k].copy()
 
 
 def _factor(matrix, k: int, mode: str, seed: int, shape: tuple[int, int], cols):
-    """U, s and Vt of `matrix`, cut at rank k; `shape` and `cols` place it in the whole matrix."""
+    """U and s of `matrix`, cut at rank k; `shape` and `cols` place it in the whole matrix."""
     if mode == "randomized":
-        return _randomized_svd(matrix.astype(np.float64), k, seed, shape, cols)
-    u, s, vt = np.linalg.svd(matrix.toarray().astype(np.float64, copy=False), full_matrices=False)
-    return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
+        return _randomized_svd(matrix.astype(np.float64, copy=False), k, seed, shape, cols)
+    u, s = np.linalg.svd(matrix.toarray().astype(np.float64, copy=False), full_matrices=False)[:2]
+    return u[:, :k].copy(), s[:k].copy()
 
 
 def _nonempty(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +121,8 @@ def truncated_svd(
     seed: int = 0,
     sigma_exponent: float = 1.0,
 ) -> SvdResult:
-    """Rank-`dim` truncated SVD with row vectors U_d * diag(s_d ** exponent).
+    """Rank-`dim` truncated SVD: the row vectors U_d * diag(s_d ** exponent)
+    and s_d. Vt_d is not returned.
 
     `matrix` is a scipy sparse matrix; a dense array is refused with
     ReductionError. mode: "dense" forces the exact factorization,
@@ -148,15 +148,14 @@ def truncated_svd(
         mode = "dense" if max(n, m) < DENSE_CUTOFF else "randomized"
     rows, cols = _nonempty(matrix)
     if len(rows) == n and len(cols) == m:
-        u, s, vt = _factor(matrix, k, mode, seed, (n, m), slice(None))
+        u, s = _factor(matrix, k, mode, seed, (n, m), slice(None))
     else:  # an all-zero matrix needs no factorization
         factors = _factor(matrix.tocsr()[rows][:, cols], k, mode, seed, (n, m), cols) if len(rows) else ()
-        u, s, vt = np.zeros((n, k)), np.zeros(k), np.zeros((k, m))  # after the factorization, out of its peak
+        u, s = np.zeros((n, k)), np.zeros(k)  # after the factorization, out of its peak
         if factors:
             r = len(factors[1])
-            u[rows, :r], s[:r], vt[:r, cols] = factors
+            u[rows, :r], s[:r] = factors
     tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
     effective_rank = int((s > tol).sum())
     u *= s ** sigma_exponent  # U becomes the row vectors in place
-    return SvdResult(row_vectors=u, singular_values=s, right_vectors=vt, effective_rank=effective_rank,
-                     mode_used=mode)
+    return SvdResult(row_vectors=u, singular_values=s, effective_rank=effective_rank, mode_used=mode)

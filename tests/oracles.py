@@ -16,7 +16,8 @@ subsampling with one draw call per line, the SGNS step that sorted each batch's 
 matrix to sum them, noise sampling by one binary search per draw, the
 randomized SVD that took a QR after every product of
 its subspace iteration, the truncated SVD that factored the whole matrix,
-empty rows and columns included, and the corpus as token lists: a `Counter`
+empty rows and columns included, the block SVD that returned Vt as well,
+and the corpus as token lists: a `Counter`
 vocabulary and one id array per line. They stay here, unchanged in
 behaviour, as oracles for the property tests. The one exception is the
 per-pair loop's contrast gradients: their dot products and norms are
@@ -539,7 +540,7 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
     labels = np.zeros(cfg.negatives + 1)
     labels[0] = 1.0
 
-    model = emb.EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
+    model = emb.EmbeddingModel(W=W, C=C, vocab=vocab)
     done = 0
     with np.errstate(over="ignore"):
         for epoch, (targets, contexts) in enumerate(epoch_streams):
@@ -609,7 +610,7 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
     labels = np.zeros(cfg.negatives + 1)
     labels[0] = 1.0
 
-    model = emb.EmbeddingModel(W=W, C=C, vocab=vocab, config=cfg)
+    model = emb.EmbeddingModel(W=W, C=C, vocab=vocab)
     done = 0
     with np.errstate(over="ignore"):
         for epoch, (targets, contexts) in enumerate(epoch_streams):
@@ -783,15 +784,79 @@ def whole_matrix_svd(matrix, dim: int, mode: str = "auto", seed: int = 0, sigma_
         mode = "dense" if max(n, m) < DENSE_CUTOFF else "randomized"
     if mode == "dense":
         dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix)
-        u, s, vt = np.linalg.svd(dense.astype(np.float64), full_matrices=False)
-        u, s, vt = u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
+        u, s, _ = np.linalg.svd(dense.astype(np.float64), full_matrices=False)
+        u, s = u[:, :k].copy(), s[:k].copy()
     else:
-        u, s, vt = randomized(matrix.astype(np.float64), k, seed)
+        u, s, _ = randomized(matrix.astype(np.float64), k, seed)
     tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
     effective_rank = int((s > tol).sum())
     u *= s ** sigma_exponent
-    return SvdResult(row_vectors=u, singular_values=s, right_vectors=vt, effective_rank=effective_rank,
-                     mode_used=mode)
+    return SvdResult(row_vectors=u, singular_values=s, effective_rank=effective_rank, mode_used=mode)
+
+
+# --- the block SVD that returned Vt as well
+
+
+def _block_randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
+    """reduction._randomized_svd, which returned U, s and Vt."""
+    from scipy.linalg import lu, qr, svd
+
+    def normalized(block):
+        return lu(block, permute_l=True, overwrite_a=True, check_finite=False)[0]
+
+    n, m = shape
+    sketch = min(k + DEFAULT_OVERSAMPLE, min(n, m))
+    y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))[cols]
+    for _ in range(DEFAULT_POWER_ITERS):
+        y = normalized(y)
+        y = matrix.T @ y
+        y = normalized(y)
+        y = matrix @ y
+    y = np.asfortranarray(y)
+    q = qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    del y
+    v, s, ubt = svd(np.asfortranarray(matrix.T @ q), full_matrices=False, overwrite_a=True, check_finite=False)
+    vt = v[:, :k].T.copy()
+    del v
+    return q @ ubt[:k].T, s[:k].copy(), vt
+
+
+def _block_factor(matrix, k: int, mode: str, seed: int, shape: tuple[int, int], cols):
+    if mode == "randomized":
+        return _block_randomized_svd(matrix.astype(np.float64), k, seed, shape, cols)
+    u, s, vt = np.linalg.svd(matrix.toarray().astype(np.float64, copy=False), full_matrices=False)
+    return u[:, :k].copy(), s[:k].copy(), vt[:k].copy()
+
+
+def _nonempty(matrix) -> tuple[np.ndarray, np.ndarray]:
+    n, m = matrix.shape
+    coo = matrix.tocoo()
+    nonzero = coo.data != 0
+    return (np.flatnonzero(np.bincount(coo.row[nonzero], minlength=n)),
+            np.flatnonzero(np.bincount(coo.col[nonzero], minlength=m)))
+
+
+def block_svd(matrix, dim: int, mode: str = "auto", seed: int = 0,
+              sigma_exponent: float = 1.0) -> tuple[SvdResult, np.ndarray]:
+    """`truncated_svd` as it was while it also returned Vt: the result and
+    Vt, which it wrote back into a (k, m) array of zeros on the block path."""
+    n, m = matrix.shape
+    k = min(dim, n, m)
+    if mode == "auto":
+        mode = "dense" if max(n, m) < DENSE_CUTOFF else "randomized"
+    rows, cols = _nonempty(matrix)
+    if len(rows) == n and len(cols) == m:
+        u, s, vt = _block_factor(matrix, k, mode, seed, (n, m), slice(None))
+    else:
+        factors = _block_factor(matrix.tocsr()[rows][:, cols], k, mode, seed, (n, m), cols) if len(rows) else ()
+        u, s, vt = np.zeros((n, k)), np.zeros(k), np.zeros((k, m))
+        if factors:
+            r = len(factors[1])
+            u[rows, :r], s[:r], vt[:r, cols] = factors
+    tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
+    effective_rank = int((s > tol).sum())
+    u *= s ** sigma_exponent
+    return SvdResult(row_vectors=u, singular_values=s, effective_rank=effective_rank, mode_used=mode), vt
 
 
 # --- co-occurrence counting
@@ -901,11 +966,14 @@ def counts_csr(counts: CooccurrenceCounts) -> sparse.csr_matrix:
     return m.tocsr()
 
 
-def reconstruction(result) -> np.ndarray:
-    """U diag(s) Vt of an SvdResult, as its row vectors times Vt. That is the
-    reconstruction at sigma_exponent=1, which every caller uses: the row
-    vectors are then U * s ** 1.0 == U * s, bit for bit."""
-    return result.row_vectors @ result.right_vectors
+def reconstruction(result, matrix) -> np.ndarray:
+    """U U^T A for the SvdResult of `matrix` A at sigma_exponent=1, which
+    every caller uses: U is then the row vectors over s, in the components
+    with s > 0. This is U diag(s) Vt in both modes, as U^T A = diag(s) Vt:
+    the randomized U = Q Ub lies in span(Q), and B = Q^T A = Ub diag(s) Vt."""
+    s = result.singular_values
+    u = result.row_vectors[:, s > 0] / s[s > 0]
+    return u @ (matrix.T @ u).T
 
 
 def write_lexicon(path, lex, meta=None) -> None:

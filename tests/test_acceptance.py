@@ -400,7 +400,7 @@ def test_09_svd_optimality(capsys):
         dense = mat.toarray()
         u, s, vt = np.linalg.svd(dense, full_matrices=False)
         err_opt = float(np.linalg.norm(dense - (u[:, :d] * s[:d]) @ vt[:d]))
-        err = float(np.linalg.norm(dense - reconstruction(res)))
+        err = float(np.linalg.norm(dense - reconstruction(res, mat)))
         worst = max(worst, abs(err - err_opt))
     ok = worst <= 1e-6
     _verdict(9, ok, f"rank-d reconstruction error vs dense optimum: max |Δ| {worst:.2e} "

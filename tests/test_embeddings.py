@@ -324,8 +324,7 @@ def _stream(pairs):
 class TestObjective:
     def test_all_zero_vectors_closed_form(self):
         vocab = Vocabulary.from_counts({"a": 2, "b": 1})
-        cfg = TrainingConfig(dim=4, negatives=3, min_count=1)
-        model = EmbeddingModel(np.zeros((2, 4)), np.zeros((2, 4)), vocab, cfg)
+        model = EmbeddingModel(np.zeros((2, 4)), np.zeros((2, 4)), vocab)
         noise = build_noise_distribution(vocab)
         pairs = [(0, 1, 5), (1, 0, 2)]
         got = sgns_objective(model, *_stream(pairs), noise, k=3)
@@ -337,10 +336,7 @@ class TestObjective:
             n, d = int(rng.integers(2, 8)), int(rng.integers(2, 6))
             counts = {f"w{i}": int(rng.integers(1, 20)) for i in range(n)}
             vocab = Vocabulary.from_counts(counts)
-            cfg = TrainingConfig(dim=d, negatives=2, min_count=1)
-            model = EmbeddingModel(
-                rng.standard_normal((n, d)), rng.standard_normal((n, d)), vocab, cfg
-            )
+            model = EmbeddingModel(rng.standard_normal((n, d)), rng.standard_normal((n, d)), vocab)
             noise = build_noise_distribution(vocab)
             pairs = [
                 (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(1, 9)))
@@ -353,8 +349,7 @@ class TestObjective:
 
     def test_empty_pairs(self):
         vocab = Vocabulary.from_counts({"a": 1})
-        cfg = TrainingConfig(dim=2, min_count=1)
-        model = EmbeddingModel(np.zeros((1, 2)), np.zeros((1, 2)), vocab, cfg)
+        model = EmbeddingModel(np.zeros((1, 2)), np.zeros((1, 2)), vocab)
         empty = np.zeros(0, dtype=np.int32)
         assert sgns_objective(model, empty, empty, build_noise_distribution(vocab), 5) == 0.0
 
@@ -363,8 +358,7 @@ class TestObjective:
         rng = np.random.default_rng(3)
         n, d = 3000, 10
         vocab = Vocabulary.from_counts({f"w{i}": int(rng.integers(1, 50)) for i in range(n)})
-        model = EmbeddingModel(rng.standard_normal((n, d)), rng.standard_normal((n, d)), vocab,
-                               TrainingConfig(dim=d, min_count=1))
+        model = EmbeddingModel(rng.standard_normal((n, d)), rng.standard_normal((n, d)), vocab)
         noise = build_noise_distribution(vocab)
         targets, contexts = rng.integers(0, n, (2, 100_000)).astype(np.int32)
         tracemalloc.start()

@@ -15,8 +15,9 @@ pair stream, subsampling against one draw call per line, a corpus file's
 encoding against the Counter vocabulary and per-line id arrays of its token
 lists, and its lowercasing by line against lowercasing by token, the SVD of
 the nonzero block against the whole-matrix SVD it replaced, in every sparse
-input layout, and the LU-normalized randomized SVD against the QR-normalized
-one (tests/oracles.py).
+input layout, and bit for bit against the block SVD that returned Vt as
+well, and the LU-normalized randomized SVD against the QR-normalized one
+(tests/oracles.py).
 
 Cell values are drawn from a seeded generator, not by hypothesis itself, so
 they are continuous: a contrast weight is then exactly 0 only where both of
@@ -785,19 +786,33 @@ def test_block_svd_matches_whole_matrix_oracle(case, mode):
         _same_bits(array, copy)  # the caller's matrix, stored zeros included
     want = oracles.whole_matrix_svd(matrix, dim, mode=mode, seed=seed)
     empty_rows, empty_cols = ~(dense != 0).any(axis=1), ~(dense != 0).any(axis=0)
-    assert (got.row_vectors[empty_rows] == 0).all() and (got.right_vectors[:, empty_cols] == 0).all()
+    assert (got.row_vectors[empty_rows] == 0).all()
     assert got.mode_used == want.mode_used
     if kind != "full":
         assert got.effective_rank == want.effective_rank
     if not empty_rows.any() and not empty_cols.any():
-        for array, oracle in ((got.row_vectors, want.row_vectors), (got.singular_values, want.singular_values),
-                              (got.right_vectors, want.right_vectors)):
+        for array, oracle in ((got.row_vectors, want.row_vectors), (got.singular_values, want.singular_values)):
             assert array.shape == oracle.shape and np.array_equal(_bits(array), _bits(oracle))
         return
     scale = max(1.0, want.singular_values[0])
     np.testing.assert_allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-10 * scale)
-    np.testing.assert_allclose(oracles.reconstruction(got), oracles.reconstruction(want),
+    np.testing.assert_allclose(oracles.reconstruction(got, matrix), oracles.reconstruction(want, matrix),
                                rtol=0, atol=1e-9 * np.linalg.norm(dense))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(svd_cases(), svd_cases(whole=True)), st.sampled_from(["dense", "randomized"]),
+       st.sampled_from([0.0, 0.5, 1.0]))
+def test_svd_matches_the_block_svd_that_returned_vt(case, mode, sigma):
+    dense, matrix, kind, dim, seed = case
+    got = reduction.truncated_svd(matrix, dim, mode=mode, seed=seed, sigma_exponent=sigma)
+    want, vt = oracles.block_svd(matrix, dim, mode=mode, seed=seed, sigma_exponent=sigma)
+    for array, oracle in ((got.row_vectors, want.row_vectors), (got.singular_values, want.singular_values)):
+        assert array.shape == oracle.shape and np.array_equal(_bits(array), _bits(oracle))
+    assert (got.effective_rank, got.mode_used) == (want.effective_rank, want.mode_used)
+    if sigma == 1.0:  # the reconstruction that the tests take without Vt is the one with it
+        np.testing.assert_allclose(oracles.reconstruction(got, matrix), want.row_vectors @ vt,
+                                   rtol=0, atol=1e-9 * max(1.0, np.linalg.norm(dense)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -808,7 +823,7 @@ def test_randomized_svd_matches_qr_oracle(case):
     want = oracles.whole_matrix_svd(matrix, dim, mode="randomized", seed=seed, randomized=oracles.randomized_svd)
     scale = max(1.0, want.singular_values[0])
     np.testing.assert_allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-10 * scale)
-    np.testing.assert_allclose(oracles.reconstruction(got), oracles.reconstruction(want),
+    np.testing.assert_allclose(oracles.reconstruction(got, matrix), oracles.reconstruction(want, matrix),
                                rtol=0, atol=1e-9 * np.linalg.norm(dense))
     if kind != "full":
         assert got.effective_rank == want.effective_rank
