@@ -6,6 +6,11 @@ inputs and the options to the result, which the subcommand writes after its
 header. `pipeline` chains the same stages in memory (one ranking per vector
 set for its three per-class reports), with the bytes of the subcommands.
 
+Both run their outputs through one `Run`: it checks every output path before any input is read, writes each
+result under its header, and holds the writer children that format vector files. Each save first polls them, so
+a failed writer stops the command at the next save; the save of the last output reaps them all, and so does
+leaving the run on failure. A failed write names its file, and one error names every failure of a command.
+
 Every artifact starts with comment lines recording the tool version, the resolved stage configuration (verbatim
 and as a sha256), and the root seed. Randomness flows from that single root seed, salted per stage, so a rerun
 with the same config file is byte-identical. Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
@@ -28,7 +33,7 @@ import math
 import os
 import sys
 import warnings
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
@@ -146,10 +151,10 @@ def _bind() -> None:
     """Import the stage modules, and so numpy, into this module. Every command calls this once its options and
     outputs are checked; a stand-in set on a stage module's attribute before then is the one the command calls."""
     global corpus, embeddings, evaluation, lexicon, reduction, weighting, \
-        seed_sequence, DenseEmbeddings, read_embeddings, start_embeddings
+        seed_sequence, DenseEmbeddings, VectorsError, read_embeddings, start_embeddings
     from . import corpus, embeddings, evaluation, lexicon, reduction, weighting
     from .seeding import seed_sequence
-    from .vectors import DenseEmbeddings, read_embeddings, start_embeddings
+    from .vectors import DenseEmbeddings, VectorsError, read_embeddings, start_embeddings
 
 
 # --- stage functions: loaded inputs in, in the row's input order, then the resolved options
@@ -334,76 +339,114 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write(writes: ExitStack, path, result, meta: dict[str, str], as_json: bool = False, last: bool = False) -> None:
-    """Write one stage result after its header lines; a report without a path goes to stdout."""
-    if isinstance(result, Report):
-        for text in result.warned:
-            warnings.warn(text if path is None else f"{path}: {text}", stacklevel=2)
-        meta = {**meta, **result.notes}
-        with nullcontext(sys.stdout) if path is None else tsvio.atomic_writer(path) as fh:
-            if as_json:
-                fh.write(json.dumps({"meta": meta, **result.payload}, indent=2, sort_keys=True) + "\n")
+def _message(exc: BaseException) -> str:
+    """An error as `main` reports it: an OS error by its reason and the path it concerns, if it names one."""
+    target = getattr(exc, "filename2", None) or getattr(exc, "filename", None)  # os.replace's target is the second
+    return f"{exc.strerror}: {target}" if target else str(exc)
+
+
+class Run:
+    """The outputs of one command, `outputs` (name: path, None for stdout): checked as it is built, then written
+    by `save`, each under its header; the writer children of its vector files are reaped by `reap`."""
+
+    def __init__(self, args: argparse.Namespace, s: dict, outputs: dict[str, str | None]):
+        """Each output must be in a directory (else exit 2), and be no directory, no input of the command (its
+        --config file included) and no other output (else exit 1). Then the stage modules are bound."""
+        named = {"config": args.config, **{key: s[key] for key in args.row.keys + args.row.flags if key in _PATH_KEYS}}
+        inputs = {os.path.realpath(path): _flag(key) for key, path in named.items() if path is not None}
+        seen = {}
+        for name, out in outputs.items():
+            if out is None:  # stdout
+                continue
+            label = f"artifact {name}" if args.row is PIPELINE else _flag(name)
+            if not Path(out).parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, "output directory not found", str(Path(out).parent))
+            if os.path.isdir(out):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
+            target = os.path.realpath(out)  # the string Path.resolve gives, at less cost per path
+            if target in inputs:
+                raise ValueError(f"{label} names the {inputs[target]} input: {out}")
+            if target in seen:
+                raise ValueError(f"{seen[target]} and {label} name the same file: {out}")
+            seen[target] = label
+        _bind()
+        self.args, self.s, self.outputs, self.unsaved, self.pending = args, s, outputs, set(outputs), []
+
+    def __enter__(self) -> Run:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self.reap(exc)
+
+    def reap(self, exc: BaseException | None = None) -> None:
+        """Wait for every writer, each good file renamed into place; if one failed, raise one error that names
+        `exc`, the failure that stopped the command, if any, and then every failed writer."""
+        failed = []
+        while self.pending:
+            try:
+                self.pending.pop(0).wait()
+            except (OSError, ValueError) as err:
+                failed.append(err)
+        if failed and isinstance(exc, (OSError, ValueError, type(None))):  # a bug or an interrupt stays itself
+            raise VectorsError("; ".join(_message(err) for err in (exc, *failed) if err is not None)) from exc
+
+    def save(self, stage: str, name: str, result, suffix: str = "", **inputs) -> None:
+        """Write one stage result to the output `name`, under the header of `stage` and the options with `inputs`."""
+        for pending in self.pending:
+            try:
+                pending.poll()
+            except VectorsError:
+                self.pending.remove(pending)  # reaped by the poll
+                raise
+        path, meta = self.outputs[name], _meta(STAGES[stage], {**self.s, **inputs}, suffix)
+        self.unsaved.discard(name)
+        try:
+            if isinstance(result, Report):
+                for text in result.warned:
+                    warnings.warn(text if path is None else f"{path}: {text}", stacklevel=2)
+                meta = {**meta, **result.notes}
+                with nullcontext(sys.stdout) if path is None else tsvio.atomic_writer(path) as fh:
+                    if getattr(self.args, "json", False):
+                        fh.write(json.dumps({"meta": meta, **result.payload}, indent=2, sort_keys=True) + "\n")
+                    else:
+                        tsvio.write_meta(fh, meta)
+                        fh.writelines("\t".join(map(_fmt, row)) + "\n" for row in result.table)
+            elif isinstance(result, (tuple, DenseEmbeddings)):  # vectors, in a tuple with the SVD's annotations
+                emb, notes = result if isinstance(result, tuple) else (result, {})
+                write_embeddings_with_meta(path, emb, {**meta, **notes}, self, not self.unsaved)
             else:
-                tsvio.write_meta(fh, meta)
-                fh.writelines("\t".join(map(_fmt, row)) + "\n" for row in result.table)
-    elif isinstance(result, tuple):  # SVD vectors and their annotations
-        write_embeddings_with_meta(path, result[0], {**meta, **result[1]}, writes, last)
-    elif isinstance(result, DenseEmbeddings):
-        write_embeddings_with_meta(path, result, meta, writes, last)
-    else:
-        writers = {corpus.Vocabulary: corpus.write_vocabulary, corpus.CooccurrenceCounts: corpus.write_counts,
-                   weighting.WeightedMatrix: weighting.write_weighted}
-        writers[type(result)](path, result, meta)
+                writers = {corpus.Vocabulary: corpus.write_vocabulary, corpus.CooccurrenceCounts: corpus.write_counts,
+                           weighting.WeightedMatrix: weighting.write_weighted}
+                writers[type(result)](path, result, meta)
+        except OSError as exc:  # such as a full disk, which names no file
+            if exc.filename is not None:
+                raise
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
 
 
-def write_embeddings_with_meta(path, emb: DenseEmbeddings, meta: dict[str, str], writes: ExitStack,
-                               last: bool = False) -> None:
-    """Hand one vector file to a writer child, which `writes` reaps when it closes.
+def write_embeddings_with_meta(path, emb: DenseEmbeddings, meta: dict[str, str], run: Run, last: bool = False) -> None:
+    """Hand one vector file to a writer child, which `run` reaps.
 
-    `last` marks a command's last vector file: `writes` is closed here, so that
-    every writer is reaped before this returns, and the benchmark's tracer, which
-    wraps this name, counts the wait for the writers as the vector writing it is.
+    `last` marks a command's last output: every writer of `run` is reaped here,
+    so that the benchmark's tracer, which wraps this name, counts the wait for
+    the writers as the vector writing it is.
     """
-    writes.callback(start_embeddings(path, emb, meta).wait)
+    run.pending.append(start_embeddings(path, emb, meta))
     if last:
-        writes.close()
-
-
-def _check_outputs(args: argparse.Namespace, s: dict, outs: dict[str, str]) -> None:
-    """Before any input is read: each of `outs` (label: path) must be in a directory (else exit 2), and be
-    no directory, no input of the command (its --config file included) and no other output (else exit 1)."""
-    named = {"config": args.config, **{key: s[key] for key in args.row.keys + args.row.flags if key in _PATH_KEYS}}
-    inputs = {os.path.realpath(path): _flag(key) for key, path in named.items() if path is not None}
-    seen = {}
-    for label, out in outs.items():
-        if not Path(out).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, "output directory not found", str(Path(out).parent))
-        if os.path.isdir(out):
-            raise IsADirectoryError(errno.EISDIR, "Is a directory", out)
-        target = os.path.realpath(out)  # the string Path.resolve gives, at less cost per path
-        if target in inputs:
-            raise ValueError(f"{label} names the {inputs[target]} input: {out}")
-        if target in seen:
-            raise ValueError(f"{seen[target]} and {label} name the same file: {out}")
-        seen[target] = label
+        run.reap()
 
 
 def run_stage(args: argparse.Namespace) -> None:
     """One subcommand: resolve the options, check the outputs, load the inputs, run the stage, write its result."""
     row, s = args.row, _resolve(args)
-    _check_outputs(args, s, {_flag(key): getattr(args, key) for key in ("out", "context_out")
-                             if getattr(args, key, None) is not None})
-    _bind()
-    # looked up at call time, so that a wrapper set on the module attribute is the one called
-    stage = globals()["stage_" + row.name.replace("-", "_")]
-    result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
-    with ExitStack() as writes:
-        if "context_out" in row.flags:
-            _write(writes, args.out, result[0], _meta(row, s))
-            if args.context_out:
-                _write(writes, args.context_out, result[1], _meta(row, s, "-context"))
-        else:
-            _write(writes, args.out, result, _meta(row, s), getattr(args, "json", False))
+    keys = ("out", "context_out") if getattr(args, "context_out", None) is not None else ("out",)
+    with Run(args, s, {key: getattr(args, key) for key in keys}) as run:
+        # looked up at call time, so that a wrapper set on the module attribute is the one called
+        stage = globals()["stage_" + row.name.replace("-", "_")]
+        result = stage(*(None if s[key] is None else _load(row, key, s) for key in row.keys), s)
+        parts = result if "context_out" in row.flags else (result,)  # a trainer's words, then its contexts
+        for name, part, suffix in zip(keys, parts, ("", "-context")):
+            run.save(row.name, name, part, suffix)
 
 
 def run_pipeline(args: argparse.Namespace) -> None:
@@ -413,8 +456,6 @@ def run_pipeline(args: argparse.Namespace) -> None:
     The corpus is read and encoded once; the vocabulary, the counts and both trainers take that `Corpus`.
     SGNS trains right after the vocabulary, so its refusal of an input that cannot train comes before any
     artifact is written; dLCE trains last, on the LMI table.
-    The four vector files are formatted by writer children while the stages go on; the last one's
-    write reaps them all, and each is renamed into place once its child has exited 0.
     """
     s = _resolve(args)
     workdir = Path(s["workdir"] or "pipeline-out")
@@ -426,49 +467,42 @@ def run_pipeline(args: argparse.Namespace) -> None:
     ) if s[row[3]] is not None]
     names = ("vocab.tsv", "counts.tsv", "lmi.tsv", "sa.tsv", *(f"{v}.txt" for v in sets),
              *(f"{prefix}_{v}.tsv" for _, _, prefix, _ in reports for v in sets))
-    artifacts = {name: str(workdir / name) for name in names}  # every file of the run; `save` reads its path here
-    _check_outputs(args, s, {f"artifact {name}": path for name, path in artifacts.items()})
-    _bind()
-    lex, relation, similarity, text = (None if s[key] is None else _load(PIPELINE, key, s)
-                                       for key in ("lexicon", "pairs", "simpairs", "corpus"))
-    paths = {**s, **{key: artifacts[f"{key}.tsv"] for key in ("vocab", "counts", "lmi")}}
+    out = {name: str(workdir / name) for name in names}  # every file of the run
+    s.update((key, out[f"{key}.tsv"]) for key in ("vocab", "counts", "lmi"))  # inputs of the later stages
+    with Run(args, s, out) as run:
+        lex, relation, similarity, text = (None if s[key] is None else _load(PIPELINE, key, s)
+                                           for key in ("lexicon", "pairs", "simpairs", "corpus"))
 
-    writes = ExitStack()  # entered below: every vector writer is reaped before this returns, also on failure
+        def score(name: str, vectors) -> None:
+            """The reports of one vector set; its relation pairs are scored and ranked once for all three."""
+            ranked = None if relation is None else evaluation.rank_classes(vectors, relation)
+            for stage, view, prefix, key in reports:
+                result = _class_report(getattr(evaluation, view), ranked) if view else stage_eval_spearman(
+                    vectors, similarity, s)
+                run.save(stage, f"{prefix}_{name}.tsv", result, vectors=out[f"{name}.txt"], pairs=s[key])
 
-    def save(stage: str, result, name: str, last: bool = False, **inputs) -> None:
-        _write(writes, artifacts[name], result, _meta(STAGES[stage], {**paths, **inputs}), last=last)
-
-    def score(name: str, vectors) -> None:
-        """The reports of one vector set; its relation pairs are scored and ranked once for all three."""
-        ranked = None if relation is None else evaluation.rank_classes(vectors, relation)
-        for stage, view, prefix, key in reports:
-            result = _class_report(getattr(evaluation, view), ranked) if view else stage_eval_spearman(
-                vectors, similarity, s)
-            save(stage, result, f"{prefix}_{name}.tsv", vectors=artifacts[f"{name}.txt"], pairs=s[key])
-
-    with writes:
         vocab = stage_vocab(text, s)
         vectors = stage_train_sgns(text, vocab, s)[0]  # the trainer's refusal comes before any artifact
-        save("vocab", vocab, "vocab.tsv")
-        save("train-sgns", vectors, "sgns.txt")
+        run.save("vocab", "vocab.tsv", vocab)
+        run.save("train-sgns", "sgns.txt", vectors)
         score("sgns", vectors)
         del vectors
         counts = stage_count(text, vocab, s)
-        save("count", counts, "counts.tsv")
+        run.save("count", "counts.tsv", counts)
         lmi = stage_lmi(counts, vocab, s)
         del counts
-        save("lmi", lmi, "lmi.tsv")
+        run.save("lmi", "lmi.tsv", lmi)
         sa = stage_weight_sa(lmi, lex, vocab, s)
-        save("weight-sa", sa, "sa.tsv")
+        run.save("weight-sa", "sa.tsv", sa)
         for name, weights, source in (("lmi_svd", lmi, "lmi.tsv"), ("sa_svd", sa, "sa.tsv")):
             reduced = stage_svd(weights, vocab, s)
-            save("svd", reduced, f"{name}.txt", weights=artifacts[source])
+            run.save("svd", f"{name}.txt", reduced, weights=out[source])
             score(name, reduced[0])
             del reduced, weights  # each vector set goes once scored
         del sa
         vectors = stage_train_dlce(text, vocab, lex, lmi, s)[0]
-        score("dlce", vectors)  # before the save, whose wait for the writers ends the run
-        save("train-dlce", vectors, "dlce.txt", last=True)
+        score("dlce", vectors)
+        run.save("train-dlce", "dlce.txt", vectors)
 
 
 # --- parser
@@ -511,13 +545,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.run(args)
-    except OSError as exc:  # a file or directory: exit 2 when it is missing
-        target = exc.filename2 or exc.filename  # os.replace's target is the second name
-        print(f"error: {exc.strerror}: {target}" if target else f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, FileNotFoundError) else 1
-    except ValueError as exc:  # every error type of the package is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError) as exc:  # every error type of the package is a ValueError
+        print(f"error: {_message(exc)}", file=sys.stderr)
+        return 2 if isinstance(exc, FileNotFoundError) else 1  # a missing file or directory
     return 0
 
 

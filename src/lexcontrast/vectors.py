@@ -106,6 +106,11 @@ class PendingWrite:
                 raise VectorsError(f"{self.path}: vector writer failed: {why}")
             os.replace(self._tmp, self.path)
 
+    def poll(self) -> None:
+        """Raise as `wait` does if the child has exited nonzero; otherwise return at once."""
+        if self.proc.poll():
+            self.wait()
+
 
 def start_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = None) -> PendingWrite:
     """Start writing the word2vec text layout, after one `#key=value` line per meta entry.
@@ -127,7 +132,8 @@ def start_embeddings(path, emb: DenseEmbeddings, meta: dict[str, str] | None = N
         # the payload is a copy, so the caller may change the matrix at once
         with tempfile.TemporaryFile() as payload:
             payload.write(words.encode("utf-8"))
-            emb.matrix.astype(np.float64, copy=False).tofile(payload)  # C order, whatever the matrix's
+            # C order, whatever the matrix's; through the file object, as ndarray.tofile can lose a failed write
+            payload.write(np.ascontiguousarray(emb.matrix, dtype=np.float64).data)
             payload.seek(0)
             proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", _WRITER, tmp, str(len(emb)), str(emb.dim)],
                                     stdin=payload, stderr=subprocess.PIPE)

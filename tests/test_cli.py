@@ -3,8 +3,11 @@ formats, and byte-level reproducibility of the pipeline."""
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -22,6 +25,7 @@ from lexcontrast.corpus import read_corpus, read_counts
 from lexcontrast.embeddings import TrainingConfig
 from lexcontrast.lexicon import load_lexicon
 from lexcontrast.vectors import read_embeddings, start_embeddings
+from synthcorpus import build_world, write_world
 
 DATA = Path(__file__).parent / "data"
 # header lines of the 24 pipeline artifacts of `workspace`, plus the full vocab and counts files
@@ -1011,6 +1015,110 @@ class TestPipeline:
                     assert dense_payload["classes"][cls][key] == pytest.approx(
                         cm[key], abs=1e-9
                     )
+
+
+@pytest.fixture(scope="module")
+def small_world(tmp_path_factory) -> Path:
+    """The four inputs of a 20-concept world, whose pipeline artifacts run to about 120 KiB each."""
+    directory = tmp_path_factory.mktemp("world")
+    write_world(build_world(5, n_concepts=20, sentences=3000), directory)
+    return directory
+
+
+class TestFailedWrites:
+    """A write that fails stops the run and names its file, a writer child that fails stops it at the next save,
+    and every writer is reaped on the way out. Writer children run in the idle scheduling class and may get no
+    CPU for a while, so no assertion here depends on when a child runs."""
+
+    ARTIFACT = re.compile(r"run/(\w+\.t(?:sv|xt))")
+
+    @staticmethod
+    def _unreached(*args):
+        raise AssertionError("the run went on after a failed write")
+
+    @pytest.mark.parametrize("kib, dim, must, may", [
+        (40, 10, {"sgns.txt"}, set()),  # the payload handed to sgns.txt's writer
+        (100, 2, {"lmi.tsv"}, set()),  # a table, before which only sgns.txt, of dim 2 here, has a writer
+        (100, 10, {"sgns.txt"}, {"lmi.tsv"}),  # sgns.txt's writer, and lmi.tsv unless its poll stopped the run first
+    ])
+    def test_file_size_limit_is_1_and_names_every_failed_artifact(self, small_world, tmp_path, kib, dim, must, may):
+        """A child under RLIMIT_FSIZE, which acts on that child only."""
+        def limit():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (kib * 1024, kib * 1024))
+
+        src = str(Path(lexcontrast.__file__).resolve().parents[1])
+        inputs = [f"--{key}={small_world / name}" for key, name in (
+            ("corpus", "corpus.txt"), ("lexicon", "lexicon.tsv"), ("pairs", "pairs.tsv"), ("simpairs", "sim.tsv"))]
+        # -B: a bytecode file written under the limit would be cut short and break every later import of it
+        proc = subprocess.run([sys.executable, "-B", "-m", "lexcontrast.cli", "pipeline", *inputs, "--workdir", "run",
+                               "--min-count", "3", "--window", "2", "--dim", str(dim), "--svd-dim", "10",
+                               "--negatives", "3", "--subsample", "0"], cwd=tmp_path, env={"PYTHONPATH": src},
+                              capture_output=True, text=True, preexec_fn=limit)
+        error = proc.stderr.splitlines()[-1]
+        named = set(self.ARTIFACT.findall(error))
+        assert proc.returncode == 1 and error.startswith("error: ")
+        assert must <= named <= must | may, error
+        left = {p.name for p in (tmp_path / "run").iterdir()}
+        assert not any(name.endswith(".tmp") for name in left) and not named & left
+        assert "vocab.tsv" in left
+
+    def test_a_failed_writer_stops_the_run_at_the_next_save(self, workspace, monkeypatch, capsys):
+        """Every writer fails, and returns from its start only once its child has exited: the save after
+        sgns.txt's, its first report, finds the failure, and nothing after it runs."""
+        start = start_embeddings
+
+        def exited(*args):
+            pending = start(*args)
+            pending.proc.wait()
+            return pending
+
+        monkeypatch.setattr("lexcontrast.vectors._WRITER", "raise OSError(28, 'No space left on device')")
+        monkeypatch.setattr("lexcontrast.vectors.start_embeddings", exited)
+        monkeypatch.setattr(cli, "stage_count", self._unreached)
+        capsys.readouterr()
+        assert main(PIPELINE) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (  # after SGNS's progress line
+            "error: run/sgns.txt: vector writer failed: OSError: [Errno 28] No space left on device")
+        assert [p.name for p in (workspace / "run").iterdir()] == ["vocab.tsv"]
+
+    def test_a_failed_write_and_a_failed_writer_are_both_named(self, workspace, monkeypatch, capsys):
+        """sgns.txt's writer fails only once its first report's write has failed: that write stopped the run and
+        is named first, then the writer, which leaving the run reaped."""
+        marker, atomic_writer = workspace / "report-failed", tsvio.atomic_writer
+
+        def failing(path):
+            if str(path).endswith("eval_ap_sgns.tsv"):
+                marker.touch()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return atomic_writer(path)
+
+        monkeypatch.setattr("lexcontrast.vectors._WRITER", (  # gives up on the marker after about 60 s
+            f"import os, sys, time\nfor _ in range(6000):\n    if os.path.exists({str(marker)!r}): break\n"
+            "    time.sleep(0.01)\nsys.exit('failed late')"))
+        monkeypatch.setattr(tsvio, "atomic_writer", failing)
+        capsys.readouterr()
+        assert main(PIPELINE) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: No space left on device: run/eval_ap_sgns.tsv; run/sgns.txt: vector writer failed: failed late")
+        assert [p.name for p in (workspace / "run").iterdir()] == ["vocab.tsv"]
+
+    def test_the_last_vector_write_returns_with_every_writer_reaped(self, workspace, monkeypatch):
+        """The benchmark's tracer wraps `write_embeddings_with_meta` and counts its span as the vector writing:
+        four calls, and the fourth returns once every writer has exited and its file is in place."""
+        started, seen, start, write = [], [], start_embeddings, cli.write_embeddings_with_meta
+
+        def recorded(*args):
+            started.append(start(*args))
+            return started[-1]
+
+        def traced(*args):
+            write(*args)
+            seen.append([(p.proc.returncode, Path(p.path).is_file()) for p in started])
+
+        monkeypatch.setattr("lexcontrast.vectors.start_embeddings", recorded)
+        monkeypatch.setattr(cli, "write_embeddings_with_meta", traced)
+        assert main(PIPELINE) == 0
+        assert len(seen) == 4 and seen[-1] == [(0, True)] * 4
 
 
 class TestEmptyRows:

@@ -2,12 +2,15 @@
 
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 
-from lexcontrast import cli, tsvio
+from lexcontrast import cli, tsvio, vectors
 from lexcontrast.vectors import DenseEmbeddings, VectorsError, read_embeddings, start_embeddings
 
 
@@ -206,6 +209,40 @@ class TestAtomicWrites:
             pending.wait()
         assert pending.proc.returncode == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_rows_cut_short_on_their_way_to_the_writer_raise(self, tmp_path):
+        """Under a file size limit that cuts the rows handed to the child after row 60 of 100. `ndarray.tofile`
+        lost that error, and the child wrote rows 61-100 without values; the text of these zeros would fit."""
+        code = (
+            "import resource, sys\nimport numpy as np\n"
+            "from lexcontrast.vectors import DenseEmbeddings, start_embeddings\n"
+            "words = [f'w{i}' for i in range(100)]\n"
+            "limit = len(''.join(w + '\\n' for w in words)) + 32 * 60\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "start_embeddings(sys.argv[1], DenseEmbeddings(words, np.zeros((100, 4)))).wait()\n"
+        )
+        src = str(Path(vectors.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-B", "-c", code, str(tmp_path / "vec.txt")], capture_output=True,
+                              text=True, env={"PYTHONPATH": src})
+        assert proc.returncode == 1 and proc.stderr.splitlines()[-1] == "OSError: [Errno 27] File too large"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_poll_raises_only_once_the_child_has_failed(self, tmp_path, monkeypatch):
+        """While the child runs, and after it exits 0, `poll` does nothing; the rename waits for `wait`."""
+        emb = _sample(np.random.default_rng(0))
+        done = start_embeddings(tmp_path / "done.txt", emb)
+        done.proc.wait()
+        done.poll()
+        assert not (tmp_path / "done.txt").exists()
+        done.wait()
+        monkeypatch.setattr("lexcontrast.vectors._WRITER", "import time; time.sleep(60)")
+        pending = start_embeddings(tmp_path / "vec.txt", emb)
+        pending.poll()
+        pending.proc.kill()
+        pending.proc.wait()
+        with pytest.raises(VectorsError, match=r"vec\.txt: vector writer failed: exit status -9"):
+            pending.poll()
+        assert [p.name for p in tmp_path.iterdir()] == ["done.txt"]
 
     @pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"), reason="the idle scheduling class is Linux only")
     def test_writer_runs_in_the_idle_scheduling_class(self, tmp_path, monkeypatch):
