@@ -32,8 +32,12 @@ step's arithmetic is row-local by definition: every dot product and squared
 norm is a sum over one row, np.add.reduce(a * b, axis=1), and each side's
 rows are summed in order. A hit therefore rounds the same in any wave, as
 `contrast_gradients` rounds it alone, and W is bit-identical to the hits
-applied one at a time. W and C are checked for NaN and Inf every CHECK_EVERY
-updates, which always ends a batch, and after each epoch.
+applied one at a time.
+
+W and C are checked every CHECK_EVERY updates, which always ends a batch,
+and after each epoch: training stops once either holds NaN, Inf or a value
+beyond ±MAX_ABS. Healthy runs stayed within ±10.3, and the finite runaways
+of too high a learning rate passed 1e8 (README).
 
 Training holds every epoch's (target, context) stream, 8 bytes a pair, and
 one block of about PLAN_PAIRS pairs, a whole number of batches: each block
@@ -68,6 +72,7 @@ from .vectors import DenseEmbeddings
 from .weighting import relation_matrix
 
 MIN_ALPHA_FRACTION = 1e-4  # floor of the linear decay, as a fraction of alpha0
+MAX_ABS = 1e4  # a value of W or C beyond ±MAX_ABS is divergence: about 1,000 times the largest healthy one measured
 
 
 def sigmoid(x):
@@ -147,9 +152,14 @@ class EmbeddingModel:
         return DenseEmbeddings(list(self.vocab.words), matrix, source=source)
 
     def validate(self, update: int | None = None) -> None:
-        if not (np.isfinite(self.W).all() and np.isfinite(self.C).all()):
-            after = "" if update is None else f" after update {update}"
+        """Refuse W and C unless every value lies within ±MAX_ABS; NaN fails the comparison too."""
+        ends = np.array([self.W.min(), self.W.max(), self.C.min(), self.C.max()])
+        if np.abs(ends).max() <= MAX_ABS:
+            return
+        after = "" if update is None else f" after update {update}"
+        if not np.isfinite(ends).all():
             raise TrainingError(f"training diverged: W or C holds NaN or Inf{after}")
+        raise TrainingError(f"training diverged: W or C holds a value of magnitude above {MAX_ABS:g}{after}")
 
 
 # --- pure gradients: the SGNS pair term and the contrast term
@@ -181,9 +191,7 @@ def contrast_gradients(W: np.ndarray, w: int, syn_ids, ant_ids):
     count in the mean's normalizer. This is `_wave_gradients` on one hit, so
     it rounds as the hit does in any wave.
     """
-    n_syn, d = len(syn_ids), W.shape[1]
-    if n_syn + len(ant_ids) == 0:
-        return np.zeros(d), np.zeros((0, d)), np.zeros((0, d))
+    n_syn = len(syn_ids)
     out = _wave_gradients(W, _plan_hit(w, 0.0, syn_ids, ant_ids), 0)
     return out[0], out[1:1 + n_syn], out[1 + n_syn:]
 
@@ -198,16 +206,17 @@ class _Waves:
     No two hits of a wave share a row of W, so a wave's hits commute and one
     vectorized step applies them all. Within a wave the hits keep stream
     order, and each hit's member rows keep hit order: its synonyms, then its
-    antonyms.
+    antonyms. A member's `side` is the row of the wave's (2 * hits, d) side
+    sums that np.add.at adds its d_w to, in that order.
     """
 
     owners: np.ndarray  # (M,) the w of each member's hit
-    slots: np.ndarray  # (2, M) each member's place in its side, and that side: 2 * (hit in its wave) + (1 for antonyms)
+    side: np.ndarray  # (M,) each member's side in its wave: 2 * (hit in its wave) + (1 for antonyms)
     side_scale: np.ndarray  # (2H, 1) sign / length of each hit's synonym and antonym side (length 1 if empty)
     row_scale: np.ndarray  # (M, 1) the side_scale of each member's side
     scatter: np.ndarray  # per wave: each hit's w, then its member rows
     steps: np.ndarray  # (H + M, 1) alpha * beta of the hit behind each scatter entry
-    bounds: list  # per wave: hit and row bounds, and its longest side
+    bounds: list  # per wave: its hit bounds and its row bounds
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -219,8 +228,7 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _plan_waves(targets, steps, n_syn, n_ant, members, wave) -> _Waves:
     """Lay out hits given in wave order: `wave` rises from 0 by steps of 0
     or 1, and within a wave the hits are in stream order. Hit j has
-    n_syn[j] synonyms, then n_ant[j] antonyms, next in `members`; every hit
-    has at least one."""
+    n_syn[j] synonyms, then n_ant[j] antonyms, next in `members`."""
     H, M = len(targets), len(members)
     n_waves = int(wave[-1]) + 1 if H else 0
     sizes = n_syn + n_ant
@@ -229,20 +237,15 @@ def _plan_waves(targets, steps, n_syn, n_ant, members, wave) -> _Waves:
     rb = np.append(first, M)[hb]
     row_hit = np.repeat(np.arange(H), sizes)
     row_wave = wave[row_hit]
-    place = np.arange(M) - first[row_hit]
-    ant = place >= n_syn[row_hit]
-    side = 2 * (row_hit - hb[row_wave]) + ant
-    slots = np.stack((place - np.where(ant, n_syn[row_hit], 0), side))
+    ant = np.arange(M) - first[row_hit] >= n_syn[row_hit]
     side_scale = (np.array([1.0, -1.0]) / np.maximum(np.column_stack((n_syn, n_ant)), 1)).reshape(-1, 1)
-    longest = np.maximum.reduceat(np.maximum(n_syn, n_ant), hb[:-1]) if H else np.zeros(0, dtype=np.intp)
     hit_at, row_at = rb[wave] + np.arange(H), hb[row_wave + 1] + np.arange(M)
     scatter, step = np.empty(H + M, dtype=np.intp), np.empty((H + M, 1))
     scatter[hit_at], scatter[row_at] = targets, members
     step[hit_at, 0], step[row_at, 0] = steps, steps[row_hit]
-    return _Waves(owners=targets[row_hit], slots=slots, side_scale=side_scale,
+    return _Waves(owners=targets[row_hit], side=2 * (row_hit - hb[row_wave]) + ant, side_scale=side_scale,
                   row_scale=side_scale[2 * row_hit + ant], scatter=scatter, steps=step,
-                  bounds=list(zip(hb[:-1].tolist(), hb[1:].tolist(), rb[:-1].tolist(), rb[1:].tolist(),
-                                  longest.tolist())))
+                  bounds=list(zip(hb[:-1].tolist(), hb[1:].tolist(), rb[:-1].tolist(), rb[1:].tolist())))
 
 
 def _plan_hit(w: int, step: float, syn_ids, ant_ids) -> _Waves:
@@ -259,13 +262,13 @@ def _wave_gradients(W: np.ndarray, plan: _Waves, i: int) -> np.ndarray:
     the order of the wave's scatter entries. Every dot product and squared
     norm is a row-local sum, np.add.reduce(a * b, axis=1), and every other
     step is elementwise, so a member row rounds the same whatever else is in
-    the wave. Each side's d_w rows are summed in order: the wave's sides,
-    zero-padded to its longest, fill a (longest, 2 * hits, d) block, which
-    numpy reduces along its first axis one row after another at every d.
-    g_w is 0 plus the synonym term plus the antonym term. Rows where a norm
-    is 0 get no cosine and no gradient.
+    the wave. Each side's d_w rows are summed in order at every d: np.add.at
+    adds repeated indices one after another, into +0.0 zeros, so an empty
+    side sums to +0.0. g_w is 0 plus the synonym term plus the antonym term,
+    and 0.0 + (-0.0) is +0.0, so the sign of an all-zero side never reaches
+    it. Rows where a norm is 0 get no cosine and no gradient.
     """
-    h0, h1, r0, r1, longest = plan.bounds[i]
+    h0, h1, r0, r1 = plan.bounds[i]
     h, M, d = h1 - h0, r1 - r0, W.shape[1]
     R, wv = W.take(plan.scatter[h1 + r0:h1 + r1], axis=0), W.take(plan.owners[r0:r1], axis=0)
     nw2 = np.add.reduce(wv * wv, axis=1)
@@ -277,9 +280,8 @@ def _wave_gradients(W: np.ndarray, plan: _Waves, i: int) -> np.ndarray:
     d_r = inv[:, None] * wv - np.divide(cos, nr * nr, out=np.zeros(M), where=ok)[:, None] * R
     d_w[~ok] = 0.0
     d_r[~ok] = 0.0
-    block = np.zeros((longest, 2 * h, d))
-    block[tuple(plan.slots[:, r0:r1])] = d_w
-    sums = np.add.reduce(block, axis=0)
+    sums = np.zeros((2 * h, d))
+    np.add.at(sums, plan.side[r0:r1], d_w)
     sums *= plan.side_scale[2 * h0:2 * h1]
     out = np.empty((h + M, d))
     np.add.reduce(sums.reshape(h, 2, d), axis=1, initial=0.0, out=out[:h])
@@ -294,7 +296,7 @@ def _apply_wave(W: np.ndarray, plan: _Waves, i: int) -> None:
     repeats within a hit, which only a hand-built lexicon allows, takes w's
     update first and a synonym's before an antonym's.
     """
-    h0, h1, r0, r1, _ = plan.bounds[i]
+    h0, h1, r0, r1 = plan.bounds[i]
     update = _wave_gradients(W, plan, i)
     update *= plan.steps[h0 + r0:h1 + r1]
     np.add.at(W, plan.scatter[h0 + r0:h1 + r1], update)

@@ -515,7 +515,12 @@ def _run_shard(
 
 
 def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
-    """train_sgns, or train_dlce given a lexicon and an index, single-threaded."""
+    """train_sgns, or train_dlce given a lexicon and an index, single-threaded.
+
+    W and C are validated after each epoch, as the trainer does: a bounded
+    check, unlike one for NaN, can pass at the end after failing earlier.
+    The trainer also checks every CHECK_EVERY updates, which the property
+    tests' toy corpora never reach."""
     contrast = None if lex is None else ContrastState(lex, vocab, feature_index(idx), cfg)
     if len(vocab) == 0:
         raise emb.TrainingError("empty vocabulary")
@@ -557,11 +562,11 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
                 lock_step=True, shard_base=done,
             )
             done += n_pairs
+            model.validate(done)
             record = {"epoch": epoch, "pairs": n_pairs, "alpha": alpha_start}
             if cfg.track_objective:
                 record["objective"] = emb.sgns_objective(model, targets, contexts, noise, cfg.negatives)
             model.history.append(record)
-    model.validate()
     return model
 
 
@@ -596,7 +601,8 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
     SGNS gradient is taken at the block-start W and C, a sampled negative equal
     to the true context gets zero error, each row's updates are summed in
     stream order with np.add.at and then added once, and the block's contrast
-    steps run in stream order after that."""
+    steps run in stream order after that. W and C are validated as in
+    `train`."""
     contrast = None if lex is None else ContrastState(lex, vocab, feature_index(idx), cfg)
     ids = vocabulary_ids(lines, vocab)
     epoch_streams = [emb._epoch_pairs(ids, vocab, cfg, e) for e in range(cfg.epochs)]
@@ -636,10 +642,10 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
             record = {"epoch": epoch, "pairs": len(targets),
                       "alpha": emb.learning_rate(cfg.learning_rate, done, total_updates)}
             done += len(targets)
+            model.validate(done)
             if cfg.track_objective:
                 record["objective"] = emb.sgns_objective(model, targets, contexts, noise, cfg.negatives)
             model.history.append(record)
-    model.validate()
     return model
 
 
@@ -968,11 +974,15 @@ def counts_csr(counts: CooccurrenceCounts) -> sparse.csr_matrix:
 
 def reconstruction(result, matrix) -> np.ndarray:
     """U U^T A for the SvdResult of `matrix` A at sigma_exponent=1, which
-    every caller uses: U is then the row vectors over s, in the components
-    with s > 0. This is U diag(s) Vt in both modes, as U^T A = diag(s) Vt:
-    the randomized U = Q Ub lies in span(Q), and B = Q^T A = Ub diag(s) Vt."""
-    s = result.singular_values
-    u = result.row_vectors[:, s > 0] / s[s > 0]
+    every caller uses: U is then the row vectors over s, in the first
+    effective_rank components, whose s exceed truncated_svd's tolerance.
+    This is U diag(s) Vt in both modes up to the components below it, as
+    U^T A = diag(s) Vt: the randomized U = Q Ub lies in span(Q), and
+    B = Q^T A = Ub diag(s) Vt. Below the tolerance LAPACK may return s down
+    to subnormals for a rank-deficient A, and row vectors over such an s are
+    rounding noise, not a direction of U."""
+    k = result.effective_rank
+    u = result.row_vectors[:, :k] / result.singular_values[:k]
     return u @ (matrix.T @ u).T
 
 

@@ -1025,6 +1025,18 @@ def small_world(tmp_path_factory) -> Path:
     return directory
 
 
+def test_finite_runaway_stops_the_pipeline_before_any_artifact(small_world, tmp_path, capsys):
+    """At learning rate 1e30 only 200 pairs survive subsampling and W stays finite, near 1e118: the bound on
+    |W| and |C| refuses it at the end of the epoch, before the first write."""
+    run = tmp_path / "run"
+    assert main(["pipeline", "--corpus", str(small_world / "corpus.txt"), "--lexicon", str(small_world / "lexicon.tsv"),
+                 "--workdir", str(run), "--min-count", "3", "--window", "2", "--dim", "10",
+                 "--learning-rate", "1e30"]) == 1
+    assert capsys.readouterr().err == ("error: training diverged: W or C holds a value of magnitude above 10000 "
+                                       "after update 200\n")
+    assert list(run.iterdir()) == []
+
+
 class TestFailedWrites:
     """A write that fails stops the run and names its file, a writer child that fails stops it at the next save,
     and every writer is reaped on the way out. Writer children run in the idle scheduling class and may get no

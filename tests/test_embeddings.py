@@ -21,6 +21,7 @@ from lexcontrast.corpus import (
 )
 from lexcontrast.embeddings import (
     CHECK_EVERY,
+    MAX_ABS,
     MAX_BATCH,
     MIN_ALPHA_FRACTION,
     NOISE_REUSE,
@@ -529,6 +530,22 @@ class TestSgnsTraining:
         assert len(_epoch_pairs(encode_lines(lines).ids(vocab), vocab, cfg, 0)[0]) > 10_000
         with pytest.raises(TrainingError, match=r"NaN or Inf after update 10000$"):
             train_sgns(lines, vocab, cfg)
+
+    @pytest.mark.parametrize("value, text", [
+        (MAX_ABS, None), (-MAX_ABS, None), (np.nextafter(MAX_ABS, np.inf), "a value of magnitude above 10000"),
+        (-1e118, "a value of magnitude above 10000"), (np.nan, "NaN or Inf"), (-np.inf, "NaN or Inf"),
+    ])
+    def test_validate_bounds_every_value(self, value, text):
+        """Every value of W and C must lie within ±MAX_ABS; NaN and Inf keep their own text."""
+        vocab = Vocabulary.from_counts({"a": 2, "b": 1})
+        for name in ("W", "C"):
+            model = EmbeddingModel(W=np.zeros((2, 3)), C=np.zeros((2, 3)), vocab=vocab)
+            getattr(model, name)[1, 2] = value
+            if text is None:
+                model.validate(7)
+            else:
+                with pytest.raises(TrainingError, match=f"^training diverged: W or C holds {text} after update 7$"):
+                    model.validate(7)
 
     def test_threads_other_than_one_are_refused(self):
         for threads in (0, 2, 8):

@@ -34,7 +34,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -177,6 +177,7 @@ def test_average_ranks_match_loop_oracle(values):
 # --- the trainers against the per-pair SGD loop they replaced
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 800.0, -800.0]
+TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]  # signed zeros and subnormals
 
 
 def _same_bits(got, want) -> None:
@@ -526,9 +527,10 @@ def wave_cases(draw):
 
     The lexicon is drawn as raw per-word sets, so a word can be among its own
     synonyms or antonyms and on both sides of another word; caps of 1 and 2
-    give sampled sets. Sets of up to 12 members pad a wave's sides to eight
-    rows or more, where numpy would sum a contiguous d = 1 axis pairwise.
-    The learning rates are distinct, as in the trainer.
+    give sampled sets. W gets entries of TINY, and sometimes a column of
+    signed zeros, where a side's d_w can be -0.0 in every row: the one case
+    in which a sum that starts from +0.0 and one that starts from the first
+    row differ. The learning rates are distinct, as in the trainer.
     """
     n, d = draw(st.integers(3, 14)), draw(st.integers(1, 6))
     words = _words(n)
@@ -543,6 +545,10 @@ def wave_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     W = rng.standard_normal((n, d))
     W[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        W[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(st.sampled_from(TINY))
+    if draw(st.booleans()):
+        W[:, draw(st.integers(0, d - 1))] = rng.choice([0.0, -0.0], n)
     stream = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=40))
     targets, contexts = np.array(stream, dtype=np.int32).T
     alphas = draw(st.sampled_from([1e-3, 0.05, 0.5])) * (1.0 - np.arange(len(stream)) / len(stream))
@@ -731,6 +737,20 @@ def test_subsampling_matches_per_line_oracle(case, seed):
 # against the QR-normalized subspace iteration
 
 
+def _proportional_rows(rng, n: int, m: int, rank: int) -> np.ndarray:
+    """n rows, each a power-of-two multiple of one of `rank` continuous rows."""
+    basis = rng.standard_normal((rank, m))
+    scale = 2.0 ** rng.integers(-2, 3, n) * rng.choice([-1.0, 1.0], n)
+    return scale[:, None] * basis[rng.integers(0, len(basis), n)]
+
+
+# A rank-1 case at dim 24: in dense mode LAPACK returns its other 21 singular
+# values from 4e-15 down to the subnormal 2e-323. Dividing by those recovered
+# no direction of U, and the reconstruction check was off by 0.027·‖A‖.
+_SUBNORMAL = _proportional_rows(np.random.default_rng(7), 43, 22, 1)
+SUBNORMAL_CASE = (_SUBNORMAL, sparse.csr_matrix(_SUBNORMAL), "rank-deficient", 24, 0)
+
+
 @st.composite
 def svd_cases(draw, whole=False):
     """A wide or tall sparse matrix, with a rank to cut it at.
@@ -752,9 +772,7 @@ def svd_cases(draw, whole=False):
             diagonal = np.arange(max(n, m))
             dense[diagonal % n, diagonal % m] = rng.standard_normal(len(diagonal))
     elif kind == "rank-deficient":
-        basis = rng.standard_normal((draw(st.integers(1, 3)), m))
-        scale = 2.0 ** rng.integers(-2, 3, n) * rng.choice([-1.0, 1.0], n)
-        dense = scale[:, None] * basis[rng.integers(0, len(basis), n)]
+        dense = _proportional_rows(rng, n, m, draw(st.integers(1, 3)))
     else:
         dense = np.zeros((n, m))
     if not whole:
@@ -803,6 +821,7 @@ def test_block_svd_matches_whole_matrix_oracle(case, mode):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(svd_cases(), svd_cases(whole=True)), st.sampled_from(["dense", "randomized"]),
        st.sampled_from([0.0, 0.5, 1.0]))
+@example(SUBNORMAL_CASE, "dense", 1.0)
 def test_svd_matches_the_block_svd_that_returned_vt(case, mode, sigma):
     dense, matrix, kind, dim, seed = case
     got = reduction.truncated_svd(matrix, dim, mode=mode, seed=seed, sigma_exponent=sigma)
