@@ -18,7 +18,8 @@ sparse rows tolerates (Hogwild!, Recht et al. 2011). B is the largest
 divisor of CHECK_EVERY up to MAX_BATCH that keeps the expected count of the
 likeliest noise word among one batch's negatives at about NOISE_REUSE, so B
 shrinks on tiny vocabularies; at B = 1 training is the per-pair loop up to
-rounding.
+rounding. C starts at zero, so the SGNS step of the first batch never moves
+W, and the trainers refuse a run whose epochs together fill one batch.
 
 The contrast step is not batched the same way: taking a batch's cosine
 gradients at one W and summing them lowered the contrast trainer's Spearman
@@ -441,9 +442,11 @@ def _wave_levels(batch_of: np.ndarray, targets: np.ndarray, members: np.ndarray,
     of an earlier hit of the batch that shares a row with it.
 
     Consecutive hits of a batch that share a row are links of a chain; the
-    levels are the longest paths along the chains, found by relaxing every
-    link at once until nothing moves, in as many rounds as the longest
-    chain has links.
+    levels are the longest paths along the chains. Each round relaxes every
+    link in place with one np.maximum.at, every link reading the previous
+    round's levels, until nothing moves: one round more than the longest
+    chain has links. A link runs from an earlier hit to a later one, and a
+    row repeated within one hit makes no link, so the chains have no cycles.
     """
     hit = np.concatenate((np.arange(len(targets)), member_hit))
     row = np.concatenate((targets, members))
@@ -451,17 +454,12 @@ def _wave_levels(batch_of: np.ndarray, targets: np.ndarray, members: np.ndarray,
     hit, row = hit[order], row[order]
     link = (row[1:] == row[:-1]) & (batch_of[hit[1:]] == batch_of[hit[:-1]]) & (hit[1:] != hit[:-1])
     src, dst = hit[:-1][link], hit[1:][link]
-    by_dst = np.argsort(dst, kind="stable")
-    src, dst = src[by_dst], dst[by_dst]
-    heads = np.flatnonzero(np.diff(dst, prepend=-1))
-    dst = dst[heads]
     level = np.zeros(len(targets), dtype=np.intp)
-    while len(dst):
-        new = np.maximum(level[dst], np.maximum.reduceat(level[src] + 1, heads))
-        if np.array_equal(new, level[dst]):
-            break
-        level[dst] = new
-    return level
+    while True:
+        before = level.copy()
+        np.maximum.at(level, dst, before[src] + 1)
+        if np.array_equal(level, before):
+            return level
 
 
 # --- the trainers
@@ -556,7 +554,7 @@ def _train(
     lexicon: tuple[ContrastLexicon, sparse.csr_matrix] | None,
     progress: TextIO | None,
 ) -> EmbeddingModel:
-    """Both trainers. Its refusals are the one check of whether a run can train; the last reads the
+    """Both trainers. Its refusals are the one check of whether a run can train; the last two read the
     epoch streams it trains on."""
     if len(vocab) == 0:  # the text names the min_count that built the vocabulary, if known, not cfg's
         raise TrainingError("empty vocabulary" if vocab.min_count is None else
@@ -571,16 +569,19 @@ def _train(
     if total_updates == 0:
         raise TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
                             f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
+    noise = build_noise_distribution(vocab, cfg.noise_exponent)
+    batch = batch_size(noise, cfg.negatives)
+    if sum(-(-len(t) // batch) for t, _ in epoch_streams) == 1:
+        raise TrainingError(f"too few training pairs: all {total_updates} fit in one batch of {batch}, and the "
+                            "skip-gram step would leave W at its random initialization")
     contrast = None if lexicon is None else _ContrastState(lexicon[0], vocab, lexicon[1], cfg)
 
     n, d = len(vocab), cfg.dim
     W, C = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d, np.zeros((n, d))
-    noise = build_noise_distribution(vocab, cfg.noise_exponent)
     labels = np.zeros(cfg.negatives + 1)
     labels[0] = 1.0
 
     model = EmbeddingModel(W=W, C=C, vocab=vocab)
-    batch = batch_size(noise, cfg.negatives)
     work = _StepWork.of(batch, cfg.negatives + 1, d)
     span = batch * max(1, PLAN_PAIRS // batch)  # pairs per block, a whole number of batches
     done = 0

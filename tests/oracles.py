@@ -5,7 +5,8 @@ scoring, the contrast transform and tie-averaged ranking became whole-array
 operations, the frozenset feature index and the per-key contrast sets from
 before both routes read one sparse holder matrix, the single-threaded
 per-pair SGD loop from before training was batched, the trainers' check
-before any work that found a training pair without a pair stream, the batch
+before any work that counted training pairs without a pair stream, the
+contrast waves' levels found hit by hit, the batch
 rule spelled out one pair at a time, the vector writer from before it took the header
 lines itself, the table writers that formatted cell by cell, the table
 readers that parsed their own headers and found repeated cells each its own
@@ -434,6 +435,21 @@ def apply_hit(state, W, w, c, alpha):
         emb._apply_wave(W, emb._plan_hit(w, alpha * state.beta, *sets), 0)
 
 
+def wave_levels(batch_of, targets, members, member_hit) -> np.ndarray:
+    """`_wave_levels` by its definition, one hit at a time in stream order: within its batch, a hit's
+    level is one more than the highest level already held by any of its rows (its w and its members),
+    or 0 if it has none."""
+    rows = [{int(w)} for w in targets]
+    for r, h in zip(members.tolist(), member_hit.tolist()):
+        rows[h].add(r)
+    held = {}  # (batch, row): the level of the latest hit of the batch that holds the row
+    level = np.zeros(len(targets), dtype=np.intp)
+    for i, b in enumerate(batch_of.tolist()):
+        level[i] = max((held[b, r] + 1 for r in rows[i] if (b, r) in held), default=0)
+        held.update(((b, r), int(level[i])) for r in rows[i])
+    return level
+
+
 def sgns_pair_update(W, C, w, rows, labels, alpha, has_dupes):
     """One pair's SGNS update, rows already rid of colliding negatives."""
     w_vec = W[w]
@@ -575,8 +591,9 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
 
 def require_trainable(ids, vocab, cfg) -> None:
     """Raise the trainers' first refusal that holds, before any work: an empty vocabulary or one with words
-    below cfg.min_count, no token in `ids` (as `Corpus.ids` gives them), or no pair in any epoch, found
-    without a pair stream: one exists iff a line keeps two tokens after the epoch's draw."""
+    below cfg.min_count, no token in `ids` (as `Corpus.ids` gives them), no pair in any epoch, or epochs
+    that together fill one batch, found without a pair stream: a line that keeps L tokens after the
+    epoch's draw has 2 * (L - k) pairs at each offset k from 1 to min(window, L - 1)."""
     if len(vocab) == 0:  # the text names the min_count that built the vocabulary, if known, not cfg's
         raise emb.TrainingError("empty vocabulary" if vocab.min_count is None else
                                 f"empty vocabulary: no word occurs min_count={vocab.min_count} times")
@@ -584,12 +601,18 @@ def require_trainable(ids, vocab, cfg) -> None:
         raise emb.TrainingError("vocabulary/config mismatch: vocabulary holds words below min_count")
     if len(ids[0]) == 0:
         raise CorpusError("empty corpus: no in-vocabulary tokens to train on")
-    kept = (ids if cfg.subsample is None else corpus.subsample_ids(
+    kept = [ids if cfg.subsample is None else corpus.subsample_ids(
         ids, corpus.discard_probabilities(vocab, cfg.subsample), rng_for(cfg.seed, "subsample", e))
-        for e in range(cfg.epochs))
-    if not any((line[1:] == line[:-1]).any() for _, line in kept):
+        for e in range(cfg.epochs)]
+    pairs = [sum(2 * (L - k) for L in np.unique(line, return_counts=True)[1].tolist()
+                 for k in range(1, min(cfg.window, L - 1) + 1)) for _, line in kept]
+    if sum(pairs) == 0:
         raise emb.TrainingError(f"no training pairs survive windowing/subsampling: {len(ids[0])} in-vocabulary "
                                 f"tokens, window {cfg.window}, subsample {cfg.subsample or 'off'}")
+    batch = emb.batch_size(emb.build_noise_distribution(vocab, cfg.noise_exponent), cfg.negatives)
+    if sum(-(-p // batch) for p in pairs) == 1:
+        raise emb.TrainingError(f"too few training pairs: all {sum(pairs)} fit in one batch of {batch}, and the "
+                                "skip-gram step would leave W at its random initialization")
 
 
 # --- the batch rule, one pair at a time

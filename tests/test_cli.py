@@ -449,16 +449,31 @@ class TestExitCodes:
                                            f"{tokens} in-vocabulary tokens, window 2, subsample {subsample}\n")
         assert list(Path("run").iterdir()) == []
 
+    def test_a_run_of_one_batch_is_1_before_any_artifact(self, tmp_path, monkeypatch, capsys):
+        """One 4-word line has 10 pairs, which fit in one batch of 20: every SGNS gradient of that batch
+        reads C at zero, so W would be written as its random initialization."""
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.txt").write_text("hot cold warm cool\n")
+        Path("lexicon.tsv").write_text("hot\tSYN\twarm\ncold\tSYN\tcool\nhot\tANT\tcold\n")
+        assert main(["pipeline", "--corpus", "corpus.txt", "--lexicon", "lexicon.tsv", "--workdir", "run",
+                     "--min-count", "1", "--window", "2", "--dim", "4", "--svd-dim", "2", "--negatives", "2",
+                     "--subsample", "0"]) == 1
+        assert capsys.readouterr().err == ("error: too few training pairs: all 10 fit in one batch of 20, and the "
+                                           "skip-gram step would leave W at its random initialization\n")
+        assert list(Path("run").iterdir()) == []
+
     @pytest.mark.parametrize("text, min_count, flags, pipeline_flags", [
         (None, "100000", ["--config", "run.cfg"], ["--pairs", "pairs.tsv", "--simpairs", "sim.tsv"]),
         ("hot cold warm cool\ncool warm hot cold\nwarm hot cool cold\ncold cool warm hot\n", "1",
          ["--window", "2", "--dim", "4", "--negatives", "2"], ["--svd-dim", "2"]),
         ("hot\ncold\nwarm\ncool\nhot\n", "1", ["--window", "2", "--dim", "4", "--negatives", "2", "--subsample", "0"],
          ["--svd-dim", "2"]),
-    ], ids=["empty-vocabulary", "subsampled-away", "one-token-lines"])
+        ("hot cold warm cool\n", "1", ["--window", "2", "--dim", "4", "--negatives", "2", "--subsample", "0"],
+         ["--svd-dim", "2"]),
+    ], ids=["empty-vocabulary", "subsampled-away", "one-token-lines", "one-batch"])
     def test_pipeline_and_the_trainers_refuse_with_one_text(self, workspace, capsys, text, min_count, flags,
                                                             pipeline_flags):
-        """The inputs of the two tests above: `pipeline`, and `train-sgns` and `train-dlce` on the
+        """The inputs of the tests above: `pipeline`, and `train-sgns` and `train-dlce` on the
         vocabulary and LMI that their subcommands write, print the same refusal."""
         if text is not None:
             Path("corpus.txt").write_text(text)
@@ -1034,6 +1049,18 @@ def test_finite_runaway_stops_the_pipeline_before_any_artifact(small_world, tmp_
                  "--learning-rate", "1e30"]) == 1
     assert capsys.readouterr().err == ("error: training diverged: W or C holds a value of magnitude above 10000 "
                                        "after update 200\n")
+    assert list(run.iterdir()) == []
+
+
+def test_one_batch_of_the_small_world_is_refused_before_any_artifact(small_world, tmp_path, capsys):
+    """With 3 negatives, the 200 pairs that survive subsampling fit in one batch of 250. The run used to
+    write W as its random initialization and exit 0, at learning rates up to 1,000."""
+    run = tmp_path / "run"
+    assert main(["pipeline", "--corpus", str(small_world / "corpus.txt"), "--lexicon", str(small_world / "lexicon.tsv"),
+                 "--workdir", str(run), "--min-count", "3", "--window", "2", "--dim", "10", "--svd-dim", "10",
+                 "--negatives", "3"]) == 1
+    assert capsys.readouterr().err == ("error: too few training pairs: all 200 fit in one batch of 250, and the "
+                                       "skip-gram step would leave W at its random initialization\n")
     assert list(run.iterdir()) == []
 
 

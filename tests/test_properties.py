@@ -5,11 +5,12 @@ per-key frozenset form; the batched SGNS/dLCE trainers
 against the batch rule spelled out pair by pair and, at batch size 1, step by
 step against the per-pair loop they replaced, and bit for bit against the
 per-batch sorting scatter and searchsorted noise draws; the trainers'
-refusals against the pre-check that found a pair without a pair stream; the
+refusals against the pre-check that counts pairs without a pair stream; the
 planned scatter against that sort per batch; sigmoid and contrast gradients
 against that loop's versions bit for bit, and the contrast gradients within
 rounding of their BLAS form; the contrast step against its old form, the
-contrast waves against the same hits applied one at a time,
+contrast waves against the same hits applied one at a time and their levels
+against the definition taken hit by hit,
 co-occurrence counting against its chunked form and against the trainer's
 pair stream, subsampling against one draw call per line, a corpus file's
 encoding against the Counter vocabulary and per-line id arrays of its token
@@ -59,6 +60,7 @@ from lexcontrast.embeddings import (
 )
 from lexcontrast.evaluation import RelationPair, SparseRowTable, _average_ranks, score_pairs
 from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
+from lexcontrast.seeding import rng_for
 from lexcontrast.vectors import DenseEmbeddings
 from lexcontrast.weighting import (
     SCHEME_LMI,
@@ -223,13 +225,25 @@ def training_cases(draw):
     return lines, vocab, cfg, lex, idx
 
 
-def _trained_or_refused(train, oracle):
-    """Both models, or None once both runs stop with the same TrainingError."""
+def _trained_or_refused(train, oracle, batch, cfg, sgns):
+    """Both models, or None once both runs stop with the same TrainingError.
+
+    A run whose epochs fill one batch of `batch` pairs is the trainer's own
+    refusal: the oracle trains it, and under SGNS its W ends bit for bit as
+    drawn, since every gradient of the batch reads C at zero. dLCE's
+    contrast step still moves W, so there only the refusal is checked.
+    """
     try:
         want = oracle()
     except TrainingError as exc:
         with pytest.raises(TrainingError, match=str(exc).split(":")[0]):
             train()
+        return None
+    if sum(-(-h["pairs"] // batch) for h in want.history) == 1:
+        with pytest.raises(TrainingError, match=f"fit in one batch of {batch}, "):
+            train()
+        if sgns:
+            _same_bits(want.W, (rng_for(cfg.seed, "init").random(want.W.shape) - 0.5) / cfg.dim)
         return None
     return train(), want
 
@@ -254,7 +268,7 @@ def test_trainers_follow_the_batch_rule(case, batch):
         for args in ((), (lex, idx)):
             both = _trained_or_refused(
                 lambda: (train_dlce if args else train_sgns)(lines, vocab, cfg, *args),
-                lambda: oracles.train_batched(lines, vocab, cfg, batch, *args),
+                lambda: oracles.train_batched(lines, vocab, cfg, batch, *args), batch, cfg, not args,
             )
             if both is None:
                 continue
@@ -316,7 +330,7 @@ def test_trainers_match_per_pair_loop_at_batch_one(case):
         for args in ((), (lex, idx)):
             steps.clear()
             both = _trained_or_refused(lambda: (train_dlce if args else train_sgns)(lines, vocab, cfg, *args),
-                                       lambda: oracles.train(lines, vocab, cfg, *args))
+                                       lambda: oracles.train(lines, vocab, cfg, *args), 1, cfg, not args)
             if both is None:
                 continue
             got, want = both
@@ -586,6 +600,32 @@ def test_contrast_waves_equal_hits_in_stream_order(case):
     for v in range(len(plan.bounds)):
         embeddings._apply_wave(W, plan, v)
     _same_bits(W, want)
+
+
+@st.composite
+def level_cases(draw):
+    """Hits in stream order over a few rows of W, in several batches, as
+    `_ContrastState.waves` hands them to `_wave_levels`: each hit's batch, w
+    and members. Few rows make long chains; a hit may repeat a row among its
+    members or repeat its w there, and a block may hold no hit."""
+    n_hits, n_rows = draw(st.integers(0, 40)), draw(st.integers(1, 8))
+    batch_of = np.sort(draw(st.lists(st.integers(0, 5), min_size=n_hits, max_size=n_hits))).astype(np.intp)
+    targets = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=n_hits, max_size=n_hits)), dtype=np.int32)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n_hits, max_size=n_hits))
+    members = draw(st.lists(st.integers(0, n_rows - 1), min_size=sum(sizes), max_size=sum(sizes)))
+    return batch_of, targets, np.array(members, dtype=np.intp), np.repeat(np.arange(n_hits), sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_cases())
+@example((np.zeros(0, np.intp), np.zeros(0, np.int32), np.zeros(0, np.intp), np.zeros(0, np.intp)))
+@example((np.zeros(3, np.intp), np.zeros(3, np.int32), np.zeros(6, np.intp), np.repeat(np.arange(3), 2)))
+def test_wave_levels_equal_their_definition(case):
+    """Exactly the levels found hit by hit, not merely a layering that keeps
+    each wave row-disjoint, which the wave property above would accept even
+    with more waves than needed."""
+    got, want = embeddings._wave_levels(*case), oracles.wave_levels(*case)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @st.composite
