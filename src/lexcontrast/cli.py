@@ -16,8 +16,9 @@ and as a sha256), and the root seed. Randomness flows from that single root seed
 with the same config file is byte-identical. Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
 set, for the process and its children, so the SVD's bytes do not depend on the host's core count.
 
-An option comes from its flag, else the config file, else the default, and every command checks every option
-before any work: the training options by `TrainingConfig`, the rest here. numpy and scipy load only after that:
+An option comes from its flag, else the config file, else the default. The training options are the fields of
+`TrainingConfig`, which states their names, defaults and bounds (a None default is 0 here, "off"); the others are
+this module's own. Every command checks every option before any work, and numpy and scipy load only after that:
 `--version`, `--help`, and every refusal of an option, a config file, an input that is missing or an output that
 clashes, exit before `_bind` imports the stage modules.
 """
@@ -43,34 +44,22 @@ from .config import TrainingConfig
 
 DEFAULTS: dict[str, object] = {
     "lowercase": True,
-    "min_count": 100,
-    "window": 5,
     "dynamic_window": False,
-    "dim": 500,
     "svd_dim": 100,
-    "negatives": 15,
-    "learning_rate": 0.025,
-    "epochs": 1,
-    "subsample": 1e-5,
-    "noise_exponent": 0.75,
-    "beta": 1.0,
-    "max_contrast_neighbors": 0,
-    "threads": 1,
     "ant_mean": "pooled",
     "fallback_lmi": False,
     "svd_mode": "auto",
     "sigma_exponent": 1.0,
     "average_contexts": False,
-    "track_objective": False,
-    "seed": 0,
+    # the training options are TrainingConfig's fields, a None default written as 0, "off"
+    **{f.name: 0 if f.default is None else f.default for f in dataclasses.fields(TrainingConfig)},
 }
 
 # the values a string option may take, from a flag or a config file alike
 _CHOICES = {"ant_mean": ("pooled", "per-antonym"), "svd_mode": ("auto", "dense", "randomized")}
 # lower bounds that TrainingConfig does not state in these words, checked once a float option is known to be
-# finite: seed and the SVD options, which it does not bound, beta (its contrast_coefficient), and the two
-# options that 0 switches off, which reach it as None
-_MINIMUM = {"svd_dim": 1, "seed": 0, "sigma_exponent": 0, "beta": 0, "subsample": 0, "max_contrast_neighbors": 0}
+# finite: the SVD options, and the two training options whose 0 reaches it as None
+_MINIMUM = {"svd_dim": 1, "sigma_exponent": 0, "subsample": 0, "max_contrast_neighbors": 0}
 # keys naming input files or the pipeline's output directory; they have no default
 _PATH_KEYS = ("corpus", "counts", "lexicon", "lmi", "pairs", "simpairs", "vectors", "vocab", "weights", "workdir")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
@@ -142,9 +131,7 @@ def _require_files(*paths) -> None:
 
 
 def _training_config(s: dict) -> TrainingConfig:
-    """Every TrainingConfig field that is a resolved key, and beta as its contrast coefficient."""
-    names = (f.name for f in dataclasses.fields(TrainingConfig))
-    return TrainingConfig(contrast_coefficient=s["beta"], **{key: s[key] for key in names if key in s})
+    return TrainingConfig(**{f.name: s[f.name] for f in dataclasses.fields(TrainingConfig)})
 
 
 def _bind() -> None:

@@ -1,7 +1,10 @@
 """The trainers' settings and their refusal.
 
-This module imports no numpy, so the command line checks the training
-options before numpy loads; `embeddings` takes both names from here.
+Each field is a training option of the command line, under the same name
+and default (a None default is the command line's 0, "off"), and its bound
+is checked here. This module imports no numpy, so the command line checks
+the training options before numpy loads; `embeddings` takes both names from
+here.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class TrainingConfig:
     epochs: int = 1
     subsample: float | None = 1e-5  # None disables the frequency cut
     min_count: int = 100
-    contrast_coefficient: float = 1.0
+    beta: float = 1.0  # the weight of the lexical-contrast term
     max_contrast_neighbors: int | None = None
     noise_exponent: float = 0.75
     seed: int = 0
@@ -33,13 +36,11 @@ class TrainingConfig:
 
     def __post_init__(self):
         for name, low in (("min_count", 1), ("window", 1), ("dim", 1), ("negatives", 1), ("epochs", 1),
-                          ("noise_exponent", 0)):
+                          ("noise_exponent", 0), ("beta", 0), ("seed", 0)):
             if not getattr(self, name) >= low:  # a NaN fails too
                 raise TrainingError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise TrainingError(f"learning rate must be > 0, got {self.learning_rate}")
-        if not self.contrast_coefficient >= 0:
-            raise TrainingError("contrast coefficient must be >= 0")
         if self.threads != 1:
             raise TrainingError(f"threads must be 1, got {self.threads}: training runs in one thread")
         if self.subsample is not None and not self.subsample > 0:

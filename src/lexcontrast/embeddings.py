@@ -380,7 +380,7 @@ class _ContrastState:
         held_by = sparse.csr_matrix(idx.T)  # row c: the words that hold feature c
         self.held_by = sparse.hstack((held_by, held_by), format="csr")
         self.in_lexicon = np.diff(self.relations.indptr) > 0
-        self.cap, self.seed, self.beta = cfg.max_contrast_neighbors, cfg.seed, cfg.contrast_coefficient
+        self.cap, self.seed, self.beta = cfg.max_contrast_neighbors, cfg.seed, cfg.beta
 
     def sets(self, words: np.ndarray, contexts: np.ndarray):
         """The contrast sets of the keys (words[i], contexts[i]): n_syn[i]

@@ -22,8 +22,9 @@ back into zeros of the full shape. Empty rows and columns lie in the null
 space, so the truncated SVD is the same, and the row of a word with no
 weight (in SA, a word without a lexicon entry) is exactly 0 instead of
 rounding noise. The block's sketch is its rows of the whole matrix's
-sketch, "auto" picks the mode from the full shape, and a matrix with no
-empty row or column is factored whole.
+sketch, drawn SKETCH_CHUNK rows at a time so that the whole is never held,
+"auto" picks the mode from the full shape, and a matrix with no empty row
+or column is factored whole.
 
 Every dense block of the randomized path is n x (k + DEFAULT_OVERSAMPLE),
 the sketch's size, and is a product that the function owns: LU, QR and the
@@ -51,6 +52,7 @@ from .seeding import rng_for
 DENSE_CUTOFF = 2000  # below this max dimension, exact SVD is cheap enough
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
+SKETCH_CHUNK = 4096  # rows of the whole sketch drawn at a time on the block path
 
 
 class ReductionError(ValueError):
@@ -68,6 +70,19 @@ class SvdResult:
     mode_used: str
 
 
+def _sketch_rows(rng, m: int, width: int, cols):
+    """Rows `cols` of standard_normal((m, width)): a slice of one whole draw, or for ascending ids the wanted
+    rows of each SKETCH_CHUNK-row draw, which are the same bits, as chunked draws equal one whole draw."""
+    if isinstance(cols, slice):
+        return rng.standard_normal((m, width))[cols]
+    kept = []
+    for lo in range(0, m, SKETCH_CHUNK):
+        chunk = rng.standard_normal((min(SKETCH_CHUNK, m - lo), width))
+        a, b = np.searchsorted(cols, (lo, lo + SKETCH_CHUNK))
+        kept.append(chunk[cols[a:b] - lo])
+    return np.concatenate(kept)
+
+
 def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
     """The sketch is drawn for the whole matrix of `shape` and rank k, and
     `cols` picks its rows for the columns that `matrix` holds (a slice for
@@ -83,7 +98,7 @@ def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
 
     n, m = shape
     sketch = min(k + DEFAULT_OVERSAMPLE, min(n, m))
-    y = matrix @ rng_for(seed, "svd-sketch").standard_normal((m, sketch))[cols]
+    y = matrix @ _sketch_rows(rng_for(seed, "svd-sketch"), m, sketch, cols)
     for _ in range(DEFAULT_POWER_ITERS):
         y = normalized(y)
         y = matrix.T @ y

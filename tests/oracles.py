@@ -305,7 +305,7 @@ class ContrastState:
         self.idx = idx
         self.cap = cfg.max_contrast_neighbors
         self.seed = cfg.seed
-        self.beta = cfg.contrast_coefficient
+        self.beta = cfg.beta
         self.cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
         self.in_lexicon = np.zeros(len(vocab), dtype=bool)
         self.in_lexicon[list(self.syn.keys() | self.ant.keys())] = True

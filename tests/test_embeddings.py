@@ -553,19 +553,20 @@ class TestSgnsTraining:
                 TrainingConfig(dim=6, min_count=1, threads=threads)
         assert TrainingConfig(dim=6, min_count=1, threads=1).threads == 1
 
-    @pytest.mark.parametrize("field, named", [("noise_exponent", "noise_exponent"),
-                                              ("contrast_coefficient", "contrast coefficient")],
-                             ids=["noise_exponent", "contrast_coefficient"])
-    def test_nan_knobs_are_refused(self, field, named):
-        with pytest.raises(TrainingError, match=named):
+    @pytest.mark.parametrize("field", ["noise_exponent", "beta"])
+    def test_nan_knobs_are_refused(self, field):
+        with pytest.raises(TrainingError) as err:
             TrainingConfig(dim=6, min_count=1, **{field: float("nan")})
+        assert str(err.value) == f"{field} must be >= 0, got nan"
 
     @pytest.mark.parametrize("field, low, below", [("min_count", 1, 0), ("window", 1, 0), ("dim", 1, 0),
                                                    ("negatives", 1, 0), ("epochs", 1, 0),
-                                                   ("noise_exponent", 0, -0.25)])
+                                                   ("noise_exponent", 0, -0.25), ("beta", 0, -0.25),
+                                                   ("seed", 0, -1)])
     @pytest.mark.parametrize("nan", [False, True], ids=["below", "nan"])
     def test_each_bounded_field_is_refused_in_its_own_words(self, field, low, below, nan):
-        """One text per field, the one the command line prints: no field shares a refusal with another."""
+        """One text per field, the one the command line prints: no field shares a refusal with another. A
+        negative seed is refused here, not later inside numpy's seeding."""
         value = float("nan") if nan else below
         with pytest.raises(TrainingError) as err:
             TrainingConfig(**{"dim": 6, "min_count": 1, field: value})
@@ -602,7 +603,7 @@ class TestContrastTraining:
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=8, negatives=4, window=3, epochs=4,
                              subsample=None, min_count=1, seed=2,
-                             learning_rate=0.05, contrast_coefficient=1.0)
+                             learning_rate=0.05, beta=1.0)
         plain = train_sgns(lines, vocab, cfg, progress=io.StringIO())
         lex = ContrastLexicon.from_pairs([("w0", "w1")], [("w0", "w2")])
         tuned = train_dlce(lines, vocab, cfg, lex, _full_index(len(vocab)),
@@ -620,7 +621,7 @@ class TestContrastTraining:
         lines = _toy_corpus(np.random.default_rng(18), n_lines=50)
         vocab = build_vocabulary(lines, min_count=1)
         cfg = TrainingConfig(dim=5, negatives=3, window=2, epochs=1,
-                             subsample=None, min_count=1, contrast_coefficient=0.0)
+                             subsample=None, min_count=1, beta=0.0)
         lex = ContrastLexicon.from_pairs([("w0", "w1")], [("w0", "w2")])
         tuned = train_dlce(lines, vocab, cfg, lex, _full_index(len(vocab)),
                            progress=io.StringIO())
@@ -632,7 +633,7 @@ class TestContrastTraining:
         rng = np.random.default_rng(19)
         vocab = Vocabulary.from_counts({f"w{i}": 10 - i for i in range(6)})
         lex = ContrastLexicon.from_pairs([("w0", "w1"), ("w0", "w2")], [("w0", "w3")])
-        cfg = TrainingConfig(dim=5, min_count=1, contrast_coefficient=1.0)
+        cfg = TrainingConfig(dim=5, min_count=1, beta=1.0)
         state = oracles.ContrastState(lex, vocab, oracles.feature_index(_full_index(6)), cfg)
         W = rng.standard_normal((6, 5))
         sets = state.pair_sets(0, 4)

@@ -211,7 +211,7 @@ def training_cases(draw):
         epochs=draw(st.integers(1, 3)),
         subsample=draw(st.sampled_from([None, 0.01, 0.1])),
         min_count=1,
-        contrast_coefficient=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        beta=draw(st.sampled_from([0.0, 1.0, 3.0])),
         max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])),
         seed=draw(st.integers(0, 1000)),
         track_objective=draw(st.booleans()),
@@ -513,7 +513,7 @@ def contrast_steps(draw):
     lex = ContrastLexicon.from_pairs(draw(st.lists(pair, max_size=12)), draw(st.lists(pair, max_size=8)))
     idx = draw(holder_matrices(n, n))
     cfg = TrainingConfig(dim=d, min_count=1, seed=draw(st.integers(0, 100)),
-                         contrast_coefficient=draw(st.sampled_from([1.0, 3.0])),
+                         beta=draw(st.sampled_from([1.0, 3.0])),
                          max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     W = rng.standard_normal((n, d))
@@ -554,7 +554,7 @@ def wave_cases(draw):
     lex = ContrastLexicon(syn=draw(related), ant=draw(related))
     idx = sparse.csr_matrix(np.ones((n, n))) if draw(st.booleans()) else draw(holder_matrices(n, n))
     cfg = TrainingConfig(dim=d, min_count=1, seed=draw(st.integers(0, 100)),
-                         contrast_coefficient=draw(st.sampled_from([1.0, 3.0])),
+                         beta=draw(st.sampled_from([1.0, 3.0])),
                          max_contrast_neighbors=draw(st.sampled_from([None, 1, 2])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     W = rng.standard_normal((n, d))

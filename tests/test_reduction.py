@@ -10,8 +10,9 @@ import pytest
 import scipy.linalg  # noqa: F401  imported before any trace, so that its import stays out of the peaks
 from scipy import sparse
 
+from lexcontrast import reduction
 from lexcontrast.reduction import ReductionError, truncated_svd
-from oracles import reconstruction
+from oracles import block_svd, reconstruction
 
 
 def _random_orthonormal(rng, n, k):
@@ -188,17 +189,43 @@ class TestNonemptyBlock:
 
     @pytest.mark.parametrize("mode", ["dense", "randomized"])
     def test_only_the_row_vectors_take_the_full_shape(self, mode):
-        # U is n x k float64, 8 MB here. Measured peaks: 1.02 U (dense) and 1.23 (randomized, which
-        # draws the whole m x (k + 10) sketch to take its block's rows); 2.02 in both modes while a
-        # k x m Vt was written back too
+        # U is n x k float64, 8 MB here. Measured peaks: 1.02 U in both modes, the randomized one
+        # drawing the sketch in chunks of rows; 1.23 randomized while it drew the whole m x (k + 10)
+        # sketch to take its block's rows, and 2.02 in both modes while a k x m Vt was written back too
         rng = np.random.default_rng(13)
         n, k = 20_000, 50
         rows, cols = rng.choice(n, 100, replace=False), rng.choice(n, 150, replace=False)
         matrix = sparse.csr_matrix((rng.standard_normal(100 * 150), (np.repeat(rows, 150), np.tile(cols, 100))),
                                    shape=(n, n))
         result, peak = _traced(lambda: truncated_svd(matrix, k, mode=mode))
-        assert peak < 1.5 * n * k * 8
+        assert peak < 1.15 * n * k * 8
         assert result.effective_rank == k
+
+
+class TestChunkedSketch:
+    """The block path draws the whole matrix's sketch in chunks of rows and keeps its block's rows."""
+
+    def test_chunked_draws_equal_one_whole_draw(self):
+        m, width = 1003, 110
+        whole, chunked = np.random.default_rng(21), np.random.default_rng(21)
+        want = whole.standard_normal((m, width))
+        got = np.concatenate([chunked.standard_normal((rows, width)) for rows in (1, 500, 7, 495)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(chunked.standard_normal(5), whole.standard_normal(5))  # the generator's next draw
+
+    def test_block_svd_is_the_one_of_the_whole_sketch(self, monkeypatch):
+        """With chunks of 7 rows the block's sketch spans many chunks, some holding no wanted row, and the
+        row vectors are those of the block SVD that drew the whole sketch, bit for bit."""
+        monkeypatch.setattr(reduction, "SKETCH_CHUNK", 7)
+        rng = np.random.default_rng(22)
+        dense = rng.standard_normal((40, 60)) * (rng.random((40, 60)) < 0.3)
+        dense[[3, 17]] = 0.0
+        dense[:, [0, 8, 9, 10, 11, 12, 13, 14, 15, 59]] = 0.0
+        matrix = sparse.csr_matrix(dense)
+        got = truncated_svd(matrix, 5, mode="randomized", seed=9)
+        want = block_svd(matrix, 5, mode="randomized", seed=9)[0]
+        assert np.array_equal(got.row_vectors, want.row_vectors)
+        assert np.array_equal(got.singular_values, want.singular_values)
 
 
 class TestFactorizationMemory:
