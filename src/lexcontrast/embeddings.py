@@ -19,7 +19,9 @@ divisor of CHECK_EVERY up to MAX_BATCH that keeps the expected count of the
 likeliest noise word among one batch's negatives at about NOISE_REUSE, so B
 shrinks on tiny vocabularies; at B = 1 training is the per-pair loop up to
 rounding. C starts at zero, so the SGNS step of the first batch never moves
-W, and the trainers refuse a run whose epochs together fill one batch.
+W, and the trainers refuse a run whose epochs together fill one batch. A
+later batch that reads only rows of C still at zero leaves W as drawn too, so
+they also refuse a run whose W ends bit for bit as drawn.
 
 The contrast step is not batched the same way: taking a batch's cosine
 gradients at one W and summing them lowered the contrast trainer's Spearman
@@ -49,6 +51,7 @@ contrast waves and scatter plan: each step's products need no sort.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -554,8 +557,8 @@ def _train(
     lexicon: tuple[ContrastLexicon, sparse.csr_matrix] | None,
     progress: TextIO | None,
 ) -> EmbeddingModel:
-    """Both trainers. Its refusals are the one check of whether a run can train; the last two read the
-    epoch streams it trains on."""
+    """Both trainers. Its refusals are the one check of whether a run can train; the last two before any
+    work read the epoch streams it trains on, and one after the last epoch finds W as drawn."""
     if len(vocab) == 0:  # the text names the min_count that built the vocabulary, if known, not cfg's
         raise TrainingError("empty vocabulary" if vocab.min_count is None else
                             f"empty vocabulary: no word occurs min_count={vocab.min_count} times")
@@ -578,6 +581,7 @@ def _train(
 
     n, d = len(vocab), cfg.dim
     W, C = (rng_for(cfg.seed, "init").random((n, d)) - 0.5) / d, np.zeros((n, d))
+    drawn = hashlib.sha256(W).digest()  # W's bytes as drawn, with no copy of W kept to compare
     labels = np.zeros(cfg.negatives + 1)
     labels[0] = 1.0
 
@@ -619,6 +623,9 @@ def _train(
             if "objective" in record:
                 line += f"\t{record['objective']:.6f}"
             print(line, file=progress)
+    if hashlib.sha256(W).digest() == drawn:
+        raise TrainingError("training left W at its random initialization: no update moved it over epochs of "
+                            f"{', '.join(str(len(t)) for t, _ in epoch_streams)} pairs in batches of {batch}")
     return model
 
 

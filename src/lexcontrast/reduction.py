@@ -23,8 +23,8 @@ space, so the truncated SVD is the same, and the row of a word with no
 weight (in SA, a word without a lexicon entry) is exactly 0 instead of
 rounding noise. The block's sketch is its rows of the whole matrix's
 sketch, drawn SKETCH_CHUNK rows at a time so that the whole is never held,
-"auto" picks the mode from the full shape, and a matrix with no empty row
-or column is factored whole.
+and "auto" picks the mode from the full shape. A matrix with no empty row or
+column is its own block and is not copied.
 
 Every dense block of the randomized path is n x (k + DEFAULT_OVERSAMPLE),
 the sketch's size, and is a product that the function owns: LU, QR and the
@@ -52,7 +52,7 @@ from .seeding import rng_for
 DENSE_CUTOFF = 2000  # below this max dimension, exact SVD is cheap enough
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
-SKETCH_CHUNK = 4096  # rows of the whole sketch drawn at a time on the block path
+SKETCH_CHUNK = 4096  # rows of the whole sketch drawn at a time
 
 
 class ReductionError(ValueError):
@@ -70,23 +70,22 @@ class SvdResult:
     mode_used: str
 
 
-def _sketch_rows(rng, m: int, width: int, cols):
-    """Rows `cols` of standard_normal((m, width)): a slice of one whole draw, or for ascending ids the wanted
-    rows of each SKETCH_CHUNK-row draw, which are the same bits, as chunked draws equal one whole draw."""
-    if isinstance(cols, slice):
-        return rng.standard_normal((m, width))[cols]
-    kept = []
+def _sketch_rows(rng, m: int, width: int, cols: np.ndarray) -> np.ndarray:
+    """Rows `cols` (ascending ids) of standard_normal((m, width)): the wanted rows of each SKETCH_CHUNK-row
+    draw, which are the same bits, as chunked draws equal one whole draw. One chunk is held at a time."""
+    kept = np.empty((len(cols), width))
     for lo in range(0, m, SKETCH_CHUNK):
         chunk = rng.standard_normal((min(SKETCH_CHUNK, m - lo), width))
         a, b = np.searchsorted(cols, (lo, lo + SKETCH_CHUNK))
-        kept.append(chunk[cols[a:b] - lo])
-    return np.concatenate(kept)
+        np.take(chunk, cols[a:b] - lo, axis=0, mode="clip", out=kept[a:b])  # "raise" would buffer `out`
+        del chunk
+    return kept
 
 
-def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
+def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols: np.ndarray):
     """The sketch is drawn for the whole matrix of `shape` and rank k, and
-    `cols` picks its rows for the columns that `matrix` holds (a slice for
-    the whole). Returns U and s, min(k, min(matrix.shape)) components.
+    `cols` picks its rows for the columns that `matrix` holds. Returns U and
+    s, min(k, min(matrix.shape)) components.
 
     Every dense block is a product made here, so each factorization may
     overwrite it, and each is released as soon as the next product has read it.
@@ -109,15 +108,7 @@ def _randomized_svd(matrix, k: int, seed: int, shape: tuple[int, int], cols):
     del y  # QR overwrote it with q
     # B^T = A^T Q = V diag(s) Ub^T, so A ~ Q B = (Q Ub) diag(s) V^T
     s, ubt = svd(np.asfortranarray(matrix.T @ q), full_matrices=False, overwrite_a=True, check_finite=False)[1:]
-    return q @ ubt[:k].T, s[:k].copy()
-
-
-def _factor(matrix, k: int, mode: str, seed: int, shape: tuple[int, int], cols):
-    """U and s of `matrix`, cut at rank k; `shape` and `cols` place it in the whole matrix."""
-    if mode == "randomized":
-        return _randomized_svd(matrix.astype(np.float64, copy=False), k, seed, shape, cols)
-    u, s = np.linalg.svd(matrix.toarray().astype(np.float64, copy=False), full_matrices=False)[:2]
-    return u[:, :k].copy(), s[:k].copy()
+    return q @ ubt[:k].T, s[:k]
 
 
 def _nonempty(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -162,14 +153,17 @@ def truncated_svd(
     if mode == "auto":
         mode = "dense" if max(n, m) < DENSE_CUTOFF else "randomized"
     rows, cols = _nonempty(matrix)
-    if len(rows) == n and len(cols) == m:
-        u, s = _factor(matrix, k, mode, seed, (n, m), slice(None))
-    else:  # an all-zero matrix needs no factorization
-        factors = _factor(matrix.tocsr()[rows][:, cols], k, mode, seed, (n, m), cols) if len(rows) else ()
-        u, s = np.zeros((n, k)), np.zeros(k)  # after the factorization, out of its peak
-        if factors:
-            r = len(factors[1])
-            u[rows, :r], s[:r] = factors
+    block = matrix if len(rows) == n and len(cols) == m else matrix.tocsr()[rows][:, cols]
+    if not len(rows):  # an all-zero matrix needs no factorization
+        block_u, block_s = np.zeros((0, 0)), np.zeros(0)
+    elif mode == "randomized":
+        block_u, block_s = _randomized_svd(block.astype(np.float64, copy=False), k, seed, (n, m), cols)
+    else:
+        block_u, block_s = np.linalg.svd(block.toarray().astype(np.float64, copy=False), full_matrices=False)[:2]
+    del block
+    u, s = np.zeros((n, k)), np.zeros(k)  # after the factorization, out of its peak
+    r = min(k, len(block_s))
+    u[rows, :r], s[:r] = block_u[:, :r], block_s[:r]
     tol = (s[0] * max(n, m) * np.finfo(np.float64).eps) if len(s) else 0.0
     effective_rank = int((s > tol).sum())
     u *= s ** sigma_exponent  # U becomes the row vectors in place

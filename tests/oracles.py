@@ -583,7 +583,7 @@ def train(lines, vocab, cfg, lex=None, idx=None) -> emb.EmbeddingModel:
             if cfg.track_objective:
                 record["objective"] = emb.sgns_objective(model, targets, contexts, noise, cfg.negatives)
             model.history.append(record)
-    return model
+    return require_moved(model, cfg, emb.batch_size(noise, cfg.negatives))
 
 
 # --- the trainers' refusals, checked before any work
@@ -613,6 +613,23 @@ def require_trainable(ids, vocab, cfg) -> None:
     if sum(-(-p // batch) for p in pairs) == 1:
         raise emb.TrainingError(f"too few training pairs: all {sum(pairs)} fit in one batch of {batch}, and the "
                                 "skip-gram step would leave W at its random initialization")
+
+
+class DrawnW(emb.TrainingError):
+    """The trainers' refusal of a run whose W ends bit for bit as drawn; `model` is that run."""
+
+    def __init__(self, model, batch):
+        pairs = ", ".join(str(h["pairs"]) for h in model.history)
+        super().__init__(f"training left W at its random initialization: no update moved it over epochs of "
+                         f"{pairs} pairs in batches of {batch}")
+        self.model = model
+
+
+def require_moved(model, cfg, batch) -> emb.EmbeddingModel:
+    """`model`, unless its W equals the trainers' initial draw, drawn again here, bit for bit."""
+    if model.W.tobytes() == ((rng_for(cfg.seed, "init").random(model.W.shape) - 0.5) / cfg.dim).tobytes():
+        raise DrawnW(model, batch)
+    return model
 
 
 # --- the batch rule, one pair at a time
@@ -669,7 +686,7 @@ def train_batched(lines, vocab, cfg, batch, lex=None, idx=None) -> emb.Embedding
             if cfg.track_objective:
                 record["objective"] = emb.sgns_objective(model, targets, contexts, noise, cfg.negatives)
             model.history.append(record)
-    return model
+    return require_moved(model, cfg, batch)
 
 
 # --- the vector writer

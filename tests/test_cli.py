@@ -1067,6 +1067,43 @@ def test_one_batch_of_the_small_world_is_refused_before_any_artifact(small_world
     assert list(run.iterdir()) == []
 
 
+LEFT_AS_DRAWN = ("0\t2\t0.025000\n1\t2\t0.012500\n"  # the progress lines of the two epochs
+                 "error: training left W at its random initialization: no update moved it over epochs of 2, 2 pairs "
+                 "in batches of 125\n")
+
+
+@pytest.fixture(scope="module")
+def drawn_world(tmp_path_factory):
+    """A 300-line world: at min_count 3 and subsampling 1e-5 each of two epochs keeps 2 pairs, one batch of 125,
+    and the second reads only rows of C that the first left at zero."""
+    directory = tmp_path_factory.mktemp("drawn")
+    write_world(build_world(11, n_concepts=20, sentences=300), directory)
+    return directory
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 1), (10, 2)])
+def test_a_run_that_leaves_w_as_drawn_stops_the_pipeline_before_any_artifact(drawn_world, tmp_path, capsys,
+                                                                            dim, seed):
+    """The run used to exit 0 and write sgns.txt and dlce.txt equal to W as drawn, bit for bit."""
+    run = tmp_path / "run"
+    assert main(["pipeline", "--corpus", str(drawn_world / "corpus.txt"), "--lexicon", str(drawn_world / "lexicon.tsv"),
+                 "--workdir", str(run), "--min-count", "3", "--window", "2", "--negatives", "3", "--subsample", "1e-5",
+                 "--epochs", "2", "--dim", str(dim), "--svd-dim", "2", "--seed", str(seed)]) == 1
+    assert capsys.readouterr().err == LEFT_AS_DRAWN
+    assert list(run.iterdir()) == []
+
+
+def test_train_sgns_refuses_a_run_that_leaves_w_as_drawn(drawn_world, tmp_path, capsys):
+    vocab, out = tmp_path / "vocab.tsv", tmp_path / "sgns.txt"
+    assert main(["vocab", "--corpus", str(drawn_world / "corpus.txt"), "--min-count", "3", "--out", str(vocab)]) == 0
+    capsys.readouterr()
+    assert main(["train-sgns", "--corpus", str(drawn_world / "corpus.txt"), "--vocab", str(vocab), "--out", str(out),
+                 "--min-count", "3", "--window", "2", "--negatives", "3", "--subsample", "1e-5", "--epochs", "2",
+                 "--dim", "10", "--seed", "2"]) == 1
+    assert capsys.readouterr().err == LEFT_AS_DRAWN
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.tsv"]
+
+
 class TestFailedWrites:
     """A write that fails stops the run and names its file, a writer child that fails stops it at the next save,
     and every writer is reaped on the way out. Writer children run in the idle scheduling class and may get no

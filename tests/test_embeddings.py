@@ -531,6 +531,27 @@ class TestSgnsTraining:
         with pytest.raises(TrainingError, match=r"NaN or Inf after update 10000$"):
             train_sgns(lines, vocab, cfg)
 
+    def test_a_run_that_leaves_w_as_drawn_is_refused(self):
+        """Each epoch keeps 2 pairs, one batch of 125: the first reads C at zero, and the second reads only
+        rows of C that the first left at zero, so no update moves W. Both trainers refuse the run after its
+        last epoch, with the text of the batch-rule oracle, which finds W bit for bit as drawn."""
+        world = build_world(11, n_concepts=20, sentences=300)
+        vocab = build_vocabulary(world.lines, min_count=3)
+        cfg = TrainingConfig(min_count=3, window=2, negatives=3, subsample=1e-5, epochs=2, dim=2, seed=1)
+        lex = world.lexicon
+        idx = build_feature_index(compute_lmi(count_cooccurrences(world.lines, vocab, 2), vocab))
+        text = ("training left W at its random initialization: no update moved it over epochs of 2, 2 pairs in "
+                "batches of 125")
+        for args in ((), (lex, idx)):
+            with pytest.raises(oracles.DrawnW) as drawn:
+                oracles.train_batched(world.lines, vocab, cfg, 125, *args)
+            assert str(drawn.value) == text
+            progress = io.StringIO()
+            with pytest.raises(TrainingError) as refused:
+                (train_dlce if args else train_sgns)(world.lines, vocab, cfg, *args, progress=progress)
+            assert str(refused.value) == text
+            assert progress.getvalue() == "0\t2\t0.025000\n1\t2\t0.012500\n"
+
     @pytest.mark.parametrize("value, text", [
         (MAX_ABS, None), (-MAX_ABS, None), (np.nextafter(MAX_ABS, np.inf), "a value of magnitude above 10000"),
         (-1e118, "a value of magnitude above 10000"), (np.nan, "NaN or Inf"), (-np.inf, "NaN or Inf"),

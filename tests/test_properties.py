@@ -60,14 +60,15 @@ from lexcontrast.embeddings import (
 )
 from lexcontrast.evaluation import RelationPair, SparseRowTable, _average_ranks, score_pairs
 from lexcontrast.lexicon import ContrastLexicon, enrich_antonyms
-from lexcontrast.seeding import rng_for
 from lexcontrast.vectors import DenseEmbeddings
 from lexcontrast.weighting import (
     SCHEME_LMI,
     WeightedMatrix,
     build_feature_index,
+    compute_lmi,
     compute_weight_sa,
 )
+from synthcorpus import build_world
 
 TOL = 1e-12
 
@@ -225,16 +226,21 @@ def training_cases(draw):
     return lines, vocab, cfg, lex, idx
 
 
-def _trained_or_refused(train, oracle, batch, cfg, sgns):
+def _trained_or_refused(train, oracle, batch, sgns):
     """Both models, or None once both runs stop with the same TrainingError.
 
     A run whose epochs fill one batch of `batch` pairs is the trainer's own
     refusal: the oracle trains it, and under SGNS its W ends bit for bit as
-    drawn, since every gradient of the batch reads C at zero. dLCE's
-    contrast step still moves W, so there only the refusal is checked.
+    drawn, since every gradient of the batch reads C at zero, so the oracle
+    refuses it for that. dLCE's contrast step still moves W, so there only
+    the refusal is checked. Any other run whose W the oracle leaves as drawn
+    the trainer refuses with the oracle's text.
     """
+    drawn = None
     try:
         want = oracle()
+    except oracles.DrawnW as exc:
+        drawn, want = exc, exc.model
     except TrainingError as exc:
         with pytest.raises(TrainingError, match=str(exc).split(":")[0]):
             train()
@@ -242,8 +248,12 @@ def _trained_or_refused(train, oracle, batch, cfg, sgns):
     if sum(-(-h["pairs"] // batch) for h in want.history) == 1:
         with pytest.raises(TrainingError, match=f"fit in one batch of {batch}, "):
             train()
-        if sgns:
-            _same_bits(want.W, (rng_for(cfg.seed, "init").random(want.W.shape) - 0.5) / cfg.dim)
+        assert drawn is not None or not sgns
+        return None
+    if drawn is not None:
+        with pytest.raises(TrainingError) as refused:
+            train()
+        assert str(refused.value) == str(drawn)
         return None
     return train(), want
 
@@ -260,15 +270,26 @@ def _assert_close(got, want) -> None:
     np.testing.assert_allclose(got, want, rtol=0, atol=TOL * max(1.0, finite.max(initial=0.0)))
 
 
+def _drawn_case():
+    """A world whose run at B = 125 keeps 2 pairs in each of two epochs: the second epoch's batch reads only
+    rows of C that the first left at zero, so both trainers leave W as drawn."""
+    world = build_world(11, n_concepts=20, sentences=300)
+    vocab = build_vocabulary(world.lines, 3)
+    idx = build_feature_index(compute_lmi(count_cooccurrences(world.lines, vocab, 2), vocab))
+    cfg = TrainingConfig(min_count=3, window=2, negatives=3, subsample=1e-5, epochs=2, dim=2, seed=1)
+    return world.lines, vocab, cfg, world.lexicon, idx
+
+
 @settings(max_examples=60, deadline=None)
 @given(training_cases(), st.sampled_from([1, 2, 7, 250]))
+@example(_drawn_case(), 125)
 def test_trainers_follow_the_batch_rule(case, batch):
     lines, vocab, cfg, lex, idx = case
     with mock.patch.object(embeddings, "batch_size", lambda noise, negatives: batch):
         for args in ((), (lex, idx)):
             both = _trained_or_refused(
                 lambda: (train_dlce if args else train_sgns)(lines, vocab, cfg, *args),
-                lambda: oracles.train_batched(lines, vocab, cfg, batch, *args), batch, cfg, not args,
+                lambda: oracles.train_batched(lines, vocab, cfg, batch, *args), batch, not args,
             )
             if both is None:
                 continue
@@ -330,7 +351,7 @@ def test_trainers_match_per_pair_loop_at_batch_one(case):
         for args in ((), (lex, idx)):
             steps.clear()
             both = _trained_or_refused(lambda: (train_dlce if args else train_sgns)(lines, vocab, cfg, *args),
-                                       lambda: oracles.train(lines, vocab, cfg, *args), 1, cfg, not args)
+                                       lambda: oracles.train(lines, vocab, cfg, *args), 1, not args)
             if both is None:
                 continue
             got, want = both
@@ -432,8 +453,9 @@ def trainability_cases(draw):
 @given(trainability_cases())
 def test_trainers_refuse_exactly_when_the_former_check_does(case):
     """The trainers refuse, with the former pre-check's text, exactly when it
-    refuses; otherwise both train, and dLCE with an empty lexicon gives the
-    bits of SGNS."""
+    refuses. Past it a run is refused only when its W ends as drawn, with the
+    text of the batch-rule oracle, which finds W so too; every other run
+    trains, and dLCE with an empty lexicon gives the bits of SGNS."""
     lines, vocab, cfg, lex = case
     try:
         oracles.require_trainable(encode_lines(lines).ids(vocab), vocab, cfg)
@@ -441,16 +463,26 @@ def test_trainers_refuse_exactly_when_the_former_check_does(case):
     except ValueError as exc:
         refusal = (type(exc), str(exc))
     idx = sparse.csr_matrix(np.ones((len(vocab), len(vocab))))
+    lexicons = ((), (lex, idx), (ContrastLexicon.from_pairs([], []), idx))
     runs = []
-    for train in (lambda: train_sgns(lines, vocab, cfg), lambda: train_dlce(lines, vocab, cfg, lex, idx),
-                  lambda: train_dlce(lines, vocab, cfg, ContrastLexicon.from_pairs([], []), idx)):
+    for args in lexicons:
         try:
-            runs.append(train())
+            runs.append((train_dlce if args else train_sgns)(lines, vocab, cfg, *args))
         except ValueError as exc:
             runs.append((type(exc), str(exc)))
-    assert [run if isinstance(run, tuple) else None for run in runs] == [refusal] * 3
-    if refusal is None:
-        sgns, _, empty = runs
+    if refusal is not None:
+        assert runs == [refusal] * 3
+        return
+    batch = embeddings.batch_size(embeddings.build_noise_distribution(vocab, cfg.noise_exponent), cfg.negatives)
+    for run, args in zip(runs, lexicons):
+        if isinstance(run, tuple):
+            with pytest.raises(oracles.DrawnW) as drawn:
+                oracles.train_batched(lines, vocab, cfg, batch, *args)
+            assert run == (TrainingError, str(drawn.value))
+    sgns, _, empty = runs
+    if isinstance(sgns, tuple):
+        assert empty == sgns
+    else:
         _same_bits(empty.W, sgns.W)
         _same_bits(empty.C, sgns.C)
 

@@ -190,8 +190,9 @@ class TestNonemptyBlock:
     @pytest.mark.parametrize("mode", ["dense", "randomized"])
     def test_only_the_row_vectors_take_the_full_shape(self, mode):
         # U is n x k float64, 8 MB here. Measured peaks: 1.02 U in both modes, the randomized one
-        # drawing the sketch in chunks of rows; 1.23 randomized while it drew the whole m x (k + 10)
-        # sketch to take its block's rows, and 2.02 in both modes while a k x m Vt was written back too
+        # drawing the sketch in chunks of rows, one chunk at a time; 1.23 randomized while it drew
+        # the whole m x (k + 10) sketch to take its block's rows, and 2.02 in both modes while a
+        # k x m Vt was written back too
         rng = np.random.default_rng(13)
         n, k = 20_000, 50
         rows, cols = rng.choice(n, 100, replace=False), rng.choice(n, 150, replace=False)
@@ -203,7 +204,8 @@ class TestNonemptyBlock:
 
 
 class TestChunkedSketch:
-    """The block path draws the whole matrix's sketch in chunks of rows and keeps its block's rows."""
+    """Every randomized SVD, of a block or of a whole matrix, draws the whole matrix's sketch in chunks of
+    rows, keeps the rows of its block's columns, and holds one chunk at a time."""
 
     def test_chunked_draws_equal_one_whole_draw(self):
         m, width = 1003, 110
@@ -213,19 +215,40 @@ class TestChunkedSketch:
         assert np.array_equal(got, want)
         assert np.array_equal(chunked.standard_normal(5), whole.standard_normal(5))  # the generator's next draw
 
-    def test_block_svd_is_the_one_of_the_whole_sketch(self, monkeypatch):
-        """With chunks of 7 rows the block's sketch spans many chunks, some holding no wanted row, and the
-        row vectors are those of the block SVD that drew the whole sketch, bit for bit."""
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_block_svd_is_the_one_of_the_whole_sketch(self, monkeypatch, whole):
+        """With chunks of 7 rows the sketch spans many chunks, and on the block some hold no wanted row. The
+        row vectors are those of the block SVD that drew the whole sketch, bit for bit, and so are those of
+        a matrix with no empty row or column, which that SVD factored with one whole draw."""
         monkeypatch.setattr(reduction, "SKETCH_CHUNK", 7)
         rng = np.random.default_rng(22)
-        dense = rng.standard_normal((40, 60)) * (rng.random((40, 60)) < 0.3)
-        dense[[3, 17]] = 0.0
-        dense[:, [0, 8, 9, 10, 11, 12, 13, 14, 15, 59]] = 0.0
+        if whole:
+            dense = rng.standard_normal((40, 60))
+        else:
+            dense = rng.standard_normal((40, 60)) * (rng.random((40, 60)) < 0.3)
+            dense[[3, 17]] = 0.0
+            dense[:, [0, 8, 9, 10, 11, 12, 13, 14, 15, 59]] = 0.0
         matrix = sparse.csr_matrix(dense)
+        assert (len(reduction._nonempty(matrix)[1]) == 60) == whole
         got = truncated_svd(matrix, 5, mode="randomized", seed=9)
         want = block_svd(matrix, 5, mode="randomized", seed=9)[0]
         assert np.array_equal(got.row_vectors, want.row_vectors)
         assert np.array_equal(got.singular_values, want.singular_values)
+
+    def test_the_sketch_holds_one_chunk_at_a_time(self):
+        # a unit is one chunk of the sketch, SKETCH_CHUNK x (k + 10) float64, 1.97 MB here, and every other
+        # block is 300 rows or columns tall. Measured peaks: 1.11 units; 2.08 while the next chunk was drawn
+        # with the last one still held and the kept rows were gathered in a list and then concatenated
+        rng = np.random.default_rng(23)
+        n, m, k = 300, 3 * reduction.SKETCH_CHUNK, 50
+        cols = np.sort(rng.choice(m, 300, replace=False))
+        values = rng.standard_normal((n, len(cols))) * (rng.random((n, len(cols))) < 0.05)
+        values[:, 0] = 1.0  # no empty row
+        rows, at = np.nonzero(values)
+        matrix = sparse.csr_matrix((values[rows, at], (rows, cols[at])), shape=(n, m))
+        result, peak = _traced(lambda: truncated_svd(matrix, k, mode="randomized"))
+        assert peak < 1.5 * reduction.SKETCH_CHUNK * (k + 10) * 8
+        assert result.effective_rank == k
 
 
 class TestFactorizationMemory:
