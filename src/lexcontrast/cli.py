@@ -32,7 +32,9 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
+import threading
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
@@ -153,11 +155,11 @@ class Report(NamedTuple):
     table: list[list]
     payload: dict
     notes: dict[str, str] = {}  # header lines after the stage's own
-    warned: tuple[str, ...] = ()  # the stage's warnings, which `_write` issues under the report's path
+    warned: tuple[str, ...] = ()  # the stage's warnings, which `Run.save` issues under the report's path
 
 
 def _warned(make, *args) -> tuple[object, tuple[str, ...]]:
-    """`make(*args)`, and the texts of the warnings it issued, held back for `_write`."""
+    """`make(*args)`, and the texts of the warnings it issued, held back for `Run.save`."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         return make(*args), tuple(str(w.message) for w in caught)
@@ -178,8 +180,7 @@ def stage_lmi(counts, vocab, s) -> weighting.WeightedMatrix:
 
 def stage_weight_sa(lmi, lex, vocab, s) -> weighting.WeightedMatrix:
     idx = weighting.build_feature_index(lmi)
-    return weighting.compute_weight_sa(lmi, idx, lexicon.enrich_antonyms(lex), vocab,
-                                       ant_mean=s["ant_mean"], fallback_lmi=s["fallback_lmi"])
+    return weighting.compute_weight_sa(lmi, idx, lex, vocab, ant_mean=s["ant_mean"], fallback_lmi=s["fallback_lmi"])
 
 
 def stage_svd(weights, vocab, s) -> tuple[DenseEmbeddings, dict[str, str]]:
@@ -528,13 +529,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    """Run one command. While it runs, SIGTERM unwinds as SIGINT does, so that `Run` reaps its writers, and the
+    process exits 143; a handler can be set from the main thread only, so a call from another thread keeps its own."""
     args = build_parser().parse_args(argv)
+    handled = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if handled else None
     try:
         args.run(args)
     except (OSError, ValueError) as exc:  # every error type of the package is a ValueError
         print(f"error: {_message(exc)}", file=sys.stderr)
         return 2 if isinstance(exc, FileNotFoundError) else 1  # a missing file or directory
+    finally:
+        if handled:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)  # None: a handler not set from Python
     return 0
 
 

@@ -149,19 +149,15 @@ def read_embeddings(path) -> DenseEmbeddings:
     words: list[str] = []
     values: list[float] = []  # row after row: no list per row for the collector to scan
     with open_text(path) as fh:
-        header = None
-        for line in fh:
-            if line.startswith("#"):  # tolerate annotated files
-                continue
-            header = line
-            break
+        lines = enumerate(fh, start=1)  # one count for the header search and the rows, so errors name true lines
+        header = next((line for _, line in lines if not line.startswith("#")), None)  # tolerate annotated files
         if header is None:
             raise VectorsError(f"{path}: empty vector file")
         parts = header.split()
         if len(parts) != 2 or not all(part.isdecimal() for part in parts):
             raise VectorsError(f"{path}: header must be 'n_rows n_cols'")
         n_rows, n_cols = int(parts[0]), int(parts[1])
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             if not line.strip():
                 continue
             fields = line.rstrip().split(" ")  # word2vec.c ends each row with a space

@@ -180,12 +180,12 @@ def compute_weight_sa(
     For each stored cell (w, f): the synonym term averages cosine(w, u) over
     synonyms u of w that hold feature f in `idx`, the holder matrix of
     `build_feature_index` (of L's shape); the antonym term averages
-    cosine(w', v) over enriched antonyms w' of w paired with their own
-    feature-holding synonyms v. The cell weight is synonym term minus antonym
-    term; an empty side contributes 0, and weights equal to 0 are not
-    stored. Words with no lexicon entries yield no row (or keep their LMI row
-    when fallback_lmi is set). All cosines are taken between original LMI
-    rows, so the transform is order-independent.
+    cosine(w', v) over the enriched antonyms w' of w, which any lexicon
+    computes itself, paired with their own feature-holding synonyms v. The
+    cell weight is synonym term minus antonym term; an empty side contributes
+    0, and weights equal to 0 are not stored. Words with no lexicon entries
+    yield no row (or keep their LMI row when fallback_lmi is set). All cosines
+    are taken between original LMI rows, so the transform is order-independent.
 
     ant_mean selects the antonym-term normalizer: "pooled" divides the double
     sum by the total pair count; "per-antonym" averages per-antonym means over
@@ -195,8 +195,6 @@ def compute_weight_sa(
         raise WeightingError(f"contrast transform expects an LMI matrix, got {lmi.scheme}")
     if ant_mean not in ("pooled", "per-antonym"):
         raise WeightingError(f"ant_mean must be 'pooled' or 'per-antonym', got {ant_mean!r}")
-    if lex.ant and not lex.ant_enriched:
-        raise WeightingError("lexicon has antonyms but no enriched sets; run enrich_antonyms first")
     vocab.check_rows("the LMI matrix", lmi.shape, WeightingError)
     if idx.shape != lmi.shape:
         raise WeightingError(f"feature index has shape {idx.shape}, the LMI matrix {lmi.shape}")

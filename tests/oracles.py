@@ -7,7 +7,8 @@ before both routes read one sparse holder matrix, the single-threaded
 per-pair SGD loop from before training was batched, the trainers' check
 before any work that counted training pairs without a pair stream, the
 contrast waves' levels found hit by hit, the batch
-rule spelled out one pair at a time, the vector writer from before it took the header
+rule spelled out one pair at a time, the antonym enrichment as a pass of its own
+over a built lexicon, the vector writer from before it took the header
 lines itself, the table writers that formatted cell by cell, the table
 readers that parsed their own headers and found repeated cells each its own
 way, co-occurrence counting with separate target and feature chunks, the
@@ -179,18 +180,25 @@ class RowCosineCache:
         return value
 
 
+def enriched_antonyms(lex) -> dict[str, frozenset[str]]:
+    """A*(w) for every w with antonyms: each antonym w' of w and the synonyms of w', minus w and S(w). This is
+    the pass over a built lexicon that filled its third field before the lexicon computed the sets itself."""
+    return {w: frozenset().union(*({o} | lex.synonyms(o) for o in ants)) - {w} - lex.synonyms(w)
+            for w, ants in lex.ant.items()}
+
+
 def _lexicon_ids(lex, vocab):
     """Resolve lexicon words to vocabulary ids, dropping out-of-vocabulary ones."""
     syn: dict[int, list[int]] = {}
     ant_pairs: dict[int, list[tuple[int, int]]] = {}
-    ids = vocab.word_ids
+    ids, enriched = vocab.word_ids, enriched_antonyms(lex)
     for word in lex.words():
         wid = ids.get(word)
         if wid is None:
             continue
         syn[wid] = sorted(ids[u] for u in lex.synonyms(word) if u in ids)
         pairs: list[tuple[int, int]] = []
-        for opp in sorted(lex.ant_enriched.get(word, frozenset())):
+        for opp in sorted(enriched.get(word, frozenset())):
             oid = ids.get(opp)
             if oid is None:
                 continue

@@ -7,8 +7,11 @@ import json
 import math
 import re
 import resource
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -1198,6 +1201,61 @@ class TestFailedWrites:
         monkeypatch.setattr(cli, "write_embeddings_with_meta", traced)
         assert main(PIPELINE) == 0
         assert len(seen) == 4 and seen[-1] == [(0, True)] * 4
+
+
+class TestStoppedRuns:
+    """SIGTERM unwinds a command as SIGINT does: the run reaps its writer children and renames their files into
+    place, so a stopped `pipeline` leaves no temporary file."""
+
+    # the child: sgns.txt's writer holds its rows until the test has signalled (giving up after about 60 s), and
+    # counting, the stage after the SGNS reports, waits to be stopped, so the signal lands at one known point with
+    # a writer running
+    CHILD = """\
+import sys, time
+from pathlib import Path
+from lexcontrast import cli, vectors
+vectors._WRITER = ("import os, time\\nfor _ in range(6000):\\n    if os.path.exists('signalled'): break\\n"
+                   "    time.sleep(0.01)\\n" + vectors._WRITER)
+def counting(*args):
+    Path("counting").touch()
+    time.sleep(120)
+cli.stage_count = counting
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.parametrize("signum, status", [(signal.SIGINT, -signal.SIGINT), (signal.SIGTERM, 143)])
+    def test_a_stopped_pipeline_leaves_no_temporary_file(self, small_world, tmp_path, signum, status):
+        """SIGINT kills by SIGINT once unwound; SIGTERM exits 128 + 15."""
+        src = str(Path(lexcontrast.__file__).resolve().parents[1])
+        inputs = [f"--{key}={small_world / name}" for key, name in (
+            ("corpus", "corpus.txt"), ("lexicon", "lexicon.tsv"), ("pairs", "pairs.tsv"))]
+        proc = subprocess.Popen([sys.executable, "-c", self.CHILD, "pipeline", *inputs, "--workdir", "run",
+                                 "--min-count", "3", "--window", "2", "--dim", "10", "--svd-dim", "10",
+                                 "--negatives", "3", "--subsample", "0"], cwd=tmp_path, env={"PYTHONPATH": src},
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                # a shell without job control starts background jobs with SIGINT ignored
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        deadline = time.monotonic() + 120
+        while not (tmp_path / "counting").exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        proc.send_signal(signum)
+        (tmp_path / "signalled").touch()
+        err = proc.communicate(timeout=120)[1].decode()
+        left = sorted(path.name for path in (tmp_path / "run").iterdir())
+        assert left == ["eval_ap_sgns.tsv", "eval_auc_sgns.tsv", "medians_sgns.tsv", "sgns.txt", "vocab.tsv"], err
+        assert proc.returncode == status, err
+        assert len(read_embeddings(tmp_path / "run" / "sgns.txt")) == len(corpus.read_vocabulary(
+            tmp_path / "run" / "vocab.tsv"))
+
+    def test_main_restores_the_sigterm_handler_and_runs_off_the_main_thread(self, workspace):
+        before = signal.getsignal(signal.SIGTERM)
+        argv = ["vocab", "--corpus", "corpus.txt", "--min-count", "1", "--out", "vocab.tsv"]
+        assert main(argv) == 0 and signal.getsignal(signal.SIGTERM) is before
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(argv)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and codes == [0] and signal.getsignal(signal.SIGTERM) is before
 
 
 class TestEmptyRows:

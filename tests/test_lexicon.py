@@ -1,4 +1,4 @@
-"""Lexicon parsing, symmetrization, conflict handling, and antonym enrichment."""
+"""Lexicon parsing, symmetrization, conflict handling, and the enriched antonym sets."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from lexcontrast.lexicon import (
     enrich_antonyms,
     load_lexicon,
 )
-from oracles import write_lexicon
+from oracles import enriched_antonyms, write_lexicon
 
 
 def _random_lexicon(rng, n_words=12, n_syn=8, n_ant=6):
@@ -84,6 +84,17 @@ class TestLoading:
 
 
 class TestEnrichment:
+    def test_a_hand_built_lexicon_computes_the_enriched_sets_once(self):
+        """Any lexicon, built from its two sets alone, reads the sets of the oracle pass; the first read
+        computes them, and `enrich_antonyms` returns the lexicon it is given."""
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            drawn, _ = _random_lexicon(rng)
+            lex = ContrastLexicon(drawn.syn, drawn.ant)
+            assert "ant_enriched" not in vars(lex)
+            assert lex.ant_enriched == enriched_antonyms(drawn) and lex.ant_enriched is lex.ant_enriched
+            assert enrich_antonyms(lex) is lex and lex == drawn
+
     def test_worked_example(self):
         # A(good) = {bad, evil}, S(bad) = {awful}
         lex = enrich_antonyms(

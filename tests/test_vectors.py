@@ -87,10 +87,12 @@ class TestSerialization:
         with pytest.raises(VectorsError, match="header"):
             read_embeddings(path)
 
-    def test_row_width_checked(self, tmp_path):
+    @pytest.mark.parametrize("comments", ["", "#tool=x\n#stage=svd\n#seed=0\n"], ids=["plain", "annotated"])
+    def test_row_width_checked(self, tmp_path, comments):
+        """The error names the row's own line, counting the leading comment lines."""
         path = tmp_path / "vec.txt"
-        path.write_text("1 3\na 1.0 2.0\n")
-        with pytest.raises(VectorsError, match=":2"):
+        path.write_text(comments + "2 3\na 1.0 2.0 3.0\n\nb 1.0 2.0\n")
+        with pytest.raises(VectorsError, match=rf"vec\.txt:{comments.count('#') + 4}: expected"):
             read_embeddings(path)
 
     def test_word2vec_trailing_space_accepted(self, tmp_path):
@@ -124,6 +126,8 @@ class TestSerialization:
             read_embeddings(path)
 
     @pytest.mark.parametrize("text, where", [("2 2\na 1.0 x\nb 1.0 2.0\n", r"vec\.txt:2: .*'x'"),
+                                             ("#tool=lexcontrast 0.1.0\n#stage=svd\n#seed=0\n2 2\na 1.0 2.0\nb 1.0 x\n",
+                                              r"vec\.txt:6: .*'x'"),
                                              ("a b\na 1.0 2.0\n", r"vec\.txt: header"),
                                              ("1 2.5\na 1.0 2.0\n", r"vec\.txt: header")])
     def test_unparsable_fields_name_the_file(self, tmp_path, text, where):

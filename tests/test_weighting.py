@@ -392,9 +392,23 @@ class TestContrastWeighting:
             compute_weight_sa(sa, idx, lex, vocab)
         with pytest.raises(WeightingError, match="ant_mean"):
             compute_weight_sa(wm, idx, lex, vocab, ant_mean="mean")
-        bare = ContrastLexicon.from_pairs([("w0", "w1")], [("w0", "w2")])
-        with pytest.raises(WeightingError, match="enrich"):
-            compute_weight_sa(wm, idx, bare, vocab)
+
+    @pytest.mark.parametrize("ant_mean", ["pooled", "per-antonym"])
+    def test_a_bare_lexicon_weighs_as_its_enriched_form(self, ant_mean):
+        """A lexicon that no call enriched computes its enriched sets when the transform reads them:
+        A*(w0) = {w2, w3, w4} holds synonyms of w2, so the enrichment shows in the weights."""
+        words = [f"w{i}" for i in range(6)]
+        vocab = Vocabulary.from_counts({w: 6 - i for i, w in enumerate(words)})
+        dense = np.random.default_rng(11).random((6, 5))
+        wm = WeightedMatrix(SCHEME_LMI, sparse.csr_matrix(dense))
+        idx = build_feature_index(wm)
+        pairs = ([("w0", "w1"), ("w2", "w3"), ("w2", "w4")], [("w0", "w2"), ("w1", "w5")])
+        bare = ContrastLexicon.from_pairs(*pairs)
+        got = compute_weight_sa(wm, idx, bare, vocab, ant_mean=ant_mean).matrix
+        want = compute_weight_sa(wm, idx, enrich_antonyms(ContrastLexicon.from_pairs(*pairs)), vocab,
+                                 ant_mean=ant_mean).matrix
+        assert bare.ant_enriched["w0"] == {"w2", "w3", "w4"}
+        assert got.nnz and (got != want).nnz == 0
 
     def test_oov_lexicon_words_ignored(self):
         words = ["a", "b"]
